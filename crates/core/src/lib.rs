@@ -92,7 +92,7 @@ pub use pipeline::{
 pub use policy::Policy;
 pub use predictor::WorkloadDistributionPredictor;
 pub use scheduler::PoolView;
-pub use solver::{Allocation, AllocationProblem, LevelProfile, SolveCache, FAST_SOLVER_THRESHOLD};
+pub use solver::{Allocation, AllocationProblem, LevelProfile, SolveCache};
 pub use switcher::{StrategySwitcher, SwitcherConfig, SwitcherState};
 pub use system::{FaultEvent, RunConfig, RunOutcome, SystemSimulation};
 

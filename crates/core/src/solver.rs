@@ -10,29 +10,23 @@
 //!
 //! * [`AllocationProblem::solve_exact`] — enumerates worker compositions
 //!   (the workers are interchangeable, so only the per-level *counts*
-//!   matter) with an optimal greedy fill per composition; exact for the
-//!   cluster sizes of the paper's testbed.
+//!   matter) with an optimal greedy fill per composition. The reference
+//!   the other two are tested and benched against.
 //! * [`AllocationProblem::solve_fast`] — branch-and-bound over the same
 //!   composition space with a certified upper bound, returning the
 //!   bit-identical optimum while visiting a tiny fraction of the
 //!   `C(W + V − 1, V − 1)` compositions; this is what keeps the §5.7
-//!   sub-100 ms allocation budget at 64–128-worker fleets.
+//!   sub-100 ms allocation budget at 64–256-worker fleets.
 //! * [`AllocationProblem::solve_milp`] — the paper's integer linear
 //!   program (linearized per-worker formulation) through `argus-ilp`,
 //!   as solved by Gurobi in the authors' deployment. Used for
 //!   cross-validation and the solver-scalability claim of §5.7.
 //!
-//! [`AllocationProblem::solve`] picks between the exact enumeration and
-//! the branch-and-bound automatically by cluster size
-//! ([`FAST_SOLVER_THRESHOLD`]).
+//! [`AllocationProblem::solve`] and [`AllocationProblem::solve_cached`]
+//! run the branch-and-bound at every cluster size; the cached form also
+//! warm-starts the search from the previous tick's optimum.
 
 use argus_models::ApproxLevel;
-
-/// Worker count above which [`AllocationProblem::solve`] switches from the
-/// full composition enumeration to the branch-and-bound search. At 16
-/// workers and 6 levels the enumeration visits ~20k compositions (sub-ms);
-/// past that it grows as `C(W + 5, 5)` and the pruned search wins.
-pub const FAST_SOLVER_THRESHOLD: usize = 16;
 
 /// Profile of one approximation level as seen by the solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,8 +55,9 @@ pub struct AllocationProblem {
 /// The allocator's decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
-    /// Workers assigned per level (`Σ = workers` may not hold: idle
-    /// workers are parked on the slowest level, never wasted).
+    /// Workers assigned per level. Every worker is assigned: idle workers
+    /// are parked on the level with the largest peak × quality (the
+    /// scorer's headroom tie-break), which need not be the slowest one.
     pub workers_per_level: Vec<usize>,
     /// Load served per level in QPM (`ω(v)`, absolute).
     pub omega_qpm: Vec<f64>,
@@ -283,8 +278,11 @@ impl AllocationProblem {
         if served + 1e-9 < target {
             return None; // infeasible composition: cannot meet target
         }
-        // Tie-break: prefer compositions whose idle capacity sits on
-        // slower, higher-quality levels (cheap future headroom).
+        // Tie-break: prefer compositions with the most peak × quality
+        // capacity, so idle workers park on the level with the largest
+        // `peak_qpm · quality` (cheap future headroom). That is not the
+        // slowest level in general: on the derated A100 AC ladder K25
+        // (≈429) outranks K0 (≈239).
         let headroom_quality: f64 = counts
             .iter()
             .zip(&self.levels)
@@ -297,9 +295,11 @@ impl AllocationProblem {
     /// Exact solve by enumerating worker compositions over levels.
     ///
     /// Complexity `C(W + V − 1, V − 1)` compositions; fine for the paper's
-    /// 8-worker testbed and up to a few dozen workers. Ties prefer fewer
-    /// distinct levels (fewer switches) and slower levels (higher
-    /// quality headroom).
+    /// 8-worker testbed and up to a few dozen workers. Compositions are
+    /// visited in lexicographic order of their count vectors and a later
+    /// one must score strictly higher to replace the incumbent, so exact
+    /// score ties keep the lexicographically smallest count vector. This
+    /// is the reference every other search is checked against.
     ///
     /// # Panics
     /// Panics on invalid inputs (see [`AllocationProblem`]).
@@ -326,30 +326,21 @@ impl AllocationProblem {
         self.finish(best, capacity, saturated)
     }
 
-    /// Picks the solver by cluster size: exhaustive enumeration up to
-    /// [`FAST_SOLVER_THRESHOLD`] workers, the pruned branch-and-bound
-    /// beyond. Both return the same allocation bit-for-bit; the switch is
-    /// purely about wall-clock growth.
+    /// Solves Eq. 1 with the branch-and-bound at every cluster size. It
+    /// returns [`AllocationProblem::solve_exact`]'s allocation bit for bit
+    /// and visits a small fraction of its compositions.
     pub fn solve(&self) -> Allocation {
-        if self.workers <= FAST_SOLVER_THRESHOLD {
-            self.solve_exact()
-        } else {
-            self.solve_fast()
-        }
+        self.solve_fast()
     }
 
     /// Like [`AllocationProblem::solve`], but reuses `cache`d
     /// branch-and-bound tables (Lagrangian dual candidates, suffix
-    /// maxima) across solves whose ladder profiles are unchanged — the
-    /// per-tick allocator case. Bit-identical to the uncached solve: the
-    /// tables are a pure function of the level profiles, and debug builds
-    /// assert cached tables against a fresh computation.
+    /// maxima) across solves whose ladder profiles are unchanged, and
+    /// warm-starts the search from the cache's previous optimum — the
+    /// per-tick allocator case. Bit-identical to the uncached solve (see
+    /// [`AllocationProblem::solve_fast_cached`]).
     pub fn solve_cached(&self, cache: &mut SolveCache) -> Allocation {
-        if self.workers <= FAST_SOLVER_THRESHOLD {
-            self.solve_exact()
-        } else {
-            self.solve_fast_cached(cache)
-        }
+        self.solve_fast_cached(cache)
     }
 
     /// Scalable solve: depth-first branch-and-bound over worker
@@ -371,10 +362,20 @@ impl AllocationProblem {
         self.solve_fast_cached(&mut SolveCache::new())
     }
 
-    /// [`AllocationProblem::solve_fast`] with reusable search tables: the
-    /// per-depth suffix aggregates and Lagrangian dual candidates depend
-    /// only on the level profiles, so consecutive solves over an unchanged
-    /// ladder (the allocator re-solving every tick) skip rebuilding them.
+    /// [`AllocationProblem::solve_fast`] with state carried across solves.
+    ///
+    /// * **Tables.** The per-depth suffix aggregates and Lagrangian dual
+    ///   candidates depend only on the level profiles, so consecutive
+    ///   solves over an unchanged ladder (the allocator re-solving every
+    ///   tick) skip rebuilding them.
+    /// * **Warm start.** The cache keeps the worker counts of its last
+    ///   result. When the level count and worker total still match and
+    ///   those counts can meet the new target, they are re-scored and seed
+    ///   the search as its incumbent, so the bound prunes from the first
+    ///   node. The result cannot change: pruning is strict, so no subtree
+    ///   holding an optimal composition is ever cut, and exact ties still
+    ///   go to the lexicographically smallest counts. Debug builds assert
+    ///   every warm result against a cold search.
     ///
     /// # Panics
     /// Panics on invalid inputs (see [`AllocationProblem`]).
@@ -384,18 +385,44 @@ impl AllocationProblem {
         let saturated = self.demand_qpm > capacity + 1e-9;
         let target = self.demand_qpm.min(capacity);
 
+        let seed = cache
+            .last
+            .take()
+            .filter(|c| c.len() == self.levels.len() && c.iter().sum::<usize>() == self.workers);
         let tables = cache.tables_for(self);
+        let seeded = seed.is_some();
+        let best = self.search(tables, target, seed);
+        debug_assert!(
+            !seeded || best == self.search(tables, target, None),
+            "warm-started search diverged from a cold search"
+        );
+        let allocation = self.finish(best, capacity, saturated);
+        cache.last = Some(allocation.workers_per_level.clone());
+        allocation
+    }
+
+    /// Runs the branch-and-bound over `tables`, optionally starting from a
+    /// `seed` composition as the incumbent (ignored when it cannot meet
+    /// the target).
+    fn search(
+        &self,
+        tables: &FastTables,
+        target: f64,
+        seed: Option<Vec<usize>>,
+    ) -> Option<(f64, f64, Vec<usize>, Vec<f64>)> {
+        let best = seed.and_then(|counts| {
+            let (qsum, served, omega) = self.score_composition(&counts, target, &tables.order)?;
+            Some((qsum, served, counts, omega))
+        });
         let mut search = FastSearch {
             counts: vec![0usize; self.levels.len()],
-            scratch: Vec::with_capacity(self.levels.len() + 1),
-            best: None,
+            best,
             p: self,
             t: tables,
             target,
         };
-        search.branch(0, self.workers, 0.0, 0.0);
-        let best = search.best;
-        self.finish(best, capacity, saturated)
+        search.branch(0, self.workers, 0.0, 0.0, Fill::new(target));
+        search.best
     }
 
     /// Converts the best-found composition (or the all-fastest fallback
@@ -544,25 +571,47 @@ impl AllocationProblem {
     }
 }
 
-/// Greedy relaxation fill: serve exactly `amount` from quality/capacity
-/// chunks in quality-descending order, returning `Σ quality · take`. This
-/// is the optimum of the chunk-capacitated LP with an equality demand
-/// constraint, hence an upper bound for any integer completion whose
-/// induced chunk loads satisfy the same capacities. Reorders `chunks` in
-/// place (they are scratch space).
-fn fill_bound(chunks: &mut [(f64, f64)], amount: f64) -> f64 {
-    chunks.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut remaining = amount;
-    let mut value = 0.0;
-    for &(q, cap) in chunks.iter() {
-        if remaining <= 0.0 {
-            break;
+/// Greedy relaxation fill, one capacity chunk at a time: serve the target
+/// from `(quality, capacity)` chunks in quality-descending order,
+/// accumulating `Σ quality · take`. Filled to the end, this is the optimum
+/// of the chunk-capacitated LP with an equality demand constraint, hence
+/// an upper bound for any integer completion whose induced chunk loads
+/// satisfy the same capacities.
+///
+/// The search keeps one `Fill` per node for its fixed prefix and extends
+/// it by one chunk per child. That is the same float-op sequence as
+/// sorting the prefix's chunks plus the relaxed suffix source and filling
+/// from scratch: the prefix is pushed in branching order (quality
+/// descending, stable on ties) and the relaxed source never outranks the
+/// last prefix chunk (`qmax[d]` and every Lagrangian `ahat` are at most
+/// the qualities already fixed), so the stable sort would move nothing.
+#[derive(Debug, Clone, Copy)]
+struct Fill {
+    /// Demand not yet served by the chunks taken so far.
+    remaining: f64,
+    /// `Σ quality · take` over the chunks taken so far.
+    value: f64,
+}
+
+impl Fill {
+    fn new(amount: f64) -> Fill {
+        Fill {
+            remaining: amount,
+            value: 0.0,
         }
-        let take = cap.min(remaining);
-        value += q * take;
-        remaining -= take;
     }
-    value
+
+    /// The fill after serving from one more chunk.
+    fn take(self, quality: f64, cap: f64) -> Fill {
+        if self.remaining <= 0.0 {
+            return self;
+        }
+        let take = cap.min(self.remaining);
+        Fill {
+            remaining: self.remaining - take,
+            value: self.value + quality * take,
+        }
+    }
 }
 
 /// Precomputed branch-and-bound tables for one ladder of level profiles:
@@ -590,7 +639,8 @@ struct FastTables {
     lambdas: Vec<Vec<(f64, f64)>>,
 }
 
-/// Cross-solve cache of [`FastTables`], keyed by the exact level profiles.
+/// Cross-solve state of the branch-and-bound: [`FastTables`] keyed by the
+/// exact level profiles, plus the worker counts of the last result.
 ///
 /// The allocator re-solves Eq. 1 every tick; when the ladder (and hence
 /// every profile) is unchanged between ticks, rebuilding the Lagrangian
@@ -598,10 +648,13 @@ struct FastTables {
 /// small FIFO of recent ladders (heterogeneous fleets cycle one per
 /// architecture pool). Lookups compare profiles exactly, so a hit can only
 /// return tables bit-identical to a fresh computation — debug builds
-/// assert this.
+/// assert this. Demand moves little between ticks, so the last result is
+/// usually a near-optimal incumbent to warm-start the next search from.
 #[derive(Debug, Default)]
 pub struct SolveCache {
     entries: Vec<FastTables>,
+    /// Worker counts of the last solve's allocation (the warm-start seed).
+    last: Option<Vec<usize>>,
 }
 
 /// Retained ladders; heterogeneous fleets use one entry per (architecture,
@@ -706,22 +759,22 @@ impl FastTables {
 /// Levels are branched in the quality-descending order of the (possibly
 /// cached) [`FastTables`]; position `d` in the recursion fixes the count of
 /// `order[d]`. All suffix aggregates the bound needs are precomputed per
-/// depth so a node costs a handful of float ops unless it survives the
-/// cheap bound.
+/// depth, and each node carries its prefix's [`Fill`], so every bound
+/// costs one more fill step.
 struct FastSearch<'a> {
     p: &'a AllocationProblem,
     t: &'a FastTables,
     target: f64,
     counts: Vec<usize>,
-    scratch: Vec<(f64, f64)>,
     best: Option<(f64, f64, Vec<usize>, Vec<f64>)>,
 }
 
 impl FastSearch<'_> {
     /// One node: positions `..depth` are fixed, `r` workers remain.
     /// `fixed_cap` / `fixed_headroom` are the running `Σ c·p` and
-    /// `Σ c·p·q` of the fixed prefix.
-    fn branch(&mut self, depth: usize, r: usize, fixed_cap: f64, fixed_headroom: f64) {
+    /// `Σ c·p·q` of the fixed prefix, and `fill` its greedy fill of the
+    /// target.
+    fn branch(&mut self, depth: usize, r: usize, fixed_cap: f64, fixed_headroom: f64, fill: Fill) {
         let n = self.t.order.len();
         if depth == n - 1 {
             // The last position absorbs the remainder (compositions always
@@ -754,11 +807,12 @@ impl FastSearch<'_> {
             let cf = c as f64;
             let cap = fixed_cap + cf * pd;
             let headroom = fixed_headroom + cf * pd * qd;
+            let child = fill.take(qd, cf * pd);
             self.counts[lvl] = c;
-            if !self.subtree_may_beat(depth + 1, r - c, cap, headroom) {
+            if !self.subtree_may_beat(depth + 1, r - c, cap, headroom, child) {
                 continue;
             }
-            self.branch(depth + 1, r - c, cap, headroom);
+            self.branch(depth + 1, r - c, cap, headroom, child);
         }
         self.counts[lvl] = 0;
     }
@@ -767,11 +821,12 @@ impl FastSearch<'_> {
     /// could contain a feasible composition scoring at least the
     /// incumbent. Conservative: `true` on any doubt.
     fn subtree_may_beat(
-        &mut self,
+        &self,
         d: usize,
         r: usize,
         fixed_cap: f64,
         fixed_headroom: f64,
+        fill: Fill,
     ) -> bool {
         let rf = r as f64;
         // Feasibility: even the fastest-possible suffix cannot reach the
@@ -790,7 +845,7 @@ impl FastSearch<'_> {
         // best quality at its best per-worker throughput simultaneously.
         // Fixed levels enter as exact capacity chunks, so when the target
         // fits entirely in the prefix this bound is tight to the bit.
-        let b1 = self.chunk_bound(d, (self.t.qmax[d], rf * self.t.pmax[d]));
+        let b1 = fill.take(self.t.qmax[d], rf * self.t.pmax[d]).value;
         if inflate(b1 + headroom_ub) < best_q {
             return false;
         }
@@ -798,28 +853,13 @@ impl FastSearch<'_> {
         // Second chance: Lagrangian bounds on the suffix worker budget.
         // For any λ ≥ 0, charging free load λ/p per query and refunding
         // λ·r upper-bounds the constrained optimum.
-        for i in 0..self.t.lambdas[d].len() {
-            let (lambda, ahat) = self.t.lambdas[d][i];
-            let val = lambda * rf + self.chunk_bound(d, (ahat, f64::INFINITY));
+        for &(lambda, ahat) in &self.t.lambdas[d] {
+            let val = lambda * rf + fill.take(ahat, f64::INFINITY).value;
             if inflate(val + headroom_ub) < best_q {
                 return false;
             }
         }
         true
-    }
-
-    /// Greedy fill over the fixed prefix's capacity chunks plus one relaxed
-    /// suffix source.
-    fn chunk_bound(&mut self, d: usize, source: (f64, f64)) -> f64 {
-        self.scratch.clear();
-        for pos in 0..d {
-            let lvl = self.t.order[pos];
-            let l = &self.p.levels[lvl];
-            self.scratch
-                .push((l.quality, self.counts[lvl] as f64 * l.peak_qpm));
-        }
-        self.scratch.push(source);
-        fill_bound(&mut self.scratch, self.target)
     }
 }
 
@@ -1046,14 +1086,6 @@ mod tests {
             // Bit determinism of the search itself.
             assert_eq!(a, p.solve_fast());
         }
-    }
-
-    #[test]
-    fn solve_dispatches_on_worker_count() {
-        let small = ac_problem(8, 120.0);
-        assert_eq!(small.solve(), small.solve_exact());
-        let large = ac_problem(FAST_SOLVER_THRESHOLD + 1, 300.0);
-        assert_eq!(large.solve(), large.solve_fast());
     }
 
     proptest! {
