@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the hot control-plane paths: the solver
-//! (the §5.7 <100 ms claim in bench form), ODA, PASM sampling, embeddings,
-//! vector search, classifier inference and raw event throughput.
+//! (the §5.7 <100 ms claim in bench form), ODA, PASM sampling,
+//! tokenizing, embeddings, vector search, classifier inference and raw
+//! event throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -10,7 +11,7 @@ use argus_core::{oda, AllocationProblem};
 use argus_des::{EventQueue, SimTime};
 use argus_embed::embed;
 use argus_models::{ApproxLevel, GpuArch, Strategy};
-use argus_prompts::PromptGenerator;
+use argus_prompts::{tokenize, PromptGenerator};
 use argus_quality::QualityOracle;
 use argus_vdb::FlatIndex;
 use rand::rngs::StdRng;
@@ -49,10 +50,41 @@ fn bench_oda(c: &mut Criterion) {
     });
 }
 
+/// Cycles through `items`, so a cached text path is timed over a prompt
+/// stream rather than an all-hit repeat of one prompt.
+fn cycle<'a, T>(items: &'a [T]) -> impl FnMut() -> &'a T {
+    let mut i = 0;
+    move || {
+        i = (i + 1) % items.len();
+        &items[i]
+    }
+}
+
 fn bench_embedding_and_vdb(c: &mut Criterion) {
     let prompts = PromptGenerator::new(1).generate_batch(768);
+    let mut next = cycle(&prompts);
+    c.bench_function("tokenize", |b| b.iter(|| black_box(tokenize(&next().text))));
+    let mut next = cycle(&prompts);
     c.bench_function("embed_prompt", |b| {
-        b.iter(|| black_box(embed(&prompts[0].text)))
+        b.iter(|| black_box(embed(&next().text)))
+    });
+    // Twelve tokens a text, none repeated across the 480k, so every
+    // token-direction lookup misses: the no-reuse cost of `embed`.
+    let mut id = 0u64;
+    let unseen: Vec<String> = (0..40_000)
+        .map(|_| {
+            let words: Vec<String> = (0..12)
+                .map(|_| {
+                    id += 1;
+                    format!("w{id:x}z")
+                })
+                .collect();
+            words.join(" ")
+        })
+        .collect();
+    let mut next = cycle(&unseen);
+    c.bench_function("embed_unseen_tokens", |b| {
+        b.iter(|| black_box(embed(next())))
     });
     let mut index = FlatIndex::with_capacity_limit(768);
     for (i, p) in prompts.iter().enumerate() {
@@ -70,8 +102,9 @@ fn bench_classifier(c: &mut Criterion) {
     let pool = PromptGenerator::new(1).generate_batch(2000);
     let samples = label_prompts(&oracle, &pool, &ladder);
     let (clf, _) = train(&samples, ladder.len(), &TrainerConfig::default());
+    let mut next = cycle(&pool);
     c.bench_function("classifier_predict", |b| {
-        b.iter(|| black_box(clf.predict(&pool[7].text)))
+        b.iter(|| black_box(clf.predict(&next().text)))
     });
     c.bench_function("oracle_score_ladder", |b| {
         b.iter(|| black_box(oracle.scores(&pool[7], &ladder)))

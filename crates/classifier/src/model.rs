@@ -72,21 +72,21 @@ impl Classifier {
         self.classes
     }
 
-    /// Class logits for a prompt text.
-    fn logits(&self, text: &str) -> Vec<f32> {
+    /// The logit of class `c` for extracted features.
+    fn logit(&self, c: usize, feats: &[(usize, f32)]) -> f32 {
         let dim = self.extractor.dim();
-        let feats = self.extractor.features(text);
-        (0..self.classes)
-            .map(|c| {
-                let row = &self.weights[c * dim..(c + 1) * dim];
-                feats.iter().map(|&(i, v)| row[i] * v).sum()
-            })
-            .collect()
+        let row = &self.weights[c * dim..(c + 1) * dim];
+        feats.iter().map(|&(i, v)| row[i] * v).sum()
+    }
+
+    /// Class logits for extracted features.
+    fn logits(&self, feats: &[(usize, f32)]) -> Vec<f32> {
+        (0..self.classes).map(|c| self.logit(c, feats)).collect()
     }
 
     /// Class probabilities (softmax over logits).
     pub fn predict_proba(&self, text: &str) -> Vec<f64> {
-        softmax(&self.logits(text))
+        softmax(&self.logits(&self.extractor.features(text)))
     }
 
     /// Applies one online SGD step for a freshly labelled sample — the §6
@@ -101,13 +101,7 @@ impl Classifier {
         assert!(lr.is_finite() && lr > 0.0, "invalid learning rate {lr}");
         let dim = self.extractor.dim();
         let x = self.extractor.features(text);
-        let logits: Vec<f32> = (0..self.classes)
-            .map(|c| {
-                let row = &self.weights[c * dim..(c + 1) * dim];
-                x.iter().map(|&(i, v)| row[i] * v).sum()
-            })
-            .collect();
-        let probs = softmax(&logits);
+        let probs = softmax(&self.logits(&x));
         for (c, &prob) in probs.iter().enumerate() {
             let err = (prob - if c == label { 1.0 } else { 0.0 }) as f32;
             if err.abs() < 1e-9 {
@@ -123,14 +117,15 @@ impl Classifier {
     /// The predicted optimal level index (argmax; ties to the lower
     /// index, i.e. the less approximate level).
     pub fn predict(&self, text: &str) -> usize {
-        let logits = self.logits(text);
-        let mut best = 0;
-        for (i, &l) in logits.iter().enumerate() {
-            if l > logits[best] {
-                best = i;
+        let feats = self.extractor.features(text);
+        let mut best = (0, self.logit(0, &feats));
+        for c in 1..self.classes {
+            let l = self.logit(c, &feats);
+            if l > best.1 {
+                best = (c, l);
             }
         }
-        best
+        best.0
     }
 }
 
@@ -161,7 +156,11 @@ pub fn train(
 
     let extractor = FeatureExtractor::default();
     let dim = extractor.dim();
-    let mut weights = vec![0.0f32; classes * dim];
+    let mut clf = Classifier {
+        extractor,
+        weights: vec![0.0f32; classes * dim],
+        classes,
+    };
 
     // Pre-extract features once.
     let feats: Vec<Vec<(usize, f32)>> =
@@ -183,21 +182,15 @@ pub fn train(
             let x = &feats[s];
             let y = samples[s].1;
             // Forward.
-            let logits: Vec<f32> = (0..classes)
-                .map(|c| {
-                    let row = &weights[c * dim..(c + 1) * dim];
-                    x.iter().map(|&(i, v)| row[i] * v).sum()
-                })
-                .collect();
-            let probs = softmax(&logits);
+            let probs = softmax(&clf.logits(x));
             loss_sum += -(probs[y].max(1e-12)).ln();
             // Backward: grad = (p - onehot) ⊗ x, plus L2.
-            for c in 0..classes {
-                let err = (probs[c] - if c == y { 1.0 } else { 0.0 }) as f32;
+            for (c, &prob) in probs.iter().enumerate() {
+                let err = (prob - if c == y { 1.0 } else { 0.0 }) as f32;
                 if err.abs() < 1e-9 {
                     continue;
                 }
-                let row = &mut weights[c * dim..(c + 1) * dim];
+                let row = &mut clf.weights[c * dim..(c + 1) * dim];
                 for &(i, v) in x {
                     row[i] -= lr * (err * v + cfg.l2 * row[i]);
                 }
@@ -206,14 +199,7 @@ pub fn train(
         epoch_losses.push(loss_sum / samples.len() as f64);
     }
 
-    (
-        Classifier {
-            extractor,
-            weights,
-            classes,
-        },
-        TrainingReport { epoch_losses },
-    )
+    (clf, TrainingReport { epoch_losses })
 }
 
 /// Evaluates a classifier on labelled samples.
@@ -259,6 +245,22 @@ mod tests {
             crate::label_prompts(&oracle, &prompts, &ladder),
             ladder.len(),
         )
+    }
+
+    #[test]
+    fn predict_is_the_first_argmax_of_the_logits() {
+        let (samples, classes) = training_data(800, 5);
+        let (clf, _) = train(&samples, classes, &TrainerConfig::default());
+        for (text, _) in &samples {
+            let logits = clf.logits(&clf.extractor.features(text));
+            let mut best = 0;
+            for (i, &l) in logits.iter().enumerate() {
+                if l > logits[best] {
+                    best = i;
+                }
+            }
+            assert_eq!(clf.predict(text), best, "{text}");
+        }
     }
 
     #[test]

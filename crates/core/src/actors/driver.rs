@@ -24,7 +24,7 @@ use argus_classifier::{label_prompts, train, TrainerConfig};
 use argus_cluster::{SwitchOutcome, WorkerId};
 use argus_des::rng::log_normal;
 use argus_des::{SimDuration, SimTime};
-use argus_embed::{embed, Embedding};
+use argus_embed::embed;
 use argus_models::batching::unet_pass_profile;
 use argus_models::{latency, AcLevel, ApproxLevel, GpuArch, Strategy};
 use argus_obs::{SpanEvent, SpanKind, StageProfile};
@@ -246,13 +246,6 @@ impl SystemSimulation {
     /// (pipeline stage: [`crate::pipeline::CacheGate`]).
     fn cache_active(&self) -> bool {
         self.pipeline.cache_active(&self.switcher)
-    }
-
-    fn embedding_of(&mut self, idx: usize) -> Embedding {
-        if self.embeddings[idx].is_none() {
-            self.embeddings[idx] = Some(embed(&self.prompts[idx].text));
-        }
-        self.embeddings[idx].clone().expect("just inserted")
     }
 
     /// Runs to completion and reports.
@@ -682,7 +675,7 @@ impl SystemSimulation {
 
         if let Some(k) = assigned_k {
             if self.cache_active() {
-                let query = self.embedding_of(job);
+                let query = embed(&self.prompts[job].text);
                 let r = self.ask_cache(|reply| CacheMsg::Retrieve {
                     worker: w.0,
                     assigned: k,
@@ -933,10 +926,9 @@ impl SystemSimulation {
         // (writes are asynchronous and off the critical path, §4.7, so no
         // latency accrues and the driver does not wait).
         if self.pipeline.uses_cache_store() {
-            let e = self.embedding_of(job);
             self.tell_cache(CacheMsg::Insert {
                 origin: w.0,
-                embedding: e,
+                embedding: embed(&self.prompts[job].text),
                 id: job as u64,
             });
             self.tell_cache(CacheMsg::PutLevels { id: job as u64, t });

@@ -16,7 +16,7 @@ use argus_cluster::{Cluster, WorkerId};
 use argus_des::rng::RngFactory;
 use argus_des::stats::WindowedRate;
 use argus_des::{EventQueue, SimDuration, SimTime};
-use argus_embed::{embed, Embedding};
+use argus_embed::embed;
 use argus_models::{latency, ApproxLevel, GpuArch, Strategy, AC_LEVELS};
 use argus_obs::{MailboxGauge, Recorder, SpanLog, StageProfile, TelemetryConfig, Timeline};
 use argus_prompts::{DriftSchedule, Prompt, PromptGenerator};
@@ -650,7 +650,6 @@ pub struct SystemSimulation {
     pub(crate) oracle: QualityOracle,
     pub(crate) prompts: Arc<Vec<Prompt>>,
     pub(crate) arrivals: Vec<SimTime>,
-    pub(crate) embeddings: Vec<Option<Embedding>>,
     pub(crate) switcher: StrategySwitcher,
     pub(crate) classifiers: HashMap<Strategy, Classifier>,
     pub(crate) predictors: HashMap<Strategy, WorkloadDistributionPredictor>,
@@ -817,7 +816,6 @@ impl SystemSimulation {
             generator = generator.with_drift(d);
         }
         let prompts = Arc::new(generator.generate_batch(arrivals.len()));
-        let embeddings = vec![None; prompts.len()];
 
         let oracle = QualityOracle::new(cfg.seed ^ 0x0AC1E);
 
@@ -1029,7 +1027,6 @@ impl SystemSimulation {
             oracle,
             prompts,
             arrivals,
-            embeddings,
             switcher: StrategySwitcher::new(SwitcherConfig::default()),
             classifiers,
             predictors,

@@ -1,7 +1,7 @@
 //! The deterministic PickScore oracle.
 
 use argus_models::{ApproxLevel, Strategy};
-use argus_prompts::Prompt;
+use argus_prompts::{fnv1a, Prompt};
 
 use crate::depth::approximation_depth;
 
@@ -81,15 +81,6 @@ pub struct QualityOracle {
     seed: u64,
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -115,15 +106,16 @@ impl QualityOracle {
         QualityOracle { seed }
     }
 
+    /// The per-prompt hash every draw derives from. It hashes the whole
+    /// text, so each public entry point computes it once.
     fn prompt_hash(&self, p: &Prompt) -> u64 {
-        mix(mix(self.seed, fnv(p.text.as_bytes())), p.id.0)
+        mix(mix(self.seed, fnv1a(p.text.as_bytes())), p.id.0)
     }
 
     /// The best achievable PickScore for this prompt (its SD-XL / K=0
     /// score before level noise) — the `max{s_1..s_n}` of §3.
     pub fn base_quality(&self, p: &Prompt) -> f64 {
-        let h = self.prompt_hash(p);
-        (21.0 + 0.5 * gauss(mix(h, 1), mix(h, 2))).clamp(19.5, 22.5)
+        base_quality_of(self.prompt_hash(p))
     }
 
     /// The per-prompt degradation severity multiplier (mean ≈ 1 over the
@@ -131,9 +123,7 @@ impl QualityOracle {
     /// multipliers well below 1 — they are the "approximation tolerant"
     /// majority of Observation 1.
     pub fn severity(&self, p: &Prompt) -> f64 {
-        let h = self.prompt_hash(p);
-        let eta = ETA_SD * gauss(mix(h, 3), mix(h, 4));
-        ((GAMMA * (p.complexity + eta)).exp() / MU).clamp(0.05, 6.0)
+        severity_of(p, self.prompt_hash(p))
     }
 
     /// The prompt's approximation tolerance in `[0, 1]` (diagnostic view of
@@ -153,21 +143,16 @@ impl QualityOracle {
     /// the resumed trajectory needs less correction, i.e. shallower
     /// effective approximation.
     pub fn score_with_similarity(&self, p: &Prompt, level: ApproxLevel, similarity: f64) -> f64 {
-        let mut depth = approximation_depth(level);
-        if level.strategy() == Strategy::Ac && depth > 0.0 {
-            let mult = 1.0 + 0.5 * (DEFAULT_AC_SIMILARITY - similarity.clamp(0.0, 1.0));
-            depth *= mult;
-        }
-        let drop = mean_drop_at_depth(depth) * self.severity(p);
-        let h = self.prompt_hash(p);
-        let lt = level_tag(level);
-        let level_noise = LEVEL_NOISE_SD * gauss(mix(h, 31 * lt + 7), mix(h, 17 * lt + 3));
-        (self.base_quality(p) - drop + level_noise).clamp(SCORE_FLOOR, SCORE_CEIL)
+        score_of(p, self.prompt_hash(p), level, similarity)
     }
 
     /// Scores for every level of a ladder.
     pub fn scores(&self, p: &Prompt, ladder: &[ApproxLevel]) -> Vec<f64> {
-        ladder.iter().map(|&l| self.score(p, l)).collect()
+        let h = self.prompt_hash(p);
+        ladder
+            .iter()
+            .map(|&l| score_of(p, h, l, DEFAULT_AC_SIMILARITY))
+            .collect()
     }
 
     /// The index (into `ladder`) of the prompt's **optimal model** (§3): the
@@ -203,6 +188,30 @@ impl QualityOracle {
     }
 }
 
+/// [`QualityOracle::base_quality`] of the prompt with hash `h`.
+fn base_quality_of(h: u64) -> f64 {
+    (21.0 + 0.5 * gauss(mix(h, 1), mix(h, 2))).clamp(19.5, 22.5)
+}
+
+/// [`QualityOracle::severity`] of `p`, whose hash is `h`.
+fn severity_of(p: &Prompt, h: u64) -> f64 {
+    let eta = ETA_SD * gauss(mix(h, 3), mix(h, 4));
+    ((GAMMA * (p.complexity + eta)).exp() / MU).clamp(0.05, 6.0)
+}
+
+/// [`QualityOracle::score_with_similarity`] of `p`, whose hash is `h`.
+fn score_of(p: &Prompt, h: u64, level: ApproxLevel, similarity: f64) -> f64 {
+    let mut depth = approximation_depth(level);
+    if level.strategy() == Strategy::Ac && depth > 0.0 {
+        let mult = 1.0 + 0.5 * (DEFAULT_AC_SIMILARITY - similarity.clamp(0.0, 1.0));
+        depth *= mult;
+    }
+    let drop = mean_drop_at_depth(depth) * severity_of(p, h);
+    let lt = level_tag(level);
+    let level_noise = LEVEL_NOISE_SD * gauss(mix(h, 31 * lt + 7), mix(h, 17 * lt + 3));
+    (base_quality_of(h) - drop + level_noise).clamp(SCORE_FLOOR, SCORE_CEIL)
+}
+
 fn level_tag(level: ApproxLevel) -> u64 {
     match level {
         ApproxLevel::Sm(v) => 100 + v as u64,
@@ -223,6 +232,89 @@ mod tests {
     fn mean<'a>(it: impl Iterator<Item = &'a f64>) -> f64 {
         let v: Vec<f64> = it.copied().collect();
         v.iter().sum::<f64>() / v.len() as f64
+    }
+
+    /// `score_with_similarity` before hash-once: the text hashed three
+    /// times per call, by the score, `severity` and `base_quality`.
+    fn reference_score(o: &QualityOracle, p: &Prompt, level: ApproxLevel, similarity: f64) -> f64 {
+        fn fnv(bytes: &[u8]) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for b in bytes {
+                h ^= u64::from(*b);
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+            h
+        }
+        let prompt_hash = |p: &Prompt| mix(mix(o.seed, fnv(p.text.as_bytes())), p.id.0);
+        let severity = |p: &Prompt| {
+            let h = prompt_hash(p);
+            let eta = ETA_SD * gauss(mix(h, 3), mix(h, 4));
+            ((GAMMA * (p.complexity + eta)).exp() / MU).clamp(0.05, 6.0)
+        };
+        let base_quality = |p: &Prompt| {
+            let h = prompt_hash(p);
+            (21.0 + 0.5 * gauss(mix(h, 1), mix(h, 2))).clamp(19.5, 22.5)
+        };
+        let mut depth = approximation_depth(level);
+        if level.strategy() == Strategy::Ac && depth > 0.0 {
+            let mult = 1.0 + 0.5 * (DEFAULT_AC_SIMILARITY - similarity.clamp(0.0, 1.0));
+            depth *= mult;
+        }
+        let drop = mean_drop_at_depth(depth) * severity(p);
+        let h = prompt_hash(p);
+        let lt = level_tag(level);
+        let level_noise = LEVEL_NOISE_SD * gauss(mix(h, 31 * lt + 7), mix(h, 17 * lt + 3));
+        (base_quality(p) - drop + level_noise).clamp(SCORE_FLOOR, SCORE_CEIL)
+    }
+
+    #[test]
+    fn hash_once_scores_are_bit_identical_to_the_reference() {
+        let o = QualityOracle::new(12);
+        for p in prompts(400) {
+            for strategy in [Strategy::Sm, Strategy::Ac] {
+                let ladder = ApproxLevel::ladder(strategy);
+                for &l in &ladder {
+                    for sim in [0.0, 0.3, DEFAULT_AC_SIMILARITY, 0.95, 1.2] {
+                        assert_eq!(
+                            o.score_with_similarity(&p, l, sim).to_bits(),
+                            reference_score(&o, &p, l, sim).to_bits(),
+                            "{l} at {sim}: {}",
+                            p.text
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scores_and_optimal_level_match_per_level_scores() {
+        let o = QualityOracle::new(13);
+        for p in prompts(1000) {
+            for strategy in [Strategy::Sm, Strategy::Ac] {
+                let ladder = ApproxLevel::ladder(strategy);
+                let per_level: Vec<u64> = ladder
+                    .iter()
+                    .map(|&l| {
+                        o.score_with_similarity(&p, l, DEFAULT_AC_SIMILARITY)
+                            .to_bits()
+                    })
+                    .collect();
+                let scores = o.scores(&p, &ladder);
+                assert_eq!(
+                    scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    per_level
+                );
+                // The fastest level within θ of the best, from per-level scores.
+                let s: Vec<f64> = per_level.iter().map(|&b| f64::from_bits(b)).collect();
+                let best = s.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let expected = (0..s.len())
+                    .rev()
+                    .find(|&i| s[i] >= OPTIMAL_QUALITY_THETA * best)
+                    .unwrap_or(0);
+                assert_eq!(o.optimal_level(&p, &ladder), expected);
+            }
+        }
     }
 
     #[test]
