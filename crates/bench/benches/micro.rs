@@ -13,7 +13,7 @@ use argus_embed::embed;
 use argus_models::{ApproxLevel, GpuArch, Strategy};
 use argus_prompts::{tokenize, PromptGenerator};
 use argus_quality::QualityOracle;
-use argus_vdb::FlatIndex;
+use argus_vdb::{FlatIndex, LshIndex, ShardedIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -86,13 +86,32 @@ fn bench_embedding_and_vdb(c: &mut Criterion) {
     c.bench_function("embed_unseen_tokens", |b| {
         b.iter(|| black_box(embed(next())))
     });
-    let mut index = FlatIndex::with_capacity_limit(768);
-    for (i, p) in prompts.iter().enumerate() {
-        index.insert(embed(&p.text), i as u64);
+    // The retrieval planes at the shapes the runs build: 768 entries in
+    // an exact flat scan, in 8-bit LSH, and over 8 shards × 2 replicas
+    // of 8-bit LSH with load-following caps.
+    let embeddings: Vec<_> = prompts.iter().map(|p| embed(&p.text)).collect();
+    let mut flat = FlatIndex::with_capacity_limit(768);
+    let mut lsh = LshIndex::with_capacity_limit(8, 42, 768);
+    let mut sharded = ShardedIndex::new(8, 2, 42, |_, _| {
+        LshIndex::with_capacity_limit(8, 42, 768 / 8)
+    })
+    .with_capacity_rebalance(768, 256);
+    for (i, e) in embeddings.iter().enumerate() {
+        flat.insert(e.clone(), i as u64);
+        lsh.insert(e.clone(), i as u64);
+        sharded.insert(e.clone(), i as u64);
     }
-    let query = embed("photo of a red apple on a wooden table");
+    let mut next = cycle(&embeddings);
     c.bench_function("vdb_nearest_768", |b| {
-        b.iter(|| black_box(index.nearest(&query)))
+        b.iter(|| black_box(flat.nearest(next())))
+    });
+    let mut next = cycle(&embeddings);
+    c.bench_function("lsh_nearest_768", |b| {
+        b.iter(|| black_box(lsh.nearest(next())))
+    });
+    let mut next = cycle(&embeddings);
+    c.bench_function("sharded_nearest_8x2", |b| {
+        b.iter(|| black_box(sharded.nearest_with_shard(next())))
     });
 }
 

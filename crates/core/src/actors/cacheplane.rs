@@ -78,13 +78,11 @@ impl Vdb {
 
 /// What a retrieval round trip resolved to, mirroring the old inline
 /// control flow: `fetch` is the store round trip when one happened (a
-/// usable neighbour above the gate), `record_miss` flags the no-usable-
-/// neighbour case that still counts toward the hit-rate.
+/// usable neighbour above the gate); without one the lookup is a miss.
 pub(crate) struct RetrieveReply {
     pub fetch: Option<FetchOutcome>,
     pub k_eff: AcLevel,
     pub similarity: Option<f64>,
-    pub record_miss: bool,
 }
 
 /// Cache-plane messages, in driver event order.
@@ -95,7 +93,8 @@ pub(crate) enum CacheMsg {
     /// writes in the old order — only the wake-per-message cost goes away.
     Batch(Vec<CacheMsg>),
     /// Nearest-neighbour + gate + store fetch for a job on `worker`
-    /// assigned AC level `assigned`.
+    /// assigned AC level `assigned`. The driver sends it only where the
+    /// gate would reuse a perfect neighbour at `assigned`.
     Retrieve {
         worker: usize,
         assigned: AcLevel,
@@ -257,25 +256,16 @@ impl CacheStage {
                     fetch: Some(outcome),
                     k_eff,
                     similarity,
-                    record_miss: false,
                 };
             }
         }
         // No usable neighbour: the retrieval plane had nothing to offer
         // (empty/dead probe set, or a similarity too low to reuse) — a
-        // cache miss served by full generation, recorded only where a
-        // perfect neighbour *would* have been reused (probing the gate
-        // with similarity 1), so levels that never reuse stay out of the
-        // hit-rate.
+        // cache miss served by full generation.
         RetrieveReply {
             fetch: None,
             k_eff: AcLevel(0),
             similarity: None,
-            record_miss: self
-                .pipeline
-                .ac_level_for_hit(assigned, 1.0)
-                .skipped_steps()
-                > 0,
         }
     }
 }

@@ -649,12 +649,13 @@ impl SystemSimulation {
 
     /// Samples the service of `job` on worker `w` (of the given
     /// architecture) serving `level`, performing cache retrieval when the
-    /// pipeline's cache gate is open. The retrieval round trip goes
-    /// through the cache-plane stage, which fuses nearest-neighbour
-    /// search, the cache gate and the store fetch into one rendezvous;
-    /// the switcher reaction to the observed latency stays here, because
-    /// it can re-enter the dispatcher. Returns `(retrieval latency, base
-    /// compute seconds, jitter, execution record)`.
+    /// pipeline's cache gate is open and would reuse a perfect neighbour
+    /// at the assigned level. The retrieval round trip goes through the
+    /// cache-plane stage, which fuses nearest-neighbour search, the cache
+    /// gate and the store fetch into one rendezvous; the switcher reaction
+    /// to the observed latency stays here, because it can re-enter the
+    /// dispatcher. Returns `(retrieval latency, base compute seconds,
+    /// jitter, execution record)`.
     fn service_for(
         &mut self,
         job: usize,
@@ -668,102 +669,78 @@ impl SystemSimulation {
             log_normal(&mut self.service_rng, -0.5 * cv * cv, cv)
         };
 
-        let assigned_k = match level {
-            ApproxLevel::Ac(k) => Some(k),
-            ApproxLevel::Sm(_) => None,
-        };
-
-        if let Some(k) = assigned_k {
-            if self.cache_active() {
-                let query = embed(&self.prompts[job].text);
-                let r = self.ask_cache(|reply| CacheMsg::Retrieve {
-                    worker: w.0,
-                    assigned: k,
-                    query,
-                    t,
-                    reply,
-                });
-                if let Some(outcome) = r.fetch {
-                    self.tell_metrics(MetricsMsg::Retrieval {
-                        t,
-                        latency: outcome.latency,
-                    });
-                    self.obs_hist(
-                        "retrieval_latency_secs",
-                        RETRIEVAL_BOUNDS,
-                        outcome.latency.as_secs(),
-                    );
-                    self.note_cache_lookup(job, k, outcome.status, t);
-                    self.retrieval_ewma =
-                        0.9 * self.retrieval_ewma + 0.1 * outcome.latency.as_secs();
-                    let ok = outcome.status != FetchStatus::Failed;
-                    if self.pipeline.switches_strategy() && self.cfg.allow_strategy_switch {
-                        if let Some(SwitchCommand::ToSm) =
-                            self.switcher.on_retrieval(outcome.latency.as_secs(), ok, t)
-                        {
-                            self.begin_transition(t);
-                        }
-                    }
-                    if outcome.status == FetchStatus::Hit {
-                        return (
-                            outcome.latency,
-                            r.k_eff.compute_secs(gpu),
-                            jitter,
-                            Exec {
-                                level: ApproxLevel::Ac(r.k_eff),
-                                similarity: r.similarity,
-                            },
-                        );
-                    }
-                    // Miss or failure: pay the lookup, generate fully.
-                    return (
-                        outcome.latency,
-                        AcLevel(0).compute_secs(gpu),
-                        jitter,
-                        Exec {
-                            level: ApproxLevel::Ac(AcLevel(0)),
-                            similarity: None,
-                        },
-                    );
-                }
-                // No usable neighbour — a cache miss served by full
-                // generation. No store round trip happened, so no
-                // retrieval latency is charged; the miss is still
-                // accounted (where reuse was possible at all) so
-                // fault-degraded hit-rates are observable.
-                if r.record_miss {
-                    self.note_cache_lookup(job, k, FetchStatus::Miss, t);
-                }
-                return (
-                    SimDuration::ZERO,
-                    AcLevel(0).compute_secs(gpu),
-                    jitter,
-                    Exec {
-                        level: ApproxLevel::Ac(AcLevel(0)),
-                        similarity: None,
-                    },
-                );
-            }
-            // AC level but cache disabled (mid-switch fallback, §4.6):
-            // serve the base model in full.
+        let ApproxLevel::Ac(k) = level else {
             return (
                 SimDuration::ZERO,
-                AcLevel(0).compute_secs(gpu),
+                level.compute_secs(gpu),
                 jitter,
                 Exec {
-                    level: ApproxLevel::Ac(AcLevel(0)),
+                    level,
                     similarity: None,
                 },
             );
+        };
+        // The gate is non-decreasing in similarity, so when even a
+        // perfect neighbour would skip no steps, no search result could
+        // be reused: the job generates fully without retrieving. The same
+        // holds with the cache disabled (mid-switch fallback, §4.6).
+        let mut retrieval = SimDuration::ZERO;
+        if self.cache_active() && self.pipeline.ac_level_for_hit(k, 1.0).skipped_steps() > 0 {
+            let query = embed(&self.prompts[job].text);
+            let r = self.ask_cache(|reply| CacheMsg::Retrieve {
+                worker: w.0,
+                assigned: k,
+                query,
+                t,
+                reply,
+            });
+            if let Some(outcome) = r.fetch {
+                self.tell_metrics(MetricsMsg::Retrieval {
+                    t,
+                    latency: outcome.latency,
+                });
+                self.obs_hist(
+                    "retrieval_latency_secs",
+                    RETRIEVAL_BOUNDS,
+                    outcome.latency.as_secs(),
+                );
+                self.note_cache_lookup(job, k, outcome.status, t);
+                self.retrieval_ewma = 0.9 * self.retrieval_ewma + 0.1 * outcome.latency.as_secs();
+                let ok = outcome.status != FetchStatus::Failed;
+                if self.pipeline.switches_strategy() && self.cfg.allow_strategy_switch {
+                    if let Some(SwitchCommand::ToSm) =
+                        self.switcher.on_retrieval(outcome.latency.as_secs(), ok, t)
+                    {
+                        self.begin_transition(t);
+                    }
+                }
+                if outcome.status == FetchStatus::Hit {
+                    return (
+                        outcome.latency,
+                        r.k_eff.compute_secs(gpu),
+                        jitter,
+                        Exec {
+                            level: ApproxLevel::Ac(r.k_eff),
+                            similarity: r.similarity,
+                        },
+                    );
+                }
+                // Miss or failure: pay the lookup, generate fully.
+                retrieval = outcome.latency;
+            } else {
+                // No usable neighbour: a cache miss served by full
+                // generation. No store round trip happened, so no
+                // retrieval latency is charged; the miss is still
+                // accounted so fault-degraded hit-rates are observable.
+                self.note_cache_lookup(job, k, FetchStatus::Miss, t);
+            }
         }
-
-        // SM level.
         (
-            SimDuration::ZERO,
-            level.compute_secs(gpu),
+            retrieval,
+            AcLevel(0).compute_secs(gpu),
             jitter,
             Exec {
-                level,
+                level: ApproxLevel::Ac(AcLevel(0)),
                 similarity: None,
             },
         )

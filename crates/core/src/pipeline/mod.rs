@@ -171,6 +171,11 @@ pub trait CacheGate {
     /// The effective skip level when retrieval found a neighbour with the
     /// given similarity. Argus/PAC serve the worker's assigned level;
     /// NIRVANA derives `K` from the similarity.
+    ///
+    /// Contract: for a fixed `assigned` level, the skipped steps must be
+    /// non-decreasing in `similarity`. The driver relies on it to skip
+    /// retrieval entirely when even similarity 1 would skip no steps, as
+    /// no neighbour the search could find would then be reused.
     fn ac_level_for_hit(&self, assigned: AcLevel, _similarity: f64) -> AcLevel {
         assigned
     }
@@ -356,7 +361,7 @@ pub(crate) fn least_backlogged_level(cluster: &Cluster, ladder: &[ApproxLevel]) 
 mod tests {
     use super::*;
     use argus_des::SimTime;
-    use argus_models::ModelVariant;
+    use argus_models::{ModelVariant, AC_LEVELS};
 
     #[test]
     fn pipeline_for_covers_every_policy() {
@@ -368,6 +373,30 @@ mod tests {
             assert_eq!(pipe.uses_oda(), p.uses_oda());
             assert_eq!(pipe.switches_strategy(), p.switches_strategy());
             assert_eq!(pipe.uses_cache_store(), p.uses_cache());
+        }
+    }
+
+    #[test]
+    fn cache_gates_are_non_decreasing_in_similarity() {
+        let mut pipes: Vec<Arc<dyn ServingPolicy>> =
+            Policy::ALL.into_iter().map(pipeline_for).collect();
+        pipes.push(Arc::new(crate::cascade::CascadePolicy::new(0)));
+        // Similarity -1 to 1 in steps of 0.005, so every NIRVANA
+        // threshold falls on or next to a grid point.
+        let grid: Vec<f64> = (0..=400).map(|i| -1.0 + f64::from(i) / 200.0).collect();
+        for pipe in &pipes {
+            for &assigned in AC_LEVELS.iter() {
+                let mut prev = 0;
+                for &similarity in &grid {
+                    let steps = pipe.ac_level_for_hit(assigned, similarity).skipped_steps();
+                    assert!(
+                        steps >= prev,
+                        "{}: {assigned:?} at similarity {similarity} skips {steps} < {prev}",
+                        pipe.name()
+                    );
+                    prev = steps;
+                }
+            }
         }
     }
 

@@ -74,6 +74,12 @@ impl Embedding {
         &self.v
     }
 
+    /// The raw coordinates as a fixed-size row, the shape [`for_each_dot`]
+    /// scores.
+    pub fn as_array(&self) -> &[f32; DIM] {
+        &self.v
+    }
+
     /// Euclidean norm.
     pub fn norm(&self) -> f32 {
         self.norm
@@ -182,11 +188,100 @@ fn embed_with(cache: &mut DirectionCache, text: &str) -> Embedding {
 /// Cosine similarity of two embeddings, in `[-1, 1]`; 0 if either is zero.
 pub fn cosine(a: &Embedding, b: &Embedding) -> f32 {
     let dot: f32 = a.v.iter().zip(b.v.iter()).map(|(x, y)| x * y).sum();
-    if a.norm == 0.0 || b.norm == 0.0 {
+    cosine_of_dot(dot, a.norm, b.norm)
+}
+
+/// The cosine of two vectors with dot product `dot` and norms `na`, `nb`.
+fn cosine_of_dot(dot: f32, na: f32, nb: f32) -> f32 {
+    if na == 0.0 || nb == 0.0 {
         0.0
     } else {
-        (dot / (a.norm * b.norm)).clamp(-1.0, 1.0)
+        (dot / (na * nb)).clamp(-1.0, 1.0)
     }
+}
+
+/// Rows one pass of [`dot_lanes`] scores.
+const LANES: usize = 8;
+
+/// The dot products of `x` with [`LANES`] rows in one pass, one row per
+/// lane, each bit-identical to the sequential sum (see [`for_each_dot`]).
+/// A sequential sum is one 64-long chain of dependent adds; the lanes'
+/// chains are independent, so a pass costs little more than one of them.
+fn dot_lanes(x: &[f32; DIM], rows: [&[f32; DIM]; LANES]) -> [f32; LANES] {
+    let mut acc = [-0.0f32; LANES];
+    // Rows are read four coordinates at a time, which compiles to whole
+    // vector loads and an in-register transpose rather than one load per
+    // product; each lane still adds in `d` order.
+    for (c, xs) in x.as_chunks::<4>().0.iter().enumerate() {
+        let chunks = rows.map(|r| r.as_chunks::<4>().0[c]);
+        for (j, &xd) in xs.iter().enumerate() {
+            for (a, chunk) in acc.iter_mut().zip(&chunks) {
+                *a += xd * chunk[j];
+            }
+        }
+    }
+    acc
+}
+
+/// Feeds `items` to `pass` in blocks of [`LANES`], with each block's
+/// first index and its number of real items. A short last block keeps
+/// `pad` (or the previous block's items) in its spare lanes, whose
+/// results the caller ignores.
+fn in_blocks<T: Copy>(
+    items: impl IntoIterator<Item = T>,
+    pad: T,
+    mut pass: impl FnMut(usize, usize, [T; LANES]),
+) {
+    let mut block = [pad; LANES];
+    let (mut base, mut n) = (0, 0);
+    for item in items {
+        block[n] = item;
+        n += 1;
+        if n == LANES {
+            pass(base, n, block);
+            base += LANES;
+            n = 0;
+        }
+    }
+    if n > 0 {
+        pass(base, n, block);
+    }
+}
+
+/// Calls `f(i, x · row_i)` for each row in order. Rows are scored eight
+/// to a pass, one per lane, each lane summing `x[d] * row[d]` in `d`
+/// order from `-0.0` (where `f32`'s `Sum` starts), so every dot product
+/// is bit-identical to `x.iter().zip(row).map(|(a, b)| a * b).sum()`.
+pub fn for_each_dot<'a>(
+    x: &[f32; DIM],
+    rows: impl IntoIterator<Item = &'a [f32; DIM]>,
+    mut f: impl FnMut(usize, f32),
+) {
+    in_blocks(rows, &[0.0; DIM], |base, n, block| {
+        for (l, &dot) in dot_lanes(x, block)[..n].iter().enumerate() {
+            f(base + l, dot);
+        }
+    });
+}
+
+/// Calls `f(i, cosine(query, e_i))` for each embedding in order, scoring
+/// eight embeddings a pass like [`for_each_dot`]. Bit-identical to calling
+/// [`cosine`] on each.
+pub fn for_each_cosine<'a>(
+    query: &Embedding,
+    rows: impl IntoIterator<Item = &'a Embedding>,
+    mut f: impl FnMut(usize, f32),
+) {
+    const PAD: Embedding = Embedding {
+        v: [0.0; DIM],
+        norm: 0.0,
+    };
+    in_blocks(rows, &PAD, |base, n, block| {
+        let dots = dot_lanes(&query.v, block.map(|e| &e.v));
+        for (l, (&dot, e)) in dots.iter().zip(block).take(n).enumerate() {
+            f(base + l, cosine_of_dot(dot, query.norm, e.norm));
+        }
+    });
 }
 
 #[cfg(test)]
@@ -304,6 +399,94 @@ mod tests {
         for _ in 0..3 {
             for h in [a, b] {
                 assert_eq!(bits_of(cache.direction(h)), bits_of(&direction_of_hash(h)));
+            }
+        }
+    }
+
+    /// The dot product as every scan wrote it before [`dot_lanes`].
+    fn sequential_dot(x: &[f32; DIM], row: &[f32; DIM]) -> f32 {
+        x.iter().zip(row.iter()).map(|(a, b)| a * b).sum()
+    }
+
+    #[test]
+    fn f32_sum_folds_from_negative_zero() {
+        // `dot_lanes` starts each lane where `Sum` does; an all-`-0.0`
+        // sum tells the two neutral elements apart.
+        assert_eq!(
+            std::iter::empty::<f32>().sum::<f32>().to_bits(),
+            (-0.0f32).to_bits()
+        );
+        assert_eq!(
+            [-0.0f32, -0.0].iter().sum::<f32>().to_bits(),
+            (-0.0f32).to_bits()
+        );
+    }
+
+    #[test]
+    fn dot_lanes_match_the_sequential_sum_lane_by_lane() {
+        let mut rows: Vec<[f32; DIM]> = texts()
+            .iter()
+            .map(|t| *embed(t).as_array())
+            .chain((0..40u64).map(direction_of_hash))
+            .collect();
+        // Zero rows, and a row whose products are all `-0.0` against a
+        // zero query, land in varying lanes.
+        rows.insert(3, [0.0; DIM]);
+        rows.insert(12, [-1.0; DIM]);
+        rows.insert(21, [0.0; DIM]);
+        let queries = [
+            *embed("photo of a red apple on a table").as_array(),
+            direction_of_hash(99),
+            [0.0; DIM],
+            [-0.0; DIM],
+        ];
+        for x in &queries {
+            for block in rows.chunks_exact(LANES) {
+                let block: [&[f32; DIM]; LANES] = std::array::from_fn(|l| &block[l]);
+                for (l, dot) in dot_lanes(x, block).iter().enumerate() {
+                    assert_eq!(
+                        dot.to_bits(),
+                        sequential_dot(x, block[l]).to_bits(),
+                        "lane {l}"
+                    );
+                }
+            }
+            let mut seen = 0;
+            for_each_dot(x, &rows, |i, dot| {
+                assert_eq!(i, seen);
+                assert_eq!(
+                    dot.to_bits(),
+                    sequential_dot(x, &rows[i]).to_bits(),
+                    "row {i}"
+                );
+                seen += 1;
+            });
+            assert_eq!(seen, rows.len());
+        }
+    }
+
+    #[test]
+    fn for_each_cosine_matches_cosine_including_zero_embeddings() {
+        let mut corpus: Vec<Embedding> = texts().iter().map(|t| embed(t)).collect();
+        // Zero embeddings in several lanes of different blocks.
+        for at in [0, 5, 9, 17, 18] {
+            corpus.insert(at, Embedding::zero());
+        }
+        let queries = [
+            embed("a painting of a castle by a river"),
+            embed(""),
+            corpus[40].clone(),
+        ];
+        for q in &queries {
+            // Every corpus length, so each short last block is covered.
+            for len in [0, 1, 7, 8, 9, 15, 16, 17, corpus.len()] {
+                let mut seen = 0;
+                for_each_cosine(q, &corpus[..len], |i, sim| {
+                    assert_eq!(i, seen);
+                    assert_eq!(sim.to_bits(), cosine(q, &corpus[i]).to_bits(), "entry {i}");
+                    seen += 1;
+                });
+                assert_eq!(seen, len);
             }
         }
     }

@@ -8,7 +8,8 @@
 //! * [`FlatIndex`] — exact brute-force cosine k-NN with an optional FIFO
 //!   capacity limit (the cache does not grow without bound); top-k uses
 //!   partial selection, so a query costs one scan plus `O(n)` selection
-//!   rather than a full sort;
+//!   rather than a full sort, and the single best match is a running
+//!   maximum over the scan;
 //! * [`LshIndex`] — hyperplane locality-sensitive hashing with multi-probe
 //!   search and the same optional FIFO capacity limit, trading a little
 //!   recall for sub-linear scan cost;
@@ -36,7 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use argus_embed::{cosine, Embedding, DIM};
+use argus_embed::{cosine, for_each_cosine, for_each_dot, Embedding, DIM};
 use parking_lot::RwLock;
 
 pub mod shard;
@@ -121,6 +122,21 @@ pub(crate) fn seeded_planes(n: usize, seed: u64) -> Vec<[f32; DIM]> {
         planes.push(plane);
     }
     planes
+}
+
+/// The sign-pattern key of `e` against `planes`: bit `b` is set where
+/// the projection on plane `b` is non-negative. `on_dot` sees each
+/// projection in plane order. This is the hashing step shared by
+/// [`LshIndex`] buckets and [`shard::ShardRouter`] cells.
+pub(crate) fn sign_key(planes: &[[f32; DIM]], e: &Embedding, mut on_dot: impl FnMut(f32)) -> u64 {
+    let mut key = 0u64;
+    for_each_dot(e.as_array(), planes, |b, dot| {
+        if dot >= 0.0 {
+            key |= 1 << b;
+        }
+        on_dot(dot);
+    });
+    key
 }
 
 /// Orders scored candidates best-first: similarity descending, then older
@@ -213,12 +229,10 @@ impl<P> FlatIndex<P> {
     where
         P: Clone,
     {
-        let mut scored: Vec<(f32, usize)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, (e, _))| (cosine(query, e), i))
-            .collect();
+        let mut scored: Vec<(f32, usize)> = Vec::with_capacity(self.entries.len());
+        for_each_cosine(query, self.entries.iter().map(|(e, _)| e), |i, sim| {
+            scored.push((sim, i));
+        });
         top_k_by(&mut scored, k, by_rank)
             .iter()
             .map(|&(similarity, i)| SearchHit {
@@ -228,12 +242,24 @@ impl<P> FlatIndex<P> {
             .collect()
     }
 
-    /// The single best match, if the index is non-empty.
+    /// The single best match, if the index is non-empty: `search(query,
+    /// 1)` without allocating. The same scan keeps a running maximum in
+    /// age order, and its strict `>` leaves a tie with the older entry,
+    /// as `search` orders it.
     pub fn nearest(&self, query: &Embedding) -> Option<SearchHit<P>>
     where
         P: Clone,
     {
-        self.search(query, 1).into_iter().next()
+        let mut best: Option<(f32, usize)> = None;
+        for_each_cosine(query, self.entries.iter().map(|(e, _)| e), |i, sim| {
+            if best.is_none_or(|(best_sim, _)| sim > best_sim) {
+                best = Some((sim, i));
+            }
+        });
+        best.map(|(similarity, i)| SearchHit {
+            similarity,
+            payload: self.entries[i].1.clone(),
+        })
     }
 
     /// Removes and returns every entry matching `pred`, oldest first; the
@@ -293,6 +319,13 @@ impl<P> VectorIndex<P> for FlatIndex<P> {
 
     fn set_capacity(&mut self, capacity: usize) -> Vec<P> {
         FlatIndex::set_capacity(self, capacity)
+    }
+
+    fn nearest(&self, query: &Embedding) -> Option<SearchHit<P>>
+    where
+        P: Clone,
+    {
+        FlatIndex::nearest(self, query)
     }
 }
 
@@ -359,19 +392,7 @@ impl<P> LshIndex<P> {
     }
 
     fn bucket_of(&self, e: &Embedding) -> u64 {
-        let mut key = 0u64;
-        for (b, plane) in self.planes.iter().enumerate() {
-            let dot: f32 = e
-                .as_slice()
-                .iter()
-                .zip(plane.iter())
-                .map(|(x, y)| x * y)
-                .sum();
-            if dot >= 0.0 {
-                key |= 1 << b;
-            }
-        }
-        key
+        sign_key(&self.planes, e, |_| {})
     }
 
     /// Number of stored embeddings.
@@ -823,6 +844,134 @@ mod tests {
             for (hit, want) in hits.iter().zip(&reference) {
                 assert_eq!(hit.payload, want.1, "k={k}");
                 assert_eq!(hit.similarity, want.0, "k={k}");
+            }
+        }
+    }
+
+    /// Asserts two search answers are the same hit, down to the bits of
+    /// the similarity.
+    fn assert_same_hit<P: PartialEq + std::fmt::Debug>(
+        got: Option<SearchHit<P>>,
+        want: Option<SearchHit<P>>,
+        label: &str,
+    ) {
+        match (got, want) {
+            (Some(g), Some(w)) => {
+                assert_eq!(g.payload, w.payload, "{label}");
+                assert_eq!(g.similarity.to_bits(), w.similarity.to_bits(), "{label}");
+            }
+            (got, want) => assert_eq!(got, want, "{label}"),
+        }
+    }
+
+    /// `FlatIndex::nearest`, inherent and through the trait, against the
+    /// first hit of `search(q, 1)` for every query.
+    fn assert_flat_nearest_is_search_1(idx: &FlatIndex<usize>, queries: &[Embedding]) {
+        for (n, q) in queries.iter().enumerate() {
+            let want = || idx.search(q, 1).into_iter().next();
+            assert_same_hit(idx.nearest(q), want(), &format!("query {n}"));
+            assert_same_hit(
+                VectorIndex::nearest(idx, q),
+                want(),
+                &format!("trait, query {n}"),
+            );
+        }
+    }
+
+    fn embeddings(seed: u64, n: usize) -> Vec<Embedding> {
+        PromptGenerator::new(seed)
+            .generate_batch(n)
+            .iter()
+            .map(|p| embed(&p.text))
+            .collect()
+    }
+
+    #[test]
+    fn flat_nearest_is_search_1_on_a_random_corpus() {
+        let mut idx = FlatIndex::new();
+        for (i, e) in embeddings(41, 300).into_iter().enumerate() {
+            idx.insert(e, i);
+        }
+        assert_flat_nearest_is_search_1(&idx, &embeddings(42, 200));
+    }
+
+    #[test]
+    fn flat_nearest_is_search_1_with_duplicates() {
+        // Every text three times: exact-duplicate queries tie at the same
+        // similarity three ways, and the oldest copy must win.
+        let corpus = embeddings(43, 40);
+        let mut idx = FlatIndex::new();
+        for round in 0..3 {
+            for (i, e) in corpus.iter().enumerate() {
+                idx.insert(e.clone(), round * 100 + i);
+            }
+        }
+        assert_flat_nearest_is_search_1(&idx, &corpus);
+        assert_eq!(idx.nearest(&corpus[7]).unwrap().payload, 7);
+    }
+
+    #[test]
+    fn flat_nearest_is_search_1_after_fifo_eviction_wraps() {
+        // 250 inserts through a 96-entry FIFO: the deque's head has
+        // wrapped around its buffer, so age order is no longer storage
+        // order.
+        let mut idx = FlatIndex::with_capacity_limit(96);
+        let corpus = embeddings(44, 250);
+        for (i, e) in corpus.iter().enumerate() {
+            idx.insert(e.clone(), i);
+        }
+        assert_eq!(idx.len(), 96);
+        let mut queries = embeddings(45, 100);
+        queries.extend(corpus[140..].iter().cloned());
+        assert_flat_nearest_is_search_1(&idx, &queries);
+    }
+
+    #[test]
+    fn flat_nearest_on_the_zero_query_returns_the_oldest_entry() {
+        // Every candidate scores exactly 0.0 against the zero query.
+        let mut idx = FlatIndex::with_capacity_limit(64);
+        for (i, e) in embeddings(46, 100).into_iter().enumerate() {
+            idx.insert(e, i);
+        }
+        let zero = embed("");
+        assert_flat_nearest_is_search_1(&idx, std::slice::from_ref(&zero));
+        let hit = idx.nearest(&zero).unwrap();
+        assert_eq!(
+            hit.payload, 36,
+            "the oldest survivor of 100 inserts into 64 slots"
+        );
+        assert_eq!(hit.similarity.to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn bucket_of_matches_the_sequential_projection() {
+        /// `bucket_of` as it was written before the shared dot kernel.
+        fn reference_bucket(planes: &[[f32; DIM]], e: &Embedding) -> u64 {
+            let mut key = 0u64;
+            for (b, plane) in planes.iter().enumerate() {
+                let dot: f32 = e
+                    .as_slice()
+                    .iter()
+                    .zip(plane.iter())
+                    .map(|(x, y)| x * y)
+                    .sum();
+                if dot >= 0.0 {
+                    key |= 1 << b;
+                }
+            }
+            key
+        }
+        let mut queries = embeddings(47, 300);
+        queries.push(embed(""));
+        // Plane counts below, at and across whole kernel passes.
+        for bits in [1, 6, 8, 9, 17, 24] {
+            let idx = LshIndex::<u8>::new(bits, 5);
+            for q in &queries {
+                assert_eq!(
+                    idx.bucket_of(q),
+                    reference_bucket(&idx.planes, q),
+                    "bits {bits}"
+                );
             }
         }
     }

@@ -102,20 +102,8 @@ impl ShardRouter {
 
     /// The cell key plus the per-plane projections of `e`.
     fn project(&self, e: &Embedding) -> (u64, Vec<f32>) {
-        let mut key = 0u64;
         let mut dots = Vec::with_capacity(self.planes.len());
-        for (b, plane) in self.planes.iter().enumerate() {
-            let dot: f32 = e
-                .as_slice()
-                .iter()
-                .zip(plane.iter())
-                .map(|(x, y)| x * y)
-                .sum();
-            if dot >= 0.0 {
-                key |= 1 << b;
-            }
-            dots.push(dot);
-        }
+        let key = crate::sign_key(&self.planes, e, |dot| dots.push(dot));
         (key, dots)
     }
 
@@ -130,8 +118,7 @@ impl ShardRouter {
         if self.shards == 1 {
             return 0;
         }
-        let (key, _) = self.project(e);
-        self.shard_of_key(key)
+        self.shard_of_key(crate::sign_key(&self.planes, e, |_| {}))
     }
 
     /// The lookup probe set, primary shard first: the query's cell plus
@@ -500,15 +487,31 @@ impl<P, I: VectorIndex<P>> ShardedIndex<P, I> {
     where
         P: Clone,
     {
-        self.search(query, 1).into_iter().next()
+        self.nearest_with_shard(query).map(|(hit, _)| hit)
     }
 
-    /// The single best match, tagged with the shard that served it.
+    /// The single best match, tagged with the shard that served it:
+    /// `search_with_shards(query, 1)` without the merge. Each probed
+    /// shard's own `nearest` is taken in probe order and only a strictly
+    /// better hit replaces the best so far, which is the tie-break the
+    /// stable sort there gives.
     pub fn nearest_with_shard(&self, query: &Embedding) -> Option<(SearchHit<P>, usize)>
     where
         P: Clone,
     {
-        self.search_with_shards(query, 1).into_iter().next()
+        let mut best: Option<(SearchHit<P>, usize)> = None;
+        for s in self.lookup_shards(query) {
+            let j = self.serving_replica(s).expect("lookup shards are live");
+            if let Some(hit) = self.shards[s][j].index.nearest(query) {
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, _)| hit.similarity > b.similarity)
+                {
+                    best = Some((hit, s));
+                }
+            }
+        }
+        best
     }
 
     /// Marks a replica's host as failed: its copy of the shard is lost
@@ -861,6 +864,156 @@ mod tests {
         // 300 inserts over 8×64 slots: skewed shards evict FIFO.
         assert!(idx.len() <= 300);
         assert!(idx.nearest(&embed("a bear in a snowy forest")).is_some());
+    }
+
+    /// `nearest` and `nearest_with_shard` against the first entry of
+    /// `search_with_shards(q, 1)`, down to the similarity bits.
+    fn assert_nearest_is_search_1<I: VectorIndex<usize>>(
+        idx: &ShardedIndex<usize, I>,
+        queries: &[Embedding],
+        label: &str,
+    ) {
+        for (n, q) in queries.iter().enumerate() {
+            let want = idx.search_with_shards(q, 1).into_iter().next();
+            let key = |r: Option<(SearchHit<usize>, usize)>| {
+                r.map(|(h, s)| (h.similarity.to_bits(), h.payload, s))
+            };
+            assert_eq!(
+                key(idx.nearest_with_shard(q)),
+                key(want.clone()),
+                "{label}: query {n}"
+            );
+            assert_eq!(
+                idx.nearest(q).map(|h| (h.similarity.to_bits(), h.payload)),
+                want.map(|(h, _)| (h.similarity.to_bits(), h.payload)),
+                "{label}: query {n}"
+            );
+        }
+    }
+
+    fn filled<I: VectorIndex<usize>>(
+        mut idx: ShardedIndex<usize, I>,
+        seed: u64,
+        n: usize,
+    ) -> ShardedIndex<usize, I> {
+        for (i, p) in PromptGenerator::new(seed)
+            .generate_batch(n)
+            .iter()
+            .enumerate()
+        {
+            idx.insert(embed(&p.text), i);
+        }
+        idx
+    }
+
+    fn shard_queries() -> Vec<Embedding> {
+        let mut queries: Vec<Embedding> = PromptGenerator::new(52)
+            .generate_batch(150)
+            .iter()
+            .map(|p| embed(&p.text))
+            .collect();
+        // Exact duplicates of resident entries, and the zero query.
+        queries.extend(
+            PromptGenerator::new(51)
+                .generate_batch(50)
+                .iter()
+                .map(|p| embed(&p.text)),
+        );
+        queries.push(embed(""));
+        queries
+    }
+
+    fn flat_plane(shards: usize, replication: usize) -> ShardedIndex<usize, FlatIndex<usize>> {
+        ShardedIndex::new(shards, replication, 7, |_, _| {
+            FlatIndex::with_capacity_limit(64)
+        })
+    }
+
+    #[test]
+    fn sharded_nearest_is_search_1_on_flat_and_lsh_shards() {
+        let queries = shard_queries();
+        assert_nearest_is_search_1(&filled(flat_plane(8, 2), 51, 400), &queries, "flat");
+        assert_nearest_is_search_1(&filled(lsh_plane(8, 2), 51, 400), &queries, "lsh");
+    }
+
+    #[test]
+    fn sharded_nearest_is_search_1_with_failed_replicas_and_a_dark_shard() {
+        let queries = shard_queries();
+        let mut flat = filled(flat_plane(8, 2), 51, 400);
+        let mut lsh = filled(lsh_plane(8, 2), 51, 400);
+        // The zero query's primary shard goes dark, so its all-tied
+        // answer moves to the next probed shard.
+        let dark = flat.router().probe(&embed(""))[0];
+        for s in [dark, (dark + 3) % 8, (dark + 5) % 8] {
+            flat.fail_replica(s, 0);
+            lsh.fail_replica(s, 0);
+        }
+        assert_nearest_is_search_1(&flat, &queries, "flat, replicas down");
+        assert_nearest_is_search_1(&lsh, &queries, "lsh, replicas down");
+        flat.fail_replica(dark, 1);
+        lsh.fail_replica(dark, 1);
+        assert_eq!(flat.live_replicas(dark), 0);
+        assert_nearest_is_search_1(&flat, &queries, "flat, dark shard");
+        assert_nearest_is_search_1(&lsh, &queries, "lsh, dark shard");
+    }
+
+    #[test]
+    fn sharded_nearest_on_the_zero_query_resolves_ties_in_probe_order() {
+        // Every entry scores 0.0 against the zero query, so the first
+        // live probed shard's oldest entry must win.
+        let idx = filled(flat_plane(8, 1), 53, 300);
+        let zero = embed("");
+        let probes = idx.lookup_shards(&zero);
+        assert!(probes.len() > 1, "need several probed shards: {probes:?}");
+        let first = probes[0];
+        let (hit, shard) = idx
+            .nearest_with_shard(&zero)
+            .expect("probed shards hold entries");
+        assert_eq!(shard, first);
+        assert_eq!(hit.similarity.to_bits(), 0.0f32.to_bits());
+        assert_eq!(
+            Some(hit.payload),
+            idx.shards[first][0].index.nearest(&zero).map(|h| h.payload)
+        );
+        assert_nearest_is_search_1(&idx, &[zero], "zero query");
+    }
+
+    #[test]
+    fn projections_match_the_sequential_loop() {
+        /// `ShardRouter::project` as it was written before the shared
+        /// dot kernel.
+        fn reference_project(planes: &[[f32; DIM]], e: &Embedding) -> (u64, Vec<f32>) {
+            let mut key = 0u64;
+            let mut dots = Vec::with_capacity(planes.len());
+            for (b, plane) in planes.iter().enumerate() {
+                let dot: f32 = e
+                    .as_slice()
+                    .iter()
+                    .zip(plane.iter())
+                    .map(|(x, y)| x * y)
+                    .sum();
+                if dot >= 0.0 {
+                    key |= 1 << b;
+                }
+                dots.push(dot);
+            }
+            (key, dots)
+        }
+        let queries = shard_queries();
+        // 1 shard has no planes; 8 shards have 6; 64 have 9; 4096 have 15.
+        for shards in [1, 2, 8, 64, 4096] {
+            let r = ShardRouter::new(shards, 3);
+            for q in &queries {
+                let (key, dots) = r.project(q);
+                let (want_key, want_dots) = reference_project(&r.planes, q);
+                assert_eq!(key, want_key, "{shards} shards");
+                let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&dots), bits(&want_dots), "{shards} shards");
+                if shards > 1 {
+                    assert_eq!(r.route(q), r.shard_of_key(want_key));
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //!   stage profiles obey the envelope-accounting identities.
 
 use argus::core::{ActorPacing, Policy, RunConfig, RunOutcome, SpanKind, TelemetryConfig};
+use argus::models::{AcLevel, ApproxLevel};
 use argus::obs::{validate_chrome_trace, validate_jsonl};
 use argus::workload::twitter_like;
 
@@ -281,4 +282,37 @@ fn stage_profiles_obey_envelope_accounting() {
     assert!(cache.counters.max_batch_len >= 1);
     assert!(metrics.counters.max_batch_len >= 1);
     assert!(metrics.counters.max_batch_len <= 64, "SEND_BATCH cap");
+}
+
+#[test]
+fn every_retrieval_round_trip_is_a_recorded_lookup() {
+    // Many workers at low load, so most AC jobs run at K = 0, where no
+    // neighbour could be reused: the driver must not retrieve for them.
+    let mut c = RunConfig::new(Policy::Argus, twitter_like(11, 12))
+        .with_seed(11)
+        .with_workers(64)
+        .with_lsh_cache()
+        .without_retraining()
+        .with_telemetry(TelemetryConfig::full());
+    c.classifier_train_size = 800;
+    let out = c.run();
+    // No switch to SM, so the cache plane answers no network probes: its
+    // replies are the retrievals plus the teardown `Drain`.
+    assert_eq!(out.switches, (0, 0));
+    let cache = out
+        .stage_profiles
+        .iter()
+        .find(|p| p.stage == "cache-plane")
+        .expect("cache-plane profile");
+    let r = &out.retrieval;
+    let lookups = r.hits() + r.misses() + r.failures();
+    assert!(lookups > 0, "the run must retrieve");
+    assert_eq!(cache.counters.replies, lookups + 1);
+    // And every recorded lookup was at a level that reuses a neighbour.
+    let full = ApproxLevel::Ac(AcLevel(0));
+    assert!(
+        r.per_level.iter().all(|&(level, _)| level != full),
+        "{:?}",
+        r.per_level
+    );
 }
