@@ -1,12 +1,12 @@
-//! s62_control_plane — the actor control plane's throughput guard.
+//! s62_control_plane — the control plane's throughput guard.
 //!
-//! The ISSUE 6 acceptance bar: a million-job diurnal trace must clear the
-//! message-passing control plane (planner / driver / cache-plane / metrics
-//! stages over bounded mailboxes) in **under 30 s of wall clock** on one
-//! core. The configuration is the serving-path steady state — Argus policy,
-//! 256 workers, shared LSH retrieval plane, classifier frozen after its
-//! initial fit — so the guard measures the per-job cost of the stage
-//! pipeline itself, not model retraining or cold caches.
+//! The acceptance bar: a million-job diurnal trace must clear the control
+//! plane (the driver's event pump calling the planner, cache-plane,
+//! metrics and fleet stages, all on one thread) in **under 30 s of wall
+//! clock**. The configuration is the serving-path steady state — Argus
+//! policy, 256 workers, shared LSH retrieval plane, classifier frozen
+//! after its initial fit — so the guard measures the per-job cost of the
+//! stage pipeline itself, not model retraining or cold caches.
 //!
 //! The measured jobs/sec is recorded into `BENCH_control_plane.json` at the
 //! repo root so CI history tracks the number, not just the pass/fail bit.
@@ -20,7 +20,7 @@ use argus_workload::twitter_like;
 fn main() {
     banner(
         "S62",
-        "Actor control-plane throughput guard",
+        "Control-plane throughput guard",
         "ISSUE 6 / §5 control plane",
     );
     let mut guard_failures: Vec<String> = Vec::new();
@@ -85,7 +85,7 @@ fn main() {
         guard_failures.join("\n")
     );
     println!(
-        "\nguard ok: {} jobs through the actor control plane in {wall:.1} s ({jobs_per_sec:.0} jobs/sec, budget 30 s)",
+        "\nguard ok: {} jobs through the control plane in {wall:.1} s ({jobs_per_sec:.0} jobs/sec, budget 30 s)",
         out.totals.completed
     );
 }

@@ -98,7 +98,7 @@ fn main() {
     );
     let mut guard_failures: Vec<String> = Vec::new();
 
-    // The s62 configuration: ~953 k jobs through the actor control plane.
+    // The s62 configuration: ~953 k jobs through the control plane.
     let trace = twitter_like(42, 260).scale(40.0);
 
     // One discarded warmup run: the first pass pays page-cache and

@@ -15,21 +15,20 @@
 //!    violations from regressing against the unpriced ablation
 //!    (`with_escalation_pricing(false)`), which plans as if second
 //!    passes were free.
-//! 3. **Substrate independence**: the cascade run is bit-identical
-//!    across actor-pacing modes — the D1–D3 contract extends to the
-//!    escalation plane.
+//! 3. **Determinism**: a same-seed repeat of the cascade run is
+//!    bit-identical — the D1–D5 contract extends to the escalation
+//!    plane.
 //!
 //! Results land in `BENCH_cascade.json` at the repo root.
 
 use argus_bench::{banner, f, print_table, BenchReport};
-use argus_core::{ActorPacing, CascadeConfig, Policy, RunConfig, RunOutcome};
+use argus_core::{CascadeConfig, Policy, RunConfig, RunOutcome};
 use argus_workload::{twitter_like, Trace};
 
-fn cascade_run(trace: &Trace, pricing: bool, pacing: ActorPacing) -> RunOutcome {
+fn cascade_run(trace: &Trace, pricing: bool) -> RunOutcome {
     let mut c = RunConfig::new(Policy::Argus, trace.clone())
         .with_seed(11)
-        .with_cascade(CascadeConfig::new().with_escalation_pricing(pricing))
-        .with_actor_pacing(pacing);
+        .with_cascade(CascadeConfig::new().with_escalation_pricing(pricing));
     c.classifier_train_size = 800;
     c.run()
 }
@@ -51,8 +50,8 @@ fn main() {
     let mut ladder_cfg = RunConfig::new(Policy::Argus, trace.clone()).with_seed(11);
     ladder_cfg.classifier_train_size = 800;
     let ladder = ladder_cfg.run();
-    let priced = cascade_run(&trace, true, ActorPacing::Auto);
-    let unpriced = cascade_run(&trace, false, ActorPacing::Auto);
+    let priced = cascade_run(&trace, true);
+    let unpriced = cascade_run(&trace, false);
 
     let stats = priced.cascade.as_ref().expect("cascade run carries stats");
     let mut rows = Vec::new();
@@ -108,19 +107,14 @@ fn main() {
     }
 
     // ---------------------------------------------------------------- //
-    // Guard 3: bit-identical across actor-pacing modes.
+    // Guard 3: a same-seed repeat is bit-identical.
     // ---------------------------------------------------------------- //
-    for (mode, pacing) in [
-        ("inline", ActorPacing::SingleCoreInline),
-        ("threaded", ActorPacing::Threaded),
-    ] {
-        let out = cascade_run(&trace, true, pacing);
-        if out.totals != priced.totals
-            || out.minutes != priced.minutes
-            || out.cascade != priced.cascade
-        {
-            guard_failures.push(format!("cascade run diverged under {mode} pacing"));
-        }
+    let repeat = cascade_run(&trace, true);
+    if repeat.totals != priced.totals
+        || repeat.minutes != priced.minutes
+        || repeat.cascade != priced.cascade
+    {
+        guard_failures.push("cascade run diverged on a same-seed repeat".into());
     }
 
     BenchReport::new("s65_cascade")
@@ -145,6 +139,6 @@ fn main() {
         guard_failures.join("\n")
     );
     println!(
-        "\nguard ok: cascade completes >= ladder at quality within 0.05, escalation pricing does not regress violations, bit-identical across pacing modes"
+        "\nguard ok: cascade completes >= ladder at quality within 0.05, escalation pricing does not regress violations, bit-identical on a same-seed repeat"
     );
 }

@@ -223,7 +223,7 @@ mod tests {
             .to_json();
         assert_eq!(
             json,
-            "{\n  \"bench\": \"s99_example\",\n  \"schema_version\": 1,\n  \"jobs\": 1000,\n  \"ratio\": 0.123,\n  \"policy\": \"Argus\",\n  \"inner\": {\n    \"a\": 1,\n    \"b\": 2.0\n  }\n}\n"
+            "{\n  \"bench\": \"s99_example\",\n  \"schema_version\": 2,\n  \"jobs\": 1000,\n  \"ratio\": 0.123,\n  \"policy\": \"Argus\",\n  \"inner\": {\n    \"a\": 1,\n    \"b\": 2.0\n  }\n}\n"
         );
         // The schema version is the shared telemetry one, not a local copy.
         assert!(json.contains(&format!(

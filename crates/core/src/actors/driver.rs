@@ -1,23 +1,19 @@
-//! The driver: the virtual-time event pump of the actor control plane.
+//! The driver: the virtual-time event pump of the staged control plane.
 //!
-//! [`SystemSimulation::run`] lives here, rebuilt on the stage handles: the
-//! driver pops discrete events and drives the cluster, routing, batching
-//! and the strategy switcher synchronously, while planning goes through
-//! the planner stage (request/reply), retrieval through the cache-plane
-//! stage (request/reply for lookups, fire-and-forget for writes) and all
-//! accounting through the metrics stage (fire-and-forget, drained once at
-//! teardown).
+//! [`SystemSimulation::run`] lives here, rebuilt on the stages: the driver
+//! pops discrete events and drives the cluster, routing, batching and the
+//! strategy switcher, and calls the planner stage for allocations, the
+//! cache-plane stage for retrieval and cache writes, the metrics stage for
+//! all accounting and the fleet stage for membership and autoscaling.
 //!
-//! What stays on the driver is exactly the state the determinism bar pins
-//! to synchronous execution: the cluster and switcher participate in the
+//! What stays on the driver is exactly the state that participates in the
 //! reentrant chain `service_for → switcher.on_retrieval →
 //! begin_transition → reallocate → apply_allocation → maybe_start` (a
 //! retrieval observed mid-dispatch can re-plan the very worker being
-//! dispatched — see the batch guards in [`SystemSimulation::maybe_start`]),
-//! so deferring any of it to a stage would change which worker state each
-//! step observes. Everything that leaves the driver is either a pure
-//! query answered in rendezvous or telemetry whose consumption order the
-//! single-producer FIFO mailbox fixes to the old loop's call order.
+//! dispatched — see the batch guards in [`SystemSimulation::maybe_start`]):
+//! the cluster and the switcher. The stages own state the driver only
+//! queries or feeds, and each runs its calls in the order the driver makes
+//! them.
 
 use argus_cachestore::FetchStatus;
 use argus_classifier::{label_prompts, train, TrainerConfig};
@@ -30,10 +26,7 @@ use argus_models::{latency, AcLevel, ApproxLevel, GpuArch, Strategy};
 use argus_obs::{SpanEvent, SpanKind, StageProfile};
 use argus_prompts::Prompt;
 
-use super::cacheplane::CacheMsg;
-use super::fleet::FleetMsg;
-use super::metrics::MetricsMsg;
-use super::planner::{PlannerMsg, PoolSpec};
+use super::planner::PoolSpec;
 use crate::capacity::EscalationCtx;
 use crate::fleet::{hourly_rate, CostReport, PoolSignal, ScaleAction};
 use crate::metrics::PoolStats;
@@ -46,105 +39,7 @@ use crate::system::{
     SystemSimulation, E2E_BOUNDS, PROBE, RECENT_POOL, RETRIEVAL_BOUNDS, TICK,
 };
 
-/// Coalescing threshold for fire-and-forget sends. Each send to a parked
-/// stage costs a futex wake — on a single-core host a full scheduler
-/// round trip — so the driver buffers telemetry and cache writes and
-/// ships them as one [`MetricsMsg::Batch`] / [`CacheMsg::Batch`] per this
-/// many messages (or earlier, whenever a request/reply rendezvous needs
-/// the stage to have observed every prior write).
-const SEND_BATCH: usize = 64;
-
-/// The stage mailbox capacity, as the queue-depth gauges clamp to it.
-const MAILBOX_CAP_U64: u64 = super::MAILBOX_CAP as u64;
-
 impl SystemSimulation {
-    /// Buffers a telemetry message (flushed at [`SEND_BATCH`], before the
-    /// teardown rendezvous, and on drop of the run).
-    fn tell_metrics(&mut self, msg: MetricsMsg) {
-        self.metrics_buf.push(msg);
-        if self.metrics_buf.len() >= SEND_BATCH {
-            self.flush_metrics();
-        }
-    }
-
-    fn flush_metrics(&mut self) {
-        if !self.metrics_buf.is_empty() {
-            let batch = std::mem::replace(&mut self.metrics_buf, Vec::with_capacity(SEND_BATCH));
-            self.mailboxes.metrics.on_send(MAILBOX_CAP_U64);
-            self.metrics_stage.send(MetricsMsg::Batch(batch));
-        }
-    }
-
-    /// Buffers a fire-and-forget cache write. Every cache-plane
-    /// request/reply goes through [`SystemSimulation::ask_cache`], which
-    /// flushes first, so lookups observe all prior writes in order.
-    fn tell_cache(&mut self, msg: CacheMsg) {
-        self.cache_buf.push(msg);
-        if self.cache_buf.len() >= SEND_BATCH {
-            self.flush_cache();
-        }
-    }
-
-    fn flush_cache(&mut self) {
-        if !self.cache_buf.is_empty() {
-            let batch = std::mem::replace(&mut self.cache_buf, Vec::with_capacity(SEND_BATCH));
-            self.mailboxes.cache.on_send(MAILBOX_CAP_U64);
-            self.cache_stage.send(CacheMsg::Batch(batch));
-        }
-    }
-
-    /// Cache-plane rendezvous: applies buffered writes, then asks. When
-    /// the stage is drained both steps run inline on the driver (see the
-    /// [`super::StageHandle`] fast path); otherwise the batch is flushed
-    /// through the mailbox ahead of the request, so either way every
-    /// prior write is observed in order.
-    fn ask_cache<R>(&mut self, make: impl FnOnce(super::OneshotSender<R>) -> CacheMsg) -> R {
-        if self.cache_stage.use_inline() {
-            if !self.cache_buf.is_empty() {
-                let batch = std::mem::replace(&mut self.cache_buf, Vec::with_capacity(SEND_BATCH));
-                self.mailboxes.cache.on_send(MAILBOX_CAP_U64);
-                self.cache_stage.run_inline(CacheMsg::Batch(batch));
-            }
-        } else {
-            self.flush_cache();
-        }
-        self.mailboxes.cache.on_send(MAILBOX_CAP_U64);
-        let r = self.cache_stage.request(make);
-        self.mailboxes.cache.on_rendezvous();
-        r
-    }
-
-    /// Planner fire-and-forget with the queue-depth gauge maintained.
-    fn planner_send(&mut self, msg: PlannerMsg) {
-        self.mailboxes.planner.on_send(MAILBOX_CAP_U64);
-        self.planner_stage.send(msg);
-    }
-
-    /// Planner rendezvous with the queue-depth gauge maintained.
-    fn planner_request<R>(
-        &mut self,
-        make: impl FnOnce(super::OneshotSender<R>) -> PlannerMsg,
-    ) -> R {
-        self.mailboxes.planner.on_send(MAILBOX_CAP_U64);
-        let r = self.planner_stage.request(make);
-        self.mailboxes.planner.on_rendezvous();
-        r
-    }
-
-    /// Fleet fire-and-forget with the queue-depth gauge maintained.
-    pub(crate) fn fleet_send(&mut self, msg: FleetMsg) {
-        self.mailboxes.fleet.on_send(MAILBOX_CAP_U64);
-        self.fleet_stage.send(msg);
-    }
-
-    /// Fleet rendezvous with the queue-depth gauge maintained.
-    fn fleet_request<R>(&mut self, make: impl FnOnce(super::OneshotSender<R>) -> FleetMsg) -> R {
-        self.mailboxes.fleet.on_send(MAILBOX_CAP_U64);
-        let r = self.fleet_stage.request(make);
-        self.mailboxes.fleet.on_rendezvous();
-        r
-    }
-
     // ---------------------------------------------------------------- //
     // Telemetry plane (RunConfig::with_telemetry). Every helper is a
     // no-op when the recorder is off, so default runs record nothing
@@ -272,26 +167,18 @@ impl SystemSimulation {
             .collect();
         self.obs_counter_add("lost", stranded.len() as u64);
         for job in stranded {
-            self.tell_metrics(MetricsMsg::Lost(end));
+            self.metrics.lost(end);
             self.obs_span(SpanEvent::new(end, job, SpanKind::Lost));
         }
-        // Teardown rendezvous: the cache plane surrenders its insert
-        // receipts, the metrics stage folds them in and finalizes.
-        let drain = self.ask_cache(|reply| CacheMsg::Drain { reply });
-        self.tell_metrics(MetricsMsg::CacheInsertTotals {
-            inserts: drain.inserts,
-            replica_writes: drain.replica_writes,
-            remote_hops: drain.remote_hops,
-        });
-        self.flush_metrics();
-        self.mailboxes.metrics.on_send(MAILBOX_CAP_U64);
-        let report = self
-            .metrics_stage
-            .request(|reply| MetricsMsg::Finish { end, reply });
-        self.mailboxes.metrics.on_rendezvous();
+        // Teardown: the cache plane surrenders its insert receipts, the
+        // metrics stage folds them in and finalizes.
+        let drain = self.cache.drain();
+        self.metrics
+            .cache_insert_totals(drain.inserts, drain.replica_writes, drain.remote_hops);
+        let report = self.metrics.finish(end);
         // Fleet teardown: close the billed-membership integral at `end`
         // and fold the completion count into the dollar report.
-        let fleet_report = self.fleet_request(|reply| FleetMsg::Finish { end, reply });
+        let fleet_report = self.fleet.finish(end);
         let total_dollars = fleet_report.on_demand_dollars + fleet_report.spot_dollars;
         let cost = CostReport {
             total_dollars,
@@ -340,38 +227,15 @@ impl SystemSimulation {
                 }
             })
             .collect();
-        // Telemetry teardown: the planner surrenders its profile,
-        // driver-side envelope gauges pair with each stage's own
-        // counters, and the recorder finishes into the outcome (plus any
-        // configured exports).
+        // Telemetry teardown: the planner surrenders its profile, each
+        // stage's call counters become its profile, and the recorder
+        // finishes into the outcome (plus any configured exports).
         let (spans, timeline, stage_profiles) = if let Some(mut rec) = self.recorder.take() {
-            let planner_counters = self.planner_request(|reply| PlannerMsg::Finish { reply });
-            let m = &self.mailboxes;
             let stage_profiles = vec![
-                StageProfile {
-                    stage: "planner",
-                    counters: planner_counters,
-                    sent: m.planner.sent(),
-                    mailbox_hwm: m.planner.hwm(),
-                },
-                StageProfile {
-                    stage: "cache-plane",
-                    counters: drain.profile,
-                    sent: m.cache.sent(),
-                    mailbox_hwm: m.cache.hwm(),
-                },
-                StageProfile {
-                    stage: "metrics",
-                    counters: report.profile,
-                    sent: m.metrics.sent(),
-                    mailbox_hwm: m.metrics.hwm(),
-                },
-                StageProfile {
-                    stage: "fleet",
-                    counters: fleet_report.profile,
-                    sent: m.fleet.sent(),
-                    mailbox_hwm: m.fleet.hwm(),
-                },
+                StageProfile::new("planner", self.planner.finish()),
+                StageProfile::new("cache-plane", drain.profile),
+                StageProfile::new("metrics", report.profile),
+                StageProfile::new("fleet", fleet_report.profile),
             ];
             let tcfg = rec.config().clone();
             // Span lines already streamed to disk during the run; the
@@ -422,7 +286,7 @@ impl SystemSimulation {
         if self.obs_wants(idx) {
             self.obs_span(SpanEvent::new(t, idx as u32, SpanKind::Arrive));
         }
-        self.tell_metrics(MetricsMsg::Arrival(t));
+        self.metrics.arrival(t);
         self.arrival_rate.record(t);
         if self.recent.len() == RECENT_POOL {
             self.recent.pop_front();
@@ -518,7 +382,7 @@ impl SystemSimulation {
                 if self.obs_wants(idx) {
                     self.obs_span(SpanEvent::new(t, idx as u32, SpanKind::Lost));
                 }
-                self.tell_metrics(MetricsMsg::Lost(t))
+                self.metrics.lost(t);
             }
         }
     }
@@ -650,12 +514,11 @@ impl SystemSimulation {
     /// Samples the service of `job` on worker `w` (of the given
     /// architecture) serving `level`, performing cache retrieval when the
     /// pipeline's cache gate is open and would reuse a perfect neighbour
-    /// at the assigned level. The retrieval round trip goes through the
-    /// cache-plane stage, which fuses nearest-neighbour search, the cache
-    /// gate and the store fetch into one rendezvous; the switcher reaction
-    /// to the observed latency stays here, because it can re-enter the
-    /// dispatcher. Returns `(retrieval latency, base compute seconds,
-    /// jitter, execution record)`.
+    /// at the assigned level. The cache-plane stage fuses
+    /// nearest-neighbour search, the cache gate and the store fetch into
+    /// one call; the switcher reaction to the observed latency stays
+    /// here, because it can re-enter the dispatcher. Returns `(retrieval
+    /// latency, base compute seconds, jitter, execution record)`.
     fn service_for(
         &mut self,
         job: usize,
@@ -687,18 +550,11 @@ impl SystemSimulation {
         let mut retrieval = SimDuration::ZERO;
         if self.cache_active() && self.pipeline.ac_level_for_hit(k, 1.0).skipped_steps() > 0 {
             let query = embed(&self.prompts[job].text);
-            let r = self.ask_cache(|reply| CacheMsg::Retrieve {
-                worker: w.0,
-                assigned: k,
-                query,
-                t,
-                reply,
-            });
+            let r = self
+                .cache
+                .retrieve(w.0, k, &query, t, self.pipeline.as_ref());
             if let Some(outcome) = r.fetch {
-                self.tell_metrics(MetricsMsg::Retrieval {
-                    t,
-                    latency: outcome.latency,
-                });
+                self.metrics.retrieval(t, outcome.latency);
                 self.obs_hist(
                     "retrieval_latency_secs",
                     RETRIEVAL_BOUNDS,
@@ -751,10 +607,7 @@ impl SystemSimulation {
     /// lookup paths in [`Self::service_for`] (store round trip and
     /// no-neighbour miss) go through here so the accounting cannot drift.
     fn note_cache_lookup(&mut self, job: usize, k: AcLevel, status: FetchStatus, t: SimTime) {
-        self.tell_metrics(MetricsMsg::CacheLookup {
-            level: ApproxLevel::Ac(k),
-            status,
-        });
+        self.metrics.cache_lookup(ApproxLevel::Ac(k), status);
         if self.obs_wants(job) {
             let kind = match status {
                 FetchStatus::Hit => SpanKind::CacheHit,
@@ -811,11 +664,8 @@ impl SystemSimulation {
             if c.escalated[job] {
                 // Second pass: report the quality movement and fall
                 // through to the normal terminal accounting.
-                let first_ratio = c.first_ratio[job];
-                self.tell_metrics(MetricsMsg::CascadeOutcome {
-                    first_ratio,
-                    final_ratio: score / base,
-                });
+                self.metrics
+                    .cascade_outcome(c.first_ratio[job], score / base);
             } else {
                 // Two degenerate accepts: a cascade *configured* with its
                 // first pass at the escalation rung has nowhere to
@@ -832,7 +682,7 @@ impl SystemSimulation {
                             .unwrap_or(argus_quality::DEFAULT_AC_SIMILARITY),
                     ) >= c.threshold;
                 let level = exec.level;
-                self.tell_metrics(MetricsMsg::CascadeJudged { level, escalated });
+                self.metrics.cascade_judged(level, escalated);
                 if escalated {
                     let c = self.cascade.as_mut().expect("cascade checked above");
                     c.escalated[job] = true;
@@ -851,14 +701,9 @@ impl SystemSimulation {
                 }
             }
         }
-        self.tell_metrics(MetricsMsg::Completion {
-            t,
-            latency: latency_e2e,
-            score,
-            base,
-            level: exec.level,
-            gpu: self.cluster.worker(w).gpu(),
-        });
+        let gpu = self.cluster.worker(w).gpu();
+        self.metrics
+            .completion(t, latency_e2e, score, base, exec.level, gpu);
         // `>` matches the metrics stage's strict SLO comparison exactly.
         let violated = latency_e2e > self.slo;
         self.obs_counter_add("completions", 1);
@@ -901,14 +746,11 @@ impl SystemSimulation {
         // Persist this generation for future cache reuse. Replica
         // fan-out is charged as write hops by the cache-plane stage
         // (writes are asynchronous and off the critical path, §4.7, so no
-        // latency accrues and the driver does not wait).
+        // latency accrues).
         if self.pipeline.uses_cache_store() {
-            self.tell_cache(CacheMsg::Insert {
-                origin: w.0,
-                embedding: embed(&self.prompts[job].text),
-                id: job as u64,
-            });
-            self.tell_cache(CacheMsg::PutLevels { id: job as u64, t });
+            self.cache
+                .insert(w.0, embed(&self.prompts[job].text), job as u64);
+            self.cache.put_levels(job as u64, t);
         }
     }
 
@@ -950,27 +792,17 @@ impl SystemSimulation {
         // it before opening the new tick's re-split window.
         let resplit_fired = self.resplit_done;
         self.resplit_done = false;
-        self.tell_metrics(MetricsMsg::Utilization {
-            t,
-            value: self.cluster.mean_utilization(t),
-        });
+        let utilization = self.cluster.mean_utilization(t);
+        self.metrics.utilization(t, utilization);
 
-        // Cascade runs: snapshot the per-level escalation-rate EWMA from
-        // the metrics stage ahead of planning, so this tick's Eq. 1
-        // pricing (see [`SystemSimulation::escalation_ctx_for`]) sees
-        // every verdict already emitted. The flush first keeps the FIFO
-        // exact: buffered `CascadeJudged` messages land before the
-        // rendezvous.
-        if self.cascade.is_some() {
-            self.flush_metrics();
-            self.mailboxes.metrics.on_send(MAILBOX_CAP_U64);
-            let rates = self
-                .metrics_stage
-                .request(|reply| MetricsMsg::EscalationRates { reply });
-            self.mailboxes.metrics.on_rendezvous();
-            let c = self.cascade.as_mut().expect("checked above");
-            c.rates = rates;
-            let rate = c.rates.get(&c.first_level).copied().unwrap_or(0.0);
+        // Cascade runs: read the first-pass escalation-rate EWMA from the
+        // metrics stage ahead of planning, so this tick's Eq. 1 pricing
+        // (see [`SystemSimulation::escalation_ctx_for`]) sees every
+        // verdict already recorded.
+        if let Some(c) = self.cascade.as_mut() {
+            let rates = self.metrics.escalation_rates();
+            let rate = rates.get(&c.first_level).copied().unwrap_or(0.0);
+            c.first_pass_rate = rate;
             self.obs_gauge_set("escalation_rate", rate);
         }
 
@@ -1008,21 +840,19 @@ impl SystemSimulation {
             }
         }
 
-        // Classifier accuracy sampling for Fig. 18, offloaded to the
-        // metrics stage with a snapshot of the live classifier (the ≤200
-        // oracle probes were the biggest fixed per-tick cost of the old
-        // loop).
+        // Classifier accuracy sampling for Fig. 18: the live classifier
+        // against the oracle over the 200 most recent prompts.
         if self.pipeline.uses_classifier() && !self.recent.is_empty() {
             let strategy = self.switcher.planning_strategy();
             let ladder = ApproxLevel::ladder(strategy);
-            let classifier = Box::new(self.classifiers[&strategy].clone());
-            let sample: Vec<u32> = self.recent.iter().rev().take(200).copied().collect();
-            self.tell_metrics(MetricsMsg::Accuracy {
-                minute: t.as_minutes() as u64,
-                sample,
-                ladder,
-                classifier,
-            });
+            self.metrics.accuracy(
+                t.as_minutes() as u64,
+                self.recent.iter().rev().take(200).copied(),
+                &ladder,
+                &self.classifiers[&strategy],
+                &self.oracle,
+                &self.prompts,
+            );
         }
 
         self.sample_pool_allocation();
@@ -1038,9 +868,9 @@ impl SystemSimulation {
 
     /// Fleet work at the allocator tick: a membership sample for the
     /// cost integral, then — when an autoscaler is configured — the
-    /// controller round trip and the execution of its decisions.
+    /// controller step and the execution of its decisions.
     fn fleet_tick(&mut self, t: SimTime, resplit_fired: bool) {
-        self.send_membership(t);
+        self.record_membership(t);
         let Some(policy) = self.cfg.autoscaler.clone() else {
             self.tick_saturated = false;
             return;
@@ -1088,7 +918,7 @@ impl SystemSimulation {
         if signals.is_empty() {
             return;
         }
-        let actions = self.fleet_request(|reply| FleetMsg::Tick { t, signals, reply });
+        let actions = self.fleet.tick(t, &signals);
         let changed = !actions.is_empty();
         for action in actions {
             match action {
@@ -1114,7 +944,7 @@ impl SystemSimulation {
                         .collect();
                     victims.sort_by_key(|w| std::cmp::Reverse(w.0));
                     victims.truncate(n);
-                    self.fleet_send(FleetMsg::Retired(victims.len() as u64));
+                    self.fleet.retired(victims.len() as u64);
                     for w in victims {
                         assert_eq!(
                             self.cluster.worker(w).in_flight_count(),
@@ -1127,7 +957,7 @@ impl SystemSimulation {
             }
         }
         if changed {
-            self.send_membership(t);
+            self.record_membership(t);
         }
     }
 
@@ -1136,7 +966,7 @@ impl SystemSimulation {
             && self.cfg.allow_strategy_switch
             && self.switcher.state() == SwitcherState::Sm
         {
-            let (lat, ok) = self.ask_cache(|reply| CacheMsg::Probe { t, reply });
+            let (lat, ok) = self.cache.probe(t);
             if let Some(SwitchCommand::ToAc) = self.switcher.on_probe(lat.as_secs(), ok, t) {
                 self.begin_transition(t);
             }
@@ -1150,7 +980,7 @@ impl SystemSimulation {
         // Fault events bound the lifetime of memoized derated profiles
         // (the ladder itself is unaffected, but this keeps the memo from
         // outliving the regime that produced it).
-        self.planner_send(PlannerMsg::Invalidate);
+        self.planner.invalidate();
         match self.cfg.faults[i].clone() {
             FaultEvent::WorkerFail { workers, .. } => {
                 for wi in workers {
@@ -1168,7 +998,7 @@ impl SystemSimulation {
                         // the shard survived elsewhere, migrated where the
                         // whole shard had died — see the anti-entropy pass
                         // in `argus_vdb::ShardedIndex::recover_replica`).
-                        self.tell_cache(CacheMsg::WorkerRecover(wi));
+                        self.cache.worker_recover(wi);
                     }
                 }
                 // The allocator reassigns them on its next tick (within a
@@ -1189,10 +1019,7 @@ impl SystemSimulation {
                         // effect is bit-identical to a WorkerFail.
                         let clean = self.cluster.worker(WorkerId(wi)).in_flight_count() == 0;
                         self.obs_counter_add("spot_drains", 1);
-                        self.fleet_send(FleetMsg::Preempt {
-                            ridden: clean as u64,
-                            lost: !clean as u64,
-                        });
+                        self.fleet.preempt(clean as u64, !clean as u64);
                         self.fail_worker_now(wi, t);
                         continue;
                     }
@@ -1211,18 +1038,18 @@ impl SystemSimulation {
                 }
             }
         }
-        self.send_membership(t);
+        self.record_membership(t);
     }
 
     /// Executes an unwarned worker loss: cache-plane failover first (so
-    /// rerouted jobs already see the post-failover plane — FIFO ordering
-    /// against their retrieval requests), then the crash, then rerouting
-    /// of everything the worker was holding (end-to-end latency keeps
-    /// accruing from the original arrival). Shared verbatim by crash
+    /// rerouted jobs' retrievals already see the post-failover plane),
+    /// then the crash, then rerouting of everything the worker was
+    /// holding (end-to-end latency keeps accruing from the original
+    /// arrival). Shared verbatim by crash
     /// faults, expired preemption warnings and scale-in retirement, so
     /// all three are bit-identical in effect.
     fn fail_worker_now(&mut self, wi: usize, t: SimTime) {
-        self.tell_cache(CacheMsg::WorkerFail(wi));
+        self.cache.worker_fail(wi);
         let lost = self.cluster.worker_mut(WorkerId(wi)).fail(t);
         self.exec_info.remove(&wi);
         for job in lost {
@@ -1236,8 +1063,8 @@ impl SystemSimulation {
     fn on_provision(&mut self, wi: usize, t: SimTime) {
         self.provisioning.retain(|&p| p != wi);
         self.cluster.worker_mut(WorkerId(wi)).recover(t);
-        self.tell_cache(CacheMsg::WorkerRecover(wi));
-        self.send_membership(t);
+        self.cache.worker_recover(wi);
+        self.record_membership(t);
     }
 
     /// A preemption warning expired: the instance disappears now. If the
@@ -1251,19 +1078,16 @@ impl SystemSimulation {
         }
         let clean = self.cluster.worker(WorkerId(wi)).in_flight_count() == 0;
         self.obs_counter_add("spot_drains", 1);
-        self.fleet_send(FleetMsg::Preempt {
-            ridden: clean as u64,
-            lost: !clean as u64,
-        });
+        self.fleet.preempt(clean as u64, !clean as u64);
         self.fail_worker_now(wi, t);
-        self.send_membership(t);
+        self.record_membership(t);
     }
 
     /// Reports the billed membership in force from `t` to the fleet
     /// stage: per-(architecture, discount) counts of workers currently
     /// rented — everything not failed, including draining instances
     /// (their warning window is still billed) — in worker-id order.
-    pub(crate) fn send_membership(&mut self, t: SimTime) {
+    pub(crate) fn record_membership(&mut self, t: SimTime) {
         let mut counts: Vec<(GpuArch, f64, u32)> = Vec::new();
         for (i, w) in self.cluster.iter().enumerate() {
             if w.is_failed() {
@@ -1279,7 +1103,7 @@ impl SystemSimulation {
                 None => counts.push((gpu, discount, 1)),
             }
         }
-        self.fleet_send(FleetMsg::Membership { t, counts });
+        self.fleet.membership(t, counts);
     }
 
     // ---------------------------------------------------------------- //
@@ -1297,8 +1121,8 @@ impl SystemSimulation {
 
     /// The escalation surcharge a pool's Eq. 1 pricing plans with: on
     /// cascade runs with pricing enabled, the observed escalation-rate
-    /// EWMA at the first-pass rung (snapshotted from the metrics stage
-    /// each tick) times the escalation level's service time —
+    /// EWMA at the first-pass rung (read from the metrics stage each
+    /// tick) times the escalation level's service time —
     /// first-pass + expected-escalation capacity. `None` everywhere
     /// else, so every other configuration prices exactly as before.
     fn escalation_ctx_for(&self, strategy: Strategy) -> Option<EscalationCtx> {
@@ -1306,7 +1130,7 @@ impl SystemSimulation {
         if !c.price_escalations || strategy != Strategy::Sm || c.first_level == c.escalate_level {
             return None;
         }
-        let rate = c.rates.get(&c.first_level).copied().unwrap_or(0.0);
+        let rate = c.first_pass_rate;
         (rate > 0.0).then_some(EscalationCtx {
             rate,
             from: c.first_level,
@@ -1322,8 +1146,8 @@ impl SystemSimulation {
     /// each pool gets its own latency/peak-QPM tables (and, under
     /// [`crate::system::RunConfig::with_pool_strategy`], its own strategy
     /// ladder) and a demand share proportional to its maximum capacity,
-    /// and the planner stage solves the per-pool allocations
-    /// data-parallel. Load distributions merge index-wise into one
+    /// and the planner stage solves the per-pool allocations in pool
+    /// order. Load distributions merge index-wise into one
     /// cluster-wide `ω` (every ladder is six rungs, slowest first, so the
     /// rung is the common currency).
     pub(crate) fn reallocate(&mut self, t: SimTime, demand_qpm: f64, margin: f64) {
@@ -1354,17 +1178,13 @@ impl SystemSimulation {
                 }
             })
             .collect();
-        let reply = self.planner_request(|reply| PlannerMsg::Plan {
-            pools: specs.clone(),
-            total_demand,
-            reply,
-        });
-        if reply.saturated {
+        let plan = self.planner.plan(&specs, total_demand);
+        if plan.saturated {
             self.saturated_minutes += 1;
             self.tick_saturated = true;
         }
         let mut plans: Vec<PoolPlan> = Vec::with_capacity(pools.len());
-        for ((spec, allocation), (_, ws)) in specs.into_iter().zip(reply.pools).zip(&pools) {
+        for ((spec, allocation), (_, ws)) in specs.into_iter().zip(plan.pools).zip(&pools) {
             plans.push(PoolPlan {
                 gpu: spec.gpu,
                 strategy: spec.strategy,
@@ -1514,16 +1334,7 @@ impl SystemSimulation {
                         // definition (cascades run the SM ladder).
                         escalation: None,
                     };
-                    // Raw request with inline gauge bookkeeping: the
-                    // closure already borrows `pool_plans`, so the
-                    // `planner_request` wrapper (`&mut self`) cannot be
-                    // called here.
-                    self.mailboxes.planner.on_send(MAILBOX_CAP_U64);
-                    let cap_now = self
-                        .planner_stage
-                        .request(|reply| PlannerMsg::Capacity { pool: spec, reply });
-                    self.mailboxes.planner.on_rendezvous();
-                    cap = cap.min(cap_now);
+                    cap = cap.min(self.planner.capacity(&spec));
                 }
                 (
                     backlog_qpm.max(if spiked { plan.share_qpm } else { 0.0 }),
@@ -1566,21 +1377,18 @@ impl SystemSimulation {
             let new_share = old_share + extra;
             let overhead = self.pool_overhead(strategy);
             let escalation = self.escalation_ctx_for(strategy);
-            let allocation = self.planner_request(|reply| PlannerMsg::Solve {
-                pool: PoolSpec {
-                    gpu,
-                    strategy,
-                    ladder: ladder.clone(),
-                    workers: ws.len(),
-                    overhead,
-                    escalation,
-                },
-                demand_qpm: new_share,
-                reply,
-            });
+            let spec = PoolSpec {
+                gpu,
+                strategy,
+                ladder,
+                workers: ws.len(),
+                overhead,
+                escalation,
+            };
+            let allocation = self.planner.solve(&spec, new_share);
             self.pool_plans[i].share_qpm = new_share;
             self.pool_plans[i].omega = allocation.omega_qpm;
-            self.apply_allocation(&ladder, &allocation.workers_per_level, &ws, t);
+            self.apply_allocation(&spec.ladder, &allocation.workers_per_level, &ws, t);
         }
         let strategy = self.pipeline.planning_strategy(&self.switcher);
         self.refresh_distribution(strategy);
@@ -1610,7 +1418,7 @@ impl SystemSimulation {
         for &(gpu, allocated) in &counts {
             self.obs_gauge_set(alloc_gauge_name(gpu), allocated as f64);
         }
-        self.tell_metrics(MetricsMsg::PoolAlloc(counts));
+        self.metrics.pool_alloc(&counts);
     }
 
     /// Moves the listed workers to the target per-level counts with the
@@ -1661,7 +1469,7 @@ impl SystemSimulation {
                     }
                     SwitchOutcome::Loading(d) => {
                         self.obs_counter_add("model_loads", 1);
-                        self.tell_metrics(MetricsMsg::ModelLoad(t));
+                        self.metrics.model_load(t);
                         self.queue.schedule(t + d, Event::LoadDone(w));
                     }
                 }
@@ -1675,7 +1483,7 @@ impl SystemSimulation {
                 SwitchOutcome::Immediate => self.maybe_start(w, t),
                 SwitchOutcome::Loading(d) => {
                     self.obs_counter_add("model_loads", 1);
-                    self.tell_metrics(MetricsMsg::ModelLoad(t));
+                    self.metrics.model_load(t);
                     self.queue.schedule(t + d, Event::LoadDone(w));
                 }
             }
@@ -1698,7 +1506,7 @@ impl SystemSimulation {
             SwitchOutcome::Immediate => self.maybe_start(w, t),
             SwitchOutcome::Loading(d) => {
                 self.obs_counter_add("model_loads", 1);
-                self.tell_metrics(MetricsMsg::ModelLoad(t));
+                self.metrics.model_load(t);
                 self.queue.schedule(t + d, Event::LoadDone(w));
             }
         }

@@ -1,55 +1,24 @@
-//! The fleet stage: elastic-membership bookkeeping off the event pump.
+//! The fleet stage: elastic-membership bookkeeping.
 //!
 //! The stage owns the [`AutoscaleController`] and every fleet accounting
 //! sink: the billed-membership telemetry (a piecewise-constant log of
 //! per-(architecture, discount) billed worker counts), the GPU-second
 //! integrals the [`crate::fleet::CostReport`] is computed from, and the
-//! scale/preemption event counters. The driver is the stage's single
-//! producer (D6), so the integral accumulates f64 terms in exactly the
-//! order the membership changed — bit-identical across pacings.
+//! scale/preemption event counters. The driver is the stage's only
+//! caller, so the integral accumulates f64 terms in exactly the order the
+//! membership changed.
 //!
-//! Two messages rendezvous: [`FleetMsg::Tick`] (the controller's
-//! decisions must gate the driver's scale actions this minute) and
-//! [`FleetMsg::Finish`] at teardown. Everything else is fire-and-forget
-//! telemetry.
+//! Two calls return a value: [`FleetStage::tick`] (the controller's
+//! decisions gate the driver's scale actions this minute) and
+//! [`FleetStage::finish`] at teardown. Everything else is accounting.
 
 use argus_des::SimTime;
 use argus_models::GpuArch;
 use argus_obs::StageCounters;
 
-use super::{ActorPacing, OneshotSender, StageHandle};
 use crate::fleet::{
     hourly_rate, AutoscaleController, FleetStats, MembershipSample, PoolSignal, ScaleAction,
 };
-
-/// Fleet messages, in driver event order.
-pub(crate) enum FleetMsg {
-    /// The billed membership changed (or a minute boundary sampled it):
-    /// per-(architecture, discount) billed worker counts in force from
-    /// `t` onward. Closes the previous accrual interval.
-    Membership {
-        t: SimTime,
-        counts: Vec<(GpuArch, f64, u32)>,
-    },
-    /// Allocator-tick controller round trip: per-pool pressure/idle
-    /// signals in, scale actions out.
-    Tick {
-        t: SimTime,
-        signals: Vec<PoolSignal>,
-        reply: OneshotSender<Vec<ScaleAction>>,
-    },
-    /// A preemption warning expired: the instance went away clean
-    /// (`ridden`) or with an in-flight pass on board (`lost`).
-    Preempt { ridden: u64, lost: u64 },
-    /// Workers a scale-in action actually evicted (bounded by how many
-    /// idle victims existed when it fired).
-    Retired(u64),
-    /// Close the accrual integral at `end` and hand everything back.
-    Finish {
-        end: SimTime,
-        reply: OneshotSender<FleetReport>,
-    },
-}
 
 /// Everything the fleet stage accumulated, returned at teardown. The
 /// driver folds in the completion count (owned by the metrics stage) to
@@ -60,11 +29,13 @@ pub(crate) struct FleetReport {
     pub gpu_minutes: Vec<(GpuArch, f64, f64)>,
     pub on_demand_dollars: f64,
     pub spot_dollars: f64,
-    /// Logical message counters for the stage profile (§12 telemetry).
+    /// Call counters for the stage profile (§12 telemetry).
     pub profile: StageCounters,
 }
 
-struct FleetStage {
+/// The fleet stage: the autoscale controller and cost accounting, driven
+/// by plain method calls.
+pub(crate) struct FleetStage {
     controller: Option<AutoscaleController>,
     stats: FleetStats,
     /// Last membership change: the counts in force since `last_t`.
@@ -79,84 +50,112 @@ struct FleetStage {
 }
 
 impl FleetStage {
-    fn handle(&mut self, msg: FleetMsg) {
-        self.profile.processed += 1;
-        if matches!(msg, FleetMsg::Tick { .. } | FleetMsg::Finish { .. }) {
-            self.profile.replies += 1;
+    /// A fleet stage. `controller` is `None` when the run has no
+    /// autoscaler — the stage then only does accounting.
+    pub(crate) fn new(controller: Option<AutoscaleController>) -> Self {
+        FleetStage {
+            controller,
+            stats: FleetStats::default(),
+            last_t: SimTime::ZERO,
+            last_counts: Vec::new(),
+            gpu_secs: Vec::new(),
+            on_demand_dollars: 0.0,
+            spot_dollars: 0.0,
+            profile: StageCounters::default(),
         }
-        match msg {
-            FleetMsg::Membership { t, counts } => {
-                self.accrue_until(t);
-                let total: u32 = counts.iter().map(|&(_, _, n)| n).sum();
-                self.stats.peak_workers = self.stats.peak_workers.max(total);
-                // Log only actual changes: the telemetry stays
-                // piecewise-constant and minimal for reconciliation.
-                if self.stats.samples.last().map(|s| &s.counts) != Some(&counts) {
-                    self.stats.samples.push(MembershipSample {
-                        t_secs: t.as_secs(),
-                        counts: counts.clone(),
-                    });
+    }
+
+    /// The billed membership changed (or a minute boundary sampled it):
+    /// per-(architecture, discount) billed worker counts in force from
+    /// `t` onward. Closes the previous accrual interval.
+    pub(crate) fn membership(&mut self, t: SimTime, counts: Vec<(GpuArch, f64, u32)>) {
+        self.profile.count(false);
+        self.accrue_until(t);
+        let total: u32 = counts.iter().map(|&(_, _, n)| n).sum();
+        self.stats.peak_workers = self.stats.peak_workers.max(total);
+        // Log only actual changes: the telemetry stays piecewise-constant
+        // and minimal for reconciliation.
+        if self.stats.samples.last().map(|s| &s.counts) != Some(&counts) {
+            self.stats.samples.push(MembershipSample {
+                t_secs: t.as_secs(),
+                counts: counts.clone(),
+            });
+        }
+        self.last_counts = counts;
+    }
+
+    /// Allocator-tick controller step: per-pool pressure/idle signals
+    /// in, scale actions out.
+    pub(crate) fn tick(&mut self, t: SimTime, signals: &[PoolSignal]) -> Vec<ScaleAction> {
+        self.profile.count(true);
+        let actions = match self.controller.as_mut() {
+            Some(ctl) => ctl.on_tick(t.as_secs(), signals),
+            None => Vec::new(),
+        };
+        for a in &actions {
+            match *a {
+                ScaleAction::Out { n, .. } => {
+                    self.stats.scale_out_events += 1;
+                    self.stats.workers_added += n as u64;
                 }
-                self.last_counts = counts;
-            }
-            FleetMsg::Tick { t, signals, reply } => {
-                let actions = match self.controller.as_mut() {
-                    Some(ctl) => ctl.on_tick(t.as_secs(), &signals),
-                    None => Vec::new(),
-                };
-                for a in &actions {
-                    match *a {
-                        ScaleAction::Out { n, .. } => {
-                            self.stats.scale_out_events += 1;
-                            self.stats.workers_added += n as u64;
-                        }
-                        ScaleAction::In { .. } => {
-                            self.stats.scale_in_events += 1;
-                            // workers_retired arrives via Retired once the
-                            // driver knows how many idle victims existed.
-                        }
-                    }
+                ScaleAction::In { .. } => {
+                    self.stats.scale_in_events += 1;
+                    // workers_retired arrives via `retired` once the
+                    // driver knows how many idle victims existed.
                 }
-                reply.send(actions);
             }
-            FleetMsg::Preempt { ridden, lost } => {
-                self.stats.preemptions_ridden += ridden;
-                self.stats.preemptions_lost += lost;
-            }
-            FleetMsg::Retired(n) => self.stats.workers_retired += n,
-            FleetMsg::Finish { end, reply } => {
-                self.accrue_until(end);
-                let gpu_minutes: Vec<(GpuArch, f64, f64)> = GpuArch::ALL
+        }
+        actions
+    }
+
+    /// A preemption warning expired: the instance went away clean
+    /// (`ridden`) or with an in-flight pass on board (`lost`).
+    pub(crate) fn preempt(&mut self, ridden: u64, lost: u64) {
+        self.profile.count(false);
+        self.stats.preemptions_ridden += ridden;
+        self.stats.preemptions_lost += lost;
+    }
+
+    /// Workers a scale-in action actually evicted (bounded by how many
+    /// idle victims existed when it fired).
+    pub(crate) fn retired(&mut self, n: u64) {
+        self.profile.count(false);
+        self.stats.workers_retired += n;
+    }
+
+    /// Closes the accrual integral at `end` and hands everything back.
+    pub(crate) fn finish(&mut self, end: SimTime) -> FleetReport {
+        self.profile.count(true);
+        self.accrue_until(end);
+        let gpu_minutes: Vec<(GpuArch, f64, f64)> = GpuArch::ALL
+            .iter()
+            .filter_map(|&gpu| {
+                // `+ 0.0` flushes the `-0.0` an empty sum yields, so an
+                // all-on-demand pool reports `0.0` spot minutes, not a
+                // signed zero.
+                let od: f64 = self
+                    .gpu_secs
                     .iter()
-                    .filter_map(|&gpu| {
-                        // `+ 0.0` flushes the `-0.0` an empty sum yields,
-                        // so an all-on-demand pool reports `0.0` spot
-                        // minutes, not a signed zero.
-                        let od: f64 = self
-                            .gpu_secs
-                            .iter()
-                            .filter(|&&(g, spot, _)| g == gpu && !spot)
-                            .map(|&(_, _, s)| s)
-                            .sum::<f64>()
-                            + 0.0;
-                        let spot: f64 = self
-                            .gpu_secs
-                            .iter()
-                            .filter(|&&(g, spot, _)| g == gpu && spot)
-                            .map(|&(_, _, s)| s)
-                            .sum::<f64>()
-                            + 0.0;
-                        (od > 0.0 || spot > 0.0).then_some((gpu, od / 60.0, spot / 60.0))
-                    })
-                    .collect();
-                reply.send(FleetReport {
-                    stats: std::mem::take(&mut self.stats),
-                    gpu_minutes,
-                    on_demand_dollars: self.on_demand_dollars,
-                    spot_dollars: self.spot_dollars,
-                    profile: self.profile,
-                });
-            }
+                    .filter(|&&(g, spot, _)| g == gpu && !spot)
+                    .map(|&(_, _, s)| s)
+                    .sum::<f64>()
+                    + 0.0;
+                let spot: f64 = self
+                    .gpu_secs
+                    .iter()
+                    .filter(|&&(g, spot, _)| g == gpu && spot)
+                    .map(|&(_, _, s)| s)
+                    .sum::<f64>()
+                    + 0.0;
+                (od > 0.0 || spot > 0.0).then_some((gpu, od / 60.0, spot / 60.0))
+            })
+            .collect();
+        FleetReport {
+            stats: std::mem::take(&mut self.stats),
+            gpu_minutes,
+            on_demand_dollars: self.on_demand_dollars,
+            spot_dollars: self.spot_dollars,
+            profile: self.profile,
         }
     }
 
@@ -189,23 +188,4 @@ impl FleetStage {
         }
         self.last_t = t;
     }
-}
-
-/// Spawns the fleet stage. `controller` is `None` when the run has no
-/// autoscaler — the stage then only does accounting.
-pub(crate) fn spawn(
-    pacing: ActorPacing,
-    controller: Option<AutoscaleController>,
-) -> StageHandle<FleetMsg> {
-    let stage = FleetStage {
-        controller,
-        stats: FleetStats::default(),
-        last_t: SimTime::ZERO,
-        last_counts: Vec::new(),
-        gpu_secs: Vec::new(),
-        on_demand_dollars: 0.0,
-        spot_dollars: 0.0,
-        profile: StageCounters::default(),
-    };
-    StageHandle::spawn("fleet", pacing, stage, FleetStage::handle)
 }

@@ -1,23 +1,15 @@
-//! The metrics stage: every accounting sink of the run, fed by
-//! fire-and-forget telemetry messages from the driver.
+//! The metrics stage: every accounting sink of the run.
 //!
 //! The stage owns the per-minute [`MetricsCollector`], the per-level
 //! completion counts, the quality reservoir (and its dedicated RNG
-//! stream), the per-pool outcome counters and the Fig. 18 classifier
-//! accuracy log. Because the driver is the only producer, the stage
-//! consumes operations in exactly the order the old synchronous loop
-//! performed them — f64 accumulation order and reservoir RNG draws are
-//! bit-identical. The one reply message, [`MetricsMsg::Finish`], hands
-//! everything back at run teardown.
-//!
-//! Classifier-accuracy sampling (≤200 oracle probes per allocator tick)
-//! rides here too: it reads only immutable run inputs (the prompt stream,
-//! the quality oracle) plus a classifier snapshot shipped inside the
-//! message, so offloading it removes the single biggest fixed per-tick
-//! cost from the event pump without touching any result.
+//! stream), the per-pool outcome counters, the Fig. 18 classifier
+//! accuracy log and the cascade verdict tallies. The driver is its only
+//! caller, so the stage runs operations in exactly the order the old
+//! synchronous loop performed them — f64 accumulation order and reservoir
+//! RNG draws are bit-identical. [`MetricsStage::finish`] hands everything
+//! back at run teardown.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use argus_cachestore::FetchStatus;
 use argus_classifier::Classifier;
@@ -29,7 +21,6 @@ use argus_quality::QualityOracle;
 use rand::rngs::StdRng;
 use rand::RngExt as _;
 
-use super::{ActorPacing, OneshotSender, StageHandle};
 use crate::cascade::CascadeStats;
 use crate::metrics::{MetricsCollector, MinuteRecord, RetrievalStats, RunTotals};
 
@@ -41,75 +32,6 @@ pub(crate) const SAMPLE_CAP: usize = 2000;
 /// toward 1 (escalated) or 0 (accepted) — reactive enough to track a
 /// diurnal quality mix, smooth enough not to flap the allocation.
 pub(crate) const ESCALATION_EWMA_ALPHA: f64 = 0.05;
-
-/// Telemetry messages, in driver event order.
-pub(crate) enum MetricsMsg {
-    /// A buffer of telemetry delivered as one mailbox message. The driver
-    /// coalesces its fire-and-forget sends so a parked stage is woken once
-    /// per buffer instead of once per message (on a single-core host every
-    /// wake is a full scheduler round trip); the messages inside are
-    /// consumed in push order, so the accounting order — and with it every
-    /// RNG draw and f64 accumulation — is untouched.
-    Batch(Vec<MetricsMsg>),
-    /// A query arrived.
-    Arrival(SimTime),
-    /// A query was lost (no worker, or stranded at teardown).
-    Lost(SimTime),
-    /// A model load started.
-    ModelLoad(SimTime),
-    /// A cache retrieval round trip completed.
-    Retrieval { t: SimTime, latency: SimDuration },
-    /// A cache lookup resolved against the assigned level.
-    CacheLookup {
-        level: ApproxLevel,
-        status: FetchStatus,
-    },
-    /// Minute-boundary utilization sample.
-    Utilization { t: SimTime, value: f64 },
-    /// One job completed: the full accounting bundle (minute rollup,
-    /// level counts, pool outcome, reservoir sampling) happens here.
-    Completion {
-        t: SimTime,
-        latency: SimDuration,
-        score: f64,
-        base: f64,
-        level: ApproxLevel,
-        gpu: GpuArch,
-    },
-    /// Per-architecture allocated-worker counts at one sample point.
-    PoolAlloc(Vec<(GpuArch, u64)>),
-    /// Tick-time classifier accuracy sampling: probe the snapshot
-    /// classifier against the oracle over the listed recent prompts.
-    Accuracy {
-        minute: u64,
-        sample: Vec<u32>,
-        ladder: Vec<ApproxLevel>,
-        classifier: Box<Classifier>,
-    },
-    /// Insert counters accumulated by the cache-plane stage, merged at
-    /// teardown (run-level totals; order-insensitive).
-    CacheInsertTotals {
-        inserts: u64,
-        replica_writes: u64,
-        remote_hops: u64,
-    },
-    /// A cascade first pass was judged: updates the per-level counts and
-    /// the escalation-rate EWMA.
-    CascadeJudged { level: ApproxLevel, escalated: bool },
-    /// An escalated job's second pass completed, with the first- and
-    /// final-pass relative quality ratios.
-    CascadeOutcome { first_ratio: f64, final_ratio: f64 },
-    /// Rendezvous: snapshot the per-level escalation-rate EWMA (the
-    /// driver asks once per allocator tick, cascade runs only).
-    EscalationRates {
-        reply: OneshotSender<BTreeMap<ApproxLevel, f64>>,
-    },
-    /// Finalize and hand every sink back.
-    Finish {
-        end: SimTime,
-        reply: OneshotSender<MetricsReport>,
-    },
-}
 
 /// Everything the metrics stage accumulated, returned at teardown.
 pub(crate) struct MetricsReport {
@@ -124,11 +46,13 @@ pub(crate) struct MetricsReport {
     /// Cascade accounting (all-zero unless the run cascaded; the driver
     /// surfaces it as `RunOutcome::cascade` only for cascade runs).
     pub cascade: CascadeStats,
-    /// Logical message counters for the stage profile (§12 telemetry).
+    /// Call counters for the stage profile (§12 telemetry).
     pub profile: StageCounters,
 }
 
-struct MetricsStage {
+/// The metrics stage: the run's accounting sinks, fed by one method call
+/// per accounting event.
+pub(crate) struct MetricsStage {
     collector: MetricsCollector,
     slo: SimDuration,
     level_completions: BTreeMap<ApproxLevel, u64>,
@@ -138,135 +62,191 @@ struct MetricsStage {
     accuracy_log: Vec<(u64, f64)>,
     pool_outcomes: BTreeMap<GpuArch, (u64, u64)>,
     pool_alloc_samples: BTreeMap<GpuArch, (u64, u64)>,
-    oracle: QualityOracle,
-    prompts: Arc<Vec<Prompt>>,
     cascade: CascadeStats,
     cascade_delta_sum: f64,
     profile: StageCounters,
 }
 
 impl MetricsStage {
-    fn handle(&mut self, msg: MetricsMsg) {
-        match &msg {
-            MetricsMsg::Batch(msgs) => self.profile.note_batch(msgs.len()),
-            m => {
-                self.profile.processed += 1;
-                if matches!(
-                    m,
-                    MetricsMsg::Finish { .. } | MetricsMsg::EscalationRates { .. }
-                ) {
-                    self.profile.replies += 1;
-                }
+    /// A stage around a freshly-built collector and the reservoir's RNG
+    /// stream.
+    pub(crate) fn new(collector: MetricsCollector, sample_rng: StdRng) -> Self {
+        let slo = collector.slo();
+        MetricsStage {
+            collector,
+            slo,
+            level_completions: BTreeMap::new(),
+            quality_samples: Vec::with_capacity(SAMPLE_CAP),
+            sample_seen: 0,
+            sample_rng,
+            accuracy_log: Vec::new(),
+            pool_outcomes: BTreeMap::new(),
+            pool_alloc_samples: BTreeMap::new(),
+            cascade: CascadeStats::default(),
+            cascade_delta_sum: 0.0,
+            profile: StageCounters::default(),
+        }
+    }
+
+    /// A query arrived.
+    pub(crate) fn arrival(&mut self, t: SimTime) {
+        self.profile.count(false);
+        self.collector.on_arrival(t);
+    }
+
+    /// A query was lost (no worker, or stranded at teardown).
+    pub(crate) fn lost(&mut self, t: SimTime) {
+        self.profile.count(false);
+        self.collector.on_lost(t);
+    }
+
+    /// A model load started.
+    pub(crate) fn model_load(&mut self, t: SimTime) {
+        self.profile.count(false);
+        self.collector.on_model_load(t);
+    }
+
+    /// A cache retrieval round trip completed.
+    pub(crate) fn retrieval(&mut self, t: SimTime, latency: SimDuration) {
+        self.profile.count(false);
+        self.collector.on_retrieval(t, latency);
+    }
+
+    /// A cache lookup resolved against the assigned level.
+    pub(crate) fn cache_lookup(&mut self, level: ApproxLevel, status: FetchStatus) {
+        self.profile.count(false);
+        self.collector.on_cache_lookup(level, status);
+    }
+
+    /// Minute-boundary utilization sample.
+    pub(crate) fn utilization(&mut self, t: SimTime, value: f64) {
+        self.profile.count(false);
+        self.collector.on_utilization_sample(t, value);
+    }
+
+    /// One job completed: the full accounting bundle (minute rollup,
+    /// level counts, pool outcome, reservoir sampling).
+    pub(crate) fn completion(
+        &mut self,
+        t: SimTime,
+        latency: SimDuration,
+        score: f64,
+        base: f64,
+        level: ApproxLevel,
+        gpu: GpuArch,
+    ) {
+        self.profile.count(false);
+        self.collector.on_completion(t, latency, score, base);
+        *self.level_completions.entry(level).or_insert(0) += 1;
+        let pool = self.pool_outcomes.entry(gpu).or_insert((0, 0));
+        pool.0 += 1;
+        if latency > self.slo {
+            pool.1 += 1;
+        }
+        if latency <= self.slo {
+            self.reservoir_sample(score, base);
+        }
+    }
+
+    /// Per-architecture allocated-worker counts at one sample point.
+    pub(crate) fn pool_alloc(&mut self, counts: &[(GpuArch, u64)]) {
+        self.profile.count(false);
+        for &(gpu, allocated) in counts {
+            let entry = self.pool_alloc_samples.entry(gpu).or_insert((0, 0));
+            entry.0 += allocated;
+            entry.1 += 1;
+        }
+    }
+
+    /// Tick-time classifier accuracy sampling (Fig. 18): probes the live
+    /// classifier against the oracle over the sampled prompt indices.
+    pub(crate) fn accuracy(
+        &mut self,
+        minute: u64,
+        sample: impl Iterator<Item = u32>,
+        ladder: &[ApproxLevel],
+        classifier: &Classifier,
+        oracle: &QualityOracle,
+        prompts: &[Prompt],
+    ) {
+        self.profile.count(false);
+        let (mut probed, mut correct) = (0usize, 0usize);
+        for i in sample {
+            let p = &prompts[i as usize];
+            probed += 1;
+            if classifier.predict(&p.text) == oracle.optimal_level(p, ladder) {
+                correct += 1;
             }
         }
-        match msg {
-            MetricsMsg::Batch(msgs) => {
-                for m in msgs {
-                    self.handle(m);
-                }
-            }
-            MetricsMsg::Arrival(t) => self.collector.on_arrival(t),
-            MetricsMsg::Lost(t) => self.collector.on_lost(t),
-            MetricsMsg::ModelLoad(t) => self.collector.on_model_load(t),
-            MetricsMsg::Retrieval { t, latency } => self.collector.on_retrieval(t, latency),
-            MetricsMsg::CacheLookup { level, status } => {
-                self.collector.on_cache_lookup(level, status)
-            }
-            MetricsMsg::Utilization { t, value } => self.collector.on_utilization_sample(t, value),
-            MetricsMsg::Completion {
-                t,
-                latency,
-                score,
-                base,
-                level,
-                gpu,
-            } => {
-                self.collector.on_completion(t, latency, score, base);
-                *self.level_completions.entry(level).or_insert(0) += 1;
-                let pool = self.pool_outcomes.entry(gpu).or_insert((0, 0));
-                pool.0 += 1;
-                if latency > self.slo {
-                    pool.1 += 1;
-                }
-                if latency <= self.slo {
-                    self.reservoir_sample(score, base);
-                }
-            }
-            MetricsMsg::PoolAlloc(counts) => {
-                for (gpu, allocated) in counts {
-                    let entry = self.pool_alloc_samples.entry(gpu).or_insert((0, 0));
-                    entry.0 += allocated;
-                    entry.1 += 1;
-                }
-            }
-            MetricsMsg::Accuracy {
-                minute,
-                sample,
-                ladder,
-                classifier,
-            } => {
-                let correct = sample
-                    .iter()
-                    .filter(|&&i| {
-                        let p = &self.prompts[i as usize];
-                        classifier.predict(&p.text) == self.oracle.optimal_level(p, &ladder)
-                    })
-                    .count();
-                self.accuracy_log
-                    .push((minute, correct as f64 / sample.len() as f64));
-            }
-            MetricsMsg::CacheInsertTotals {
-                inserts,
-                replica_writes,
-                remote_hops,
-            } => self
-                .collector
-                .on_cache_insert_totals(inserts, replica_writes, remote_hops),
-            MetricsMsg::CascadeJudged { level, escalated } => {
-                *self.cascade.first_pass.entry(level).or_insert(0) += 1;
-                let bucket = if escalated {
-                    &mut self.cascade.escalated
-                } else {
-                    &mut self.cascade.accepted
-                };
-                *bucket.entry(level).or_insert(0) += 1;
-                let rate = self.cascade.escalation_rate.entry(level).or_insert(0.0);
-                let target = if escalated { 1.0 } else { 0.0 };
-                *rate += ESCALATION_EWMA_ALPHA * (target - *rate);
-            }
-            MetricsMsg::CascadeOutcome {
-                first_ratio,
-                final_ratio,
-            } => {
-                self.cascade.escalated_completed += 1;
-                self.cascade_delta_sum += final_ratio - first_ratio;
-            }
-            MetricsMsg::EscalationRates { reply } => {
-                reply.send(self.cascade.escalation_rate.clone())
-            }
-            MetricsMsg::Finish { end, reply } => {
-                // `finish` consumes the collector; swap in a throwaway.
-                let collector =
-                    std::mem::replace(&mut self.collector, MetricsCollector::new(self.slo));
-                let (minutes, totals, retrieval) = collector.finish(end);
-                let mut cascade = std::mem::take(&mut self.cascade);
-                if cascade.escalated_completed > 0 {
-                    cascade.quality_delta =
-                        self.cascade_delta_sum / cascade.escalated_completed as f64;
-                }
-                reply.send(MetricsReport {
-                    minutes,
-                    totals,
-                    retrieval,
-                    level_completions: std::mem::take(&mut self.level_completions),
-                    quality_samples: std::mem::take(&mut self.quality_samples),
-                    accuracy_log: std::mem::take(&mut self.accuracy_log),
-                    pool_outcomes: std::mem::take(&mut self.pool_outcomes),
-                    pool_alloc_samples: std::mem::take(&mut self.pool_alloc_samples),
-                    cascade,
-                    profile: self.profile,
-                });
-            }
+        self.accuracy_log
+            .push((minute, correct as f64 / probed as f64));
+    }
+
+    /// Folds in the insert counters the cache-plane stage accumulated
+    /// (run-level totals; order-insensitive).
+    pub(crate) fn cache_insert_totals(
+        &mut self,
+        inserts: u64,
+        replica_writes: u64,
+        remote_hops: u64,
+    ) {
+        self.profile.count(false);
+        self.collector
+            .on_cache_insert_totals(inserts, replica_writes, remote_hops);
+    }
+
+    /// A cascade first pass was judged: updates the per-level counts and
+    /// the escalation-rate EWMA.
+    pub(crate) fn cascade_judged(&mut self, level: ApproxLevel, escalated: bool) {
+        self.profile.count(false);
+        *self.cascade.first_pass.entry(level).or_insert(0) += 1;
+        let bucket = if escalated {
+            &mut self.cascade.escalated
+        } else {
+            &mut self.cascade.accepted
+        };
+        *bucket.entry(level).or_insert(0) += 1;
+        let rate = self.cascade.escalation_rate.entry(level).or_insert(0.0);
+        let target = if escalated { 1.0 } else { 0.0 };
+        *rate += ESCALATION_EWMA_ALPHA * (target - *rate);
+    }
+
+    /// An escalated job's second pass completed, with the first- and
+    /// final-pass relative quality ratios.
+    pub(crate) fn cascade_outcome(&mut self, first_ratio: f64, final_ratio: f64) {
+        self.profile.count(false);
+        self.cascade.escalated_completed += 1;
+        self.cascade_delta_sum += final_ratio - first_ratio;
+    }
+
+    /// The per-level escalation-rate EWMA (the driver reads it once per
+    /// allocator tick, cascade runs only).
+    pub(crate) fn escalation_rates(&mut self) -> &BTreeMap<ApproxLevel, f64> {
+        self.profile.count(true);
+        &self.cascade.escalation_rate
+    }
+
+    /// Finalizes and hands every sink back.
+    pub(crate) fn finish(&mut self, end: SimTime) -> MetricsReport {
+        self.profile.count(true);
+        // `finish` consumes the collector; swap in a throwaway.
+        let collector = std::mem::replace(&mut self.collector, MetricsCollector::new(self.slo));
+        let (minutes, totals, retrieval) = collector.finish(end);
+        let mut cascade = std::mem::take(&mut self.cascade);
+        if cascade.escalated_completed > 0 {
+            cascade.quality_delta = self.cascade_delta_sum / cascade.escalated_completed as f64;
+        }
+        MetricsReport {
+            minutes,
+            totals,
+            retrieval,
+            level_completions: std::mem::take(&mut self.level_completions),
+            quality_samples: std::mem::take(&mut self.quality_samples),
+            accuracy_log: std::mem::take(&mut self.accuracy_log),
+            pool_outcomes: std::mem::take(&mut self.pool_outcomes),
+            pool_alloc_samples: std::mem::take(&mut self.pool_alloc_samples),
+            cascade,
+            profile: self.profile,
         }
     }
 
@@ -281,32 +261,4 @@ impl MetricsStage {
             }
         }
     }
-}
-
-/// Spawns the metrics stage around a freshly-built collector.
-pub(crate) fn spawn(
-    pacing: ActorPacing,
-    collector: MetricsCollector,
-    sample_rng: StdRng,
-    oracle: QualityOracle,
-    prompts: Arc<Vec<Prompt>>,
-) -> StageHandle<MetricsMsg> {
-    let slo = collector.slo();
-    let stage = MetricsStage {
-        collector,
-        slo,
-        level_completions: BTreeMap::new(),
-        quality_samples: Vec::with_capacity(SAMPLE_CAP),
-        sample_seen: 0,
-        sample_rng,
-        accuracy_log: Vec::new(),
-        pool_outcomes: BTreeMap::new(),
-        pool_alloc_samples: BTreeMap::new(),
-        oracle,
-        prompts,
-        cascade: CascadeStats::default(),
-        cascade_delta_sum: 0.0,
-        profile: StageCounters::default(),
-    };
-    StageHandle::spawn("metrics", pacing, stage, MetricsStage::handle)
 }

@@ -1,339 +1,39 @@
-//! The message-passing actor control plane.
+//! The staged control plane.
 //!
 //! The control plane decomposes the former monolithic tick loop into
-//! independently-paced stages connected by bounded channels:
+//! stages, each a plain struct owning exactly its own state, which the
+//! driver calls directly:
 //!
 //! * [`planner`] — owns the Eq. 1 solver state ([`crate::solver::SolveCache`]
-//!   and the derated-profile memo) and answers allocation requests, solving
-//!   heterogeneous pools **data-parallel** inside the stage;
+//!   and the derated-profile memo) and answers allocation queries,
+//!   solving heterogeneous pools one after another in pool order;
 //! * [`cacheplane`] — owns the retrieval index (flat / LSH / sharded) and
-//!   the blob [`argus_cachestore::CacheStore`]; retrieval is a
-//!   request/reply round trip, while inserts and puts are fire-and-forget
-//!   writes that drain off the caller's critical path;
+//!   the blob [`argus_cachestore::CacheStore`]: retrieval, index inserts,
+//!   blob puts, network probes and the sharded plane's fault hooks;
 //! * [`metrics`] — owns every accounting sink (per-minute collector,
 //!   level-completion counts, quality reservoir, per-pool outcomes,
-//!   classifier-accuracy sampling) and absorbs it all as fire-and-forget
-//!   telemetry;
+//!   classifier-accuracy sampling, cascade verdicts);
+//! * [`fleet`] — owns the autoscale controller and the billed-membership
+//!   cost integral;
 //! * [`driver`] — the event pump: pops virtual-time events and drives the
 //!   cluster, routing, the strategy switcher and the stages. Rebuilds
-//!   [`crate::system::SystemSimulation::run`] on top of the stage handles.
+//!   [`crate::system::SystemSimulation::run`] on top of the stages.
 //!
-//! # Channel contracts and determinism
+//! # Determinism
 //!
-//! Every mailbox is a **bounded** [`std::sync::mpsc::sync_channel`] with a
-//! **single producer** (the driver). A full mailbox applies backpressure —
-//! the send blocks — which can only delay wall-clock progress, never
-//! reorder messages. Each stage therefore consumes its operations in
-//! exactly the order the old synchronous loop performed them, so stage
-//! state (RNG draw sequences, f64 accumulation order, FIFO evictions) is
-//! bit-identical to the pre-actor implementation. Queries that the driver
-//! needs an answer to (retrieval, planning, probes) carry a [`oneshot`]
-//! reply channel and rendezvous synchronously; telemetry and writes are
-//! fire-and-forget and only rendezvous once, at run teardown.
-//! Fire-and-forget traffic is additionally *coalesced*: the driver
-//! buffers writes and telemetry and ships them as one `Batch` envelope,
-//! flushing before any rendezvous on the same stage — the delivery
-//! granularity changes, the consumption order does not.
+//! The simulation is one sequential control loop: the driver is the only
+//! caller of every stage, so each stage runs its operations in exactly
+//! the order the driver issues them — the old synchronous loop's call
+//! order. Stage state (RNG draw sequences, f64 accumulation order, FIFO
+//! evictions) is therefore bit-identical to the pre-stage implementation.
+//! No stage reads the wall clock; virtual time travels in the arguments.
 //!
-//! Parallelism inside a stage is allowed exactly where the merge is
-//! element-wise deterministic: the planner solves per-pool Eq. 1 problems
-//! on scoped threads and re-joins them in pool order (each solve is a pure
-//! function of its problem), and nothing else races. No stage reads the
-//! wall clock; virtual time travels inside messages.
+//! Each stage counts its calls in an [`argus_obs::StageCounters`]
+//! (`processed` per call, `replies` per call that returns a value) and
+//! surrenders it at teardown for the §12 stage profiles.
 
 pub(crate) mod cacheplane;
 pub(crate) mod driver;
 pub(crate) mod fleet;
 pub(crate) mod metrics;
 pub(crate) mod planner;
-
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::thread::JoinHandle;
-
-/// Mailbox depth of every stage. Deep enough that fire-and-forget
-/// telemetry bursts (batched completions, tick-time sampling) never stall
-/// the driver in practice, small enough to bound memory under sustained
-/// imbalance.
-const MAILBOX_CAP: usize = 4096;
-
-/// Iterations an expectant receiver spins before parking. Replies to
-/// driver queries arrive within a few microseconds; spinning through that
-/// window keeps the request/reply round trip off the OS scheduler.
-const SPIN_RECVS: u32 = 10_000;
-
-/// The actual spin budget: [`SPIN_RECVS`] only when the machine has
-/// spare cores for the stages to spin on. With fewer cores than stages —
-/// in particular on a single-core host — a spinning receiver burns the
-/// very quantum the *sender* needs to produce the message it is waiting
-/// for, turning every rendezvous into a scheduler-granularity stall;
-/// there, parking immediately is strictly faster.
-fn spin_budget() -> u32 {
-    static BUDGET: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores > 4 {
-            SPIN_RECVS
-        } else {
-            0
-        }
-    })
-}
-
-/// Depth of a [`oneshot`] reply channel: exactly one reply, so the
-/// stage's send never blocks (D3: every channel cap is a named constant).
-const ONESHOT_CAP: usize = 1;
-
-/// How driver↔stage rendezvous are executed — the determinism-audit knob
-/// behind [`crate::system::RunConfig::with_actor_pacing`].
-///
-/// The D1–D3 invariants (no wall-clock reads, ordered iteration, bounded
-/// single-producer mailboxes) exist precisely so that the execution
-/// substrate cannot leak into results; this knob pins both extremes of
-/// that substrate so `tests/determinism.rs` can assert the run outcome is
-/// bit-identical across them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ActorPacing {
-    /// Adaptive (production) pacing: a rendezvous runs inline on the
-    /// caller whenever the mailbox is provably drained, through the
-    /// mailbox otherwise.
-    #[default]
-    Auto,
-    /// Force the single-core fast path: every rendezvous waits for the
-    /// mailbox to drain and then executes inline on the caller.
-    SingleCoreInline,
-    /// Force multi-threaded pacing: every rendezvous goes through the
-    /// mailbox and is executed by the stage's own OS thread.
-    Threaded,
-}
-
-/// One-shot reply channel: a rendezvous buffer of depth 1.
-pub(crate) struct OneshotSender<T>(SyncSender<T>);
-
-/// Receiving half of a [`oneshot`].
-pub(crate) struct OneshotReceiver<T>(Receiver<T>);
-
-/// Creates a one-shot reply channel.
-pub(crate) fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let (tx, rx) = sync_channel(ONESHOT_CAP);
-    (OneshotSender(tx), OneshotReceiver(rx))
-}
-
-impl<T> OneshotSender<T> {
-    /// Sends the reply. The buffer has room for it by construction, so
-    /// this never blocks.
-    pub(crate) fn send(self, value: T) {
-        // The receiver half being gone means the requester died mid-query;
-        // the stage itself has nothing further to do with the reply.
-        let _ = self.0.send(value);
-    }
-}
-
-/// Yields an expectant single-core receiver takes before futex-parking.
-/// The replying stage is already runnable (the request send woke it), so
-/// handing it the core with `yield_now` completes the rendezvous in one
-/// scheduler hop; parking would add a futex wait + wake pair on top.
-const YIELD_RECVS: u32 = 64;
-
-impl<T> OneshotReceiver<T> {
-    /// Waits for the reply, spinning or yielding briefly before parking.
-    pub(crate) fn recv(self) -> T {
-        if spin_budget() == 0 {
-            for _ in 0..YIELD_RECVS {
-                match self.0.try_recv() {
-                    Ok(v) => return v,
-                    Err(TryRecvError::Empty) => std::thread::yield_now(),
-                    Err(TryRecvError::Disconnected) => {
-                        panic!("stage dropped a pending reply")
-                    }
-                }
-            }
-        }
-        spin_recv(&self.0).expect("stage dropped a pending reply")
-    }
-}
-
-/// Spin-then-park receive shared by reply waits and stage main loops.
-fn spin_recv<T>(rx: &Receiver<T>) -> Option<T> {
-    for _ in 0..spin_budget() {
-        match rx.try_recv() {
-            Ok(v) => return Some(v),
-            Err(TryRecvError::Empty) => std::hint::spin_loop(),
-            Err(TryRecvError::Disconnected) => return None,
-        }
-    }
-    rx.recv().ok()
-}
-
-/// Handle to a spawned stage: the bounded mailbox plus the join handle.
-/// Dropping the handle closes the mailbox, lets the stage drain and
-/// joins it (propagating a stage panic instead of losing it).
-///
-/// # The inline fast path
-///
-/// The stage's state lives behind an `Arc<Mutex<_>>` shared between the
-/// stage thread and the handle, and the handle (whose owner is the
-/// stage's *single producer*) counts its sends while the stage publishes
-/// a processed-message counter. When the two agree the mailbox is
-/// provably empty, so a request may execute the handler **inline on the
-/// calling thread** under the state lock — same state, same operation
-/// order, zero scheduler hops. This is what makes rendezvous affordable
-/// on hosts where driver and stage share one core: a mailbox round trip
-/// there costs two context switches, ~10× the typical handler body.
-/// Queued traffic still flows through the mailbox and is consumed by the
-/// stage thread, so fire-and-forget writes overlap with the driver
-/// whenever there are spare cores.
-pub(crate) struct StageHandle<M> {
-    tx: Option<SyncSender<M>>,
-    thread: Option<JoinHandle<()>>,
-    name: &'static str,
-    /// Rendezvous execution mode (see [`ActorPacing`]).
-    pacing: ActorPacing,
-    /// Messages handed to the mailbox (inline executions not included).
-    sent: std::cell::Cell<u64>,
-    /// Messages the stage thread has consumed, published with `Release`
-    /// after the state lock is dropped — observing `processed == sent`
-    /// therefore guarantees both an empty mailbox and a free lock.
-    processed: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    /// Locks the shared state and runs the handler on the caller.
-    inline: Box<dyn Fn(M) + Send>,
-}
-
-impl<M: Send + 'static> StageHandle<M> {
-    /// Spawns a stage: `state` is shared between the stage thread (which
-    /// consumes mailbox messages in send order until the handle drops)
-    /// and the handle's inline fast path.
-    pub(crate) fn spawn<S, F>(name: &'static str, pacing: ActorPacing, state: S, handler: F) -> Self
-    where
-        S: Send + 'static,
-        F: Fn(&mut S, M) + Send + Sync + 'static,
-    {
-        let (tx, rx) = sync_channel::<M>(MAILBOX_CAP);
-        let state = std::sync::Arc::new(std::sync::Mutex::new(state));
-        let handler = std::sync::Arc::new(handler);
-        let processed = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let thread = {
-            let state = std::sync::Arc::clone(&state);
-            let handler = std::sync::Arc::clone(&handler);
-            let processed = std::sync::Arc::clone(&processed);
-            std::thread::Builder::new()
-                .name(format!("argus-{name}"))
-                .spawn(move || {
-                    while let Some(msg) = spin_recv(&rx) {
-                        handler(&mut state.lock().expect("stage state poisoned"), msg);
-                        processed.fetch_add(1, std::sync::atomic::Ordering::Release);
-                    }
-                })
-                .expect("spawning a control-plane stage")
-        };
-        let inline = Box::new(move |msg: M| {
-            handler(&mut state.lock().expect("stage state poisoned"), msg);
-        });
-        StageHandle {
-            tx: Some(tx),
-            thread: Some(thread),
-            name,
-            pacing,
-            sent: std::cell::Cell::new(0),
-            processed,
-            inline,
-        }
-    }
-
-    /// Fire-and-forget send; blocks only on mailbox backpressure.
-    pub(crate) fn send(&self, msg: M) {
-        self.tx
-            .as_ref()
-            .expect("stage already shut down")
-            .send(msg)
-            .unwrap_or_else(|_| panic!("{} stage hung up", self.name));
-        self.sent.set(self.sent.get() + 1);
-    }
-
-    /// Whether the stage has consumed every message sent so far. While
-    /// this holds (and the owner is the sole producer), executing the
-    /// next operation inline cannot reorder it against queued work.
-    pub(crate) fn is_drained(&self) -> bool {
-        self.processed.load(std::sync::atomic::Ordering::Acquire) == self.sent.get()
-    }
-
-    /// Executes a message inline on the calling thread, under the state
-    /// lock. Callers must have observed [`StageHandle::is_drained`] with
-    /// no sends in between, or the operation jumps the mailbox queue.
-    pub(crate) fn run_inline(&self, msg: M) {
-        (self.inline)(msg);
-    }
-
-    /// Whether the next rendezvous should execute inline on the caller,
-    /// per the pacing mode. Under [`ActorPacing::SingleCoreInline`] this
-    /// first waits for the stage thread to drain every queued message, so
-    /// an inline execution can never jump the mailbox queue.
-    pub(crate) fn use_inline(&self) -> bool {
-        match self.pacing {
-            ActorPacing::Auto => self.is_drained(),
-            ActorPacing::SingleCoreInline => {
-                while !self.is_drained() {
-                    std::thread::yield_now();
-                }
-                true
-            }
-            ActorPacing::Threaded => false,
-        }
-    }
-
-    /// Request/reply rendezvous: builds the message around a fresh
-    /// [`oneshot`] reply channel and waits for the answer — inline when
-    /// the mailbox is drained (per the pacing mode), through the mailbox
-    /// otherwise.
-    pub(crate) fn request<R>(&self, make: impl FnOnce(OneshotSender<R>) -> M) -> R {
-        let (reply_tx, reply_rx) = oneshot();
-        if self.use_inline() {
-            (self.inline)(make(reply_tx));
-        } else {
-            self.send(make(reply_tx));
-        }
-        reply_rx.recv()
-    }
-}
-
-impl<M> Drop for StageHandle<M> {
-    fn drop(&mut self) {
-        self.tx.take();
-        if let Some(thread) = self.thread.take() {
-            if thread.join().is_err() && !std::thread::panicking() {
-                panic!("{} stage panicked", self.name);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stage_processes_messages_in_order_and_replies() {
-        let handle: StageHandle<(u64, OneshotSender<u64>)> = StageHandle::spawn(
-            "test",
-            ActorPacing::Auto,
-            0u64,
-            |sum, (v, reply): (u64, OneshotSender<u64>)| {
-                *sum += v;
-                reply.send(*sum);
-            },
-        );
-        assert_eq!(handle.request(|r| (3, r)), 3);
-        assert_eq!(handle.request(|r| (4, r)), 7);
-    }
-
-    #[test]
-    fn dropping_the_handle_joins_the_stage() {
-        let handle: StageHandle<u32> =
-            StageHandle::spawn("drain", ActorPacing::Auto, Vec::new(), |v, m| v.push(m));
-        for i in 0..100 {
-            handle.send(i);
-        }
-        drop(handle); // must not deadlock or panic
-    }
-}

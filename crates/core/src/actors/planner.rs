@@ -1,25 +1,23 @@
-//! The planner stage: Eq. 1 allocation solving behind a mailbox.
+//! The planner stage: Eq. 1 allocation solving.
 //!
 //! The stage owns every piece of solver state the old loop kept inline —
 //! the per-(architecture, strategy) [`SolveCache`]s and the memo of
 //! derated level profiles — and answers three queries: a full plan over
-//! the fleet's pools ([`PlannerMsg::Plan`]), a single-pool re-solve for
-//! the mid-minute demand re-split ([`PlannerMsg::Solve`]), and a derated
-//! capacity probe ([`PlannerMsg::Capacity`]) for the retrieval-spike
-//! re-split trigger.
+//! the fleet's pools ([`PlannerStage::plan`]), a single-pool re-solve for
+//! the mid-minute demand re-split ([`PlannerStage::solve`]), and a
+//! derated capacity probe ([`PlannerStage::capacity`]) for the
+//! retrieval-spike re-split trigger.
 //!
-//! Heterogeneous plans solve their pools **data-parallel** on scoped
-//! threads: every pool's problem is fully specified before the fan-out,
-//! each thread gets that pool's own solve cache (pools are keyed by
-//! architecture, so the caches are disjoint), and results re-join in pool
-//! order. Eq. 1 solving is a pure function of the problem — cache hits
-//! are debug-asserted bit-identical against fresh solves — so the
-//! parallel schedule cannot perturb any result.
+//! Heterogeneous plans fully specify every pool's problem first, then
+//! solve the pools in pool order, each through its own solve cache (pools
+//! are keyed by architecture, so the caches are disjoint). Eq. 1 solving
+//! is a pure function of the problem — cache hits are debug-asserted
+//! bit-identical against fresh solves — so the solve order cannot perturb
+//! any result.
 
 use argus_models::{latency, ApproxLevel, GpuArch, Strategy};
 use argus_obs::StageCounters;
 
-use super::{ActorPacing, OneshotSender, StageHandle};
 use crate::capacity::{CapacityCtx, CapacityModel, EscalationCtx};
 use crate::solver::{AllocationProblem, LevelProfile, SolveCache};
 use std::sync::Arc;
@@ -87,165 +85,129 @@ pub(crate) struct PoolAllocation {
 
 /// A full plan: per-pool allocations in pool order, plus the cluster-wide
 /// saturation verdict.
-pub(crate) struct PlanReply {
+pub(crate) struct Plan {
     pub saturated: bool,
     pub pools: Vec<PoolAllocation>,
 }
 
-/// Planner queries.
-pub(crate) enum PlannerMsg {
-    /// Solve the whole fleet for `total_demand` QPM: a single pool takes
-    /// the demand unsplit (the paper's homogeneous testbed), several
-    /// pools split it proportionally to their derated capacity and solve
-    /// data-parallel.
-    Plan {
-        pools: Vec<PoolSpec>,
-        total_demand: f64,
-        reply: OneshotSender<PlanReply>,
-    },
-    /// Re-solve one pool at an explicit demand share (mid-minute
-    /// re-split).
-    Solve {
-        pool: PoolSpec,
-        demand_qpm: f64,
-        reply: OneshotSender<PoolAllocation>,
-    },
-    /// The pool's derated maximum capacity (QPM) at the spec's overhead —
-    /// the retrieval-spike trigger compares this against the plan-time
-    /// share.
-    Capacity {
-        pool: PoolSpec,
-        reply: OneshotSender<f64>,
-    },
-    /// Fault hygiene: drop memoized derated profiles.
-    Invalidate,
-    /// Surrender the stage profile at teardown (§12 telemetry).
-    Finish { reply: OneshotSender<StageCounters> },
-}
-
-struct PlannerStage {
+/// The planner stage: Eq. 1 solver state, driven by plain method calls.
+pub(crate) struct PlannerStage {
     capacity_model: Arc<dyn CapacityModel>,
     slo_secs: f64,
     max_batch: u32,
     load_aware: bool,
-    /// Per-(architecture, strategy) solve caches. Disjoint per pool, so
-    /// parallel pool solves can each take theirs without sharing.
+    /// Per-(architecture, strategy) solve caches.
     solve_caches: Vec<((GpuArch, Strategy), SolveCache)>,
     derated: DeratedCache,
     profile: StageCounters,
 }
 
 impl PlannerStage {
-    fn handle(&mut self, msg: PlannerMsg) {
-        self.profile.processed += 1;
-        if !matches!(msg, PlannerMsg::Invalidate) {
-            self.profile.replies += 1;
-        }
-        match msg {
-            PlannerMsg::Plan {
-                pools,
-                total_demand,
-                reply,
-            } => reply.send(self.plan(pools, total_demand)),
-            PlannerMsg::Solve {
-                pool,
-                demand_qpm,
-                reply,
-            } => {
-                let problem = self.pool_problem(&pool, demand_qpm);
-                let cap_qpm = problem.max_capacity_qpm();
-                let allocation = {
-                    let cache = self.cache_for(pool.gpu, pool.strategy);
-                    problem.solve_cached(cache)
-                };
-                reply.send(PoolAllocation {
-                    cap_qpm,
-                    share_qpm: demand_qpm,
-                    omega_qpm: allocation.omega_qpm,
-                    workers_per_level: allocation.workers_per_level,
-                });
-            }
-            PlannerMsg::Capacity { pool, reply } => {
-                reply.send(self.pool_problem(&pool, 0.0).max_capacity_qpm())
-            }
-            PlannerMsg::Invalidate => self.derated.entries.clear(),
-            PlannerMsg::Finish { reply } => reply.send(self.profile),
+    /// A planner with empty memos; they fill on demand.
+    pub(crate) fn new(
+        capacity_model: Arc<dyn CapacityModel>,
+        slo_secs: f64,
+        max_batch: u32,
+        load_aware: bool,
+    ) -> Self {
+        PlannerStage {
+            capacity_model,
+            slo_secs,
+            max_batch,
+            load_aware,
+            solve_caches: Vec::new(),
+            derated: DeratedCache::default(),
+            profile: StageCounters::default(),
         }
     }
 
-    fn plan(&mut self, pools: Vec<PoolSpec>, total_demand: f64) -> PlanReply {
-        if let [pool] = pools.as_slice() {
+    /// Solves the whole fleet for `total_demand` QPM: a single pool takes
+    /// the demand unsplit (the paper's homogeneous testbed), several
+    /// pools split it proportionally to their derated capacity and are
+    /// solved one after another in pool order.
+    pub(crate) fn plan(&mut self, pools: &[PoolSpec], total_demand: f64) -> Plan {
+        self.profile.count(true);
+        if let [pool] = pools {
             // Homogeneous fast path (the paper's testbed): no demand split.
             let problem = self.pool_problem(pool, total_demand);
-            let cap_qpm = problem.max_capacity_qpm();
-            let allocation = {
-                let cache = self.cache_for(pool.gpu, pool.strategy);
-                problem.solve_cached(cache)
-            };
-            return PlanReply {
-                saturated: allocation.saturated,
-                pools: vec![PoolAllocation {
-                    cap_qpm,
-                    share_qpm: total_demand,
-                    omega_qpm: allocation.omega_qpm,
-                    workers_per_level: allocation.workers_per_level,
-                }],
+            let (allocation, saturated) = self.solve_problem(pool, &problem);
+            return Plan {
+                saturated,
+                pools: vec![allocation],
             };
         }
         // Heterogeneous: fully specify every pool's problem (shares
-        // proportional to derated capacity), then solve them in parallel.
-        let mut inputs: Vec<(PoolSpec, AllocationProblem)> = pools
-            .into_iter()
-            .map(|pool| {
-                let problem = self.pool_problem(&pool, 0.0);
-                (pool, problem)
-            })
+        // proportional to derated capacity), then solve each. Every solve
+        // is a pure function of its problem, and pools are keyed by
+        // architecture, so each uses its own solve cache.
+        let mut problems: Vec<AllocationProblem> = pools
+            .iter()
+            .map(|pool| self.pool_problem(pool, 0.0))
             .collect();
-        let total_cap: f64 = inputs.iter().map(|(_, p)| p.max_capacity_qpm()).sum();
+        let total_cap: f64 = problems.iter().map(|p| p.max_capacity_qpm()).sum();
         let saturated = total_demand > total_cap + 1e-9;
-        let mut work: Vec<(PoolSpec, AllocationProblem, SolveCache)> = inputs
-            .drain(..)
-            .map(|(pool, mut problem)| {
+        let solved = pools
+            .iter()
+            .zip(&mut problems)
+            .map(|(pool, problem)| {
                 problem.demand_qpm = if total_cap > 0.0 {
                     total_demand * problem.max_capacity_qpm() / total_cap
                 } else {
                     0.0
                 };
-                let cache = self.take_cache(pool.gpu, pool.strategy);
-                (pool, problem, cache)
+                self.solve_problem(pool, problem).0
             })
             .collect();
-        // Data-parallel Eq. 1: one scoped thread per pool, each with its
-        // own disjoint solve cache; joined in pool order, so the merge is
-        // order-deterministic regardless of the thread schedule.
-        let solved: Vec<PoolAllocation> = std::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .iter_mut()
-                .map(|(_, problem, cache)| {
-                    s.spawn(|| {
-                        let cap_qpm = problem.max_capacity_qpm();
-                        let allocation = problem.solve_cached(cache);
-                        PoolAllocation {
-                            cap_qpm,
-                            share_qpm: problem.demand_qpm,
-                            omega_qpm: allocation.omega_qpm,
-                            workers_per_level: allocation.workers_per_level,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool solve thread panicked"))
-                .collect()
-        });
-        for (pool, _, cache) in work {
-            self.put_cache(pool.gpu, pool.strategy, cache);
-        }
-        PlanReply {
+        Plan {
             saturated,
             pools: solved,
         }
+    }
+
+    /// Re-solves one pool at an explicit demand share (mid-minute
+    /// re-split).
+    pub(crate) fn solve(&mut self, pool: &PoolSpec, demand_qpm: f64) -> PoolAllocation {
+        self.profile.count(true);
+        let problem = self.pool_problem(pool, demand_qpm);
+        self.solve_problem(pool, &problem).0
+    }
+
+    /// The pool's derated maximum capacity (QPM) at the spec's overhead —
+    /// the retrieval-spike trigger compares this against the plan-time
+    /// share.
+    pub(crate) fn capacity(&mut self, pool: &PoolSpec) -> f64 {
+        self.profile.count(true);
+        self.pool_problem(pool, 0.0).max_capacity_qpm()
+    }
+
+    /// Fault hygiene: drops memoized derated profiles.
+    pub(crate) fn invalidate(&mut self) {
+        self.profile.count(false);
+        self.derated.entries.clear();
+    }
+
+    /// Surrenders the stage profile at teardown (§12 telemetry).
+    pub(crate) fn finish(&mut self) -> StageCounters {
+        self.profile.count(true);
+        self.profile
+    }
+
+    /// Solves one fully specified pool problem through the pool's solve
+    /// cache, returning its allocation and the solver's saturation
+    /// verdict.
+    fn solve_problem(
+        &mut self,
+        pool: &PoolSpec,
+        problem: &AllocationProblem,
+    ) -> (PoolAllocation, bool) {
+        let allocation = problem.solve_cached(self.cache_for(pool.gpu, pool.strategy));
+        let solved = PoolAllocation {
+            cap_qpm: problem.max_capacity_qpm(),
+            share_qpm: problem.demand_qpm,
+            omega_qpm: allocation.omega_qpm,
+            workers_per_level: allocation.workers_per_level,
+        };
+        (solved, allocation.saturated)
     }
 
     /// Builds the Eq. 1 problem for one pool, with derated profiles
@@ -346,36 +308,4 @@ impl PlannerStage {
         self.solve_caches.push((key, SolveCache::new()));
         &mut self.solve_caches.last_mut().expect("just pushed").1
     }
-
-    fn take_cache(&mut self, gpu: GpuArch, strategy: Strategy) -> SolveCache {
-        let key = (gpu, strategy);
-        match self.solve_caches.iter().position(|(k, _)| *k == key) {
-            Some(i) => self.solve_caches.remove(i).1,
-            None => SolveCache::new(),
-        }
-    }
-
-    fn put_cache(&mut self, gpu: GpuArch, strategy: Strategy, cache: SolveCache) {
-        self.solve_caches.push(((gpu, strategy), cache));
-    }
-}
-
-/// Spawns the planner stage.
-pub(crate) fn spawn(
-    pacing: ActorPacing,
-    capacity_model: Arc<dyn CapacityModel>,
-    slo_secs: f64,
-    max_batch: u32,
-    load_aware: bool,
-) -> StageHandle<PlannerMsg> {
-    let stage = PlannerStage {
-        capacity_model,
-        slo_secs,
-        max_batch,
-        load_aware,
-        solve_caches: Vec::new(),
-        derated: DeratedCache::default(),
-        profile: StageCounters::default(),
-    };
-    StageHandle::spawn("planner", pacing, stage, PlannerStage::handle)
 }

@@ -21,8 +21,8 @@
 //!   dollars without re-running.
 //!
 //! Everything here is pure data + arithmetic: the controller is a pure
-//! function of the signal sequence it is fed, so runs stay bit-identical
-//! across seeds and actor pacings (`tests/fleet.rs` pins it).
+//! function of the signal sequence it is fed, so same-seed runs stay
+//! bit-identical (`tests/fleet.rs` pins it).
 
 use argus_models::GpuArch;
 
@@ -178,7 +178,7 @@ struct PoolCtl {
 
 /// The deterministic hysteresis controller behind
 /// [`crate::system::RunConfig::with_autoscaler`]. Owned by the fleet
-/// actor stage; the driver feeds it one [`PoolSignal`] per pool per tick
+/// stage; the driver feeds it one [`PoolSignal`] per pool per tick
 /// and executes the returned [`ScaleAction`]s.
 #[derive(Debug, Clone)]
 pub(crate) struct AutoscaleController {

@@ -35,10 +35,12 @@
 //! * [`metrics`] — per-minute throughput / effective accuracy / SLO
 //!   violation accounting (§5.1);
 //! * telemetry (the `argus_obs` crate) — opt-in job-lifecycle spans,
-//!   the per-tick time-series registry and actor-stage profiles, wired
-//!   through `RunConfig::with_telemetry` (§12);
+//!   the per-tick time-series registry and control-plane stage profiles,
+//!   wired through `RunConfig::with_telemetry` (§12);
 //! * [`system`] — the discrete-event simulation binding everything to the
-//!   GPU cluster, vector DB, cache store and workload traces;
+//!   GPU cluster, vector DB, cache store and workload traces; its driver
+//!   owns the planner, cache-plane, metrics and fleet stages as plain
+//!   structs and calls them directly;
 //! * [`policy`] — Argus plus every baseline the paper compares against
 //!   (PAC, Proteus, Sommelier, NIRVANA, Clipper-HA/HT).
 //!
@@ -72,7 +74,6 @@ pub mod solver;
 pub mod switcher;
 pub mod system;
 
-pub use actors::ActorPacing;
 pub use cacheplane::{CachePlane, InsertReceipt};
 pub use capacity::{
     Batch1Model, BatchedModel, CapacityCtx, CapacityModel, EscalationCtx, TAIL_BUDGET_FRACTION,

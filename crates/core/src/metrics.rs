@@ -379,8 +379,8 @@ impl MetricsCollector {
     }
 
     /// Folds in insert counters accumulated elsewhere (the cache-plane
-    /// stage counts its fire-and-forget writes locally and merges them
-    /// here at teardown). Pure run-level totals, so the merge point does
+    /// stage counts its writes locally and merges them here at
+    /// teardown). Pure run-level totals, so the merge point does
     /// not affect any per-minute record.
     pub fn on_cache_insert_totals(&mut self, inserts: u64, replica_writes: u64, remote_hops: u64) {
         self.inserts += inserts;

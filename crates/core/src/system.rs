@@ -18,18 +18,17 @@ use argus_des::stats::WindowedRate;
 use argus_des::{EventQueue, SimDuration, SimTime};
 use argus_embed::embed;
 use argus_models::{latency, ApproxLevel, GpuArch, Strategy, AC_LEVELS};
-use argus_obs::{MailboxGauge, Recorder, SpanLog, StageProfile, TelemetryConfig, Timeline};
+use argus_obs::{Recorder, SpanLog, StageProfile, TelemetryConfig, Timeline};
 use argus_prompts::{DriftSchedule, Prompt, PromptGenerator};
 use argus_quality::QualityOracle;
-use argus_vdb::{FlatIndex, LshIndex, SharedIndex};
+use argus_vdb::{FlatIndex, LshIndex};
 use argus_workload::{ArrivalProcess, Trace};
 use rand::rngs::StdRng;
 
-use crate::actors::cacheplane::{self as cache_stage, CacheMsg, Vdb};
-use crate::actors::fleet::{self as fleet_stage, FleetMsg};
-use crate::actors::metrics::{self as metrics_stage, MetricsMsg};
-use crate::actors::planner::{self as planner_stage, PlannerMsg};
-use crate::actors::{ActorPacing, StageHandle};
+use crate::actors::cacheplane::{CacheStage, Vdb};
+use crate::actors::fleet::FleetStage;
+use crate::actors::metrics::MetricsStage;
+use crate::actors::planner::PlannerStage;
 use crate::cacheplane::CachePlane;
 use crate::capacity::{Batch1Model, CapacityModel};
 use crate::cascade::{
@@ -176,11 +175,6 @@ pub struct RunConfig {
     /// Mid-minute demand re-splitting between heterogeneous pools
     /// ([`RunConfig::with_demand_resplit`]).
     pub demand_resplit: bool,
-    /// How driver↔stage rendezvous execute
-    /// ([`RunConfig::with_actor_pacing`]): the determinism-audit knob
-    /// pinning the single-core inline fast path or full multi-threaded
-    /// pacing. Results are bit-identical across all modes.
-    pub actor_pacing: ActorPacing,
     /// Elastic-fleet autoscale policy ([`RunConfig::with_autoscaler`]).
     /// `None` (the default) keeps the fixed-size fleet, bit-identical to
     /// pre-fleet runs.
@@ -227,22 +221,11 @@ impl RunConfig {
             capacity_model: Arc::new(Batch1Model),
             pool_strategies: Vec::new(),
             demand_resplit: false,
-            actor_pacing: ActorPacing::Auto,
             autoscaler: None,
             spot_pools: Vec::new(),
             telemetry: None,
             cascade: None,
         }
-    }
-
-    /// Forces how driver↔stage rendezvous execute — the determinism
-    /// audit knob. [`ActorPacing::SingleCoreInline`] pins the 1-core
-    /// inline fast path, [`ActorPacing::Threaded`] forces every
-    /// rendezvous through the stage threads; outcomes are bit-identical
-    /// either way (`tests/determinism.rs` enforces it).
-    pub fn with_actor_pacing(mut self, pacing: ActorPacing) -> Self {
-        self.actor_pacing = pacing;
-        self
     }
 
     /// Sets the master seed.
@@ -461,11 +444,11 @@ impl RunConfig {
     }
 
     /// Enables the telemetry plane: job-lifecycle spans, the per-tick
-    /// time-series registry and actor-stage profiles, recorded in
+    /// time-series registry and control-plane stage profiles, recorded in
     /// sim-time and surfaced on [`RunOutcome`] (plus optional JSONL /
     /// Chrome-trace exports at the paths in `cfg`). Telemetry never
-    /// perturbs the simulation: results are bit-identical with it on,
-    /// off, and across actor-pacing modes.
+    /// perturbs the simulation: results are bit-identical with it on and
+    /// off.
     pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.telemetry = Some(cfg);
         self
@@ -552,7 +535,7 @@ pub struct RunOutcome {
     /// Sampled job-lifecycle spans; `None` when telemetry (or span
     /// recording) was off.
     pub spans: Option<SpanLog>,
-    /// Actor-stage profiles in star order (planner, cache-plane,
+    /// Control-plane stage profiles in order (planner, cache-plane,
     /// metrics, fleet); empty when telemetry was off.
     pub stage_profiles: Vec<StageProfile>,
     /// Cascade accounting ([`RunConfig::with_cascade`]): first-pass /
@@ -592,7 +575,7 @@ pub(crate) struct Exec {
 
 /// Driver-side cascade state ([`RunConfig::with_cascade`]): the resolved
 /// rungs, the discriminator, per-job escalation flags and the latest
-/// escalation-rate snapshot from the metrics stage.
+/// first-pass escalation rate read from the metrics stage.
 pub(crate) struct CascadeState {
     /// Escalate when doubt ≥ threshold.
     pub(crate) threshold: f64,
@@ -612,9 +595,9 @@ pub(crate) struct CascadeState {
     /// Per-job first-pass relative quality (score/base), kept for the
     /// quality-delta accounting of escalated jobs.
     pub(crate) first_ratio: Vec<f64>,
-    /// Latest per-level escalation-rate EWMA snapshot (refreshed each
-    /// allocator tick from the metrics stage).
-    pub(crate) rates: std::collections::BTreeMap<ApproxLevel, f64>,
+    /// The escalation-rate EWMA at `first_level`, as of the last
+    /// allocator tick (read from the metrics stage each tick).
+    pub(crate) first_pass_rate: f64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -636,19 +619,19 @@ pub(crate) enum Event {
 
 /// The discrete-event simulation of the full serving system.
 ///
-/// The struct is the **driver** of the actor control plane
+/// The struct is the **driver** of the staged control plane
 /// ([`crate::actors`]): it owns the event queue, the cluster, routing and
-/// the strategy switcher, and holds handles to the planner, cache-plane
-/// and metrics stages. Construction (this module) pre-warms the cache
-/// plane and spawns the stages; the event pump and every handler live in
-/// [`crate::actors::driver`].
+/// the strategy switcher, and owns the planner, cache-plane, metrics and
+/// fleet stages, whose methods it calls directly. Construction (this
+/// module) pre-warms the cache plane and builds the stages; the event
+/// pump and every handler live in [`crate::actors::driver`].
 pub struct SystemSimulation {
     pub(crate) cfg: RunConfig,
     pub(crate) pipeline: Arc<dyn ServingPolicy>,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) cluster: Cluster,
     pub(crate) oracle: QualityOracle,
-    pub(crate) prompts: Arc<Vec<Prompt>>,
+    pub(crate) prompts: Vec<Prompt>,
     pub(crate) arrivals: Vec<SimTime>,
     pub(crate) switcher: StrategySwitcher,
     pub(crate) classifiers: HashMap<Strategy, Classifier>,
@@ -684,13 +667,13 @@ pub struct SystemSimulation {
     pub(crate) resplit_done: bool,
     pub(crate) demand_resplits: u64,
     /// Planner stage: Eq. 1 solving and the derated-profile memo.
-    pub(crate) planner_stage: StageHandle<PlannerMsg>,
+    pub(crate) planner: PlannerStage,
     /// Cache-plane stage: the retrieval index and the blob store.
-    pub(crate) cache_stage: StageHandle<CacheMsg>,
+    pub(crate) cache: CacheStage,
     /// Metrics stage: every accounting sink of the run.
-    pub(crate) metrics_stage: StageHandle<MetricsMsg>,
+    pub(crate) metrics: MetricsStage,
     /// Fleet stage: the autoscale controller and cost accounting.
-    pub(crate) fleet_stage: StageHandle<FleetMsg>,
+    pub(crate) fleet: FleetStage,
     /// Per-worker spot discount, indexed by worker id; `None` means
     /// on-demand. Grows with the cluster (scale-outs are on-demand).
     pub(crate) worker_spot: Vec<Option<f64>>,
@@ -699,32 +682,14 @@ pub struct SystemSimulation {
     /// Whether the last allocator solve reported saturation — the
     /// autoscale controller's primary pressure signal.
     pub(crate) tick_saturated: bool,
-    /// Pending fire-and-forget cache writes, coalesced into one
-    /// [`CacheMsg::Batch`] per flush (see the driver's send helpers).
-    pub(crate) cache_buf: Vec<CacheMsg>,
-    /// Pending telemetry, coalesced into one [`MetricsMsg::Batch`].
-    pub(crate) metrics_buf: Vec<MetricsMsg>,
     /// Telemetry recorder ([`RunConfig::with_telemetry`]); `None` keeps
     /// the run bit-identical to a build without the plane.
     pub(crate) recorder: Option<Recorder>,
     /// Monotone id stamped on every batched dispatch's spans.
     pub(crate) batch_seq: u32,
-    /// Driver-side per-stage queue-depth gauges: logical envelopes
-    /// outstanding between rendezvous, identical across pacing modes
-    /// (DESIGN.md §12) — not live mailbox occupancy.
-    pub(crate) mailboxes: MailboxGauges,
     /// Cascade plane state ([`RunConfig::with_cascade`]); `None` keeps
     /// the run bit-identical to the pre-cascade tree.
     pub(crate) cascade: Option<CascadeState>,
-}
-
-/// One [`MailboxGauge`] per stage, in star order.
-#[derive(Debug, Default)]
-pub(crate) struct MailboxGauges {
-    pub(crate) planner: MailboxGauge,
-    pub(crate) cache: MailboxGauge,
-    pub(crate) metrics: MailboxGauge,
-    pub(crate) fleet: MailboxGauge,
 }
 
 /// Retrieval-latency histogram bounds (seconds) for the telemetry plane.
@@ -815,7 +780,7 @@ impl SystemSimulation {
         if let Some(d) = cfg.drift {
             generator = generator.with_drift(d);
         }
-        let prompts = Arc::new(generator.generate_batch(arrivals.len()));
+        let prompts = generator.generate_batch(arrivals.len());
 
         let oracle = QualityOracle::new(cfg.seed ^ 0x0AC1E);
 
@@ -849,7 +814,7 @@ impl SystemSimulation {
         for &(minute, regime) in &cfg.network_events {
             network = network.with_event(SimTime::from_minutes(minute), regime);
         }
-        let mut cache = CacheStore::with_network(network);
+        let mut store = CacheStore::with_network(network);
         let mut vdb = if let Some((shards, replication)) = cfg.sharded_cache {
             // The cache plane: per-shard LSH replicas at the same 8-bit
             // knee and the same total capacity as the monolithic index
@@ -865,11 +830,11 @@ impl SystemSimulation {
             // 8 hyperplanes ≈ 3.5% of the corpus probed per query at the
             // default cache capacity — the recall/scan-cost knee (see
             // `tests/lsh_cache.rs`).
-            Vdb::Lsh(SharedIndex::from_index(LshIndex::with_capacity_limit(
+            Vdb::Lsh(LshIndex::with_capacity_limit(
                 8,
                 cfg.seed ^ 0x15B,
                 cfg.vdb_capacity.max(1),
-            )))
+            ))
         } else {
             Vdb::Flat(FlatIndex::with_capacity_limit(cfg.vdb_capacity.max(1)))
         };
@@ -879,7 +844,7 @@ impl SystemSimulation {
             // Pre-deployment warm-up writes are not charged to the run.
             vdb.insert(None, embed(&p.text), id);
             for k in AC_LEVELS.iter().skip(1) {
-                cache.put(
+                store.put(
                     CacheKey {
                         prompt_id: id,
                         k: k.skipped_steps(),
@@ -935,22 +900,15 @@ impl SystemSimulation {
             }
         }
 
-        // Spawn the control-plane stages around the pre-warmed state. The
-        // collector moves onto the metrics stage (the driver keeps only the
-        // SLO scalar); the warmed index and store move onto the cache-plane
+        // Build the control-plane stages around the pre-warmed state. The
+        // collector moves into the metrics stage (the driver keeps only the
+        // SLO scalar); the warmed index and store move into the cache-plane
         // stage; the planner starts empty and builds its memos on demand.
         let collector = MetricsCollector::new(base_latency);
         let slo = collector.slo();
-        let metrics_stage = metrics_stage::spawn(
-            cfg.actor_pacing,
-            collector,
-            factory.stream("samples"),
-            oracle,
-            Arc::clone(&prompts),
-        );
-        let cache_stage = cache_stage::spawn(cfg.actor_pacing, vdb, cache, Arc::clone(&pipeline));
-        let planner_stage = planner_stage::spawn(
-            cfg.actor_pacing,
+        let metrics = MetricsStage::new(collector, factory.stream("samples"));
+        let cache = CacheStage::new(vdb, store);
+        let planner = PlannerStage::new(
             Arc::clone(&cfg.capacity_model),
             slo.as_secs(),
             cfg.max_batch,
@@ -969,7 +927,7 @@ impl SystemSimulation {
             .autoscaler
             .clone()
             .map(|p| AutoscaleController::new(p, &initial_pools));
-        let fleet_stage = fleet_stage::spawn(cfg.actor_pacing, controller);
+        let fleet = FleetStage::new(controller);
         // Per-worker spot discounts in cluster id order: the on-demand
         // pools first, then each spot pool.
         let mut worker_spot: Vec<Option<f64>> = vec![None; cfg.workers];
@@ -1017,7 +975,7 @@ impl SystemSimulation {
                 escalate_rung,
                 escalated: vec![false; arrivals.len()],
                 first_ratio: vec![0.0; arrivals.len()],
-                rates: std::collections::BTreeMap::new(),
+                first_pass_rate: 0.0,
             }
         });
 
@@ -1052,18 +1010,15 @@ impl SystemSimulation {
             pool_view: None,
             resplit_done: false,
             demand_resplits: 0,
-            planner_stage,
-            cache_stage,
-            metrics_stage,
-            fleet_stage,
+            planner,
+            cache,
+            metrics,
+            fleet,
             worker_spot,
             provisioning: Vec::new(),
             tick_saturated: false,
-            cache_buf: Vec::new(),
-            metrics_buf: Vec::new(),
             recorder,
             batch_seq: 0,
-            mailboxes: MailboxGauges::default(),
             cascade,
             pipeline,
             cfg,
@@ -1112,7 +1067,7 @@ impl SystemSimulation {
         }
         sim.sample_pool_allocation();
         // Anchor the cost integral: the billed membership in force at t=0.
-        sim.send_membership(SimTime::ZERO);
+        sim.record_membership(SimTime::ZERO);
         sim
     }
 }

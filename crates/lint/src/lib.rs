@@ -1,9 +1,8 @@
-//! argus_lint — the determinism & actor-safety static analysis pass.
+//! argus_lint — the determinism static analysis pass.
 //!
 //! An offline, dependency-free checker for the determinism contract of
-//! DESIGN.md §2/§9/§10: a simulation run must be a pure function of
-//! `(policy, trace, seed)`, and the actor control plane must be
-//! statically deadlock-free. Rules:
+//! DESIGN.md §2/§10: a simulation run must be a pure function of
+//! `(policy, trace, seed)`. Rules:
 //!
 //! - **D1 `wall-clock`** — no `Instant::now` / `SystemTime` outside the
 //!   bench crate or an annotated site.
@@ -11,22 +10,15 @@
 //!   use `BTreeMap` or sort explicitly.
 //! - **D3 `unbounded-channel`** — `mpsc::channel()` forbidden;
 //!   `sync_channel` caps must be named constants.
-//! - **D4 `stray-thread`** — `thread::spawn`/`scope` confined to
-//!   `crates/core/src/actors/`.
+//! - **D4 `stray-thread`** — no `thread::spawn`/`scope`/`Builder`
+//!   anywhere: the simulation runs on one thread.
 //! - **D5 `unseeded-rng`** — no `thread_rng`/OS entropy.
-//! - **D6 `actor-graph`** — single producer per mailbox, acyclic
-//!   blocking-request graph.
-//! - **D7 `reply-arity`** — every oneshot reply sender is consumed
-//!   exactly once on all paths: no dropped, leaked or double-sent
-//!   replies.
 //!
 //! Escape hatch: `// lint: allow(<slug>) — <reason>` on the line above
 //! (or on) the site. Allowed sites are demoted to notes, counted, and
 //! listed in the report; a missing or empty reason is itself a deny.
 
-pub mod graph;
 pub mod lexer;
-pub mod replies;
 pub mod report;
 pub mod rules;
 
@@ -45,11 +37,6 @@ pub struct Config {
     pub exclude: Vec<String>,
     /// Prefixes where D1 wall-clock reads are expected (benchmarks).
     pub wall_clock_allow: Vec<String>,
-    /// Prefixes where D4 thread spawning is the point (the actor plane
-    /// and the planner's data-parallel solve live here).
-    pub thread_allow: Vec<String>,
-    /// The directory holding the actor stages, for the D6 graph check.
-    pub actors_dir: String,
 }
 
 impl Config {
@@ -69,8 +56,6 @@ impl Config {
                 "target".into(),
             ],
             wall_clock_allow: vec!["crates/bench/".into()],
-            thread_allow: vec!["crates/core/src/actors/".into()],
-            actors_dir: "crates/core/src/actors".into(),
         }
     }
 }
@@ -81,7 +66,6 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
     let mut files = collect_files(cfg)?;
     files.sort();
     let mut rep = Report::default();
-    let mut actor_sources: Vec<(String, String, String)> = Vec::new(); // (rel, stem, src)
 
     for rel in &files {
         let abs = cfg.root.join(rel);
@@ -96,9 +80,7 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
         }
         file_findings.extend(rules::unordered_iter(rel, &lexed));
         file_findings.extend(rules::unbounded_channel(rel, &lexed));
-        if !has_prefix(rel, &cfg.thread_allow) {
-            file_findings.extend(rules::stray_thread(rel, &lexed));
-        }
+        file_findings.extend(rules::stray_thread(rel, &lexed));
         file_findings.extend(rules::unseeded_rng(rel, &lexed));
 
         // Apply escape hatches: an allow for the right slug on the
@@ -164,34 +146,7 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
         }
 
         rep.findings.append(&mut file_findings);
-        if rel.starts_with(&cfg.actors_dir) {
-            let stem = Path::new(rel)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("")
-                .to_string();
-            actor_sources.push((rel.clone(), stem, src));
-        }
     }
-
-    // D6 and D7 are cross-file: lex the actor plane again together.
-    let lexed: Vec<(String, String, lexer::Lexed)> = actor_sources
-        .into_iter()
-        .map(|(rel, stem, src)| {
-            let l = lexer::lex(&src);
-            (rel, stem, l)
-        })
-        .collect();
-    let actor_files: Vec<graph::ActorFile<'_>> = lexed
-        .iter()
-        .map(|(rel, stem, l)| graph::ActorFile {
-            rel,
-            stem,
-            lexed: l,
-        })
-        .collect();
-    rep.findings.extend(graph::check(&actor_files));
-    rep.findings.extend(replies::check(&actor_files));
 
     rep.findings
         .sort_by(|a, b| (&a.file, a.line, &a.rule_id).cmp(&(&b.file, b.line, &b.rule_id)));

@@ -29,7 +29,7 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!(
-                    "argus_lint — determinism & actor-safety checks (DESIGN.md §10)\n\
+                    "argus_lint — determinism checks (DESIGN.md §10)\n\
                      usage: argus_lint [--root <dir>] [--json <path>]\n\
                      default json output: <root>/LINT_REPORT.json"
                 );

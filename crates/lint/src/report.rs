@@ -23,7 +23,7 @@ impl Severity {
 /// One lint finding, pinned to a file and line.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// `D1`…`D6` (or `LA` for annotation-grammar problems).
+    /// `D1`…`D5` (or `LA` for annotation-grammar problems).
     pub rule_id: String,
     /// The escape-hatch slug (`wall-clock`, …).
     pub slug: String,

@@ -1,7 +1,5 @@
-//! The pattern rules D1–D5 of the determinism/actor contract
-//! (DESIGN.md §10). Each rule is an independent scan over one file's
-//! token stream; D6 (the actor message graph) is cross-file and lives in
-//! [`crate::graph`].
+//! The pattern rules D1–D5 of the determinism contract (DESIGN.md §10).
+//! Each rule is an independent scan over one file's token stream.
 
 use crate::lexer::{is_seq, Lexed, Tok, TokKind};
 use crate::report::{Finding, Severity};
@@ -9,7 +7,7 @@ use crate::report::{Finding, Severity};
 /// Identity and prose of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Short id, `D1`…`D7`.
+    /// Short id, `D1`…`D5` (or `LA`).
     pub id: &'static str,
     /// The slug used in `// lint: allow(<slug>)` escape hatches.
     pub slug: &'static str,
@@ -18,7 +16,7 @@ pub struct RuleInfo {
 }
 
 /// The rule catalog, in id order.
-pub const RULES: [RuleInfo; 8] = [
+pub const RULES: [RuleInfo; 6] = [
     RuleInfo {
         id: "D1",
         slug: "wall-clock",
@@ -37,22 +35,12 @@ pub const RULES: [RuleInfo; 8] = [
     RuleInfo {
         id: "D4",
         slug: "stray-thread",
-        title: "thread spawn/scope confined to the actor control plane",
+        title: "no thread spawn/scope — the simulation runs on one thread",
     },
     RuleInfo {
         id: "D5",
         slug: "unseeded-rng",
         title: "no thread_rng / OS entropy outside seeded-RNG constructors",
-    },
-    RuleInfo {
-        id: "D6",
-        slug: "actor-graph",
-        title: "acyclic request/reply stage graph; single producer per mailbox",
-    },
-    RuleInfo {
-        id: "D7",
-        slug: "reply-arity",
-        title: "every oneshot reply sender is consumed exactly once on all paths",
     },
     RuleInfo {
         id: "LA",
@@ -357,7 +345,8 @@ fn is_screaming_snake(s: &str) -> bool {
             .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
-/// D4 — thread spawning outside the actor control plane.
+/// D4 — thread spawning anywhere: the simulation runs on one thread, so
+/// a thread is only allowed at an annotated site (concurrency tests).
 pub fn stray_thread(rel: &str, lexed: &Lexed) -> Vec<Finding> {
     let rule = &RULES[3];
     let toks = &lexed.toks;
@@ -374,7 +363,7 @@ pub fn stray_thread(rel: &str, lexed: &Lexed) -> Vec<Finding> {
                 rel,
                 t,
                 format!(
-                    "`thread::{}` outside the actor control plane",
+                    "`thread::{}` in a single-threaded simulation",
                     toks[i + 2].text
                 ),
                 lexed.in_test(t.line),

@@ -1,4 +1,4 @@
-//! Integration tests: each determinism rule D1–D7 must fire on its bad
+//! Integration tests: each determinism rule D1–D5 must fire on its bad
 //! fixture at the expected file:line, stay silent on the clean fixture,
 //! and honor (and count) the escape-hatch annotation.
 //!
@@ -14,19 +14,17 @@ fn fixtures() -> PathBuf {
 }
 
 /// A config that scans one fixture subtree with no allowlists.
-fn cfg(scan: &str, actors_dir: &str) -> Config {
+fn cfg(scan: &str) -> Config {
     Config {
         root: fixtures(),
         scan_dirs: vec![scan.to_string()],
         exclude: vec![],
         wall_clock_allow: vec![],
-        thread_allow: vec![],
-        actors_dir: actors_dir.to_string(),
     }
 }
 
-fn run(scan: &str, actors_dir: &str) -> Report {
-    argus_lint::run(&cfg(scan, actors_dir)).expect("fixture scan")
+fn run(scan: &str) -> Report {
+    argus_lint::run(&cfg(scan)).expect("fixture scan")
 }
 
 /// (rule, file suffix, line) triples of unsuppressed deny findings.
@@ -38,7 +36,7 @@ fn denies(rep: &Report) -> Vec<(String, String, u32)> {
 
 #[test]
 fn d1_wall_clock_fixture() {
-    let rep = run("bad/d1_wall_clock.rs", "-");
+    let rep = run("bad/d1_wall_clock.rs");
     let d = denies(&rep);
     assert_eq!(d.len(), 2, "{d:?}");
     assert_eq!(d[0], ("D1".into(), "bad/d1_wall_clock.rs".into(), 5));
@@ -49,7 +47,7 @@ fn d1_wall_clock_fixture() {
 fn d1_obs_recorder_fixture() {
     // A telemetry recorder that stamps events with the host clock is
     // exactly the regression D1 exists to catch in the obs crate.
-    let rep = run("bad/d1_obs_recorder.rs", "-");
+    let rep = run("bad/d1_obs_recorder.rs");
     let d = denies(&rep);
     assert_eq!(d.len(), 2, "{d:?}");
     assert_eq!(d[0], ("D1".into(), "bad/d1_obs_recorder.rs".into(), 12));
@@ -69,8 +67,6 @@ fn obs_crate_is_wall_clock_free() {
         scan_dirs: vec!["crates/obs".into()],
         exclude: vec![],
         wall_clock_allow: vec![],
-        thread_allow: vec![],
-        actors_dir: "-".into(),
     };
     let rep = argus_lint::run(&cfg).expect("obs scan");
     assert!(rep.files_scanned >= 4, "obs crate shrank unexpectedly");
@@ -94,8 +90,6 @@ fn cascade_plane_is_deterministic_under_all_rules() {
         scan_dirs: vec!["crates/core/src/cascade".into()],
         exclude: vec![],
         wall_clock_allow: vec![],
-        thread_allow: vec![],
-        actors_dir: "-".into(),
     };
     let rep = argus_lint::run(&cfg).expect("cascade scan");
     assert!(rep.files_scanned >= 1, "cascade module missing");
@@ -109,7 +103,7 @@ fn cascade_plane_is_deterministic_under_all_rules() {
 
 #[test]
 fn d2_unordered_iter_fixture() {
-    let rep = run("bad/d2_unordered_iter.rs", "-");
+    let rep = run("bad/d2_unordered_iter.rs");
     let d = denies(&rep);
     assert_eq!(d.len(), 2, "{d:?}");
     assert_eq!(d[0], ("D2".into(), "bad/d2_unordered_iter.rs".into(), 11));
@@ -118,7 +112,7 @@ fn d2_unordered_iter_fixture() {
 
 #[test]
 fn d3_unbounded_channel_fixture() {
-    let rep = run("bad/d3_unbounded_channel.rs", "-");
+    let rep = run("bad/d3_unbounded_channel.rs");
     let d = denies(&rep);
     assert_eq!(d.len(), 2, "{d:?}");
     assert_eq!(d[0], ("D3".into(), "bad/d3_unbounded_channel.rs".into(), 6));
@@ -127,7 +121,7 @@ fn d3_unbounded_channel_fixture() {
 
 #[test]
 fn d4_stray_thread_fixture() {
-    let rep = run("bad/d4_stray_thread.rs", "-");
+    let rep = run("bad/d4_stray_thread.rs");
     let d = denies(&rep);
     assert_eq!(d.len(), 2, "{d:?}");
     assert_eq!(d[0], ("D4".into(), "bad/d4_stray_thread.rs".into(), 5));
@@ -136,7 +130,7 @@ fn d4_stray_thread_fixture() {
 
 #[test]
 fn d5_unseeded_rng_fixture() {
-    let rep = run("bad/d5_unseeded_rng.rs", "-");
+    let rep = run("bad/d5_unseeded_rng.rs");
     let d = denies(&rep);
     assert_eq!(d.len(), 2, "{d:?}");
     assert_eq!(d[0], ("D5".into(), "bad/d5_unseeded_rng.rs".into(), 4));
@@ -144,53 +138,8 @@ fn d5_unseeded_rng_fixture() {
 }
 
 #[test]
-fn d6_request_cycle_fixture() {
-    let rep = run("d6_bad", "d6_bad/actors");
-    let d = denies(&rep);
-    assert_eq!(d.len(), 1, "{d:?}");
-    assert_eq!(d[0].0, "D6");
-    let msg = &rep.deny().next().unwrap().message;
-    assert!(msg.contains("request cycle"), "{msg}");
-    assert!(msg.contains("alpha") && msg.contains("beta"), "{msg}");
-}
-
-#[test]
-fn d6_multi_producer_fixture() {
-    let rep = run("d6_multi", "d6_multi/actors");
-    let d = denies(&rep);
-    assert_eq!(d.len(), 1, "{d:?}");
-    assert_eq!(d[0].0, "D6");
-    let msg = &rep.deny().next().unwrap().message;
-    assert!(msg.contains("multiple producers"), "{msg}");
-    assert!(msg.contains("HubMsg"), "{msg}");
-}
-
-#[test]
-fn d7_reply_arity_fixture() {
-    let rep = run("d7_bad", "d7_bad/actors");
-    let d = denies(&rep);
-    assert_eq!(d.len(), 3, "{d:?}");
-    assert!(d
-        .iter()
-        .all(|(r, f, _)| r == "D7" && f.ends_with("relay.rs")));
-    let msgs: Vec<&str> = rep.deny().map(|f| f.message.as_str()).collect();
-    assert!(msgs.iter().any(|m| m.contains("never sent")), "{msgs:?}");
-    assert!(
-        msgs.iter().any(|m| m.contains("more than once")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("never consumed")),
-        "{msgs:?}"
-    );
-    assert_eq!(d[0].2, 12); // Get arm binds `reply`, never sends
-    assert_eq!(d[1].2, 17); // Sum arm sends twice on one path
-    assert_eq!(d[2].2, 28); // leaked oneshot sender
-}
-
-#[test]
 fn clean_fixture_has_zero_findings() {
-    let rep = run("clean", "-");
+    let rep = run("clean");
     assert_eq!(rep.deny_count(), 0, "{:?}", denies(&rep));
     assert_eq!(rep.allowed().count(), 0);
     assert_eq!(rep.files_scanned, 1);
@@ -198,7 +147,7 @@ fn clean_fixture_has_zero_findings() {
 
 #[test]
 fn escape_hatch_suppresses_and_is_counted() {
-    let rep = run("allowed", "-");
+    let rep = run("allowed");
     assert_eq!(rep.deny_count(), 0, "{:?}", denies(&rep));
     let allowed: Vec<_> = rep.allowed().collect();
     assert_eq!(allowed.len(), 1);
@@ -208,7 +157,7 @@ fn escape_hatch_suppresses_and_is_counted() {
 
 #[test]
 fn missing_reason_keeps_deny_and_flags_annotation() {
-    let rep = run("bad/la_missing_reason.rs", "-");
+    let rep = run("bad/la_missing_reason.rs");
     let d = denies(&rep);
     // The D1 deny survives AND the annotation itself is flagged.
     assert_eq!(d.len(), 2, "{d:?}");

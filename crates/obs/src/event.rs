@@ -130,8 +130,7 @@ impl SpanEvent {
 /// volume cap.
 ///
 /// Sampling is by job id (`job % sample_every == 0`), not by a random
-/// draw, so the sampled population is identical across runs and across
-/// actor-pacing modes. Events past `max_events` are counted in
+/// draw, so the sampled population is identical across runs. Events past `max_events` are counted in
 /// [`SpanLog::dropped`] rather than silently discarded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanLog {

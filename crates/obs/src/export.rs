@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 /// Schema version stamped into the JSONL header (and every
 /// `BENCH_*.json`); bump on any breaking format change.
-pub const JSONL_SCHEMA_VERSION: u32 = 1;
+pub const JSONL_SCHEMA_VERSION: u32 = 2;
 
 /// Renders an `f64` as a JSON number (shortest round-trip form), or
 /// `null` when non-finite.
@@ -149,15 +149,17 @@ pub(crate) fn jsonl_tick_line(s: &crate::timeseries::TickSample) -> String {
     )
 }
 
+/// The numeric keys [`jsonl_stage_line`] writes; the validator requires
+/// each of them.
+const STAGE_KEYS: [&str; 4] = ["processed", "replies", "sent", "mailbox_hwm"];
+
 /// Renders one stage-profile line.
 pub(crate) fn jsonl_stage_line(p: &StageProfile) -> String {
     format!(
-        "{{\"kind\":\"stage\",\"stage\":\"{}\",\"processed\":{},\"batches\":{},\
-         \"max_batch_len\":{},\"replies\":{},\"sent\":{},\"mailbox_hwm\":{}}}",
+        "{{\"kind\":\"stage\",\"stage\":\"{}\",\"processed\":{},\"replies\":{},\
+         \"sent\":{},\"mailbox_hwm\":{}}}",
         json_escape(p.stage),
         p.counters.processed,
-        p.counters.batches,
-        p.counters.max_batch_len,
         p.counters.replies,
         p.sent,
         p.mailbox_hwm
@@ -741,7 +743,7 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                 v.get("stage")
                     .and_then(Json::as_str)
                     .ok_or_else(|| format!("line {line_no}: stage missing name"))?;
-                for key in ["processed", "batches", "max_batch_len", "replies", "sent"] {
+                for key in STAGE_KEYS {
                     field_u64(&v, key, line_no)?;
                 }
                 summary.stages += 1;
@@ -829,17 +831,13 @@ mod tests {
     fn jsonl_round_trips_through_the_validator() {
         let log = sample_log();
         let tl = sample_timeline();
-        let profiles = [StageProfile {
-            stage: "metrics",
-            counters: StageCounters {
+        let profiles = [StageProfile::new(
+            "metrics",
+            StageCounters {
                 processed: 10,
-                batches: 2,
-                max_batch_len: 5,
                 replies: 1,
             },
-            sent: 12,
-            mailbox_hwm: 7,
-        }];
+        )];
         let doc = jsonl_document(1, Some(&log), Some(&tl), &profiles);
         let summary = validate_jsonl(&doc).expect("valid document");
         assert_eq!(
@@ -859,10 +857,19 @@ mod tests {
 
     #[test]
     fn validator_rejects_malformed_documents() {
-        let ok = jsonl_document(1, Some(&sample_log()), None, &[]);
+        let profiles = [StageProfile::new("planner", StageCounters::default())];
+        let ok = jsonl_document(1, Some(&sample_log()), None, &profiles);
+        assert!(validate_jsonl(&ok).is_ok());
         // Header tampering.
-        let bad = ok.replacen("\"schema_version\":1", "\"schema_version\":99", 1);
+        let bad = ok.replacen("\"schema_version\":2", "\"schema_version\":99", 1);
         assert!(validate_jsonl(&bad).unwrap_err().contains("schema_version"));
+        // A stage line missing any key the exporter writes.
+        for key in STAGE_KEYS {
+            let missing = ok.replacen(&format!(",\"{key}\":0"), "", 1);
+            assert_ne!(missing, ok, "{key} not in the stage line");
+            let err = validate_jsonl(&missing).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
         // Dropped footer.
         let no_footer: String = ok
             .lines()

@@ -8,8 +8,8 @@
 //! * [`timeseries`] — a per-tick registry of named counters, gauges and
 //!   fixed-bound histograms, sampled every simulated minute into a
 //!   bounded ring buffer and surfaced as `RunOutcome::timeline`;
-//! * [`profile`] — actor-stage profiling (messages processed, batch
-//!   flushes, mailbox high-water marks, request/reply round trips);
+//! * [`profile`] — control-plane stage profiling (calls each stage ran,
+//!   and how many returned a value);
 //! * [`export`] — byte-deterministic JSONL and Chrome trace-event
 //!   (`chrome://tracing` / Perfetto) documents, plus a dependency-free
 //!   validator used by tests and CI.
@@ -22,7 +22,7 @@
 //! and exports are pure functions of already-deterministic state.
 //! Telemetry off (the default) leaves the simulation bit-identical to a
 //! build without the plane; telemetry on is itself bit-deterministic
-//! across runs and across actor-pacing modes.
+//! across runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,7 @@ pub use export::{
     chrome_trace_document, json_escape, json_f64, jsonl_document, parse_json,
     validate_chrome_trace, validate_jsonl, Json, JsonlSummary, JSONL_SCHEMA_VERSION,
 };
-pub use profile::{MailboxGauge, StageCounters, StageProfile};
+pub use profile::{StageCounters, StageProfile};
 pub use stream::JsonlStream;
 pub use timeseries::{Histogram, Registry, TickSample, Timeline};
 

@@ -1,95 +1,52 @@
-//! Actor-stage profiling: logical message counters collected inside
-//! each stage and merged into the run outcome at `Finish`.
+//! Control-plane stage profiling: call counters collected inside each
+//! stage and surfaced on the run outcome at teardown.
 //!
-//! Counters track **logical** messages — the same sequence a stage
-//! handles whether it runs inline on the driver thread or on its own
-//! thread — so profiles are bit-identical across all actor-pacing
-//! modes. Queue-depth high-water marks are tracked on the driver side
-//! as the maximum number of envelopes outstanding between rendezvous
-//! points, which is likewise pacing-independent (see DESIGN.md §12).
+//! The driver is every stage's only caller and calls it directly, so the
+//! counters are a pure function of the run: bit-identical across repeats
+//! (see DESIGN.md §12).
 
-/// Message counters a stage increments inside its `handle` loop.
+/// Call counters a stage increments on every call the driver makes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounters {
-    /// Individual (non-envelope) messages processed.
+    /// Calls the stage ran, its teardown call included.
     pub processed: u64,
-    /// `Batch` envelopes unpacked.
-    pub batches: u64,
-    /// Largest single `Batch` envelope seen.
-    pub max_batch_len: u64,
-    /// Request/reply round trips served (oneshot replies sent).
+    /// Calls that returned a value to the driver.
     pub replies: u64,
 }
 
 impl StageCounters {
-    /// Folds `other` into `self` (sums, except `max_batch_len` which
-    /// takes the maximum).
-    pub fn merge(&mut self, other: StageCounters) {
-        self.processed += other.processed;
-        self.batches += other.batches;
-        self.max_batch_len = self.max_batch_len.max(other.max_batch_len);
-        self.replies += other.replies;
-    }
-
-    /// Notes one `Batch` envelope carrying `len` messages.
-    pub fn note_batch(&mut self, len: usize) {
-        self.batches += 1;
-        self.max_batch_len = self.max_batch_len.max(len as u64);
+    /// Counts one call; `replied` says whether it returned a value.
+    pub fn count(&mut self, replied: bool) {
+        self.processed += 1;
+        self.replies += u64::from(replied);
     }
 }
 
-/// The merged profile of one actor stage over a whole run.
+/// The profile of one control-plane stage over a whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageProfile {
     /// Stage name (`"planner"`, `"cache-plane"`, `"metrics"`, `"fleet"`).
     pub stage: &'static str,
     /// Counters collected inside the stage.
     pub counters: StageCounters,
-    /// Envelopes the driver dispatched toward the stage (counting inline
-    /// executions and mailbox pushes identically, so the count is
-    /// pacing-independent).
+    /// Calls the driver made into the stage: always equal to
+    /// `counters.processed`. Kept only because the repository benchmark
+    /// reports it, until the next benchmark change drops it.
     pub sent: u64,
-    /// Deterministic mailbox high-water mark: the maximum envelopes
-    /// outstanding between two driver↔stage rendezvous, clamped to the
-    /// mailbox capacity.
+    /// Always 0: stages have no mailbox. Kept only because the repository
+    /// benchmark reports it, until the next benchmark change drops it.
     pub mailbox_hwm: u64,
 }
 
-/// Driver-side queue-depth tracker for one stage.
-///
-/// Real mailbox occupancy depends on thread scheduling; this instead
-/// counts envelopes sent since the last rendezvous (a request/reply or
-/// drain), which upper-bounds occupancy and is identical across pacing
-/// modes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MailboxGauge {
-    pending: u64,
-    hwm: u64,
-    sent: u64,
-}
-
-impl MailboxGauge {
-    /// Notes one envelope dispatched toward the stage.
-    pub fn on_send(&mut self, cap: u64) {
-        self.sent += 1;
-        self.pending = (self.pending + 1).min(cap);
-        self.hwm = self.hwm.max(self.pending);
-    }
-
-    /// Notes a rendezvous (request/reply or drain): the mailbox is
-    /// known-empty afterwards.
-    pub fn on_rendezvous(&mut self) {
-        self.pending = 0;
-    }
-
-    /// The high-water mark observed so far.
-    pub fn hwm(&self) -> u64 {
-        self.hwm
-    }
-
-    /// Total envelopes dispatched over the run.
-    pub fn sent(&self) -> u64 {
-        self.sent
+impl StageProfile {
+    /// The profile of `stage` from the counters it collected.
+    pub fn new(stage: &'static str, counters: StageCounters) -> Self {
+        StageProfile {
+            stage,
+            counters,
+            sent: counters.processed,
+            mailbox_hwm: 0,
+        }
     }
 }
 
@@ -98,41 +55,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_sums_and_maxes() {
-        let mut a = StageCounters {
-            processed: 10,
-            batches: 2,
-            max_batch_len: 5,
-            replies: 1,
-        };
-        a.merge(StageCounters {
-            processed: 3,
-            batches: 1,
-            max_batch_len: 9,
-            replies: 2,
-        });
-        assert_eq!(a.processed, 13);
-        assert_eq!(a.batches, 3);
-        assert_eq!(a.max_batch_len, 9);
-        assert_eq!(a.replies, 3);
-    }
-
-    #[test]
-    fn mailbox_gauge_tracks_pending_between_rendezvous() {
-        let mut g = MailboxGauge::default();
-        for _ in 0..5 {
-            g.on_send(4096);
-        }
-        assert_eq!(g.hwm(), 5);
-        g.on_rendezvous();
-        g.on_send(4096);
-        assert_eq!(g.hwm(), 5); // 1 pending now, hwm unchanged
-        assert_eq!(g.sent(), 6); // total dispatches keep accumulating
-                                 // Clamped to capacity.
-        let mut h = MailboxGauge::default();
-        for _ in 0..10 {
-            h.on_send(4);
-        }
-        assert_eq!(h.hwm(), 4);
+    fn a_profile_counts_every_call_as_sent_and_has_no_mailbox() {
+        let mut counters = StageCounters::default();
+        counters.count(true);
+        counters.count(false);
+        counters.count(true);
+        let p = StageProfile::new("planner", counters);
+        assert_eq!((p.counters.processed, p.counters.replies), (3, 2));
+        assert_eq!(p.sent, 3);
+        assert_eq!(p.mailbox_hwm, 0);
     }
 }

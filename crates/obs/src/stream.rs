@@ -185,17 +185,13 @@ mod tests {
     }
 
     fn profiles() -> Vec<StageProfile> {
-        vec![StageProfile {
-            stage: "planner",
-            counters: StageCounters {
+        vec![StageProfile::new(
+            "planner",
+            StageCounters {
                 processed: 7,
-                batches: 2,
-                max_batch_len: 4,
                 replies: 1,
             },
-            sent: 9,
-            mailbox_hwm: 3,
-        }]
+        )]
     }
 
     /// Drives a recorder through spans + ticks (enough ticks to evict)

@@ -1,6 +1,6 @@
 //! Observability walkthrough: run a short diurnal trace with the §12
 //! telemetry plane enabled, then tour everything it recorded — the
-//! per-minute timeline, the job-lifecycle spans, the actor-stage
+//! per-minute timeline, the job-lifecycle spans, the control-plane stage
 //! profiles — and export the deterministic JSONL event log plus a
 //! Chrome trace-event file you can open in `chrome://tracing` or
 //! Perfetto.
@@ -85,20 +85,16 @@ fn main() {
         .count();
     println!("cache hits among sampled jobs: {cache_hits}\n");
 
-    // ---- 3. Actor-stage profiles: what each stage did all run.
+    // ---- 3. Stage profiles: the calls the driver made into each stage
+    // all run, and how many of them returned a value.
     println!(
-        "{:>12}  {:>10}  {:>8}  {:>9}  {:>8}  {:>6}",
-        "stage", "processed", "batches", "replies", "sent", "hwm"
+        "{:>12}  {:>10}  {:>9}  {:>8}  {:>6}",
+        "stage", "processed", "replies", "sent", "hwm"
     );
     for p in &out.stage_profiles {
         println!(
-            "{:>12}  {:>10}  {:>8}  {:>9}  {:>8}  {:>6}",
-            p.stage,
-            p.counters.processed,
-            p.counters.batches,
-            p.counters.replies,
-            p.sent,
-            p.mailbox_hwm
+            "{:>12}  {:>10}  {:>9}  {:>8}  {:>6}",
+            p.stage, p.counters.processed, p.counters.replies, p.sent, p.mailbox_hwm
         );
     }
 

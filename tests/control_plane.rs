@@ -1,13 +1,12 @@
-//! The actor control plane's determinism and bugfix contract (ISSUE 6):
+//! The staged control plane's determinism and bugfix contract:
 //!
-//! * a seeded run on the message-passing stage pipeline is **bit-identical
-//!   across repeats**, including the retrieval plane's counters — the
-//!   stages exchange real messages (bounded mailboxes, oneshot replies,
-//!   coalesced write batches), so this pins that no interleaving leaks
-//!   into observable state;
+//! * a seeded run through the planner, cache-plane, metrics and fleet
+//!   stages is **bit-identical across repeats**, including the retrieval
+//!   plane's counters, on every retrieval plane (flat scan, shared LSH,
+//!   sharded with replication);
 //! * batch-1 default runs reproduce the golden fingerprint captured on the
-//!   pre-actor synchronous loop, i.e. the re-architecture changed the
-//!   execution substrate and nothing else;
+//!   synchronous loop before the stage decomposition, i.e. the
+//!   decomposition changed the code's structure and nothing else;
 //! * the mid-minute re-split fires on a **retrieval-overhead spike** (a
 //!   degraded cache plane inflating AC service times), not just on the
 //!   backlog drain-rate trigger it shipped with, and the re-split
@@ -71,8 +70,8 @@ fn assert_identical(a: &RunOutcome, b: &RunOutcome, what: &str) {
 #[test]
 fn actor_plane_seeded_repeats_are_bit_identical() {
     // One configuration per retrieval plane, so every cache-stage variant
-    // (flat scan, shared LSH, sharded with replication) crosses the
-    // mailbox boundary deterministically.
+    // (flat scan, shared LSH, sharded with replication) repeats
+    // deterministically.
     let trace = twitter_like(19, 8);
     type Wire = fn(RunConfig) -> RunConfig;
     let variants: [(&str, Wire); 3] = [
@@ -90,10 +89,10 @@ fn actor_plane_seeded_repeats_are_bit_identical() {
 #[test]
 fn actor_plane_reproduces_the_pre_actor_golden() {
     // The Argus golden from `tests/capacity_model.rs`, captured on the
-    // synchronous tick loop before the actor re-architecture. Asserted
-    // here independently: the stage decomposition (planner/cache-plane/
-    // metrics mailboxes, coalesced batches, inline fast path) must not
-    // move a single bit of the observable outcome.
+    // synchronous tick loop before the stage decomposition. Asserted
+    // here independently: splitting the loop into planner, cache-plane,
+    // metrics and fleet stages must not move a single bit of the
+    // observable outcome.
     let out = cfg(Policy::Argus, twitter_like(11, 6), 11).run();
     assert_eq!(out.totals.offered, 609);
     assert_eq!(out.totals.completed, 609);

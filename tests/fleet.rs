@@ -9,11 +9,10 @@
 //! * the `CostReport` reconciles with the membership telemetry: the
 //!   dollar totals re-derived from the `MembershipSample` step function
 //!   match the stage's own integral;
-//! * the workspace still lints clean under `argus_lint` (D1–D7).
+//! * the workspace still lints clean under `argus_lint` (D1–D5).
 
 use argus::core::{
-    on_demand_hourly, preemption_events, ActorPacing, AutoscalePolicy, Policy, RunConfig,
-    RunOutcome,
+    on_demand_hourly, preemption_events, AutoscalePolicy, Policy, RunConfig, RunOutcome,
 };
 use argus::models::GpuArch;
 use argus::workload::{preemption_storm, twitter_like, Trace};
@@ -214,27 +213,10 @@ fn cost_report_reconciles_with_membership_telemetry() {
 }
 
 #[test]
-fn elastic_runs_are_identical_across_actor_pacing_modes() {
-    // The fleet stage joins the star topology; like every other stage its
-    // pacing must never leak into results.
-    for (label, make) in [
-        ("autoscaled", autoscaled_cfg as fn(u64) -> RunConfig),
-        ("storm", storm_cfg as fn(u64) -> RunConfig),
-    ] {
-        let auto = make(33).with_actor_pacing(ActorPacing::Auto).run();
-        let inline = make(33)
-            .with_actor_pacing(ActorPacing::SingleCoreInline)
-            .run();
-        let threaded = make(33).with_actor_pacing(ActorPacing::Threaded).run();
-        assert_bit_identical(&auto, &inline, &format!("{label}/inline"));
-        assert_bit_identical(&auto, &threaded, &format!("{label}/threaded"));
-    }
-}
-
-#[test]
 fn workspace_lints_clean_with_the_fleet_stage() {
-    // D6 (star topology) and D7 (reply arity) must stay green with the
-    // fleet stage wired into the actor plane.
+    // D1–D5 must stay green with the fleet stage wired into the
+    // control plane: no wall clock, unordered iteration, unbounded
+    // channel, thread or unseeded RNG in its accounting.
     let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let rep = argus_lint::run(&argus_lint::Config::for_repo(root)).expect("workspace scan");
     let denies: Vec<_> = rep

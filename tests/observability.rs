@@ -4,13 +4,13 @@
 //!   tree, pinned by the PR 8 golden fingerprint;
 //! * telemetry **on** does not perturb the simulation: results match the
 //!   telemetry-off run bit for bit;
-//! * telemetry **on** is itself bit-deterministic across all three
-//!   actor-pacing modes, down to the exported JSONL/Chrome-trace bytes;
+//! * telemetry **on** is itself bit-deterministic across same-seed
+//!   repeats, down to the exported JSONL/Chrome-trace bytes;
 //! * the timeline reconciles with the run totals, spans tell a
 //!   well-formed lifecycle story, sampling keeps 1-in-N jobs, and the
-//!   stage profiles obey the envelope-accounting identities.
+//!   stage profiles count one call per stage operation.
 
-use argus::core::{ActorPacing, Policy, RunConfig, RunOutcome, SpanKind, TelemetryConfig};
+use argus::core::{Policy, RunConfig, RunOutcome, SpanKind, TelemetryConfig};
 use argus::models::{AcLevel, ApproxLevel};
 use argus::obs::{validate_chrome_trace, validate_jsonl};
 use argus::workload::twitter_like;
@@ -68,40 +68,19 @@ fn telemetry_on_does_not_perturb_the_simulation() {
 }
 
 #[test]
-fn telemetry_is_bit_deterministic_across_actor_pacing_modes() {
-    let run = |pacing| {
-        cfg(13, 8)
-            .with_telemetry(TelemetryConfig::full())
-            .with_actor_pacing(pacing)
-            .run()
-    };
-    let auto = run(ActorPacing::Auto);
-    let inline = run(ActorPacing::SingleCoreInline);
-    let threaded = run(ActorPacing::Threaded);
-    for (other, label) in [(&inline, "inline"), (&threaded, "threaded")] {
-        assert_results_identical(&auto, other, label);
-        // The telemetry artifacts themselves must not depend on pacing:
-        // `RunOutcome::timeline` compares sample by sample, and the
-        // exported documents byte for byte (spans, ticks, profiles —
-        // everything the exporters serialize).
-        assert_eq!(auto.timeline, other.timeline, "{label}: timeline");
-        let (a, b) = (auto.spans.as_ref().unwrap(), other.spans.as_ref().unwrap());
-        assert_eq!(a.events, b.events, "{label}: span events");
-        assert_eq!(
-            auto.stage_profiles, other.stage_profiles,
-            "{label}: profiles"
-        );
-        assert_eq!(
-            auto.telemetry_jsonl(),
-            other.telemetry_jsonl(),
-            "{label}: jsonl bytes"
-        );
-        assert_eq!(
-            auto.chrome_trace(),
-            other.chrome_trace(),
-            "{label}: chrome-trace bytes"
-        );
-    }
+fn telemetry_is_bit_deterministic_across_repeats() {
+    let run = || cfg(13, 8).with_telemetry(TelemetryConfig::full()).run();
+    let (a, b) = (run(), run());
+    assert_results_identical(&a, &b, "repeat");
+    // The telemetry artifacts themselves repeat too: `RunOutcome::timeline`
+    // compares sample by sample, and the exported documents byte for byte
+    // (spans, ticks, profiles — everything the exporters serialize).
+    assert_eq!(a.timeline, b.timeline, "timeline");
+    let (sa, sb) = (a.spans.as_ref().unwrap(), b.spans.as_ref().unwrap());
+    assert_eq!(sa.events, sb.events, "span events");
+    assert_eq!(a.stage_profiles, b.stage_profiles, "profiles");
+    assert_eq!(a.telemetry_jsonl(), b.telemetry_jsonl(), "jsonl bytes");
+    assert_eq!(a.chrome_trace(), b.chrome_trace(), "chrome-trace bytes");
 }
 
 #[test]
@@ -242,46 +221,31 @@ fn exports_validate_and_roundtrip_to_disk() {
 }
 
 #[test]
-fn stage_profiles_obey_envelope_accounting() {
+fn stage_profiles_count_every_stage_call() {
     let out = cfg(11, 6).with_telemetry(TelemetryConfig::full()).run();
-    let by_name = |n: &str| {
-        out.stage_profiles
-            .iter()
-            .find(|p| p.stage == n)
-            .unwrap_or_else(|| panic!("missing stage {n}"))
-    };
-    let (planner, cache, metrics, fleet) = (
-        by_name("planner"),
-        by_name("cache-plane"),
-        by_name("metrics"),
-        by_name("fleet"),
-    );
+    // The driver calls each stage directly: every call it makes is one
+    // the stage ran, and no stage has a mailbox to queue in.
     for p in &out.stage_profiles {
-        assert!(p.sent > 0, "{}: no traffic", p.stage);
-        assert!(p.mailbox_hwm >= 1 && p.mailbox_hwm <= 4096, "{}", p.stage);
-        assert!(p.counters.processed > 0, "{}", p.stage);
+        assert_eq!(p.sent, p.counters.processed, "{}", p.stage);
+        assert_eq!(p.mailbox_hwm, 0, "{}", p.stage);
     }
-    // Planner and fleet receive no `Batch` envelopes: one send per
-    // logical message.
-    assert_eq!(planner.counters.batches, 0);
-    assert_eq!(fleet.counters.batches, 0);
-    assert_eq!(planner.sent, planner.counters.processed);
-    assert_eq!(fleet.sent, fleet.counters.processed);
-    // Metrics and cache-plane traffic is either a coalesced `Batch`
-    // flush or a rendezvous request — nothing else crosses the mailbox.
+    // (stage, calls, calls returning a value), pinned at the message and
+    // reply counts the thread-and-mailbox plane reported for this run:
+    // every message became one call, so the stages do the same work.
+    let counts: Vec<(&str, u64, u64)> = out
+        .stage_profiles
+        .iter()
+        .map(|p| (p.stage, p.counters.processed, p.counters.replies))
+        .collect();
     assert_eq!(
-        metrics.sent,
-        metrics.counters.batches + metrics.counters.replies
+        counts,
+        [
+            ("planner", 8, 8),
+            ("cache-plane", 1_612, 394),
+            ("metrics", 2_033, 1),
+            ("fleet", 8, 1),
+        ]
     );
-    assert_eq!(cache.sent, cache.counters.batches + cache.counters.replies);
-    // The metrics stage replies exactly once: at Finish.
-    assert_eq!(metrics.counters.replies, 1);
-    // Every cache retrieval/probe/drain replied; each unpacked batch
-    // carried at least one message.
-    assert!(cache.counters.replies > 0);
-    assert!(cache.counters.max_batch_len >= 1);
-    assert!(metrics.counters.max_batch_len >= 1);
-    assert!(metrics.counters.max_batch_len <= 64, "SEND_BATCH cap");
 }
 
 #[test]
