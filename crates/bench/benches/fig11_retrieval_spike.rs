@@ -20,7 +20,7 @@ fn main() {
         prompt_id: 1,
         k: 20,
     };
-    store.put(key, SimTime::ZERO);
+    store.put(key);
 
     // One retrieval per 30 s over a 60-minute window.
     let mut rows = Vec::new();

@@ -14,9 +14,16 @@
 //!   (normal ≈ 20 ms log-normal; congested ≈ seconds with heavy tail;
 //!   outage = timeouts), driven by a deterministic schedule so failure
 //!   experiments are reproducible;
-//! * [`CacheStore`] — the blob store keyed by `(prompt, K)`, returning
+//! * [`CacheStore`] — the store keyed by `(prompt, K)`, returning
 //!   per-fetch outcomes (hit/miss/failure + latency) that the switcher
 //!   monitors.
+//!
+//! The store holds no per-blob state. Every prompt the retrieval index
+//! can return had its states put at every reusable level when it was
+//! indexed, and the store never evicts, so whether a state exists depends
+//! only on its level: the store remembers the levels `put` has stored (at
+//! most the five skipped-step levels), and its memory does not grow with
+//! the run.
 //!
 //! # Example
 //!
@@ -26,7 +33,7 @@
 //!
 //! let mut store = CacheStore::new(RngFactory::new(1));
 //! let key = CacheKey { prompt_id: 7, k: 20 };
-//! store.put(key, SimTime::ZERO);
+//! store.put(key);
 //! let outcome = store.fetch(key, SimTime::from_secs(1.0));
 //! assert_eq!(outcome.status, FetchStatus::Hit);
 //! assert!(outcome.latency.as_secs() < 0.5);
@@ -35,15 +42,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 use argus_des::rng::{log_normal, RngFactory};
 use argus_des::{SimDuration, SimTime};
-use bytes::Bytes;
 use rand::rngs::StdRng;
-
-/// Logical size of one cached intermediate noise state (§4.7: 144 KB).
-pub const STATE_BYTES: u64 = 144 * 1024;
 
 /// Where a cache lookup is served from, relative to the requesting
 /// worker — the cost model of the sharded cache plane.
@@ -188,42 +189,27 @@ pub enum FetchStatus {
 
 /// Outcome of one cache fetch: what happened and how long it took. The
 /// latency stream is what the strategy switcher monitors (§4.6).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FetchOutcome {
     /// Hit / miss / failure.
     pub status: FetchStatus,
     /// End-to-end retrieval latency (network + lookup).
     pub latency: SimDuration,
-    /// The stored state digest on a hit.
-    pub state: Option<Bytes>,
 }
 
-#[derive(Debug, Clone)]
-struct StoredState {
-    #[allow(dead_code)] // retained for cache-age diagnostics
-    stored_at: SimTime,
-}
-
-/// The digest of a stored state is a pure function of its key (the
-/// simulation never holds pixel data), so it is materialized on fetch
-/// rather than stored per blob — million-job runs hold millions of
-/// states, and a per-put allocation is the hot path of the cache plane.
-fn digest_of(key: CacheKey) -> Bytes {
-    let mut bytes = [0u8; 12];
-    bytes[..8].copy_from_slice(&key.prompt_id.to_le_bytes());
-    bytes[8..].copy_from_slice(&key.k.to_le_bytes());
-    Bytes::copy_from_slice(&bytes)
-}
-
-/// The EFS-like blob store holding intermediate noise states.
+/// The EFS-like store holding intermediate noise states.
 ///
-/// States are represented by a 32-byte digest plus logical size — the
-/// scheduler only ever observes latency and hit/miss, never pixel data.
+/// The scheduler only ever observes latency and hit/miss, never pixel
+/// data, so the store keeps no blobs: a fetch hits exactly when `put` has
+/// stored a state at the key's capture step. Callers put every reusable
+/// level of a prompt together with its index insert (see the crate docs),
+/// so at a stored level every prompt the index can return has its state;
+/// a fetch at any other level is a miss.
 #[derive(Debug)]
 pub struct CacheStore {
     network: NetworkModel,
-    blobs: HashMap<CacheKey, StoredState>,
-    stored_bytes: u64,
+    /// Capture steps `put` has stored, in first-put order.
+    levels: Vec<u32>,
     fetches: u64,
     hits: u64,
     failures: u64,
@@ -239,24 +225,19 @@ impl CacheStore {
     pub fn with_network(network: NetworkModel) -> Self {
         CacheStore {
             network,
-            blobs: HashMap::new(),
-            stored_bytes: 0,
+            levels: Vec::new(),
             fetches: 0,
             hits: 0,
             failures: 0,
         }
     }
 
-    /// Stores the intermediate state for `key` at time `t` (writes are
-    /// asynchronous in the paper's deployment and never block generation,
-    /// so no latency is charged here).
-    pub fn put(&mut self, key: CacheKey, t: SimTime) {
-        if self
-            .blobs
-            .insert(key, StoredState { stored_at: t })
-            .is_none()
-        {
-            self.stored_bytes += STATE_BYTES;
+    /// Stores the intermediate state for `key` (writes are asynchronous in
+    /// the paper's deployment and never block generation, so no latency is
+    /// charged here).
+    pub fn put(&mut self, key: CacheKey) {
+        if !self.levels.contains(&key.k) {
+            self.levels.push(key.k);
         }
     }
 
@@ -273,56 +254,22 @@ impl CacheStore {
     pub fn fetch_routed(&mut self, key: CacheKey, t: SimTime, locality: Locality) -> FetchOutcome {
         self.fetches += 1;
         let (latency, ok) = self.network.sample_lookup(t, locality);
-        if !ok {
+        let status = if !ok {
             self.failures += 1;
-            return FetchOutcome {
-                status: FetchStatus::Failed,
-                latency,
-                state: None,
-            };
-        }
-        match self.blobs.get(&key) {
-            Some(_) => {
-                self.hits += 1;
-                FetchOutcome {
-                    status: FetchStatus::Hit,
-                    latency,
-                    state: Some(digest_of(key)),
-                }
-            }
-            None => FetchOutcome {
-                status: FetchStatus::Miss,
-                latency,
-                state: None,
-            },
-        }
+            FetchStatus::Failed
+        } else if self.levels.contains(&key.k) {
+            self.hits += 1;
+            FetchStatus::Hit
+        } else {
+            FetchStatus::Miss
+        };
+        FetchOutcome { status, latency }
     }
 
     /// A background "test retrieval" (§4.6): samples the network without
-    /// touching the blob map, used while running in SM mode to detect
-    /// recovery.
+    /// counting a fetch, used while running in SM mode to detect recovery.
     pub fn probe(&mut self, t: SimTime) -> (SimDuration, bool) {
         self.network.sample_round_trip(t)
-    }
-
-    /// Whether a state exists for `key` (no network charge).
-    pub fn contains(&self, key: CacheKey) -> bool {
-        self.blobs.contains_key(&key)
-    }
-
-    /// Number of stored states.
-    pub fn len(&self) -> usize {
-        self.blobs.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.blobs.is_empty()
-    }
-
-    /// Total logical bytes stored.
-    pub fn stored_bytes(&self) -> u64 {
-        self.stored_bytes
     }
 
     /// Lifetime (fetches, hits, failures) counters.
@@ -345,49 +292,67 @@ mod tests {
     }
 
     #[test]
-    fn put_then_fetch_hits() {
+    fn any_prompt_at_a_stored_level_hits() {
         let mut s = store();
-        let key = CacheKey {
+        s.put(CacheKey {
             prompt_id: 1,
             k: 15,
-        };
-        assert!(!s.contains(key));
-        s.put(key, SimTime::ZERO);
-        assert!(s.contains(key));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.stored_bytes(), STATE_BYTES);
-        let out = s.fetch(key, SimTime::from_secs(1.0));
-        assert_eq!(out.status, FetchStatus::Hit);
-        assert!(out.state.is_some());
-        assert_eq!(s.stats(), (1, 1, 0));
+        });
+        // The answer depends on the level alone: the producing prompt and
+        // any other prompt the index could return both hit.
+        for prompt_id in [1, 2, 1 << 40] {
+            let out = s.fetch(CacheKey { prompt_id, k: 15 }, SimTime::from_secs(1.0));
+            assert_eq!(out.status, FetchStatus::Hit);
+            assert!(!out.latency.is_zero());
+        }
+        assert_eq!(s.stats(), (3, 3, 0));
     }
 
     #[test]
-    fn missing_key_is_a_miss_with_latency() {
+    fn a_level_never_put_misses_with_latency() {
         let mut s = store();
-        let out = s.fetch(
-            CacheKey {
-                prompt_id: 99,
-                k: 5,
-            },
-            SimTime::ZERO,
-        );
+        let unstored = CacheKey {
+            prompt_id: 99,
+            k: 5,
+        };
+        // Nothing stored yet: every level misses.
+        let out = s.fetch(unstored, SimTime::ZERO);
         assert_eq!(out.status, FetchStatus::Miss);
-        assert!(out.state.is_none());
         assert!(!out.latency.is_zero());
+        // Storing other levels (repeatedly) leaves this one a miss that
+        // still pays the lookup that discovered it.
+        for _ in 0..2 {
+            s.put(CacheKey {
+                prompt_id: 99,
+                k: 15,
+            });
+        }
+        let out = s.fetch(unstored, SimTime::from_secs(1.0));
+        assert_eq!(out.status, FetchStatus::Miss);
+        assert!(!out.latency.is_zero());
+        // A miss counts as a fetch, neither a hit nor a failure.
+        assert_eq!(s.stats(), (2, 0, 0));
     }
 
     #[test]
-    fn duplicate_put_does_not_double_count() {
-        let mut s = store();
-        let key = CacheKey {
+    fn failures_count_as_fetches_not_hits() {
+        let net = NetworkModel::new(RngFactory::new(7))
+            .with_event(SimTime::from_secs(10.0), NetworkRegime::Outage);
+        let mut s = CacheStore::with_network(net);
+        let stored = CacheKey {
             prompt_id: 1,
             k: 15,
         };
-        s.put(key, SimTime::ZERO);
-        s.put(key, SimTime::from_secs(1.0));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.stored_bytes(), STATE_BYTES);
+        s.put(stored);
+        assert_eq!(s.fetch(stored, SimTime::ZERO).status, FetchStatus::Hit);
+        // The network leg comes first: during the outage a stored and an
+        // unstored level both fail after the timeout.
+        for k in [15, 5] {
+            let out = s.fetch(CacheKey { prompt_id: 1, k }, SimTime::from_secs(20.0));
+            assert_eq!(out.status, FetchStatus::Failed);
+            assert_eq!(out.latency, SimDuration::from_secs(5.0));
+        }
+        assert_eq!(s.stats(), (3, 1, 2));
     }
 
     #[test]
@@ -397,7 +362,7 @@ mod tests {
             prompt_id: 1,
             k: 10,
         };
-        s.put(key, SimTime::ZERO);
+        s.put(key);
         let mut total = 0.0;
         for i in 0..500 {
             let out = s.fetch(key, SimTime::from_secs(i as f64));
@@ -420,7 +385,7 @@ mod tests {
             prompt_id: 2,
             k: 20,
         };
-        s.put(key, SimTime::ZERO);
+        s.put(key);
 
         assert_eq!(s.regime_at(SimTime::from_secs(50.0)), NetworkRegime::Normal);
         assert_eq!(
@@ -460,7 +425,6 @@ mod tests {
         let (lat, ok) = s.probe(SimTime::from_secs(20.0));
         assert!(!ok);
         assert_eq!(lat, SimDuration::from_secs(5.0));
-        assert!(s.is_empty());
         assert_eq!(s.stats(), (0, 0, 0)); // probes are not fetches
     }
 
@@ -485,7 +449,7 @@ mod tests {
             prompt_id: 3,
             k: 25,
         };
-        s.put(key, SimTime::ZERO);
+        s.put(key);
         // Healthy network: local reads are an order of magnitude under the
         // ~20 ms remote round trip.
         let mut total = 0.0;
@@ -516,8 +480,8 @@ mod tests {
         };
         let mut a = CacheStore::new(RngFactory::new(12));
         let mut b = CacheStore::new(RngFactory::new(12));
-        a.put(key, SimTime::ZERO);
-        b.put(key, SimTime::ZERO);
+        a.put(key);
+        b.put(key);
         for i in 0..50 {
             let t = SimTime::from_secs(i as f64);
             assert_eq!(a.fetch(key, t), b.fetch_routed(key, t, Locality::Remote));

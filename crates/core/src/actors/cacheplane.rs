@@ -1,10 +1,10 @@
 //! The cache-plane stage: the retrieval index (flat scan, shared LSH, or
-//! the sharded plane) plus the blob [`CacheStore`].
+//! the sharded plane) plus the [`CacheStore`].
 //!
 //! Retrieval ([`CacheStage::retrieve`]) fuses what the old loop did
 //! inline: nearest-neighbour search, the pipeline's cache-gate mapping
 //! from similarity to an effective AC level, and the store fetch with its
-//! locality-dependent network cost. Index inserts and blob puts are the
+//! locality-dependent network cost. Index inserts and store puts are the
 //! asynchronous, off-critical-path writes of §4.7: they charge no
 //! latency, and every later lookup observes them in the order the driver
 //! issued them. The stage counts its own insert receipts and surrenders
@@ -89,7 +89,7 @@ pub(crate) struct CacheDrainReport {
     pub profile: StageCounters,
 }
 
-/// The cache-plane stage: the retrieval index and the blob store, driven
+/// The cache-plane stage: the retrieval index and the cache store, driven
 /// by plain method calls in driver event order.
 pub(crate) struct CacheStage {
     vdb: Vdb,
@@ -129,17 +129,14 @@ impl CacheStage {
     }
 
     /// Persists every reusable intermediate state of a completed prompt
-    /// (the per-level blob puts).
-    pub(crate) fn put_levels(&mut self, id: u64, t: SimTime) {
+    /// (the per-level store puts).
+    pub(crate) fn put_levels(&mut self, id: u64) {
         self.profile.count(false);
         for k in AC_LEVELS.iter().skip(1) {
-            self.store.put(
-                CacheKey {
-                    prompt_id: id,
-                    k: k.skipped_steps(),
-                },
-                t,
-            );
+            self.store.put(CacheKey {
+                prompt_id: id,
+                k: k.skipped_steps(),
+            });
         }
     }
 

@@ -1,8 +1,10 @@
 //! The driver: the virtual-time event pump of the staged control plane.
 //!
 //! [`SystemSimulation::run`] lives here, rebuilt on the stages: the driver
-//! pops discrete events and drives the cluster, routing, batching and the
-//! strategy switcher, and calls the planner stage for allocations, the
+//! pops discrete events, with the trace's arrivals streamed in ahead of
+//! the heap, keeps each job's state in the job window while it can still
+//! be read, drives the cluster, routing, batching and the strategy
+//! switcher, and calls the planner stage for allocations, the
 //! cache-plane stage for retrieval and cache writes, the metrics stage for
 //! all accounting and the fleet stage for membership and autoscaling.
 //!
@@ -36,7 +38,7 @@ use crate::scheduler::PoolView;
 use crate::switcher::{SwitchCommand, SwitcherState};
 use crate::system::{
     alloc_gauge_name, provisioning_target, Event, Exec, FaultEvent, PoolPlan, RunOutcome,
-    SystemSimulation, E2E_BOUNDS, PROBE, RECENT_POOL, RETRIEVAL_BOUNDS, TICK,
+    SystemSimulation, E2E_BOUNDS, PROBE, RETRIEVAL_BOUNDS, TICK,
 };
 
 impl SystemSimulation {
@@ -145,9 +147,16 @@ impl SystemSimulation {
 
     /// Runs to completion and reports.
     pub fn run(mut self) -> RunOutcome {
-        while let Some((t, ev)) = self.queue.pop() {
+        loop {
+            // Arrivals merge ahead of the heap as they fall due.
+            if let Some((t, job, prompt)) = self.trace.next_due(&mut self.queue) {
+                self.on_arrive(job as usize, prompt, t);
+                continue;
+            }
+            let Some((t, ev)) = self.queue.pop() else {
+                break;
+            };
             match ev {
-                Event::Arrive(i) => self.on_arrive(i as usize, t),
                 Event::Finish(w, job) => self.on_finish(w, job as usize, t),
                 Event::LoadDone(w) => self.on_load_done(w, t),
                 Event::Tick => self.on_tick(t),
@@ -281,17 +290,14 @@ impl SystemSimulation {
     // Event handlers
     // ---------------------------------------------------------------- //
 
-    fn on_arrive(&mut self, idx: usize, t: SimTime) {
+    fn on_arrive(&mut self, idx: usize, prompt: Prompt, t: SimTime) {
         self.obs_counter_add("arrivals", 1);
         if self.obs_wants(idx) {
             self.obs_span(SpanEvent::new(t, idx as u32, SpanKind::Arrive));
         }
         self.metrics.arrival(t);
         self.arrival_rate.record(t);
-        if self.recent.len() == RECENT_POOL {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(idx as u32);
+        self.jobs.arrive(idx, prompt, t);
         // Intra-tick pool-saturation check before routing, so this very
         // arrival already sees the re-split allocation.
         self.maybe_resplit(t);
@@ -311,7 +317,7 @@ impl SystemSimulation {
         let escalate_to = self
             .cascade
             .as_ref()
-            .filter(|c| c.escalated[idx])
+            .filter(|_| self.jobs.get(idx).first_ratio.is_some())
             .map(|c| c.escalate_rung.min(ladder.len() - 1));
         let target = match escalate_to {
             Some(rung) => rung,
@@ -324,7 +330,7 @@ impl SystemSimulation {
                     pasm: &self.pasm,
                     omega_norm: &self.omega_norm,
                     route_rng: &mut self.route_rng,
-                    prompt_text: &self.prompts[idx].text,
+                    prompt_text: &self.jobs.get(idx).prompt.text,
                 };
                 pipeline.pick_target_level(&mut ctx, &ladder)
             }
@@ -383,6 +389,7 @@ impl SystemSimulation {
                     self.obs_span(SpanEvent::new(t, idx as u32, SpanKind::Lost));
                 }
                 self.metrics.lost(t);
+                self.jobs.retire(idx);
             }
         }
     }
@@ -549,7 +556,7 @@ impl SystemSimulation {
         // holds with the cache disabled (mid-switch fallback, §4.6).
         let mut retrieval = SimDuration::ZERO;
         if self.cache_active() && self.pipeline.ac_level_for_hit(k, 1.0).skipped_steps() > 0 {
-            let query = embed(&self.prompts[job].text);
+            let query = embed(&self.jobs.get(job).prompt.text);
             let r = self
                 .cache
                 .retrieve(w.0, k, &query, t, self.pipeline.as_ref());
@@ -641,9 +648,11 @@ impl SystemSimulation {
     /// Post-completion accounting for one job: quality scoring, drift
     /// handling, and the telemetry + cache-persistence sends. `w` is the
     /// worker that ran the pass — the pool the completion is attributed
-    /// to, and the origin replica-write locality of the cache insert.
+    /// to, and the origin replica-write locality of the cache insert. A
+    /// final completion retires the job's state.
     fn complete_job(&mut self, job: usize, exec: Exec, w: WorkerId, t: SimTime) {
-        let prompt = &self.prompts[job];
+        let slot = self.jobs.get(job);
+        let prompt = &slot.prompt;
         let score = self.oracle.score_with_similarity(
             prompt,
             exec.level,
@@ -651,21 +660,20 @@ impl SystemSimulation {
                 .unwrap_or(argus_quality::DEFAULT_AC_SIMILARITY),
         );
         let base = self.oracle.base_quality(prompt);
-        let latency_e2e = t - self.arrivals[job];
+        let latency_e2e = t - slot.arrival;
 
         // Cascade gate. A first pass is judged by the discriminator:
         // flagged jobs re-enter [`SystemSimulation::dispatch`] as
         // escalation work and *none* of the completion accounting below
         // runs for them — exactly one completion is recorded per job, at
         // its final pass, measured from the original arrival
-        // (`latency_e2e` always subtracts `arrivals[job]`, so SLO
+        // (`latency_e2e` always subtracts the job's arrival, so SLO
         // violation accounting charges the full cascade latency).
         if let Some(c) = self.cascade.as_ref() {
-            if c.escalated[job] {
+            if let Some(first_ratio) = slot.first_ratio {
                 // Second pass: report the quality movement and fall
                 // through to the normal terminal accounting.
-                self.metrics
-                    .cascade_outcome(c.first_ratio[job], score / base);
+                self.metrics.cascade_outcome(first_ratio, score / base);
             } else {
                 // Two degenerate accepts: a cascade *configured* with its
                 // first pass at the escalation rung has nowhere to
@@ -684,9 +692,7 @@ impl SystemSimulation {
                 let level = exec.level;
                 self.metrics.cascade_judged(level, escalated);
                 if escalated {
-                    let c = self.cascade.as_mut().expect("cascade checked above");
-                    c.escalated[job] = true;
-                    c.first_ratio[job] = score / base;
+                    self.jobs.get_mut(job).first_ratio = Some(score / base);
                     self.obs_counter_add("escalations", 1);
                     if self.obs_wants(job) {
                         self.obs_span(
@@ -733,10 +739,10 @@ impl SystemSimulation {
             if self.cfg.online_learning {
                 let strategy = self.switcher.planning_strategy();
                 let ladder = ApproxLevel::ladder(strategy);
-                let label = self.oracle.optimal_level(&self.prompts[job], &ladder);
-                let text = self.prompts[job].text.clone();
+                let prompt = &self.jobs.get(job).prompt;
+                let label = self.oracle.optimal_level(prompt, &ladder);
                 if let Some(clf) = self.classifiers.get_mut(&strategy) {
-                    clf.update(&text, label, 0.02);
+                    clf.update(&prompt.text, label, 0.02);
                 }
             } else if self.cfg.retrain_on_drift && self.drift_detector.record(score) {
                 self.retrain(t);
@@ -749,9 +755,10 @@ impl SystemSimulation {
         // latency accrues).
         if self.pipeline.uses_cache_store() {
             self.cache
-                .insert(w.0, embed(&self.prompts[job].text), job as u64);
-            self.cache.put_levels(job as u64, t);
+                .insert(w.0, embed(&self.jobs.get(job).prompt.text), job as u64);
+            self.cache.put_levels(job as u64);
         }
+        self.jobs.retire(job);
     }
 
     fn retrain(&mut self, t: SimTime) {
@@ -760,14 +767,10 @@ impl SystemSimulation {
         self.drift_detector.reset_window();
         let strategy = self.switcher.planning_strategy();
         let ladder = ApproxLevel::ladder(strategy);
-        let pool: Vec<Prompt> = self
-            .recent
-            .iter()
-            .map(|&i| self.prompts[i as usize].clone())
-            .collect();
-        if pool.len() < 200 {
+        if self.jobs.recent().len() < 200 {
             return;
         }
+        let pool: Vec<Prompt> = self.jobs.recent().cloned().collect();
         let samples = label_prompts(&self.oracle, &pool, &ladder);
         let (clf, _) = train(
             &samples,
@@ -842,16 +845,15 @@ impl SystemSimulation {
 
         // Classifier accuracy sampling for Fig. 18: the live classifier
         // against the oracle over the 200 most recent prompts.
-        if self.pipeline.uses_classifier() && !self.recent.is_empty() {
+        if self.pipeline.uses_classifier() && self.jobs.recent().len() > 0 {
             let strategy = self.switcher.planning_strategy();
             let ladder = ApproxLevel::ladder(strategy);
             self.metrics.accuracy(
                 t.as_minutes() as u64,
-                self.recent.iter().rev().take(200).copied(),
+                self.jobs.recent().rev().take(200),
                 &ladder,
                 &self.classifiers[&strategy],
                 &self.oracle,
-                &self.prompts,
             );
         }
 

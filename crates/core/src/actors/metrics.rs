@@ -159,20 +159,18 @@ impl MetricsStage {
     }
 
     /// Tick-time classifier accuracy sampling (Fig. 18): probes the live
-    /// classifier against the oracle over the sampled prompt indices.
-    pub(crate) fn accuracy(
+    /// classifier against the oracle over the sampled prompts.
+    pub(crate) fn accuracy<'a>(
         &mut self,
         minute: u64,
-        sample: impl Iterator<Item = u32>,
+        sample: impl Iterator<Item = &'a Prompt>,
         ladder: &[ApproxLevel],
         classifier: &Classifier,
         oracle: &QualityOracle,
-        prompts: &[Prompt],
     ) {
         self.profile.count(false);
         let (mut probed, mut correct) = (0usize, 0usize);
-        for i in sample {
-            let p = &prompts[i as usize];
+        for p in sample {
             probed += 1;
             if classifier.predict(&p.text) == oracle.optimal_level(p, ladder) {
                 correct += 1;

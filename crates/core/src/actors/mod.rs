@@ -8,16 +8,18 @@
 //!   and the derated-profile memo) and answers allocation queries,
 //!   solving heterogeneous pools one after another in pool order;
 //! * [`cacheplane`] — owns the retrieval index (flat / LSH / sharded) and
-//!   the blob [`argus_cachestore::CacheStore`]: retrieval, index inserts,
-//!   blob puts, network probes and the sharded plane's fault hooks;
+//!   the [`argus_cachestore::CacheStore`]: retrieval, index inserts,
+//!   store puts, network probes and the sharded plane's fault hooks;
 //! * [`metrics`] — owns every accounting sink (per-minute collector,
 //!   level-completion counts, quality reservoir, per-pool outcomes,
 //!   classifier-accuracy sampling, cascade verdicts);
 //! * [`fleet`] — owns the autoscale controller and the billed-membership
 //!   cost integral;
-//! * [`driver`] — the event pump: pops virtual-time events and drives the
-//!   cluster, routing, the strategy switcher and the stages. Rebuilds
-//!   [`crate::system::SystemSimulation::run`] on top of the stages.
+//! * [`driver`] — the event pump: pops virtual-time events, with the
+//!   trace's arrivals merged ahead of the heap, and drives the cluster,
+//!   routing, the strategy switcher, the per-job state window and the
+//!   stages. Rebuilds [`crate::system::SystemSimulation::run`] on top of
+//!   the stages.
 //!
 //! # Determinism
 //!

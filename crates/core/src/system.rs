@@ -8,6 +8,7 @@
 //! different configuration.
 
 use std::collections::{HashMap, VecDeque};
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use argus_cachestore::{CacheKey, CacheStore, NetworkModel, NetworkRegime};
@@ -56,7 +57,8 @@ pub(crate) const PROBE: SimDuration = SimDuration::from_micros(15_000_000);
 pub(crate) fn provisioning_target(estimate_qpm: f64) -> f64 {
     (estimate_qpm + estimate_qpm.max(0.0).sqrt()).max(1.0)
 }
-/// Recent-prompt pool used for drift retraining and accuracy sampling.
+/// Recent-prompt pool used for drift retraining and accuracy sampling:
+/// the last this-many arrivals (see [`JobWindow::recent`]).
 pub(crate) const RECENT_POOL: usize = 3000;
 
 /// A scheduled fault-injection event (§5.6).
@@ -574,8 +576,9 @@ pub(crate) struct Exec {
 }
 
 /// Driver-side cascade state ([`RunConfig::with_cascade`]): the resolved
-/// rungs, the discriminator, per-job escalation flags and the latest
-/// first-pass escalation rate read from the metrics stage.
+/// rungs, the discriminator and the latest first-pass escalation rate read
+/// from the metrics stage. The per-job escalation state lives in each
+/// job's [`JobSlot`].
 pub(crate) struct CascadeState {
     /// Escalate when doubt ≥ threshold.
     pub(crate) threshold: f64,
@@ -588,21 +591,129 @@ pub(crate) struct CascadeState {
     /// The level escalated jobs re-run at, and its ladder index.
     pub(crate) escalate_level: ApproxLevel,
     pub(crate) escalate_rung: usize,
-    /// Per-job escalation flag: set when the discriminator flags the
-    /// first pass, so the re-dispatch targets the escalation rung and
-    /// the second completion is final.
-    pub(crate) escalated: Vec<bool>,
-    /// Per-job first-pass relative quality (score/base), kept for the
-    /// quality-delta accounting of escalated jobs.
-    pub(crate) first_ratio: Vec<f64>,
     /// The escalation-rate EWMA at `first_level`, as of the last
     /// allocator tick (read from the metrics stage each tick).
     pub(crate) first_pass_rate: f64,
 }
 
+/// The trace, streamed into the event loop: arrival instants come off the
+/// arrival process as they fall due, and each job's prompt is generated
+/// when the job arrives, so nothing of the trace is held ahead of time.
+/// Jobs are numbered in arrival order; the generator is sequential, so
+/// the prompts are those a batch generated up front would hold.
+pub(crate) struct TraceCursor<I: Iterator<Item = SimTime> = ArrivalProcess> {
+    instants: Peekable<I>,
+    prompts: PromptGenerator,
+    next_job: u32,
+}
+
+impl<I: Iterator<Item = SimTime>> TraceCursor<I> {
+    pub(crate) fn new(instants: I, prompts: PromptGenerator) -> Self {
+        TraceCursor {
+            instants: instants.peekable(),
+            prompts,
+            next_job: 0,
+        }
+    }
+
+    /// Delivers the next arrival `(instant, job, prompt)` if it is due: at
+    /// or before the earliest event pending in `queue`, whose clock it
+    /// then advances. An arrival thus wins an exact tie with any heap
+    /// event, and same-instant arrivals come in job order — the order of a
+    /// queue that scheduled every arrival up front, ahead of every other
+    /// event.
+    pub(crate) fn next_due<E>(
+        &mut self,
+        queue: &mut EventQueue<E>,
+    ) -> Option<(SimTime, u32, Prompt)> {
+        let pending = queue.peek_time();
+        let at = self
+            .instants
+            .next_if(|&at| pending.is_none_or(|p| at <= p))?;
+        queue.advance(at);
+        let job = self.next_job;
+        self.next_job += 1;
+        Some((at, job, self.prompts.generate()))
+    }
+}
+
+/// One job's state, from its arrival until it can no longer be read.
+pub(crate) struct JobSlot {
+    pub(crate) prompt: Prompt,
+    pub(crate) arrival: SimTime,
+    /// Cascade: set once the discriminator escalates the first pass, to
+    /// that pass's relative quality (score/base) for the quality-delta
+    /// accounting. An escalated job's re-dispatch targets the escalation
+    /// rung, and its second completion is final.
+    pub(crate) first_ratio: Option<f64>,
+    retired: bool,
+}
+
+/// Per-job state keyed by job id, held only while something can still
+/// read it: while the job is live, and while it is among the last
+/// [`RECENT_POOL`] arrivals that drift retraining and the accuracy sample
+/// read. A job is retired at its final completion or when dispatch loses
+/// it; retired slots are freed from the front once older than the recent
+/// arrivals, so the window spans the oldest live job or the recent
+/// arrivals, whichever reaches further back.
+#[derive(Default)]
+pub(crate) struct JobWindow {
+    /// Id of the front slot.
+    first: usize,
+    slots: VecDeque<JobSlot>,
+}
+
+impl JobWindow {
+    /// Opens the slot of `job`, the next arrival.
+    pub(crate) fn arrive(&mut self, job: usize, prompt: Prompt, arrival: SimTime) {
+        debug_assert_eq!(
+            job,
+            self.first + self.slots.len(),
+            "jobs arrive in id order"
+        );
+        self.slots.push_back(JobSlot {
+            prompt,
+            arrival,
+            first_ratio: None,
+            retired: false,
+        });
+        self.free();
+    }
+
+    pub(crate) fn get(&self, job: usize) -> &JobSlot {
+        &self.slots[job - self.first]
+    }
+
+    pub(crate) fn get_mut(&mut self, job: usize) -> &mut JobSlot {
+        &mut self.slots[job - self.first]
+    }
+
+    /// Marks `job` done (its final completion, or a loss): its slot is
+    /// freed once it is older than the recent arrivals.
+    pub(crate) fn retire(&mut self, job: usize) {
+        let slot = self.get_mut(job);
+        debug_assert!(!slot.retired, "job {job} retired twice");
+        slot.retired = true;
+        self.free();
+    }
+
+    /// Prompts of the last `min(arrivals, RECENT_POOL)` arrivals, oldest
+    /// first (none before the first arrival).
+    pub(crate) fn recent(&self) -> impl DoubleEndedIterator<Item = &Prompt> + ExactSizeIterator {
+        let from = self.slots.len().saturating_sub(RECENT_POOL);
+        self.slots.range(from..).map(|s| &s.prompt)
+    }
+
+    fn free(&mut self) {
+        while self.slots.len() > RECENT_POOL && self.slots.front().is_some_and(|s| s.retired) {
+            self.slots.pop_front();
+            self.first += 1;
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
-    Arrive(u32),
     /// Completion of a specific job on a worker; the job id detects events
     /// made stale by a failure that drained the worker.
     Finish(WorkerId, u32),
@@ -631,8 +742,10 @@ pub struct SystemSimulation {
     pub(crate) queue: EventQueue<Event>,
     pub(crate) cluster: Cluster,
     pub(crate) oracle: QualityOracle,
-    pub(crate) prompts: Vec<Prompt>,
-    pub(crate) arrivals: Vec<SimTime>,
+    /// Arrivals not yet delivered, merged ahead of `queue`.
+    pub(crate) trace: TraceCursor,
+    /// Per-job state of live and recent jobs.
+    pub(crate) jobs: JobWindow,
     pub(crate) switcher: StrategySwitcher,
     pub(crate) classifiers: HashMap<Strategy, Classifier>,
     pub(crate) predictors: HashMap<Strategy, WorkloadDistributionPredictor>,
@@ -649,7 +762,6 @@ pub struct SystemSimulation {
     pub(crate) exec_info: HashMap<usize, Vec<Exec>>,
     pub(crate) drift_detector: DriftDetector,
     pub(crate) retrain_minutes: Vec<u64>,
-    pub(crate) recent: VecDeque<u32>,
     pub(crate) horizon: SimTime,
     pub(crate) saturated_minutes: u64,
     pub(crate) retrieval_ewma: f64,
@@ -668,7 +780,7 @@ pub struct SystemSimulation {
     pub(crate) demand_resplits: u64,
     /// Planner stage: Eq. 1 solving and the derated-profile memo.
     pub(crate) planner: PlannerStage,
-    /// Cache-plane stage: the retrieval index and the blob store.
+    /// Cache-plane stage: the retrieval index and the cache store.
     pub(crate) cache: CacheStage,
     /// Metrics stage: every accounting sink of the run.
     pub(crate) metrics: MetricsStage,
@@ -760,9 +872,9 @@ impl PoolPlan {
 }
 
 impl SystemSimulation {
-    /// Builds the simulation: generates the workload, trains classifiers
-    /// offline, pre-warms the cache with the training images, and places
-    /// the initial allocation.
+    /// Builds the simulation: trains classifiers offline, pre-warms the
+    /// cache with the training images, and places the initial allocation.
+    /// The workload is generated as it arrives, during [`Self::run`].
     pub fn new(cfg: RunConfig) -> Self {
         let pipeline: Arc<dyn ServingPolicy> = match (&cfg.custom_pipeline, &cfg.cascade) {
             (Some(p), _) => Arc::clone(p),
@@ -774,13 +886,13 @@ impl SystemSimulation {
         };
         let factory = RngFactory::new(cfg.seed);
 
-        // Workload: arrival instants + matching prompt stream.
-        let arrivals: Vec<SimTime> = ArrivalProcess::new(&cfg.trace, cfg.seed ^ 0xA11).collect();
+        // Workload: arrival instants + matching prompt stream, both drawn
+        // as jobs arrive.
         let mut generator = PromptGenerator::new(cfg.seed ^ 0x9E0);
         if let Some(d) = cfg.drift {
             generator = generator.with_drift(d);
         }
-        let prompts = generator.generate_batch(arrivals.len());
+        let trace = TraceCursor::new(ArrivalProcess::new(&cfg.trace, cfg.seed ^ 0xA11), generator);
 
         let oracle = QualityOracle::new(cfg.seed ^ 0x0AC1E);
 
@@ -844,13 +956,10 @@ impl SystemSimulation {
             // Pre-deployment warm-up writes are not charged to the run.
             vdb.insert(None, embed(&p.text), id);
             for k in AC_LEVELS.iter().skip(1) {
-                store.put(
-                    CacheKey {
-                        prompt_id: id,
-                        k: k.skipped_steps(),
-                    },
-                    SimTime::ZERO,
-                );
+                store.put(CacheKey {
+                    prompt_id: id,
+                    k: k.skipped_steps(),
+                });
             }
         }
 
@@ -973,8 +1082,6 @@ impl SystemSimulation {
                 first_level: ladder[first_rung],
                 escalate_level: ladder[escalate_rung],
                 escalate_rung,
-                escalated: vec![false; arrivals.len()],
-                first_ratio: vec![0.0; arrivals.len()],
                 first_pass_rate: 0.0,
             }
         });
@@ -983,8 +1090,8 @@ impl SystemSimulation {
             cluster,
             queue: EventQueue::new(),
             oracle,
-            prompts,
-            arrivals,
+            trace,
+            jobs: JobWindow::default(),
             switcher: StrategySwitcher::new(SwitcherConfig::default()),
             classifiers,
             predictors,
@@ -1001,7 +1108,6 @@ impl SystemSimulation {
             exec_info: HashMap::new(),
             drift_detector: DriftDetector::new(400, 5, 0.35),
             retrain_minutes: Vec::new(),
-            recent: VecDeque::with_capacity(RECENT_POOL),
             horizon,
             saturated_minutes: 0,
             retrieval_ewma: 0.02,
@@ -1024,11 +1130,8 @@ impl SystemSimulation {
             cfg,
         };
 
-        // Schedule the workload and periodic events.
-        for (i, &at) in sim.arrivals.iter().enumerate() {
-            sim.queue.schedule(at, Event::Arrive(i as u32));
-        }
-        // Periodic events only make sense inside the horizon; a
+        // Schedule the periodic events (arrivals stream in through
+        // `trace`). Periodic events only make sense inside the horizon; a
         // zero-duration trace schedules nothing and terminates immediately.
         if SimTime::ZERO + TICK <= sim.horizon {
             sim.queue.schedule(SimTime::ZERO + TICK, Event::Tick);
@@ -1081,6 +1184,126 @@ mod tests {
         RunConfig::new(policy, steady(qpm, minutes))
             .with_seed(7)
             .run()
+    }
+
+    /// Drains `queue` with `trace` merged ahead of it, as the driver does,
+    /// labelling arrivals by job id.
+    fn drain_merged(
+        trace: &mut TraceCursor<std::vec::IntoIter<SimTime>>,
+        queue: &mut EventQueue<&'static str>,
+    ) -> Vec<(SimTime, String)> {
+        let mut order = Vec::new();
+        loop {
+            if let Some((t, job, prompt)) = trace.next_due(queue) {
+                assert_eq!(prompt.id.0, u64::from(job), "prompts follow job order");
+                order.push((t, format!("job {job}")));
+                continue;
+            }
+            let Some((t, ev)) = queue.pop() else { break };
+            order.push((t, ev.to_string()));
+        }
+        order
+    }
+
+    #[test]
+    fn arrivals_win_exact_ties_and_same_instant_arrivals_keep_job_order() {
+        let at = SimTime::from_secs;
+        let instants = vec![at(1.0), at(1.0), at(2.0), at(3.0)];
+        let heap = [(at(0.5), "early"), (at(1.0), "tie"), (at(3.0), "last tie")];
+
+        let mut queue = EventQueue::new();
+        for &(t, ev) in &heap {
+            queue.schedule(t, ev);
+        }
+        let mut trace = TraceCursor::new(instants.clone().into_iter(), PromptGenerator::new(5));
+        let merged = drain_merged(&mut trace, &mut queue);
+        let expected = [
+            (at(0.5), "early"),
+            (at(1.0), "job 0"),
+            (at(1.0), "job 1"),
+            (at(1.0), "tie"),
+            (at(2.0), "job 2"),
+            (at(3.0), "job 3"),
+            (at(3.0), "last tie"),
+        ];
+        let expected: Vec<_> = expected.iter().map(|&(t, e)| (t, e.to_string())).collect();
+        assert_eq!(merged, expected);
+        // Delivered arrivals advance the clock and count as processed.
+        assert_eq!(queue.events_processed(), 7);
+        assert_eq!(queue.now(), at(3.0));
+
+        // The same order as a queue that schedules every arrival first.
+        let mut upfront: EventQueue<String> = EventQueue::new();
+        for (job, &t) in instants.iter().enumerate() {
+            upfront.schedule(t, format!("job {job}"));
+        }
+        for &(t, ev) in &heap {
+            upfront.schedule(t, ev.to_string());
+        }
+        let reference: Vec<_> = std::iter::from_fn(|| upfront.pop()).collect();
+        assert_eq!(merged, reference);
+    }
+
+    #[test]
+    fn job_window_keeps_the_recent_arrivals_and_live_stragglers() {
+        let mut prompts = PromptGenerator::new(9);
+        let mut window = JobWindow::default();
+        let ids = |w: &JobWindow| w.recent().map(|p| p.id.0).collect::<Vec<_>>();
+
+        // Fewer arrivals than the pool: everything stays, retired or not.
+        for job in 0..10 {
+            window.arrive(job, prompts.generate(), SimTime::from_secs(job as f64));
+            window.retire(job);
+        }
+        assert_eq!(ids(&window), (0..10).collect::<Vec<_>>());
+
+        // Job 10 stays live while 2×RECENT_POOL more arrive and retire.
+        let n = 11 + 2 * RECENT_POOL;
+        window.arrive(10, prompts.generate(), SimTime::from_secs(10.0));
+        for job in 11..n {
+            window.arrive(job, prompts.generate(), SimTime::from_secs(job as f64));
+            window.retire(job);
+        }
+        // The recent slice is the last RECENT_POOL arrivals, oldest first.
+        let recent_from = (n - RECENT_POOL) as u64;
+        assert_eq!(ids(&window), (recent_from..n as u64).collect::<Vec<_>>());
+        // The straggler stays addressable, so nothing behind it is freed;
+        // only the retired slots in front of it went.
+        assert_eq!(window.get(10).arrival, SimTime::from_secs(10.0));
+        assert_eq!(window.get(10).prompt.id.0, 10);
+        assert_eq!((window.first, window.slots.len()), (10, n - 10));
+
+        // Its final retirement frees it and everything retired behind it
+        // that is older than the recent arrivals.
+        window.retire(10);
+        assert_eq!(
+            (window.first, window.slots.len()),
+            (n - RECENT_POOL, RECENT_POOL)
+        );
+        assert_eq!(ids(&window), (recent_from..n as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn job_window_frees_from_the_front_whatever_the_retire_order() {
+        let mut prompts = PromptGenerator::new(3);
+        let mut window = JobWindow::default();
+        let n = 2 * RECENT_POOL;
+        for job in 0..n {
+            window.arrive(job, prompts.generate(), SimTime::ZERO);
+        }
+        // Newest first: every slot but the front one retires, and none can
+        // be freed while job 0 is live in front of them.
+        for job in (1..n).rev() {
+            window.retire(job);
+        }
+        assert_eq!(window.slots.len(), n);
+        window.get_mut(0).first_ratio = Some(0.5);
+        assert_eq!(window.get(0).first_ratio, Some(0.5));
+        window.retire(0);
+        assert_eq!(
+            (window.first, window.slots.len()),
+            (RECENT_POOL, RECENT_POOL)
+        );
     }
 
     #[test]

@@ -41,6 +41,14 @@ impl<E> Ord for Entry<E> {
 /// popped in non-decreasing time order; ties break in scheduling (FIFO)
 /// order. Popping advances the queue's notion of [`now`](EventQueue::now).
 ///
+/// A time-ordered stream too long to hold in the heap (a trace's
+/// arrivals) can be merged ahead of it: the driver delivers the stream's
+/// next item itself whenever it is due at or before
+/// [`peek_time`](EventQueue::peek_time), and reports it with
+/// [`advance`](EventQueue::advance), which moves the clock and the
+/// processed count exactly as a pop would. The heap then holds only the
+/// events in flight.
+///
 /// The simulation driver owns the loop:
 ///
 /// ```
@@ -132,6 +140,15 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
+    /// Accounts for an event delivered from outside the heap at `at` (see
+    /// the type docs): advances the clock to `at` and counts the event as
+    /// processed, exactly as [`pop`](Self::pop) does for a heap event.
+    pub fn advance(&mut self, at: SimTime) {
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        self.popped += 1;
+    }
+
     /// The timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
@@ -210,6 +227,21 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
         assert_eq!(q.pop().unwrap(), (SimTime::from_secs(1.0), 1));
         assert_eq!(q.pop().unwrap(), (SimTime::from_secs(3.0), 2));
+    }
+
+    #[test]
+    fn advance_counts_an_outside_event_like_a_pop() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2.0), "heap");
+        q.advance(SimTime::from_secs(1.0));
+        assert_eq!(q.now(), SimTime::from_secs(1.0));
+        assert_eq!(q.events_processed(), 1);
+        assert_eq!(q.len(), 1, "the heap is untouched");
+        // Scheduling stays relative to the advanced clock.
+        q.schedule(SimTime::ZERO, "clamped");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "clamped")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2.0), "heap")));
+        assert_eq!(q.events_processed(), 3);
     }
 
     #[test]

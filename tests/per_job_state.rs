@@ -1,0 +1,397 @@
+//! Whole-run goldens for the readers of per-job state and for the cache
+//! store's answers.
+//!
+//! The driver keeps per-job state — prompt, arrival time, the cascade's
+//! escalation flag and first-pass ratio — only while a job is live or
+//! among the recent arrivals that retraining and the accuracy sample read,
+//! and the cache store answers a fetch from the levels it has stored
+//! rather than from a map of every blob. Each fingerprint below was
+//! captured on the tree that still materialised the whole trace up front
+//! and kept that map, so these runs pin that neither change moved a
+//! single outcome. Every configuration exercises a reader no older golden
+//! covers:
+//!
+//! * drift, drift-triggered retraining and a congested window on the
+//!   exact flat index (the recent-arrival pool, the retraining path and
+//!   the AC→SM switcher);
+//! * online learning (the per-completion classifier update);
+//! * a cascade with escalations (the escalation flag and first-pass
+//!   ratio, and the original arrival of a re-dispatched job);
+//! * an overload whose backlog outgrows the recent-arrival window, so
+//!   live jobs older than the last 3,000 arrivals must stay addressable;
+//! * a sharded 4×2 plane through a worker fail and recover, a spot
+//!   preemption storm and a network outage that switches AC→SM→AC
+//!   (rerouted jobs, store answers on a degraded plane);
+//! * NIRVANA on the shared LSH index (similarity-chosen levels).
+
+use argus::cachestore::NetworkRegime;
+use argus::core::{preemption_events, CascadeConfig, FaultEvent, Policy, RunConfig, RunOutcome};
+use argus::models::GpuArch;
+use argus::prompts::DriftSchedule;
+use argus::workload::{preemption_storm, steady, twitter_like, Trace};
+
+/// The driver's recent-arrival window (`RECENT_POOL`): the prompts drift
+/// retraining relabels and the per-tick accuracy sample reads.
+const RECENT_POOL: u64 = 3_000;
+
+fn cfg(policy: Policy, trace: Trace, seed: u64) -> RunConfig {
+    let mut c = RunConfig::new(policy, trace).with_seed(seed);
+    c.classifier_train_size = 800;
+    c
+}
+
+/// FNV-1a over the little-endian bytes of each word.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Whole-run fingerprint: every counter, the bit patterns of the float
+/// aggregates, and hashes of the sampled series, so one changed RNG draw,
+/// store answer or reordered float operation fails loudly.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    /// Offered, completed, violations, in-SLO completions, model loads.
+    counts: [u64; 5],
+    /// Bits of the quality sum, the relative-quality sum and the makespan.
+    float_bits: [u64; 3],
+    /// Per assigned level (by ordinal): cache hits, misses, failures.
+    cache: Vec<((u8, u32), [u64; 3])>,
+    /// Store round trips, index inserts, and the bits of the mean and
+    /// p99 retrieval latency.
+    retrieval: [u64; 4],
+    /// Completions per executed level (by ordinal).
+    level_completions: Vec<((u8, u32), u64)>,
+    /// Hash of the quality reservoir's bits, in reservoir order.
+    quality_samples: u64,
+    retrain_minutes: Vec<u64>,
+    /// Hash of the per-tick `(minute, accuracy bits)` log.
+    classifier_accuracy: u64,
+    switches: (u64, u64),
+    /// Hash of every cascade tally, rate and the quality delta (0 when
+    /// the cascade is off).
+    cascade: u64,
+}
+
+fn fingerprint(out: &RunOutcome) -> Fingerprint {
+    let t = &out.totals;
+    let r = &out.retrieval;
+    Fingerprint {
+        counts: [
+            t.offered,
+            t.completed,
+            t.violations,
+            t.in_slo,
+            t.model_loads,
+        ],
+        float_bits: [
+            t.quality_sum.to_bits(),
+            t.relative_quality_sum.to_bits(),
+            out.makespan_secs.to_bits(),
+        ],
+        cache: r
+            .per_level
+            .iter()
+            .map(|(l, c)| (l.ordinal(), [c.hits, c.misses, c.failures]))
+            .collect(),
+        retrieval: [
+            r.lookups,
+            r.inserts,
+            r.mean_latency.to_bits(),
+            r.p99_latency.to_bits(),
+        ],
+        level_completions: out
+            .level_completions
+            .iter()
+            .map(|&(l, n)| (l.ordinal(), n))
+            .collect(),
+        quality_samples: fnv(out
+            .quality_samples
+            .iter()
+            .flat_map(|&(s, b)| [s.to_bits(), b.to_bits()])),
+        retrain_minutes: out.retrain_minutes.clone(),
+        classifier_accuracy: fnv(out
+            .classifier_accuracy
+            .iter()
+            .flat_map(|&(m, a)| [m, a.to_bits()])),
+        switches: out.switches,
+        cascade: out.cascade.as_ref().map_or(0, |c| {
+            let ordinal = |l: &argus::models::ApproxLevel| {
+                let (s, k) = l.ordinal();
+                u64::from(s) << 32 | u64::from(k)
+            };
+            let counts = [&c.first_pass, &c.escalated, &c.accepted]
+                .into_iter()
+                .flat_map(|m| m.iter().flat_map(|(l, &n)| [ordinal(l), n]));
+            let rates = c
+                .escalation_rate
+                .iter()
+                .flat_map(|(l, r)| [ordinal(l), r.to_bits()]);
+            fnv(counts
+                .chain(rates)
+                .chain([c.escalated_completed, c.quality_delta.to_bits()]))
+        }),
+    }
+}
+
+#[test]
+fn drift_retraining_on_a_congested_flat_index_matches_the_golden() {
+    let trace = twitter_like(42, 30);
+    let jobs = trace.total_queries() as u64;
+    let out = cfg(Policy::Argus, trace, 16101)
+        .with_drift(DriftSchedule {
+            start_at: jobs / 3,
+            ramp: jobs / 6,
+            max_fraction: 0.65,
+        })
+        .with_network_events(vec![
+            (15.0, NetworkRegime::Congested),
+            (25.0, NetworkRegime::Normal),
+        ])
+        .run();
+    assert!(!out.retrain_minutes.is_empty(), "drift never retrained");
+    assert_eq!(fingerprint(&out), golden_drift());
+}
+
+#[test]
+fn online_learning_matches_the_golden() {
+    let out = cfg(Policy::Argus, twitter_like(13, 10), 13)
+        .with_online_learning()
+        .run();
+    assert!(out.retrain_minutes.is_empty());
+    assert_eq!(fingerprint(&out), golden_online());
+}
+
+#[test]
+fn cascade_escalations_match_the_golden() {
+    let out = cfg(Policy::Argus, twitter_like(11, 10), 11)
+        .with_cascade(CascadeConfig::new())
+        .run();
+    let stats = out.cascade.as_ref().expect("cascade run carries stats");
+    assert!(stats.escalated_completed > 0, "{stats:?}");
+    assert_eq!(fingerprint(&out), golden_cascade());
+}
+
+#[test]
+fn overload_beyond_the_recent_window_matches_the_golden() {
+    let out = cfg(Policy::Argus, steady(600.0, 15), 11).run();
+    // Jobs still queued at a minute boundary: nothing is lost with every
+    // worker alive, so arrivals not yet completed are all live.
+    let (mut arrived, mut completed, mut peak) = (0u64, 0u64, 0u64);
+    for m in &out.minutes {
+        arrived += m.offered;
+        completed += m.completed;
+        peak = peak.max(arrived - completed);
+    }
+    assert!(
+        peak > RECENT_POOL,
+        "backlog peaked at {peak}, inside the recent window"
+    );
+    assert_eq!(fingerprint(&out), golden_overload());
+}
+
+#[test]
+fn sharded_plane_through_faults_and_an_outage_matches_the_golden() {
+    let mut faults = vec![
+        FaultEvent::WorkerFail {
+            at_minute: 4.0,
+            workers: vec![1, 5],
+        },
+        FaultEvent::WorkerRecover {
+            at_minute: 7.0,
+            workers: vec![1, 5],
+        },
+    ];
+    faults.extend(preemption_events(
+        &preemption_storm(17, 8, 4, 0.75, 9.0),
+        30.0,
+    ));
+    let out = cfg(Policy::Argus, twitter_like(17, 20), 17)
+        .with_sharded_cache(4, 2)
+        .with_spot_pool(GpuArch::A10G, 4, 0.6)
+        .with_faults(faults)
+        .with_network_events(vec![
+            (12.0, NetworkRegime::Outage),
+            (15.0, NetworkRegime::Normal),
+        ])
+        .run();
+    assert!(
+        out.switches.0 >= 1 && out.switches.1 >= 1,
+        "{:?}",
+        out.switches
+    );
+    let preempted = out.fleet.preemptions_ridden + out.fleet.preemptions_lost;
+    assert_eq!(preempted, 3, "{:?}", out.fleet);
+    assert!(out.retrieval.failures() > 0, "{:?}", out.retrieval);
+    assert_eq!(fingerprint(&out), golden_sharded());
+}
+
+#[test]
+fn nirvana_on_lsh_matches_the_golden() {
+    let out = cfg(Policy::Nirvana, twitter_like(11, 10), 11)
+        .with_lsh_cache()
+        .run();
+    assert!(out.retrieval.hits() > 0, "{:?}", out.retrieval);
+    assert_eq!(fingerprint(&out), golden_nirvana());
+}
+
+// The goldens, captured on the tree that materialised the trace and kept
+// the blob map (release build; the runs are bit-identical in debug).
+
+fn golden_drift() -> Fingerprint {
+    Fingerprint {
+        counts: [3179, 3179, 144, 3035, 22],
+        float_bits: [0x40ecaac8bdc816ae, 0x40a5d81391cd7c12, 0x409c368eea63b689],
+        cache: vec![
+            ((0, 5), [193, 0, 0]),
+            ((0, 10), [162, 0, 0]),
+            ((0, 15), [495, 0, 0]),
+            ((0, 20), [54, 0, 0]),
+            ((0, 25), [770, 0, 0]),
+        ],
+        retrieval: [1674, 3179, 0x3f9d862e1cacf95f, 0x3fa4cff21b3aeee9],
+        level_completions: vec![
+            ((0, 0), 454),
+            ((0, 5), 193),
+            ((0, 10), 162),
+            ((0, 15), 495),
+            ((0, 20), 54),
+            ((0, 25), 770),
+            ((1, 0), 501),
+            ((1, 1), 31),
+            ((1, 2), 36),
+            ((1, 4), 37),
+            ((1, 5), 446),
+        ],
+        quality_samples: 0x26fb3082947b423d,
+        retrain_minutes: vec![8, 11, 16, 25, 27],
+        classifier_accuracy: 0xa7defcf6b4a23203,
+        switches: (1, 1),
+        cascade: 0,
+    }
+}
+
+fn golden_online() -> Fingerprint {
+    Fingerprint {
+        counts: [1392, 1392, 31, 1361, 8],
+        float_bits: [0x40d906560068d87e, 0x4093091a10511feb, 0x4083030cecc814d7],
+        cache: vec![
+            ((0, 5), [91, 0, 0]),
+            ((0, 10), [43, 0, 0]),
+            ((0, 15), [179, 0, 0]),
+            ((0, 20), [39, 0, 0]),
+            ((0, 25), [832, 0, 0]),
+        ],
+        retrieval: [1184, 1392, 0x3f95949b12f95811, 0x3fa5606317268d33],
+        level_completions: vec![
+            ((0, 0), 208),
+            ((0, 5), 91),
+            ((0, 10), 43),
+            ((0, 15), 179),
+            ((0, 20), 39),
+            ((0, 25), 832),
+        ],
+        quality_samples: 0xe8f9d74b2c98753c,
+        retrain_minutes: vec![],
+        classifier_accuracy: 0xe9318f028b235e4b,
+        switches: (0, 0),
+        cascade: 0,
+    }
+}
+
+fn golden_cascade() -> Fingerprint {
+    Fingerprint {
+        counts: [1004, 1004, 545, 459, 22],
+        float_bits: [0x40c1711ca3031cbd, 0x407a8d996be7e3a5, 0x40830b5c28f5c28f],
+        cache: vec![],
+        retrieval: [0, 0, 0, 0],
+        level_completions: vec![
+            ((1, 0), 233),
+            ((1, 1), 16),
+            ((1, 2), 5),
+            ((1, 4), 18),
+            ((1, 5), 732),
+        ],
+        quality_samples: 0xf085026cf635e71c,
+        retrain_minutes: vec![],
+        // The hash of an empty log: a cascade serves without a classifier.
+        classifier_accuracy: 0xcbf29ce484222325,
+        switches: (0, 0),
+        cascade: 0xe9f87201eb381c70,
+    }
+}
+
+fn golden_overload() -> Fingerprint {
+    Fingerprint {
+        counts: [9073, 9073, 9011, 62, 8],
+        float_bits: [0x40914b5d53ca2d1d, 0x404a5ec3b15999a0, 0x40a3c424fa8b4bf9],
+        cache: vec![((0, 25), [9073, 0, 0])],
+        retrieval: [9073, 9073, 0x3f957c53ae19d808, 0x3fa47a17f4128bf4],
+        level_completions: vec![((0, 25), 9073)],
+        quality_samples: 0x1ffa06ae8e987243,
+        retrain_minutes: vec![16, 22],
+        classifier_accuracy: 0x59b0a937e3bd974d,
+        switches: (0, 0),
+        cascade: 0,
+    }
+}
+
+fn golden_sharded() -> Fingerprint {
+    Fingerprint {
+        counts: [2351, 2351, 0, 2351, 28],
+        float_bits: [0x40e689e0d0834807, 0x40a12afc17110ca9, 0x4092f58aa8a82a56],
+        cache: vec![
+            ((0, 5), [163, 0, 0]),
+            ((0, 10), [121, 1, 0]),
+            ((0, 15), [391, 1, 2]),
+            ((0, 20), [12, 0, 0]),
+            ((0, 25), [523, 0, 0]),
+        ],
+        retrieval: [1212, 2351, 0x3f9bedbbf9553581, 0x3fa4dcca70d1fa33],
+        level_completions: vec![
+            ((0, 0), 596),
+            ((0, 5), 163),
+            ((0, 10), 121),
+            ((0, 15), 391),
+            ((0, 20), 12),
+            ((0, 25), 523),
+            ((1, 0), 131),
+            ((1, 3), 11),
+            ((1, 4), 43),
+            ((1, 5), 360),
+        ],
+        quality_samples: 0x12fb8d38f4e38604,
+        retrain_minutes: vec![12, 15, 17],
+        classifier_accuracy: 0xf68fec5cedd66a28,
+        switches: (1, 1),
+        cascade: 0,
+    }
+}
+
+fn golden_nirvana() -> Fingerprint {
+    Fingerprint {
+        counts: [1004, 1004, 439, 565, 8],
+        float_bits: [0x40c5c53895e2ccda, 0x40809021378e6f7b, 0x4082cf39c5a3e39f],
+        cache: vec![((0, 0), [971, 33, 0])],
+        retrieval: [971, 1004, 0x3f9563fe8bb46b7b, 0x3fa4a2b9d3cbc48f],
+        level_completions: vec![
+            ((0, 0), 33),
+            ((0, 5), 188),
+            ((0, 10), 398),
+            ((0, 15), 280),
+            ((0, 20), 84),
+            ((0, 25), 21),
+        ],
+        quality_samples: 0x8a7323a3377fee39,
+        retrain_minutes: vec![],
+        classifier_accuracy: 0xcbf29ce484222325,
+        switches: (0, 0),
+        cascade: 0,
+    }
+}
