@@ -3,7 +3,7 @@
 //! The paper's testbed is 8 A100 workers, each running one model variant
 //! in a Docker container (§4.7). This crate models each worker's state —
 //! assigned approximation level, resident model weights, FIFO queue,
-//! in-flight job, background model loads, and failures — plus the
+//! in-flight pass, background model loads, and failures — plus the
 //! bookkeeping the evaluation needs (busy-time integral for the §5.7
 //! utilization numbers, switch counts for the variant-switching-overhead
 //! analysis).
@@ -65,10 +65,10 @@ pub struct Worker {
     pending: Option<(ApproxLevel, SimTime)>,
     /// Weights resident in HBM, most recently used last.
     resident: Vec<ModelVariant>,
-    queue: std::collections::VecDeque<(JobId, SimTime)>,
-    /// Jobs currently executing as one (possibly batched) pass, with their
-    /// expected completion time. Unbatched serving keeps at most one entry.
-    in_flight: Vec<(JobId, SimTime)>,
+    queue: std::collections::VecDeque<JobId>,
+    /// Jobs currently executing as one pass, in start order. Unbatched
+    /// serving keeps at most one.
+    in_flight: Vec<JobId>,
     failed: bool,
     /// Preemption-warning drain: the worker finishes its in-flight pass
     /// but accepts no new work, and the dispatcher stops selecting it
@@ -278,36 +278,34 @@ impl Worker {
     ///
     /// # Panics
     /// Panics if the worker has failed.
-    pub fn enqueue(&mut self, job: JobId, now: SimTime) {
+    pub fn enqueue(&mut self, job: JobId) {
         assert!(!self.failed, "cannot enqueue on a failed worker");
         assert!(!self.draining, "cannot enqueue on a draining worker");
-        self.queue.push_back((job, now));
+        self.queue.push_back(job);
     }
 
-    /// The job at the head of the queue, if any (the one
-    /// [`Worker::try_start`] would start next). Lets the caller compute a
-    /// job-specific service time before starting it.
-    pub fn peek_next_job(&self) -> Option<JobId> {
-        self.queue.front().map(|&(j, _)| j)
-    }
-
-    /// Queued job ids in FIFO order (the prefix a batched start would
-    /// drain). Lets the caller compute per-job service estimates before
-    /// committing to [`Worker::try_start_batch`].
+    /// Queued job ids in FIFO order.
     pub fn queued_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.queue.iter().map(|&(j, _)| j)
+        self.queue.iter().copied()
+    }
+
+    /// The `i`-th queued job in FIFO order, if any. A start drains the
+    /// queue's prefix, so the caller walks it by index to compute per-job
+    /// service estimates before committing to [`Worker::try_start_batch`].
+    pub fn queued_job(&self, i: usize) -> Option<JobId> {
+        self.queue.get(i).copied()
     }
 
     /// The first currently executing job, if any. Callers that schedule
-    /// one completion event per (possibly batched) start use this to
-    /// detect events made stale by a failure.
+    /// one completion event per start use this to detect events made
+    /// stale by a failure.
     pub fn in_flight_job(&self) -> Option<JobId> {
-        self.in_flight.first().map(|&(j, _)| j)
+        self.in_flight.first().copied()
     }
 
     /// All currently executing jobs, in start order.
     pub fn in_flight_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.in_flight.iter().map(|&(j, _)| j)
+        self.in_flight.iter().copied()
     }
 
     /// Whether this worker could start a job right now (idle, serving a
@@ -320,60 +318,25 @@ impl Worker {
             && !self.queue.is_empty()
     }
 
-    /// Starts the next queued job if the worker is idle and serving a
-    /// level. Returns the job and its queue-entry time; the caller decides
-    /// the service duration and later calls [`Worker::finish_job`].
-    pub fn try_start(&mut self, now: SimTime, service: SimDuration) -> Option<(JobId, SimTime)> {
+    /// Starts up to `count` queued jobs, the queue's prefix, as one pass
+    /// at `now`; a batch of one is unbatched serving. Returns how many
+    /// started: none if the worker is failed, draining, busy, level-less
+    /// or has an empty queue. The caller decides the pass's duration and
+    /// later calls [`Worker::finish_batch`].
+    pub fn try_start_batch(&mut self, now: SimTime, count: usize) -> usize {
         if self.failed || self.draining || !self.in_flight.is_empty() || self.level.is_none() {
-            return None;
-        }
-        let (job, enqueued_at) = self.queue.pop_front()?;
-        self.in_flight.push((job, now + service));
-        self.busy_since = Some(now);
-        Some((job, enqueued_at))
-    }
-
-    /// Starts up to `count` queued jobs as one batched pass that completes
-    /// together after `service`. Returns the started job ids (empty if the
-    /// worker is failed, busy, level-less, or has an empty queue).
-    pub fn try_start_batch(
-        &mut self,
-        now: SimTime,
-        service: SimDuration,
-        count: usize,
-    ) -> Vec<JobId> {
-        if self.failed || self.draining || !self.in_flight.is_empty() || self.level.is_none() {
-            return Vec::new();
+            return 0;
         }
         let n = count.min(self.queue.len());
-        let mut started = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (job, _) = self.queue.pop_front().expect("count bounded by queue");
-            self.in_flight.push((job, now + service));
-            started.push(job);
-        }
-        if !started.is_empty() {
+        self.in_flight.extend(self.queue.drain(..n));
+        if n > 0 {
             self.busy_since = Some(now);
         }
-        started
+        n
     }
 
-    /// Completes the in-flight job at time `now`.
-    ///
-    /// # Panics
-    /// Panics if no job is in flight; debug-panics if a batch of more than
-    /// one job is in flight (use [`Worker::finish_batch`]).
-    pub fn finish_job(&mut self, now: SimTime) -> JobId {
-        debug_assert!(
-            self.in_flight.len() <= 1,
-            "batch in flight; use finish_batch"
-        );
-        assert!(!self.in_flight.is_empty(), "no job in flight");
-        self.finish_batch(now)[0]
-    }
-
-    /// Completes every in-flight job of the current (possibly batched)
-    /// pass at time `now`, returning the jobs in start order.
+    /// Completes every in-flight job of the current pass at time `now`,
+    /// returning the jobs in start order.
     ///
     /// # Panics
     /// Panics if no job is in flight.
@@ -383,7 +346,7 @@ impl Worker {
             self.busy += now - since;
         }
         self.completed += self.in_flight.len() as u64;
-        self.in_flight.drain(..).map(|(j, _)| j).collect()
+        self.in_flight.drain(..).collect()
     }
 
     /// Begins a preemption-warning drain: queued jobs are handed back for
@@ -397,7 +360,7 @@ impl Worker {
             return Vec::new();
         }
         self.draining = true;
-        self.queue.drain(..).map(|(j, _)| j).collect()
+        self.queue.drain(..).collect()
     }
 
     /// Fails the worker at `now`, returning every job it held (queued and
@@ -412,8 +375,8 @@ impl Worker {
         if let Some(since) = self.busy_since.take() {
             self.busy += now - since;
         }
-        let mut lost: Vec<JobId> = self.queue.drain(..).map(|(j, _)| j).collect();
-        lost.extend(self.in_flight.drain(..).map(|(j, _)| j));
+        let mut lost: Vec<JobId> = self.queue.drain(..).collect();
+        lost.append(&mut self.in_flight);
         self.pending = None;
         // Weights are gone: the container restarts cold.
         self.resident.clear();
@@ -669,8 +632,8 @@ mod tests {
             w.pending_level(),
             Some(ApproxLevel::Sm(ModelVariant::TinySd))
         );
-        w.enqueue(1, t(10.0));
-        assert!(w.try_start(t(10.0), SimDuration::from_secs(4.2)).is_some());
+        w.enqueue(1);
+        assert_eq!(w.try_start_batch(t(10.0), 1), 1);
         // Load completes; Tiny becomes active, both models resident.
         w.finish_load(t(13.0));
         assert_eq!(w.level(), Some(ApproxLevel::Sm(ModelVariant::TinySd)));
@@ -705,22 +668,23 @@ mod tests {
         let mut w = Worker::new(WorkerId(3), GpuArch::A100);
         w.assign_level(ApproxLevel::Ac(AcLevel(0)), t(0.0));
         w.finish_load(t(9.42));
-        w.enqueue(10, t(10.0));
-        w.enqueue(11, t(10.5));
+        w.enqueue(10);
+        w.enqueue(11);
         assert_eq!(w.queue_len(), 2);
         assert_eq!(w.backlog(), 2);
-        let (job, enq) = w.try_start(t(11.0), SimDuration::from_secs(4.2)).unwrap();
-        assert_eq!(job, 10);
-        assert_eq!(enq, t(10.0));
+        assert_eq!(w.queued_job(0), Some(10));
+        assert_eq!(w.queued_job(2), None);
+        assert_eq!(w.try_start_batch(t(11.0), 1), 1);
+        assert_eq!(w.in_flight_job(), Some(10));
         assert!(w.is_busy());
-        assert_eq!(w.backlog(), 2); // 1 queued + 1 in flight
-                                    // Cannot start another while busy.
-        assert!(w.try_start(t(11.5), SimDuration::from_secs(4.2)).is_none());
-        assert_eq!(w.finish_job(t(15.2)), 10);
+        // 1 queued + 1 in flight; cannot start another while busy.
+        assert_eq!(w.backlog(), 2);
+        assert_eq!(w.try_start_batch(t(11.5), 1), 0);
+        assert_eq!(w.finish_batch(t(15.2)), vec![10]);
         assert!((w.busy_time(t(15.2)).as_secs() - 4.2).abs() < 1e-9);
         assert_eq!(w.completed(), 1);
-        let (job, _) = w.try_start(t(15.2), SimDuration::from_secs(4.2)).unwrap();
-        assert_eq!(job, 11);
+        assert_eq!(w.try_start_batch(t(15.2), 1), 1);
+        assert_eq!(w.in_flight_job(), Some(11));
     }
 
     #[test]
@@ -729,11 +693,10 @@ mod tests {
         w.assign_level(ApproxLevel::Ac(AcLevel(25)), t(0.0));
         w.finish_load(t(9.42));
         for j in 0..5 {
-            w.enqueue(j, t(10.0));
+            w.enqueue(j);
         }
         // Batch bounded by `count`, FIFO order preserved.
-        let started = w.try_start_batch(t(10.0), SimDuration::from_secs(3.0), 3);
-        assert_eq!(started, vec![0, 1, 2]);
+        assert_eq!(w.try_start_batch(t(10.0), 3), 3);
         assert!(w.is_busy());
         assert_eq!(w.in_flight_count(), 3);
         assert_eq!(w.in_flight_job(), Some(0));
@@ -741,16 +704,14 @@ mod tests {
         assert_eq!(w.backlog(), 5); // 2 queued + 3 in flight
         assert_eq!(w.queued_jobs().collect::<Vec<_>>(), vec![3, 4]);
         // Busy while the batch runs; cannot start another.
-        assert!(w
-            .try_start_batch(t(11.0), SimDuration::from_secs(3.0), 2)
-            .is_empty());
+        assert_eq!(w.try_start_batch(t(11.0), 2), 0);
         let done = w.finish_batch(t(13.0));
         assert_eq!(done, vec![0, 1, 2]);
         assert_eq!(w.completed(), 3);
         assert!((w.busy_time(t(13.0)).as_secs() - 3.0).abs() < 1e-9);
         // Remainder bounded by the queue.
-        let started = w.try_start_batch(t(13.0), SimDuration::from_secs(3.0), 8);
-        assert_eq!(started, vec![3, 4]);
+        assert_eq!(w.try_start_batch(t(13.0), 8), 2);
+        assert_eq!(w.in_flight_jobs().collect::<Vec<_>>(), vec![3, 4]);
     }
 
     #[test]
@@ -759,9 +720,9 @@ mod tests {
         w.assign_level(ApproxLevel::Ac(AcLevel(0)), t(0.0));
         w.finish_load(t(9.42));
         for j in 0..4 {
-            w.enqueue(j, t(10.0));
+            w.enqueue(j);
         }
-        w.try_start_batch(t(10.0), SimDuration::from_secs(3.0), 3);
+        w.try_start_batch(t(10.0), 3);
         let lost = w.fail(t(11.0));
         // Queued jobs first, then the in-flight batch in start order.
         assert_eq!(lost, vec![3, 0, 1, 2]);
@@ -771,8 +732,8 @@ mod tests {
     #[test]
     fn idle_worker_without_level_cannot_start() {
         let mut w = Worker::new(WorkerId(4), GpuArch::A100);
-        w.enqueue(1, t(0.0));
-        assert!(w.try_start(t(0.0), SimDuration::from_secs(1.0)).is_none());
+        w.enqueue(1);
+        assert_eq!(w.try_start_batch(t(0.0), 1), 0);
     }
 
     #[test]
@@ -780,9 +741,9 @@ mod tests {
         let mut w = Worker::new(WorkerId(5), GpuArch::A100);
         w.assign_level(ApproxLevel::Ac(AcLevel(10)), t(0.0));
         w.finish_load(t(9.42));
-        w.enqueue(1, t(10.0));
-        w.enqueue(2, t(10.1));
-        w.try_start(t(10.2), SimDuration::from_secs(3.0));
+        w.enqueue(1);
+        w.enqueue(2);
+        w.try_start_batch(t(10.2), 1);
         let lost = w.fail(t(11.0));
         assert_eq!(lost, vec![2, 1]); // queued jobs first, then the in-flight one
         assert!(w.is_failed());
@@ -804,7 +765,7 @@ mod tests {
     fn enqueue_on_failed_worker_panics() {
         let mut w = Worker::new(WorkerId(6), GpuArch::A100);
         w.fail(t(0.0));
-        w.enqueue(1, t(1.0));
+        w.enqueue(1);
     }
 
     #[test]
@@ -812,9 +773,9 @@ mod tests {
         let mut w = Worker::new(WorkerId(7), GpuArch::A100);
         w.assign_level(ApproxLevel::Ac(AcLevel(0)), t(0.0));
         w.finish_load(t(10.0));
-        w.enqueue(1, t(10.0));
-        w.try_start(t(10.0), SimDuration::from_secs(40.0));
-        w.finish_job(t(50.0));
+        w.enqueue(1);
+        w.try_start_batch(t(10.0), 1);
+        w.finish_batch(t(50.0));
         // 40 busy seconds over 100 alive seconds.
         assert!((w.utilization(t(100.0)) - 0.4).abs() < 1e-9);
         // Fail for 100 s: utilization over alive time only.
@@ -886,20 +847,20 @@ mod tests {
         w.assign_level(ApproxLevel::Ac(AcLevel(0)), t(0.0));
         w.finish_load(t(9.42));
         for j in 0..3 {
-            w.enqueue(j, t(10.0));
+            w.enqueue(j);
         }
-        w.try_start(t(10.0), SimDuration::from_secs(4.0));
+        w.try_start_batch(t(10.0), 1);
         let migrated = w.begin_drain(t(11.0));
         assert_eq!(migrated, vec![1, 2]); // in-flight job 0 keeps running
         assert!(w.is_draining());
         assert!(!w.is_failed());
         assert_eq!(w.in_flight_count(), 1);
         assert!(!w.can_start());
-        assert!(w.try_start(t(11.5), SimDuration::from_secs(4.0)).is_none());
+        assert_eq!(w.try_start_batch(t(11.5), 1), 0);
         // Double-drain is a no-op.
         assert!(w.begin_drain(t(11.5)).is_empty());
         // The pass completes normally during the warning window.
-        assert_eq!(w.finish_job(t(14.0)), 0);
+        assert_eq!(w.finish_batch(t(14.0)), vec![0]);
         // The preemption fires: nothing left to lose, drain state clears.
         assert!(w.fail(t(40.0)).is_empty());
         assert!(!w.is_draining());

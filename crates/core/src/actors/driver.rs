@@ -12,7 +12,8 @@
 //! reentrant chain `service_for → switcher.on_retrieval →
 //! begin_transition → reallocate → apply_allocation → maybe_start` (a
 //! retrieval observed mid-dispatch can re-plan the very worker being
-//! dispatched — see the batch guards in [`SystemSimulation::maybe_start`]):
+//! dispatched — see the reentrancy guard in
+//! [`SystemSimulation::maybe_start`]):
 //! the cluster and the switcher. The stages own state the driver only
 //! queries or feeds, and each runs its calls in the order the driver makes
 //! them.
@@ -380,7 +381,7 @@ impl SystemSimulation {
                             .with_worker(w.0 as u32),
                     );
                 }
-                self.cluster.worker_mut(w).enqueue(idx as u64, t);
+                self.cluster.worker_mut(w).enqueue(idx as u64);
                 self.maybe_start(w, t);
             }
             None => {
@@ -394,21 +395,19 @@ impl SystemSimulation {
         }
     }
 
-    /// Starts the next (possibly batched) pass on an idle worker, per the
-    /// pipeline's dispatcher stage. With a batch of 1 the start is
-    /// bit-identical to unbatched serving; larger batches drain up to `B`
-    /// queued jobs whose pass completes together under the Obs. 5 latency
-    /// model.
+    /// Starts the next pass on an idle worker: the queue's prefix, as many
+    /// jobs as the pipeline's dispatcher stage batches. Each member's
+    /// retrieval and jittered compute are sampled in queue order, and the
+    /// pass completes together after the slowest member, inflated by the
+    /// Obs. 5 pass-level latency ratio — exactly 1.0 for a batch of one,
+    /// so batch-1 serving is unbatched serving bit for bit.
     pub(crate) fn maybe_start(&mut self, w: WorkerId, t: SimTime) {
-        if !self.cluster.worker(w).can_start() {
+        let worker = self.cluster.worker(w);
+        if !worker.can_start() {
             return;
         }
-        let level = self
-            .cluster
-            .worker(w)
-            .level()
-            .expect("can_start implies a level");
-        let gpu = self.cluster.worker(w).gpu();
+        let level = worker.level().expect("can_start implies a level");
+        let gpu = worker.gpu();
         let batch = {
             let ctx = SelectCtx {
                 cluster: &self.cluster,
@@ -418,53 +417,24 @@ impl SystemSimulation {
             };
             self.pipeline.batch_size(&ctx, w, level)
         };
-        if batch <= 1 {
-            let job = self
-                .cluster
-                .worker(w)
-                .peek_next_job()
-                .expect("can_start implies a queued job") as usize;
-            let (retrieval, base, jitter, exec) = self.service_for(job, w, level, gpu, t);
-            let service = retrieval + SimDuration::from_secs(base * jitter);
-            self.cluster.worker_mut(w).try_start(t, service);
-            let batch_id = self.next_batch_id();
-            if self.obs_wants(job) {
-                self.obs_span(
-                    SpanEvent::new(t, job as u32, SpanKind::Dispatch)
-                        .with_level(exec.level)
-                        .with_pool(gpu)
-                        .with_worker(w.0 as u32)
-                        .with_batch(batch_id),
-                );
-            }
-            self.exec_info.insert(w.0, vec![exec]);
-            self.queue
-                .schedule(t + service, Event::Finish(w, job as u32));
-            return;
-        }
-        // Batched start: per-job retrieval and jittered compute are
-        // evaluated exactly as for unbatched serving (in queue order), and
-        // the batch completes together after the slowest member inflated
-        // by the Obs. 5 pass-level latency ratio.
-        let jobs: Vec<u64> = self
-            .cluster
-            .worker(w)
-            .queued_jobs()
-            .take(batch as usize)
-            .collect();
+        let planned = (batch.max(1) as usize).min(worker.queue_len());
         let mut max_retrieval = SimDuration::ZERO;
         let mut max_base = 0.0f64;
         let mut pass_jitter = 1.0f64;
-        let mut execs = Vec::with_capacity(jobs.len());
-        for (i, &job) in jobs.iter().enumerate() {
+        for i in 0..planned {
+            let job = self
+                .cluster
+                .worker(w)
+                .queued_job(i)
+                .expect("the plan is a queue prefix") as usize;
+            let (retrieval, base, jitter, exec) = self.service_for(job, w, level, gpu, t);
             if !self.cluster.worker(w).can_start() {
-                // A member's retrieval triggered a strategy switch whose
+                // The member's retrieval triggered a strategy switch whose
                 // reallocation re-entered the dispatcher and started this
-                // worker (scheduling its own completion): stop planning
-                // before double-executing the remaining members' retrieval.
+                // worker, scheduling its own completion: that start and
+                // its execution records stand.
                 return;
             }
-            let (retrieval, base, jitter, exec) = self.service_for(job as usize, w, level, gpu, t);
             max_retrieval = max_retrieval.max(retrieval);
             max_base = max_base.max(base);
             if i == 0 {
@@ -473,47 +443,30 @@ impl SystemSimulation {
                 // over members.
                 pass_jitter = jitter;
             }
-            execs.push(exec);
+            self.jobs.get_mut(job).exec = Some(exec);
         }
         let inflation =
-            unet_pass_profile(level.resident_model()).latency_inflation(gpu, jobs.len() as u32);
+            unet_pass_profile(level.resident_model()).latency_inflation(gpu, planned as u32);
         let service = max_retrieval + SimDuration::from_secs(max_base * pass_jitter * inflation);
-        let started = self
-            .cluster
-            .worker_mut(w)
-            .try_start_batch(t, service, jobs.len());
-        if started.is_empty() {
-            // A retrieval-triggered strategy switch re-entered the
-            // dispatcher and started this worker mid-planning; its start
-            // already scheduled a completion.
-            return;
-        }
-        if started != jobs {
-            // Part of the planned batch was consumed by a reentrant
-            // reallocation: keep the execution records of the jobs that
-            // actually started.
-            execs = started
-                .iter()
-                .map(|s| {
-                    let i = jobs.iter().position(|j| j == s).expect("started ⊆ planned");
-                    execs[i]
-                })
-                .collect();
-        }
-        let first = started[0];
+        let started = self.cluster.worker_mut(w).try_start_batch(t, planned);
+        debug_assert_eq!(started, planned, "a start drains its planned queue prefix");
         let batch_id = self.next_batch_id();
-        for (&job, exec) in started.iter().zip(&execs) {
-            if self.obs_wants(job as usize) {
-                self.obs_span(
-                    SpanEvent::new(t, job as u32, SpanKind::Dispatch)
-                        .with_level(exec.level)
-                        .with_pool(gpu)
-                        .with_worker(w.0 as u32)
-                        .with_batch(batch_id),
-                );
+        let worker = self.cluster.worker(w);
+        if let Some(rec) = self.recorder.as_mut() {
+            for job in worker.in_flight_jobs() {
+                if rec.wants(job as u32) {
+                    let exec = self.jobs.get(job as usize).exec.expect("started above");
+                    rec.span(
+                        SpanEvent::new(t, job as u32, SpanKind::Dispatch)
+                            .with_level(exec.level)
+                            .with_pool(gpu)
+                            .with_worker(w.0 as u32)
+                            .with_batch(batch_id),
+                    );
+                }
             }
         }
-        self.exec_info.insert(w.0, execs);
+        let first = worker.in_flight_job().expect("started above");
         self.queue
             .schedule(t + service, Event::Finish(w, first as u32));
     }
@@ -633,25 +586,21 @@ impl SystemSimulation {
         if self.cluster.worker(w).in_flight_job() != Some(job as u64) {
             return;
         }
-        let jobs = self.cluster.worker_mut(w).finish_batch(t);
-        let execs = self
-            .exec_info
-            .remove(&w.0)
-            .expect("every in-flight pass has exec info");
-        debug_assert_eq!(jobs.len(), execs.len(), "exec records must match the batch");
-        for (&job, exec) in jobs.iter().zip(&execs) {
-            self.complete_job(job as usize, *exec, w, t);
+        for job in self.cluster.worker_mut(w).finish_batch(t) {
+            self.complete_job(job as usize, w, t);
         }
         self.maybe_start(w, t);
     }
 
-    /// Post-completion accounting for one job: quality scoring, drift
-    /// handling, and the telemetry + cache-persistence sends. `w` is the
-    /// worker that ran the pass — the pool the completion is attributed
-    /// to, and the origin replica-write locality of the cache insert. A
-    /// final completion retires the job's state.
-    fn complete_job(&mut self, job: usize, exec: Exec, w: WorkerId, t: SimTime) {
+    /// Post-completion accounting for one job, from the execution record
+    /// its pass left in the job's slot: quality scoring, drift handling,
+    /// and the telemetry + cache-persistence sends. `w` is the worker that
+    /// ran the pass — the pool the completion is attributed to, and the
+    /// origin replica-write locality of the cache insert. A final
+    /// completion retires the job's state.
+    fn complete_job(&mut self, job: usize, w: WorkerId, t: SimTime) {
         let slot = self.jobs.get(job);
+        let exec = slot.exec.expect("a finishing job's pass has started");
         let prompt = &slot.prompt;
         let score = self.oracle.score_with_similarity(
             prompt,
@@ -820,13 +769,7 @@ impl SystemSimulation {
         match self.pipeline.plan_tick(observed, self.last_demand) {
             TickAction::Reallocate { estimate_qpm } => {
                 self.last_demand = estimate_qpm;
-                let demand = provisioning_target(estimate_qpm);
-                let margin = if self.switcher.state() == SwitcherState::SwitchingToSm {
-                    self.switcher.config().switch_margin
-                } else {
-                    1.0
-                };
-                self.reallocate(t, demand, margin);
+                self.reallocate(t, provisioning_target(estimate_qpm));
             }
             TickAction::AdaptPerWorker => {
                 self.last_demand = observed;
@@ -1053,7 +996,6 @@ impl SystemSimulation {
     fn fail_worker_now(&mut self, wi: usize, t: SimTime) {
         self.cache.worker_fail(wi);
         let lost = self.cluster.worker_mut(WorkerId(wi)).fail(t);
-        self.exec_info.remove(&wi);
         for job in lost {
             self.dispatch(job as usize, t);
         }
@@ -1142,7 +1084,9 @@ impl SystemSimulation {
 
     /// Solves Eq. 1 for the current demand via the planner stage and
     /// applies the result: worker level assignments plus the PASM (Argus)
-    /// or the proportional map (PAC/Proteus).
+    /// or the proportional map (PAC/Proteus). While switching to SM the
+    /// demand is scaled by the switcher's margin (§4.6), so the SM
+    /// allocation absorbs the transition.
     ///
     /// On heterogeneous fleets the problem decomposes by architecture:
     /// each pool gets its own latency/peak-QPM tables (and, under
@@ -1152,7 +1096,7 @@ impl SystemSimulation {
     /// order. Load distributions merge index-wise into one
     /// cluster-wide `ω` (every ladder is six rungs, slowest first, so the
     /// rung is the common currency).
-    pub(crate) fn reallocate(&mut self, t: SimTime, demand_qpm: f64, margin: f64) {
+    pub(crate) fn reallocate(&mut self, t: SimTime, demand_qpm: f64) {
         let global = self.pipeline.planning_strategy(&self.switcher);
         // Alive workers grouped by architecture, in pool order.
         let pools: Vec<(GpuArch, Vec<WorkerId>)> = self
@@ -1165,6 +1109,11 @@ impl SystemSimulation {
         if pools.is_empty() {
             return;
         }
+        let margin = if self.switcher.state() == SwitcherState::SwitchingToSm {
+            self.switcher.config().switch_margin
+        } else {
+            1.0
+        };
         let total_demand = demand_qpm * margin;
         let specs: Vec<PoolSpec> = pools
             .iter()
@@ -1465,30 +1414,14 @@ impl SystemSimulation {
                     break;
                 };
                 let w = pool.remove(pos);
-                match self.cluster.worker_mut(w).assign_level(ladder[lvl_idx], t) {
-                    SwitchOutcome::Immediate => {
-                        self.maybe_start(w, t);
-                    }
-                    SwitchOutcome::Loading(d) => {
-                        self.obs_counter_add("model_loads", 1);
-                        self.metrics.model_load(t);
-                        self.queue.schedule(t + d, Event::LoadDone(w));
-                    }
-                }
+                self.assign_and_schedule(w, ladder[lvl_idx], t);
                 used[lvl_idx] += 1;
             }
         }
         // Any leftover workers park at the slowest level (spare quality
         // headroom).
         for w in pool {
-            match self.cluster.worker_mut(w).assign_level(ladder[0], t) {
-                SwitchOutcome::Immediate => self.maybe_start(w, t),
-                SwitchOutcome::Loading(d) => {
-                    self.obs_counter_add("model_loads", 1);
-                    self.metrics.model_load(t);
-                    self.queue.schedule(t + d, Event::LoadDone(w));
-                }
-            }
+            self.assign_and_schedule(w, ladder[0], t);
         }
     }
 
@@ -1503,6 +1436,8 @@ impl SystemSimulation {
         }
     }
 
+    /// Assigns `level` to `w`: an immediate switch may start a pass, a
+    /// weight load schedules its completion.
     pub(crate) fn assign_and_schedule(&mut self, w: WorkerId, level: ApproxLevel, t: SimTime) {
         match self.cluster.worker_mut(w).assign_level(level, t) {
             SwitchOutcome::Immediate => self.maybe_start(w, t),
@@ -1518,12 +1453,7 @@ impl SystemSimulation {
     /// (called right after the switcher emits a command).
     fn begin_transition(&mut self, t: SimTime) {
         let demand = provisioning_target(self.arrival_rate.per_minute(t));
-        let margin = if self.switcher.state() == SwitcherState::SwitchingToSm {
-            self.switcher.config().switch_margin
-        } else {
-            1.0
-        };
-        self.reallocate(t, demand, margin);
+        self.reallocate(t, demand);
     }
 
     /// Completes a strategy transition once every alive worker serves a

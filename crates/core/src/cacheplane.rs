@@ -26,11 +26,12 @@
 //!   hit-rate, never a crash — the retrieval-plane mirror of the compute
 //!   plane's ODA re-alignment after a fault (see [`crate::oda`]).
 //!
-//! The configuration `shards = 1, replication = 1` is special-cased as the
-//! paper's *external* monolithic deployment: no worker hosts the index, so
-//! every lookup is remote and worker faults never touch the cache —
-//! bit-identical to `RunConfig::with_lsh_cache` (pinned by
-//! `tests/sharded_cache.rs`).
+//! Every replica of a plane lives on a worker. The paper's *external*
+//! monolithic deployment — no worker hosts the index, every lookup is
+//! remote and worker faults never touch the cache — is instead the shared
+//! LSH index of `RunConfig::with_lsh_cache`, and `SystemSimulation`
+//! resolves `with_sharded_cache(1, 1)` to exactly that index (pinned
+//! bit-identical by `tests/sharded_cache.rs`).
 
 use argus_cachestore::Locality;
 use argus_embed::Embedding;
@@ -39,22 +40,21 @@ use argus_vdb::{LshIndex, SearchHit, ShardedIndex};
 /// The write fan-out of one cache-plane insert: how many replica copies
 /// were stored and how many of them crossed the network. A copy landing
 /// on the worker that produced the state is a free local write; every
-/// other copy — and any write to an off-cluster (external) index — is
-/// charged one network hop. Writes are asynchronous (§4.7), so the hops
-/// are a budget counter (`RetrievalStats`), never job latency.
+/// other copy is charged one network hop. Writes are asynchronous
+/// (§4.7), so the hops are a budget counter (`RetrievalStats`), never
+/// job latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InsertReceipt {
     /// Replica copies stored (0 when every shard was down and the insert
     /// was dropped).
     pub replica_writes: u32,
-    /// Copies that paid a network hop (cross-worker replicas; all writes
-    /// in external mode).
+    /// Copies that paid a network hop (replicas not hosted on the origin
+    /// worker).
     pub remote_hops: u32,
 }
 
 /// LSH hyperplanes per shard replica — the recall/scan-cost knee measured
-/// for the monolithic index (`tests/lsh_cache.rs`), kept identical so
-/// `shards = 1` reproduces it exactly.
+/// for the monolithic index (`tests/lsh_cache.rs`), kept identical.
 const SHARD_LSH_BITS: usize = 8;
 
 /// Inserts between load-aware capacity rebalances. Frequent enough to
@@ -67,23 +67,20 @@ const REBALANCE_PERIOD: usize = 256;
 #[derive(Debug)]
 pub struct CachePlane {
     index: ShardedIndex<u64, LshIndex<u64>>,
-    /// Host worker of each replica slot (`hosts[shard][replica]`); empty
-    /// rows in external mode.
+    /// Host worker of each replica slot (`hosts[shard][replica]`).
     hosts: Vec<Vec<usize>>,
-    /// `shards == 1 && replication == 1`: the monolithic external VDB.
-    external: bool,
 }
 
 impl CachePlane {
     /// Builds a plane of `shards × replication` replica slots over a
     /// cluster of `workers`. Shards start with an even `⌈C/N⌉` split of
     /// `total_capacity` (so the total matches the monolithic configuration
-    /// it replaces) and, in sharded mode, thereafter rebalance their caps
-    /// toward observed routing load every [`REBALANCE_PERIOD`] inserts —
-    /// a flat split under routing skew makes the hot shards evict FIFO
-    /// while cold shards sit half empty, wasting a quarter of the
-    /// effective capacity at `N = 8`. `seed` must be the run's VDB seed
-    /// for unsharded parity.
+    /// it replaces) and thereafter rebalance their caps toward observed
+    /// routing load every [`REBALANCE_PERIOD`] inserts — a flat split
+    /// under routing skew makes the hot shards evict FIFO while cold
+    /// shards sit half empty, wasting a quarter of the effective capacity
+    /// at `N = 8`. `seed` seeds every replica's hyperplanes, as it does
+    /// the monolithic index's.
     ///
     /// Replication is clamped to the cluster size: more copies than
     /// workers would just co-locate replicas in the same fault domain.
@@ -103,40 +100,25 @@ impl CachePlane {
         assert!(workers > 0, "cache plane needs at least one worker");
         assert!(total_capacity > 0, "cache plane needs capacity");
         let replication = replication.min(workers);
-        let external = shards == 1 && replication == 1;
         let per_shard = total_capacity.div_ceil(shards);
         let index = ShardedIndex::new(shards, replication, seed, move |_, _| {
             LshIndex::with_capacity_limit(SHARD_LSH_BITS, seed, per_shard)
-        });
-        // External mode keeps the monolithic index bit-identical to
-        // `with_lsh_cache`; the sharded plane follows routing load.
-        let index = if external {
-            index
-        } else {
-            index.with_capacity_rebalance(total_capacity, REBALANCE_PERIOD)
-        };
+        })
+        .with_capacity_rebalance(total_capacity, REBALANCE_PERIOD);
         // Stripe a shard's replicas across distant workers: replica j of
         // shard s sits at offset ⌊j·W/R⌋. The floor-scaled offsets are
         // pairwise distinct for R ≤ W (consecutive offsets differ by at
         // least ⌊W/R⌋ ≥ 1 and stay below W), so a shard's replicas never
         // co-locate and adjacent-id failure bursts shorter than ⌊W/R⌋
         // take out at most one replica per shard.
-        let hosts = if external {
-            vec![Vec::new()]
-        } else {
-            (0..shards)
-                .map(|s| {
-                    (0..replication)
-                        .map(|j| (s + j * workers / replication) % workers)
-                        .collect()
-                })
-                .collect()
-        };
-        CachePlane {
-            index,
-            hosts,
-            external,
-        }
+        let hosts = (0..shards)
+            .map(|s| {
+                (0..replication)
+                    .map(|j| (s + j * workers / replication) % workers)
+                    .collect()
+            })
+            .collect();
+        CachePlane { index, hosts }
     }
 
     /// Number of shards.
@@ -147,11 +129,6 @@ impl CachePlane {
     /// Replication factor (post worker-count clamp).
     pub fn replication(&self) -> usize {
         self.index.replication()
-    }
-
-    /// Whether this is the external monolithic deployment (`1 × 1`).
-    pub fn is_external(&self) -> bool {
-        self.external
     }
 
     /// Shards with at least one live replica.
@@ -181,7 +158,8 @@ impl CachePlane {
         self.index.migrated_entries()
     }
 
-    /// The host worker of a replica slot (`None` in external mode).
+    /// The host worker of a replica slot (`None` for a slot out of
+    /// range).
     pub fn host_of(&self, shard: usize, replica: usize) -> Option<usize> {
         self.hosts.get(shard).and_then(|r| r.get(replica)).copied()
     }
@@ -201,13 +179,6 @@ impl CachePlane {
         let Some(shard) = self.index.insert(embedding, id) else {
             return InsertReceipt::default();
         };
-        if self.external {
-            // The monolithic off-cluster index: one write, one hop.
-            return InsertReceipt {
-                replica_writes: 1,
-                remote_hops: 1,
-            };
-        }
         let mut receipt = InsertReceipt::default();
         for replica in 0..self.replication() {
             if !self.index.replica_up(shard, replica) {
@@ -247,12 +218,8 @@ impl CachePlane {
     /// Rebalances after a worker crash: every replica hosted on `worker`
     /// loses its copy and stops serving; surviving replicas take over,
     /// and fully-dead shards re-route their inserts to ring neighbours
-    /// while lookups serve misses. A no-op in external mode (the
-    /// monolithic VDB is off-cluster).
+    /// while lookups serve misses.
     pub fn on_worker_fail(&mut self, worker: usize) {
-        if self.external {
-            return;
-        }
         for s in 0..self.hosts.len() {
             for j in 0..self.hosts[s].len() {
                 if self.hosts[s][j] == worker {
@@ -268,12 +235,8 @@ impl CachePlane {
     /// ([`argus_vdb::ShardedIndex::recover_replica`]): entries that
     /// ring-rerouted to foster shards while the shard was down are
     /// migrated home, since they route to the recovered shard and would
-    /// otherwise stay outside every lookup's probe set. A no-op in
-    /// external mode.
+    /// otherwise stay outside every lookup's probe set.
     pub fn on_worker_recover(&mut self, worker: usize) {
-        if self.external {
-            return;
-        }
         for s in 0..self.hosts.len() {
             for j in 0..self.hosts[s].len() {
                 if self.hosts[s][j] == worker {
@@ -289,27 +252,6 @@ mod tests {
     use super::*;
     use argus_embed::embed;
     use argus_prompts::PromptGenerator;
-
-    #[test]
-    fn external_mode_is_remote_and_fault_immune() {
-        let mut plane = CachePlane::new(1, 1, 8, 42, 768);
-        assert!(plane.is_external());
-        let prompts = PromptGenerator::new(1).generate_batch(50);
-        for (i, p) in prompts.iter().enumerate() {
-            plane.insert(None, embed(&p.text), i as u64);
-        }
-        for w in 0..8 {
-            let (hit, locality) = plane.lookup(w, &embed(&prompts[0].text));
-            assert_eq!(hit.unwrap().payload, 0);
-            assert_eq!(locality, Locality::Remote);
-        }
-        // Worker faults never touch the off-cluster index.
-        for w in 0..8 {
-            plane.on_worker_fail(w);
-        }
-        assert_eq!(plane.len(), 50);
-        assert_eq!(plane.live_shards(), 1);
-    }
 
     #[test]
     fn placement_stripes_replicas_across_workers() {
@@ -396,11 +338,6 @@ mod tests {
         // replicas, so 2/8 of origins pay one hop and 6/8 pay two.
         assert_eq!(hop_counts.get(&1).copied().unwrap_or(0), 2 * 40);
         assert_eq!(hop_counts.get(&2).copied().unwrap_or(0), 6 * 40);
-
-        // External mode: always one off-cluster write hop.
-        let mut external = CachePlane::new(1, 1, 8, 3, 512);
-        let r = external.insert(Some(0), embed("anything"), 1);
-        assert_eq!((r.replica_writes, r.remote_hops), (1, 1));
     }
 
     #[test]

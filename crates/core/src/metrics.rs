@@ -369,15 +369,6 @@ impl MetricsCollector {
         }
     }
 
-    /// Records one serving-time index insert with its replica fan-out:
-    /// `writes` copies stored, of which `hops` crossed the network
-    /// (cross-worker replicas and off-cluster indexes).
-    pub fn on_cache_insert(&mut self, writes: u32, hops: u32) {
-        self.inserts += 1;
-        self.replica_writes += u64::from(writes);
-        self.remote_write_hops += u64::from(hops);
-    }
-
     /// Folds in insert counters accumulated elsewhere (the cache-plane
     /// stage counts its writes locally and merges them here at
     /// teardown). Pure run-level totals, so the merge point does

@@ -360,7 +360,6 @@ pub(crate) fn least_backlogged_level(cluster: &Cluster, ladder: &[ApproxLevel]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use argus_des::SimTime;
     use argus_models::{ModelVariant, AC_LEVELS};
 
     #[test]
@@ -412,7 +411,7 @@ mod tests {
         let lvl = ApproxLevel::Ac(AcLevel(25));
         cluster.worker_mut(WorkerId(0)).preload(lvl);
         for j in 0..8 {
-            cluster.worker_mut(WorkerId(0)).enqueue(j, SimTime::ZERO);
+            cluster.worker_mut(WorkerId(0)).enqueue(j);
         }
         let ctx = SelectCtx {
             cluster: &cluster,
@@ -429,7 +428,7 @@ mod tests {
         let lvl = ApproxLevel::Sm(ModelVariant::TinySd);
         cluster.worker_mut(WorkerId(0)).preload(lvl);
         for j in 0..3 {
-            cluster.worker_mut(WorkerId(0)).enqueue(j, SimTime::ZERO);
+            cluster.worker_mut(WorkerId(0)).enqueue(j);
         }
         let ctx = SelectCtx {
             cluster: &cluster,
@@ -450,7 +449,7 @@ mod tests {
         let slow = ApproxLevel::Sm(ModelVariant::SdXl);
         cluster.worker_mut(WorkerId(0)).preload(slow);
         for j in 0..16 {
-            cluster.worker_mut(WorkerId(0)).enqueue(j, SimTime::ZERO);
+            cluster.worker_mut(WorkerId(0)).enqueue(j);
         }
         let ctx = SelectCtx {
             cluster: &cluster,
@@ -481,7 +480,7 @@ mod tests {
         let lvl = ApproxLevel::Ac(AcLevel(25));
         cluster.worker_mut(WorkerId(0)).preload(lvl);
         for j in 0..8 {
-            cluster.worker_mut(WorkerId(0)).enqueue(j, SimTime::ZERO);
+            cluster.worker_mut(WorkerId(0)).enqueue(j);
         }
         let ctx = SelectCtx {
             cluster: &cluster,

@@ -186,9 +186,9 @@ mod tests {
     #[test]
     fn picks_least_loaded_worker_at_target_level() {
         let mut cluster = cluster_with_levels(&[(2, 3)]);
-        cluster.worker_mut(WorkerId(0)).enqueue(1, SimTime::ZERO);
-        cluster.worker_mut(WorkerId(0)).enqueue(2, SimTime::ZERO);
-        cluster.worker_mut(WorkerId(1)).enqueue(3, SimTime::ZERO);
+        cluster.worker_mut(WorkerId(0)).enqueue(1);
+        cluster.worker_mut(WorkerId(0)).enqueue(2);
+        cluster.worker_mut(WorkerId(1)).enqueue(3);
         let (w, lvl) = select_worker(&cluster, &ladder(), 2, &proc).unwrap();
         assert_eq!(w, WorkerId(2)); // empty queue
         assert_eq!(lvl, 2);
@@ -238,10 +238,10 @@ mod tests {
     fn counts_in_flight_jobs_in_backlog() {
         let mut cluster = cluster_with_levels(&[(0, 2)]);
         // Worker 0: one in-flight job; worker 1: idle.
-        cluster.worker_mut(WorkerId(0)).enqueue(1, SimTime::ZERO);
+        cluster.worker_mut(WorkerId(0)).enqueue(1);
         cluster
             .worker_mut(WorkerId(0))
-            .try_start(SimTime::ZERO, argus_des::SimDuration::from_secs(4.0));
+            .try_start_batch(SimTime::ZERO, 1);
         let (w, _) = select_worker(&cluster, &ladder(), 0, &proc).unwrap();
         assert_eq!(w, WorkerId(1));
     }
@@ -278,7 +278,7 @@ mod tests {
             w.assign_level(lvl, SimTime::ZERO);
             w.finish_load(SimTime::from_secs(100.0));
         }
-        cluster.worker_mut(WorkerId(0)).enqueue(1, SimTime::ZERO);
+        cluster.worker_mut(WorkerId(0)).enqueue(1);
         let arch_proc = |_: usize, gpu: GpuArch| match gpu {
             GpuArch::A100 => 4.0,
             _ => 9.0,
@@ -288,7 +288,7 @@ mod tests {
         assert_eq!(w, WorkerId(1));
         // …but once the V100 queue grows, the A100 wins on cost even with
         // equal backlog.
-        cluster.worker_mut(WorkerId(1)).enqueue(2, SimTime::ZERO);
+        cluster.worker_mut(WorkerId(1)).enqueue(2);
         let (w, _) = select_worker(&cluster, &ladder(), 0, &arch_proc).unwrap();
         assert_eq!(w, WorkerId(0));
     }

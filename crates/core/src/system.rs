@@ -568,7 +568,8 @@ impl RunOutcome {
     }
 }
 
-/// What actually executed for an in-flight job.
+/// What actually executed for a job's pass: the level after the cache
+/// gate, and the similarity of the reused neighbour.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Exec {
     pub(crate) level: ApproxLevel,
@@ -646,6 +647,10 @@ pub(crate) struct JobSlot {
     /// accounting. An escalated job's re-dispatch targets the escalation
     /// rung, and its second completion is final.
     pub(crate) first_ratio: Option<f64>,
+    /// The execution record of the job's current pass: written when the
+    /// pass starts, read when it finishes. A later start (a reroute after
+    /// a failure, or a cascade escalation) overwrites it.
+    pub(crate) exec: Option<Exec>,
     retired: bool,
 }
 
@@ -675,6 +680,7 @@ impl JobWindow {
             prompt,
             arrival,
             first_ratio: None,
+            exec: None,
             retired: false,
         });
         self.free();
@@ -757,9 +763,6 @@ pub struct SystemSimulation {
     pub(crate) route_rng: StdRng,
     pub(crate) service_rng: StdRng,
     pub(crate) arrival_rate: WindowedRate,
-    /// Per-worker execution records for the in-flight (possibly batched)
-    /// pass, in batch start order.
-    pub(crate) exec_info: HashMap<usize, Vec<Exec>>,
     pub(crate) drift_detector: DriftDetector,
     pub(crate) retrain_minutes: Vec<u64>,
     pub(crate) horizon: SimTime,
@@ -927,10 +930,15 @@ impl SystemSimulation {
             network = network.with_event(SimTime::from_minutes(minute), regime);
         }
         let mut store = CacheStore::with_network(network);
-        let mut vdb = if let Some((shards, replication)) = cfg.sharded_cache {
+        // One shard with one replica (after the clamp to the cluster size)
+        // is no plane but the monolithic off-cluster index: remote from
+        // every worker and untouched by worker faults.
+        let plane = cfg
+            .sharded_cache
+            .filter(|&(shards, replication)| shards != 1 || replication.min(cfg.workers) != 1);
+        let mut vdb = if let Some((shards, replication)) = plane {
             // The cache plane: per-shard LSH replicas at the same 8-bit
-            // knee and the same total capacity as the monolithic index
-            // (shards = 1, replication = 1 reproduces it bit-for-bit).
+            // knee and the same total capacity as the monolithic index.
             Vdb::Sharded(CachePlane::new(
                 shards,
                 replication,
@@ -938,7 +946,7 @@ impl SystemSimulation {
                 cfg.seed ^ 0x15B,
                 cfg.vdb_capacity.max(1),
             ))
-        } else if cfg.lsh_cache {
+        } else if cfg.lsh_cache || cfg.sharded_cache.is_some() {
             // 8 hyperplanes ≈ 3.5% of the corpus probed per query at the
             // default cache capacity — the recall/scan-cost knee (see
             // `tests/lsh_cache.rs`).
@@ -1105,7 +1113,6 @@ impl SystemSimulation {
             route_rng: factory.stream("route"),
             service_rng: factory.stream("service"),
             arrival_rate: WindowedRate::new(SimDuration::from_minutes(1.0)),
-            exec_info: HashMap::new(),
             drift_detector: DriftDetector::new(400, 5, 0.35),
             retrain_minutes: Vec::new(),
             horizon,
@@ -1149,7 +1156,7 @@ impl SystemSimulation {
         match sim.pipeline.initial_placement() {
             InitialPlacement::Solve => {
                 let d0 = provisioning_target(sim.cfg.trace.qpm_at(0));
-                sim.reallocate(SimTime::ZERO, d0, 1.0);
+                sim.reallocate(SimTime::ZERO, d0);
             }
             InitialPlacement::Heal => {
                 sim.heal_unassigned(SimTime::ZERO);

@@ -23,10 +23,26 @@
 //!   preemption storm and a network outage that switches AC→SM→AC
 //!   (rerouted jobs, store answers on a degraded plane);
 //! * NIRVANA on the shared LSH index (similarity-chosen levels).
+//!
+//! One golden has moved since: `golden_drift`. In that run the congested
+//! window switches AC→SM during job 1449's retrieval, and the switch's
+//! reallocation re-enters the dispatcher and starts the job on the same
+//! worker at `Sm(SD-XL)`. The batch-1 start path ignored that its own
+//! start was then refused: it dispatched the job a second time, scheduled
+//! a second completion and completed the job with the stale `Ac(5)`
+//! record. Every start now goes through one path that stands down when a
+//! reentrant start got there first, so the golden was re-captured after
+//! that fix. The job completes at `Sm(SD-XL)`, which moves one completion
+//! from `Ac(5)` to `Sm(SD-XL)` and the quality sums and reservoir with it.
+//! [`every_job_is_dispatched_once_at_the_level_it_completes`] pins the
+//! fix itself, job by job.
 
 use argus::cachestore::NetworkRegime;
-use argus::core::{preemption_events, CascadeConfig, FaultEvent, Policy, RunConfig, RunOutcome};
-use argus::models::GpuArch;
+use argus::core::{
+    preemption_events, CascadeConfig, FaultEvent, Policy, RunConfig, RunOutcome, SpanKind,
+    TelemetryConfig,
+};
+use argus::models::{ApproxLevel, GpuArch};
 use argus::prompts::DriftSchedule;
 use argus::workload::{preemption_storm, steady, twitter_like, Trace};
 
@@ -140,11 +156,12 @@ fn fingerprint(out: &RunOutcome) -> Fingerprint {
     }
 }
 
-#[test]
-fn drift_retraining_on_a_congested_flat_index_matches_the_golden() {
+/// Drift, drift-triggered retraining and a congested window on the exact
+/// flat index.
+fn drift_cfg() -> RunConfig {
     let trace = twitter_like(42, 30);
     let jobs = trace.total_queries() as u64;
-    let out = cfg(Policy::Argus, trace, 16101)
+    cfg(Policy::Argus, trace, 16101)
         .with_drift(DriftSchedule {
             start_at: jobs / 3,
             ramp: jobs / 6,
@@ -154,8 +171,62 @@ fn drift_retraining_on_a_congested_flat_index_matches_the_golden() {
             (15.0, NetworkRegime::Congested),
             (25.0, NetworkRegime::Normal),
         ])
-        .run();
+}
+
+#[test]
+fn drift_retraining_on_a_congested_flat_index_matches_the_golden() {
+    let out = drift_cfg().run();
     assert!(!out.retrain_minutes.is_empty(), "drift never retrained");
+    assert_eq!(fingerprint(&out), golden_drift());
+}
+
+/// The drift run's congested window switches AC→SM while jobs retrieve,
+/// and a switch's reallocation can re-enter the dispatcher and start the
+/// very worker whose start is being planned. The run has no faults,
+/// preemptions or cascade, so every job must start exactly once, and
+/// complete at the level its one start executed.
+#[test]
+fn every_job_is_dispatched_once_at_the_level_it_completes() {
+    let out = drift_cfg().with_telemetry(TelemetryConfig::full()).run();
+    let spans = out.spans.as_ref().expect("full telemetry records spans");
+    assert_eq!(spans.dropped, 0);
+    let offered = out.totals.offered as usize;
+    let mut dispatched: Vec<Vec<Option<ApproxLevel>>> = vec![Vec::new(); offered];
+    let mut finished: Vec<Option<ApproxLevel>> = vec![None; offered];
+    for ev in &spans.events {
+        match ev.kind {
+            SpanKind::Dispatch => dispatched[ev.job as usize].push(ev.level),
+            SpanKind::Complete | SpanKind::Violation => finished[ev.job as usize] = ev.level,
+            _ => {}
+        }
+    }
+    let not_once: Vec<String> = dispatched
+        .iter()
+        .enumerate()
+        .filter(|(_, levels)| levels.len() != 1)
+        .map(|(job, levels)| format!("job {job} dispatched at {levels:?}"))
+        .collect();
+    assert!(
+        not_once.is_empty(),
+        "jobs not dispatched exactly once: {not_once:?}"
+    );
+    let stale: Vec<String> = dispatched
+        .iter()
+        .zip(&finished)
+        .enumerate()
+        .filter(|(_, (levels, done))| levels[0] != **done)
+        .map(|(job, (levels, done))| {
+            format!(
+                "job {job} dispatched at {:?}, finished at {done:?}",
+                levels[0]
+            )
+        })
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "jobs finished at a level their pass did not execute: {stale:?}"
+    );
+    // Telemetry does not perturb the run: this is the golden run.
     assert_eq!(fingerprint(&out), golden_drift());
 }
 
@@ -243,11 +314,13 @@ fn nirvana_on_lsh_matches_the_golden() {
 
 // The goldens, captured on the tree that materialised the trace and kept
 // the blob map (release build; the runs are bit-identical in debug).
+// `golden_drift` was re-captured after the reentrant-start fix (see the
+// module doc).
 
 fn golden_drift() -> Fingerprint {
     Fingerprint {
         counts: [3179, 3179, 144, 3035, 22],
-        float_bits: [0x40ecaac8bdc816ae, 0x40a5d81391cd7c12, 0x409c368eea63b689],
+        float_bits: [0x40ecaabe304137cc, 0x40a5d80bb973d6f5, 0x409c368eea63b689],
         cache: vec![
             ((0, 5), [193, 0, 0]),
             ((0, 10), [162, 0, 0]),
@@ -258,18 +331,18 @@ fn golden_drift() -> Fingerprint {
         retrieval: [1674, 3179, 0x3f9d862e1cacf95f, 0x3fa4cff21b3aeee9],
         level_completions: vec![
             ((0, 0), 454),
-            ((0, 5), 193),
+            ((0, 5), 192),
             ((0, 10), 162),
             ((0, 15), 495),
             ((0, 20), 54),
             ((0, 25), 770),
-            ((1, 0), 501),
+            ((1, 0), 502),
             ((1, 1), 31),
             ((1, 2), 36),
             ((1, 4), 37),
             ((1, 5), 446),
         ],
-        quality_samples: 0x26fb3082947b423d,
+        quality_samples: 0xb7f4634ba11e9678,
         retrain_minutes: vec![8, 11, 16, 25, 27],
         classifier_accuracy: 0xa7defcf6b4a23203,
         switches: (1, 1),
