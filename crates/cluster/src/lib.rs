@@ -18,6 +18,16 @@
 //!
 //! The discrete-event loop lives in `argus-core`; this crate provides the
 //! passive state machines it drives.
+//!
+//! Every worker mutation goes through [`Cluster`], which takes a
+//! [`WorkerId`] and changes the worker in place. That makes the cluster
+//! the one owner of worker state, so it can keep a dispatch index in step
+//! with every change: for each (level, architecture), the dispatchable
+//! workers ordered by (backlog, id). The Eq. 3 Worker-Selector reads the
+//! heads of those groups instead of scanning the fleet per candidate
+//! rung (see [`Cluster::dispatch_head`]). No `&mut Worker` leaves the
+//! crate, so no caller can change a backlog, a level or a failure flag
+//! behind the index's back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +60,7 @@ pub enum SwitchOutcome {
     /// immediately (always the case within AC).
     Immediate,
     /// A background load of the returned duration began; the worker keeps
-    /// serving its previous level until [`Worker::finish_load`] is called.
+    /// serving its previous level until [`Cluster::finish_load`] is called.
     Loading(SimDuration),
 }
 
@@ -72,8 +82,9 @@ pub struct Worker {
     failed: bool,
     /// Preemption-warning drain: the worker finishes its in-flight pass
     /// but accepts no new work, and the dispatcher stops selecting it
-    /// (it drops out of [`Cluster::alive`]). Billing continues — a
-    /// draining spot instance is still rented until it disappears.
+    /// (it drops out of [`Cluster::alive`] and the dispatch index).
+    /// Billing continues — a draining spot instance is still rented until
+    /// it disappears.
     draining: bool,
     /// HBM capacity in co-resident model variants. Argus keeps
     /// [`MAX_RESIDENT_MODELS`] (§4.6); systems that swap the serving model
@@ -91,7 +102,7 @@ pub struct Worker {
 
 impl Worker {
     /// Creates an idle worker with no model loaded.
-    pub fn new(id: WorkerId, gpu: GpuArch) -> Self {
+    pub(crate) fn new(id: WorkerId, gpu: GpuArch) -> Self {
         Worker {
             id,
             gpu,
@@ -118,7 +129,7 @@ impl Worker {
     /// brings it up with [`Worker::recover`] at the end of the cloud
     /// provisioning delay. `at` anchors its utilization accounting so
     /// pre-birth time never dilutes the busy fraction.
-    pub fn provisioning(id: WorkerId, gpu: GpuArch, at: SimTime) -> Self {
+    pub(crate) fn provisioning(id: WorkerId, gpu: GpuArch, at: SimTime) -> Self {
         let mut w = Worker::new(id, gpu);
         w.created_at = at;
         w.failed = true;
@@ -152,7 +163,7 @@ impl Worker {
     }
 
     /// Whether the worker is draining ahead of a preemption (see
-    /// [`Worker::begin_drain`]).
+    /// [`Cluster::begin_drain`]).
     pub fn is_draining(&self) -> bool {
         self.draining
     }
@@ -193,7 +204,7 @@ impl Worker {
     ///
     /// # Panics
     /// Panics if `slots == 0`.
-    pub fn set_hbm_slots(&mut self, slots: usize) {
+    pub(crate) fn set_hbm_slots(&mut self, slots: usize) {
         assert!(slots > 0, "a worker needs at least one HBM slot");
         self.hbm_slots = slots;
         while self.resident.len() > self.hbm_slots {
@@ -214,7 +225,7 @@ impl Worker {
     ///
     /// # Panics
     /// Panics if the worker has failed.
-    pub fn assign_level(&mut self, level: ApproxLevel, now: SimTime) -> SwitchOutcome {
+    pub(crate) fn assign_level(&mut self, level: ApproxLevel, now: SimTime) -> SwitchOutcome {
         assert!(!self.failed, "cannot assign a level to a failed worker");
         let model = level.resident_model();
         if self.resident.contains(&model) {
@@ -236,7 +247,7 @@ impl Worker {
     /// [`SwitchOutcome::Loading`]). Evicts the least-recently-used resident
     /// model if HBM would exceed [`MAX_RESIDENT_MODELS`]. No-op if the load
     /// was superseded or the worker failed meanwhile.
-    pub fn finish_load(&mut self, now: SimTime) {
+    pub(crate) fn finish_load(&mut self, now: SimTime) {
         if self.failed {
             return;
         }
@@ -261,7 +272,7 @@ impl Worker {
     ///
     /// # Panics
     /// Panics if the worker has failed.
-    pub fn preload(&mut self, level: ApproxLevel) {
+    pub(crate) fn preload(&mut self, level: ApproxLevel) {
         assert!(!self.failed, "cannot preload a failed worker");
         let model = level.resident_model();
         if !self.resident.contains(&model) {
@@ -278,7 +289,7 @@ impl Worker {
     ///
     /// # Panics
     /// Panics if the worker has failed.
-    pub fn enqueue(&mut self, job: JobId) {
+    pub(crate) fn enqueue(&mut self, job: JobId) {
         assert!(!self.failed, "cannot enqueue on a failed worker");
         assert!(!self.draining, "cannot enqueue on a draining worker");
         self.queue.push_back(job);
@@ -291,7 +302,7 @@ impl Worker {
 
     /// The `i`-th queued job in FIFO order, if any. A start drains the
     /// queue's prefix, so the caller walks it by index to compute per-job
-    /// service estimates before committing to [`Worker::try_start_batch`].
+    /// service estimates before committing to [`Cluster::try_start_batch`].
     pub fn queued_job(&self, i: usize) -> Option<JobId> {
         self.queue.get(i).copied()
     }
@@ -323,7 +334,7 @@ impl Worker {
     /// started: none if the worker is failed, draining, busy, level-less
     /// or has an empty queue. The caller decides the pass's duration and
     /// later calls [`Worker::finish_batch`].
-    pub fn try_start_batch(&mut self, now: SimTime, count: usize) -> usize {
+    pub(crate) fn try_start_batch(&mut self, now: SimTime, count: usize) -> usize {
         if self.failed || self.draining || !self.in_flight.is_empty() || self.level.is_none() {
             return 0;
         }
@@ -336,17 +347,17 @@ impl Worker {
     }
 
     /// Completes every in-flight job of the current pass at time `now`,
-    /// returning the jobs in start order.
+    /// appending the jobs to `done` in start order.
     ///
     /// # Panics
     /// Panics if no job is in flight.
-    pub fn finish_batch(&mut self, now: SimTime) -> Vec<JobId> {
+    pub(crate) fn finish_batch(&mut self, now: SimTime, done: &mut Vec<JobId>) {
         assert!(!self.in_flight.is_empty(), "no job in flight");
         if let Some(since) = self.busy_since.take() {
             self.busy += now - since;
         }
         self.completed += self.in_flight.len() as u64;
-        self.in_flight.drain(..).collect()
+        done.append(&mut self.in_flight);
     }
 
     /// Begins a preemption-warning drain: queued jobs are handed back for
@@ -355,7 +366,7 @@ impl Worker {
     /// until [`Worker::fail`] (the preemption firing) or
     /// [`Worker::recover`] (a cancelled preemption) ends the drain.
     /// No-op on a failed or already-draining worker.
-    pub fn begin_drain(&mut self, _now: SimTime) -> Vec<JobId> {
+    pub(crate) fn begin_drain(&mut self, _now: SimTime) -> Vec<JobId> {
         if self.failed || self.draining {
             return Vec::new();
         }
@@ -365,7 +376,7 @@ impl Worker {
 
     /// Fails the worker at `now`, returning every job it held (queued and
     /// in-flight) so the caller can reroute or count them as violations.
-    pub fn fail(&mut self, now: SimTime) -> Vec<JobId> {
+    pub(crate) fn fail(&mut self, now: SimTime) -> Vec<JobId> {
         if self.failed {
             return Vec::new();
         }
@@ -386,7 +397,7 @@ impl Worker {
 
     /// Recovers a failed worker at `now` (cold: no model resident; the
     /// allocator must assign a level, incurring a load).
-    pub fn recover(&mut self, now: SimTime) {
+    pub(crate) fn recover(&mut self, now: SimTime) {
         if !self.failed {
             // A recover aimed at a draining worker cancels the drain (the
             // preemption warning was a false alarm); on a healthy worker
@@ -435,19 +446,220 @@ impl Worker {
     }
 }
 
+/// A worker's filing role in a dispatch group: keyed by
+/// `level().or(pending_level())`, the one key the §4.7 spill, the
+/// least-backlogged fallback and per-worker routing read.
+const SERVING: usize = 0;
+/// A worker's filing role in a dispatch group: keyed by the level it is
+/// loading toward while it still serves another. Eq. 3 counts it as a
+/// candidate there too (jobs queue behind the load).
+const LOADING: usize = 1;
+
+/// Packs a dispatch key so that `u64` order is (backlog, id) order.
+fn pack(backlog: u32, id: WorkerId) -> u64 {
+    let id = u32::try_from(id.0).expect("worker ids fit in 32 bits");
+    (u64::from(backlog) << 32) | u64::from(id)
+}
+
+/// The (backlog, id) a key was packed from.
+fn unpack(key: u64) -> (usize, WorkerId) {
+    ((key >> 32) as usize, WorkerId((key & 0xFFFF_FFFF) as usize))
+}
+
+/// One role's members of a group: [`pack`]ed keys in ascending order, so
+/// the first is the head.
+///
+/// A sorted `Vec` rather than a `BTreeSet`: a backlog change moves one key
+/// by a rotation of the keys it passes, and at the group sizes a fleet
+/// has (a few to a few hundred workers per level and architecture) that
+/// is two to three times cheaper than a set's remove and insert.
+#[derive(Debug, Clone, Default)]
+struct Members(Vec<u64>);
+
+impl Members {
+    fn head(&self) -> Option<u64> {
+        self.0.first().copied()
+    }
+
+    fn insert(&mut self, key: u64) {
+        let at = self.0.binary_search(&key).expect_err("a key is filed once");
+        self.0.insert(at, key);
+    }
+
+    fn remove(&mut self, key: u64) {
+        let at = self.0.binary_search(&key).expect("the key is filed");
+        self.0.remove(at);
+    }
+
+    /// Replaces `old` by `new`, shifting the keys between them by one.
+    fn rekey(&mut self, old: u64, new: u64) {
+        let from = self.0.binary_search(&old).expect("the key is filed");
+        let to = self.0.binary_search(&new).expect_err("a key is filed once");
+        if to > from {
+            self.0[from..to].rotate_left(1);
+            self.0[to - 1] = new;
+        } else {
+            self.0[to..=from].rotate_right(1);
+            self.0[to] = new;
+        }
+    }
+}
+
+/// The dispatchable workers filed under one (level, architecture), per
+/// role.
+#[derive(Debug, Clone)]
+struct Group {
+    level: ApproxLevel,
+    gpu: GpuArch,
+    members: [Members; 2],
+}
+
+/// Where one worker is filed, and the backlog its keys carry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Filing {
+    /// Not failed and not draining: counted in its pool's load.
+    dispatchable: bool,
+    backlog: u32,
+    /// Index into [`DispatchIndex::groups`], per role.
+    groups: [Option<usize>; 2],
+}
+
+/// The dispatch index [`Cluster`] keeps in step with every worker
+/// mutation.
+///
+/// Only two kinds of change reach it. A job arriving or a pass finishing
+/// changes one worker's backlog and no other key, so the worker moves
+/// inside the groups its [`Filing`] names, which need no lookup; a start
+/// moves jobs from the queue to the pass and changes nothing. Everything
+/// that can change a group — a level, a pending level, a failure, a
+/// drain — comes from ticks, loads and faults, and re-files the worker
+/// from scratch.
+#[derive(Debug, Clone, Default)]
+struct DispatchIndex {
+    /// Groups in the order they were first filed. An emptied group stays
+    /// for reuse.
+    groups: Vec<Group>,
+    /// Per worker id.
+    filings: Vec<Filing>,
+    /// Per architecture (`GpuArch as usize`): dispatchable workers and
+    /// their summed backlog.
+    pools: [(usize, usize); GpuArch::ALL.len()],
+}
+
+impl DispatchIndex {
+    fn position(&self, level: ApproxLevel, gpu: GpuArch) -> Option<usize> {
+        self.groups
+            .iter()
+            .position(|g| g.level == level && g.gpu == gpu)
+    }
+
+    fn group(&self, level: ApproxLevel, gpu: GpuArch) -> Option<&Group> {
+        self.position(level, gpu).map(|g| &self.groups[g])
+    }
+
+    /// The group of (`level`, `gpu`), created empty on first use.
+    fn group_index(&mut self, level: ApproxLevel, gpu: GpuArch) -> usize {
+        self.position(level, gpu).unwrap_or_else(|| {
+            self.groups.push(Group {
+                level,
+                gpu,
+                members: Default::default(),
+            });
+            self.groups.len() - 1
+        })
+    }
+
+    /// Files `w` from scratch under its current keys.
+    fn refile(&mut self, w: &Worker) {
+        let id = w.id();
+        if self.filings.len() <= id.0 {
+            self.filings.resize(id.0 + 1, Filing::default());
+        }
+        let old = self.filings[id.0];
+        for (role, g) in old.groups.iter().enumerate() {
+            if let Some(g) = *g {
+                self.groups[g].members[role].remove(pack(old.backlog, id));
+            }
+        }
+        let pool = &mut self.pools[w.gpu() as usize];
+        if old.dispatchable {
+            pool.0 -= 1;
+            pool.1 -= old.backlog as usize;
+        }
+        let dispatchable = !w.is_failed() && !w.is_draining();
+        let backlog = u32::try_from(w.backlog()).expect("a backlog fits in 32 bits");
+        if dispatchable {
+            pool.0 += 1;
+            pool.1 += backlog as usize;
+        }
+        let mut groups = [None; 2];
+        if dispatchable {
+            let serving = w.level().or(w.pending_level());
+            let loading = w
+                .pending_level()
+                .filter(|&l| w.level().is_some_and(|served| served != l));
+            for (role, level) in [(SERVING, serving), (LOADING, loading)] {
+                if let Some(level) = level {
+                    let g = self.group_index(level, w.gpu());
+                    self.groups[g].members[role].insert(pack(backlog, id));
+                    groups[role] = Some(g);
+                }
+            }
+        }
+        self.filings[id.0] = Filing {
+            dispatchable,
+            backlog,
+            groups,
+        };
+    }
+
+    /// Moves `w` to its current backlog inside the groups it is filed in:
+    /// the per-job path, where no other key changes.
+    fn rekey_backlog(&mut self, w: &Worker) {
+        let id = w.id();
+        let backlog = u32::try_from(w.backlog()).expect("a backlog fits in 32 bits");
+        let filing = &mut self.filings[id.0];
+        if filing.backlog == backlog {
+            return;
+        }
+        let (old, new) = (pack(filing.backlog, id), pack(backlog, id));
+        for (role, g) in filing.groups.iter().enumerate() {
+            if let Some(g) = *g {
+                self.groups[g].members[role].rekey(old, new);
+            }
+        }
+        if filing.dispatchable {
+            let pool = &mut self.pools[w.gpu() as usize];
+            pool.1 = pool.1 - filing.backlog as usize + backlog as usize;
+        }
+        filing.backlog = backlog;
+    }
+}
+
 /// A cluster of GPU workers. The paper's testbed is a fixed 8×A100 fleet
 /// (§1), and a cluster built once and never grown reproduces it exactly;
 /// the elastic-fleet subsystem additionally grows membership mid-run via
 /// [`Cluster::provision`] (workers join in the provisioning state and
-/// come up through [`Worker::recover`]) and shrinks it by failing or
+/// come up through [`Cluster::recover`]) and shrinks it by failing or
 /// draining workers in place — ids are stable for the whole run.
 ///
 /// Production fleets also mix generations: [`Cluster::heterogeneous`]
 /// builds per-architecture pools with contiguous worker ids, and the
 /// allocator solves Eq. 1 per pool.
+///
+/// The cluster owns every worker mutation: each method below takes a
+/// [`WorkerId`], changes that worker and updates the dispatch index in
+/// the same call. The index files each dispatchable worker by (level,
+/// architecture), ordered by (backlog, id), so the Eq. 3 argmin, the
+/// §4.7 spill and the per-pool load totals are read from group heads
+/// ([`Cluster::dispatch_head`], [`Cluster::serving_heads`],
+/// [`Cluster::pool_load`]) rather than from a scan of every worker. A
+/// `&mut Worker` handed out would let a caller change a key the index
+/// does not see, so there is none.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     workers: Vec<Worker>,
+    index: DispatchIndex,
 }
 
 impl Cluster {
@@ -474,7 +686,11 @@ impl Cluster {
                 workers.push(Worker::new(WorkerId(workers.len()), gpu));
             }
         }
-        Cluster { workers }
+        let mut index = DispatchIndex::default();
+        for w in &workers {
+            index.refile(w);
+        }
+        Cluster { workers, index }
     }
 
     /// Distinct architectures present, in first-appearance (pool) order.
@@ -498,13 +714,16 @@ impl Cluster {
             .collect()
     }
 
-    /// Adds a worker on `gpu` in the provisioning state (see
-    /// [`Worker::provisioning`]): it joins dispatch only once the caller
-    /// recovers it at the end of the provisioning delay. Returns the new
+    /// Adds a worker on `gpu` in the provisioning state: it counts as
+    /// failed (invisible to dispatch, unbilled) and joins dispatch only
+    /// once the caller recovers it ([`Cluster::recover`]) at the end of
+    /// the provisioning delay. `at` anchors its utilization accounting so
+    /// pre-birth time never dilutes the busy fraction. Returns the new
     /// worker's id (ids are append-only and never reused).
     pub fn provision(&mut self, gpu: GpuArch, at: SimTime) -> WorkerId {
         let id = WorkerId(self.workers.len());
         self.workers.push(Worker::provisioning(id, gpu, at));
+        self.index.refile(&self.workers[id.0]);
         id
     }
 
@@ -526,22 +745,9 @@ impl Cluster {
         &self.workers[id.0]
     }
 
-    /// Mutable worker access.
-    ///
-    /// # Panics
-    /// Panics if the id is out of range.
-    pub fn worker_mut(&mut self, id: WorkerId) -> &mut Worker {
-        &mut self.workers[id.0]
-    }
-
     /// Iterates over all workers.
     pub fn iter(&self) -> impl Iterator<Item = &Worker> {
         self.workers.iter()
-    }
-
-    /// Iterates mutably over all workers.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Worker> {
-        self.workers.iter_mut()
     }
 
     /// Ids of dispatchable workers (not failed, not draining).
@@ -553,19 +759,171 @@ impl Cluster {
             .collect()
     }
 
-    /// Dispatchable workers currently serving (or loading toward)
-    /// `level`.
-    pub fn workers_at_level(&self, level: ApproxLevel) -> Vec<WorkerId> {
-        self.workers
+    // ---------------------------------------------------------------- //
+    // The dispatch index
+    // ---------------------------------------------------------------- //
+
+    /// The Eq. 3 head of `level` on `gpu`: among dispatchable workers on
+    /// `gpu` that serve `level` or are loading toward it, the one with the
+    /// least backlog, ties to the lowest id, as `(backlog, id)`.
+    pub fn dispatch_head(&self, level: ApproxLevel, gpu: GpuArch) -> Option<(usize, WorkerId)> {
+        let group = self.index.group(level, gpu)?;
+        group
+            .members
             .iter()
-            .filter(|w| {
-                !w.is_failed()
-                    && !w.is_draining()
-                    && (w.level() == Some(level) || w.pending_level() == Some(level))
-            })
-            .map(|w| w.id())
-            .collect()
+            .filter_map(Members::head)
+            .min()
+            .map(unpack)
     }
+
+    /// The heads of the serving groups, as `(level, gpu, backlog, id)`:
+    /// for each (level, architecture) under which dispatchable workers are
+    /// keyed by `level().or(pending_level())`, the one with the least
+    /// backlog, ties to the lowest id. Every dispatchable worker with a
+    /// level or a pending level sits in exactly one serving group; groups
+    /// come in the order they were first filed.
+    pub fn serving_heads(
+        &self,
+    ) -> impl Iterator<Item = (ApproxLevel, GpuArch, usize, WorkerId)> + '_ {
+        self.index.groups.iter().filter_map(|g| {
+            let (backlog, id) = unpack(g.members[SERVING].head()?);
+            Some((g.level, g.gpu, backlog, id))
+        })
+    }
+
+    /// The dispatchable workers on `gpu` and their summed backlog: the
+    /// length of [`Cluster::alive_on`] and the sum of those workers'
+    /// backlogs, kept as running totals.
+    pub fn pool_load(&self, gpu: GpuArch) -> (usize, usize) {
+        self.index.pools[gpu as usize]
+    }
+
+    // ---------------------------------------------------------------- //
+    // Worker mutations: the only way to change a worker
+    // ---------------------------------------------------------------- //
+
+    /// Adds a job to the tail of worker `id`'s queue.
+    ///
+    /// # Panics
+    /// Panics if the worker has failed or is draining.
+    pub fn enqueue(&mut self, id: WorkerId, job: JobId) {
+        let w = &mut self.workers[id.0];
+        w.enqueue(job);
+        self.index.rekey_backlog(w);
+    }
+
+    /// Starts up to `count` queued jobs of worker `id`, the queue's
+    /// prefix, as one pass at `now`; a batch of one is unbatched serving.
+    /// Returns how many started: none if the worker is failed, draining,
+    /// busy, level-less or has an empty queue. The caller decides the
+    /// pass's duration and later calls [`Cluster::finish_batch`]. A start
+    /// moves jobs from the queue into the pass, so the backlog, and with
+    /// it the dispatch index, is unchanged.
+    pub fn try_start_batch(&mut self, id: WorkerId, now: SimTime, count: usize) -> usize {
+        self.workers[id.0].try_start_batch(now, count)
+    }
+
+    /// Completes every in-flight job of worker `id`'s pass at `now`,
+    /// appending the jobs to `done` in start order.
+    ///
+    /// # Panics
+    /// Panics if no job is in flight.
+    pub fn finish_batch(&mut self, id: WorkerId, now: SimTime, done: &mut Vec<JobId>) {
+        let w = &mut self.workers[id.0];
+        w.finish_batch(now, done);
+        self.index.rekey_backlog(w);
+    }
+
+    /// Assigns a new approximation level to worker `id` at `now`.
+    ///
+    /// If the level's weights are resident the switch is immediate;
+    /// otherwise a background load starts (Accelerate loader, Table 2)
+    /// and the worker keeps serving its old level until
+    /// [`Cluster::finish_load`].
+    ///
+    /// # Panics
+    /// Panics if the worker has failed.
+    pub fn assign_level(
+        &mut self,
+        id: WorkerId,
+        level: ApproxLevel,
+        now: SimTime,
+    ) -> SwitchOutcome {
+        let w = &mut self.workers[id.0];
+        let outcome = w.assign_level(level, now);
+        self.index.refile(w);
+        outcome
+    }
+
+    /// Completes worker `id`'s background load (call at the time reported
+    /// by [`SwitchOutcome::Loading`]). Evicts the least-recently-used
+    /// resident model if HBM would overflow. No-op if the load was
+    /// superseded or the worker failed meanwhile.
+    pub fn finish_load(&mut self, id: WorkerId, now: SimTime) {
+        let w = &mut self.workers[id.0];
+        w.finish_load(now);
+        self.index.refile(w);
+    }
+
+    /// Pre-warms worker `id` with `level` active and its weights
+    /// resident, without a load delay. Models pre-deployment warm-up:
+    /// production clusters load models before accepting traffic (§4.7).
+    ///
+    /// # Panics
+    /// Panics if the worker has failed.
+    pub fn preload(&mut self, id: WorkerId, level: ApproxLevel) {
+        let w = &mut self.workers[id.0];
+        w.preload(level);
+        self.index.refile(w);
+    }
+
+    /// Sets worker `id`'s HBM capacity in co-resident model variants,
+    /// evicting the least recently used weights beyond it. Residency is
+    /// no dispatch key, so the index is untouched.
+    ///
+    /// # Panics
+    /// Panics if `slots == 0`.
+    pub fn set_hbm_slots(&mut self, id: WorkerId, slots: usize) {
+        self.workers[id.0].set_hbm_slots(slots);
+    }
+
+    /// Begins a preemption-warning drain of worker `id`: queued jobs are
+    /// handed back for migration, the in-flight pass (if any) runs to
+    /// completion, and no new work starts. The worker leaves the dispatch
+    /// index but stays alive for utilization and billing until
+    /// [`Cluster::fail`] (the preemption firing) or [`Cluster::recover`]
+    /// (a cancelled preemption) ends the drain. No-op on a failed or
+    /// already-draining worker.
+    pub fn begin_drain(&mut self, id: WorkerId, now: SimTime) -> Vec<JobId> {
+        let w = &mut self.workers[id.0];
+        let migrated = w.begin_drain(now);
+        self.index.refile(w);
+        migrated
+    }
+
+    /// Fails worker `id` at `now`, returning every job it held (queued
+    /// first, then the in-flight pass in start order) so the caller can
+    /// reroute them or count them lost. The weights are gone: the worker
+    /// restarts cold.
+    pub fn fail(&mut self, id: WorkerId, now: SimTime) -> Vec<JobId> {
+        let w = &mut self.workers[id.0];
+        let lost = w.fail(now);
+        self.index.refile(w);
+        lost
+    }
+
+    /// Recovers failed worker `id` at `now` (cold: no model resident; the
+    /// allocator must assign a level, incurring a load). On a draining
+    /// worker it cancels the drain; on a healthy one it is a no-op.
+    pub fn recover(&mut self, id: WorkerId, now: SimTime) {
+        let w = &mut self.workers[id.0];
+        w.recover(now);
+        self.index.refile(w);
+    }
+
+    // ---------------------------------------------------------------- //
+    // Run statistics
+    // ---------------------------------------------------------------- //
 
     /// Mean utilization over alive workers.
     pub fn mean_utilization(&self, now: SimTime) -> f64 {
@@ -594,6 +952,26 @@ mod tests {
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs(secs)
+    }
+
+    /// The jobs of `w`'s finished pass, in start order.
+    fn finish(w: &mut Worker, now: SimTime) -> Vec<JobId> {
+        let mut done = Vec::new();
+        w.finish_batch(now, &mut done);
+        done
+    }
+
+    /// Every Eq. 3 candidate for `level` on `gpu`, as the index files
+    /// them: the serving role, then the loading role, each in (backlog, id)
+    /// order.
+    fn candidates(c: &Cluster, level: ApproxLevel, gpu: GpuArch) -> Vec<WorkerId> {
+        c.index.group(level, gpu).map_or_else(Vec::new, |g| {
+            g.members
+                .iter()
+                .flat_map(|m| &m.0)
+                .map(|&key| unpack(key).1)
+                .collect()
+        })
     }
 
     #[test]
@@ -680,7 +1058,7 @@ mod tests {
         // 1 queued + 1 in flight; cannot start another while busy.
         assert_eq!(w.backlog(), 2);
         assert_eq!(w.try_start_batch(t(11.5), 1), 0);
-        assert_eq!(w.finish_batch(t(15.2)), vec![10]);
+        assert_eq!(finish(&mut w, t(15.2)), vec![10]);
         assert!((w.busy_time(t(15.2)).as_secs() - 4.2).abs() < 1e-9);
         assert_eq!(w.completed(), 1);
         assert_eq!(w.try_start_batch(t(15.2), 1), 1);
@@ -705,7 +1083,7 @@ mod tests {
         assert_eq!(w.queued_jobs().collect::<Vec<_>>(), vec![3, 4]);
         // Busy while the batch runs; cannot start another.
         assert_eq!(w.try_start_batch(t(11.0), 2), 0);
-        let done = w.finish_batch(t(13.0));
+        let done = finish(&mut w, t(13.0));
         assert_eq!(done, vec![0, 1, 2]);
         assert_eq!(w.completed(), 3);
         assert!((w.busy_time(t(13.0)).as_secs() - 3.0).abs() < 1e-9);
@@ -775,7 +1153,7 @@ mod tests {
         w.finish_load(t(10.0));
         w.enqueue(1);
         w.try_start_batch(t(10.0), 1);
-        w.finish_batch(t(50.0));
+        finish(&mut w, t(50.0));
         // 40 busy seconds over 100 alive seconds.
         assert!((w.utilization(t(100.0)) - 0.4).abs() < 1e-9);
         // Fail for 100 s: utilization over alive time only.
@@ -790,15 +1168,20 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert!(!c.is_empty());
         let lvl = ApproxLevel::Ac(AcLevel(15));
-        c.worker_mut(WorkerId(0)).assign_level(lvl, t(0.0));
-        c.worker_mut(WorkerId(0)).finish_load(t(10.0));
-        c.worker_mut(WorkerId(1)).assign_level(lvl, t(0.0));
+        c.assign_level(WorkerId(0), lvl, t(0.0));
+        c.finish_load(WorkerId(0), t(10.0));
+        c.assign_level(WorkerId(1), lvl, t(0.0));
         // Worker 1 still loading — counted via pending level.
-        assert_eq!(c.workers_at_level(lvl).len(), 2);
-        let lost = c.worker_mut(WorkerId(0)).fail(t(20.0));
+        assert_eq!(
+            candidates(&c, lvl, GpuArch::A100),
+            vec![WorkerId(0), WorkerId(1)]
+        );
+        assert_eq!(c.dispatch_head(lvl, GpuArch::A100), Some((0, WorkerId(0))));
+        let lost = c.fail(WorkerId(0), t(20.0));
         assert!(lost.is_empty());
         assert_eq!(c.alive().len(), 3);
-        assert_eq!(c.workers_at_level(lvl), vec![WorkerId(1)]);
+        assert_eq!(candidates(&c, lvl, GpuArch::A100), vec![WorkerId(1)]);
+        assert_eq!(c.dispatch_head(lvl, GpuArch::A100), Some((0, WorkerId(1))));
         assert_eq!(c.total_completed(), 0);
         assert_eq!(c.total_loads(), 2);
         assert!(c.mean_utilization(t(20.0)) >= 0.0);
@@ -827,8 +1210,8 @@ mod tests {
     #[test]
     fn alive_on_filters_by_arch_and_failure() {
         let mut c = Cluster::heterogeneous(&[(GpuArch::A100, 2), (GpuArch::A10G, 2)]);
-        c.worker_mut(WorkerId(0)).fail(t(1.0));
-        c.worker_mut(WorkerId(3)).fail(t(1.0));
+        c.fail(WorkerId(0), t(1.0));
+        c.fail(WorkerId(3), t(1.0));
         assert_eq!(c.alive_on(GpuArch::A100), vec![WorkerId(1)]);
         assert_eq!(c.alive_on(GpuArch::A10G), vec![WorkerId(2)]);
         assert_eq!(c.alive_on(GpuArch::V100), Vec::<WorkerId>::new());
@@ -860,7 +1243,7 @@ mod tests {
         // Double-drain is a no-op.
         assert!(w.begin_drain(t(11.5)).is_empty());
         // The pass completes normally during the warning window.
-        assert_eq!(w.finish_batch(t(14.0)), vec![0]);
+        assert_eq!(finish(&mut w, t(14.0)), vec![0]);
         // The preemption fires: nothing left to lose, drain state clears.
         assert!(w.fail(t(40.0)).is_empty());
         assert!(!w.is_draining());
@@ -883,11 +1266,155 @@ mod tests {
     #[test]
     fn draining_workers_leave_the_dispatch_set() {
         let mut c = Cluster::new(3, GpuArch::A100);
-        c.worker_mut(WorkerId(1)).begin_drain(t(1.0));
+        c.begin_drain(WorkerId(1), t(1.0));
         assert_eq!(c.alive(), vec![WorkerId(0), WorkerId(2)]);
         assert_eq!(c.alive_on(GpuArch::A100).len(), 2);
         // Still not failed: billing-style views can see it.
         assert!(!c.worker(WorkerId(1)).is_failed());
+    }
+
+    #[test]
+    fn loading_workers_are_candidates_at_both_levels() {
+        let mut c = Cluster::heterogeneous(&[(GpuArch::A100, 2), (GpuArch::V100, 1)]);
+        let served = ApproxLevel::Sm(ModelVariant::SdXl);
+        let loading = ApproxLevel::Sm(ModelVariant::TinySd);
+        for id in 0..3 {
+            c.preload(WorkerId(id), served);
+        }
+        c.enqueue(WorkerId(0), 1);
+        assert!(matches!(
+            c.assign_level(WorkerId(1), loading, t(1.0)),
+            SwitchOutcome::Loading(_)
+        ));
+        // Worker 1 serves SD-XL while Tiny-SD loads: an Eq. 3 candidate
+        // at both levels, keyed by the level it serves everywhere else.
+        assert_eq!(
+            c.dispatch_head(served, GpuArch::A100),
+            Some((0, WorkerId(1)))
+        );
+        assert_eq!(
+            c.dispatch_head(loading, GpuArch::A100),
+            Some((0, WorkerId(1)))
+        );
+        assert_eq!(c.dispatch_head(loading, GpuArch::V100), None);
+        assert_eq!(
+            c.dispatch_head(served, GpuArch::V100),
+            Some((0, WorkerId(2)))
+        );
+        let heads: Vec<_> = c.serving_heads().collect();
+        assert_eq!(
+            heads,
+            vec![
+                (served, GpuArch::A100, 0, WorkerId(1)),
+                (served, GpuArch::V100, 0, WorkerId(2)),
+            ]
+        );
+        // The load lands: the worker moves to Tiny-SD in both roles.
+        c.finish_load(WorkerId(1), t(100.0));
+        assert_eq!(
+            c.dispatch_head(served, GpuArch::A100),
+            Some((1, WorkerId(0)))
+        );
+        assert_eq!(candidates(&c, loading, GpuArch::A100), vec![WorkerId(1)]);
+        assert_eq!(c.pool_load(GpuArch::A100), (2, 1));
+        assert_eq!(c.pool_load(GpuArch::V100), (1, 0));
+        assert_eq!(c.pool_load(GpuArch::A10G), (0, 0));
+    }
+
+    /// The index's contents with group order and group indices factored
+    /// out: members per (level, architecture, role), the pool totals, and
+    /// each worker's (dispatchable, backlog) filing.
+    type IndexView = (
+        std::collections::BTreeMap<(ApproxLevel, GpuArch, usize), Vec<u64>>,
+        [(usize, usize); 3],
+        Vec<(bool, u32)>,
+    );
+
+    fn view(index: &DispatchIndex) -> IndexView {
+        let mut groups = std::collections::BTreeMap::new();
+        for g in &index.groups {
+            for (role, members) in g.members.iter().enumerate() {
+                if !members.0.is_empty() {
+                    groups.insert((g.level, g.gpu, role), members.0.clone());
+                }
+            }
+        }
+        let filings = index
+            .filings
+            .iter()
+            .map(|f| (f.dispatchable, f.backlog))
+            .collect();
+        (groups, index.pools, filings)
+    }
+
+    #[test]
+    fn index_matches_a_rebuild_after_every_mutation() {
+        let levels = [
+            ApproxLevel::Ac(AcLevel(0)),
+            ApproxLevel::Ac(AcLevel(15)),
+            ApproxLevel::Sm(ModelVariant::SdXl),
+            ApproxLevel::Sm(ModelVariant::TinySd),
+        ];
+        for seed in 1..=8u64 {
+            let mut c = Cluster::heterogeneous(&[(GpuArch::A100, 4), (GpuArch::A10G, 3)]);
+            // xorshift64*: a fixed, dependency-free mutation stream.
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = |bound: usize| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
+            };
+            let mut now = 0.0;
+            let mut job = 0;
+            let mut done = Vec::new();
+            for _ in 0..2_000 {
+                now += 0.5;
+                let id = WorkerId(next(c.len()));
+                let (failed, draining) = (c.worker(id).is_failed(), c.worker(id).is_draining());
+                match next(12) {
+                    0..=2 if !failed && !draining => {
+                        c.enqueue(id, job);
+                        job += 1;
+                    }
+                    3 => {
+                        c.try_start_batch(id, t(now), 1 + next(3));
+                    }
+                    4 if c.worker(id).is_busy() => {
+                        done.clear();
+                        c.finish_batch(id, t(now), &mut done);
+                        assert!(!done.is_empty());
+                    }
+                    5 if !failed => {
+                        c.assign_level(id, levels[next(levels.len())], t(now));
+                    }
+                    6 => c.finish_load(id, t(now + 10.0 * next(2) as f64)),
+                    7 if !failed => c.preload(id, levels[next(levels.len())]),
+                    8 => {
+                        c.begin_drain(id, t(now));
+                    }
+                    9 => {
+                        c.fail(id, t(now));
+                    }
+                    10 => c.recover(id, t(now)),
+                    11 if next(8) == 0 => {
+                        let gpu = [GpuArch::A100, GpuArch::V100][next(2)];
+                        c.provision(gpu, t(now));
+                    }
+                    _ => c.set_hbm_slots(id, 1 + next(2)),
+                }
+                let mut rebuilt = DispatchIndex::default();
+                for w in &c.workers {
+                    rebuilt.refile(w);
+                }
+                assert_eq!(view(&c.index), view(&rebuilt), "seed {seed}");
+                for gpu in GpuArch::ALL {
+                    let alive = c.alive_on(gpu);
+                    let backlog = alive.iter().map(|&w| c.worker(w).backlog()).sum();
+                    assert_eq!(c.pool_load(gpu), (alive.len(), backlog), "seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -900,7 +1427,7 @@ mod tests {
         assert_eq!(c.alive().len(), 2);
         assert!(c.worker(id).is_failed());
         assert_eq!(c.worker(id).created_at(), t(100.0));
-        c.worker_mut(id).recover(t(190.0));
+        c.recover(id, t(190.0));
         assert_eq!(c.alive().len(), 3);
         assert_eq!(c.alive_on(GpuArch::A10G), vec![id]);
         // Fresh workers start cold with zero utilization.

@@ -381,7 +381,7 @@ impl SystemSimulation {
                             .with_worker(w.0 as u32),
                     );
                 }
-                self.cluster.worker_mut(w).enqueue(idx as u64);
+                self.cluster.enqueue(w, idx as u64);
                 self.maybe_start(w, t);
             }
             None => {
@@ -448,7 +448,7 @@ impl SystemSimulation {
         let inflation =
             unet_pass_profile(level.resident_model()).latency_inflation(gpu, planned as u32);
         let service = max_retrieval + SimDuration::from_secs(max_base * pass_jitter * inflation);
-        let started = self.cluster.worker_mut(w).try_start_batch(t, planned);
+        let started = self.cluster.try_start_batch(w, t, planned);
         debug_assert_eq!(started, planned, "a start drains its planned queue prefix");
         let batch_id = self.next_batch_id();
         let worker = self.cluster.worker(w);
@@ -586,9 +586,15 @@ impl SystemSimulation {
         if self.cluster.worker(w).in_flight_job() != Some(job as u64) {
             return;
         }
-        for job in self.cluster.worker_mut(w).finish_batch(t) {
+        // One buffer serves every finish. It is taken out for the loop:
+        // `complete_job` can re-enter `dispatch`.
+        let mut done = std::mem::take(&mut self.finished);
+        self.cluster.finish_batch(w, t, &mut done);
+        for &job in &done {
             self.complete_job(job as usize, w, t);
         }
+        done.clear();
+        self.finished = done;
         self.maybe_start(w, t);
     }
 
@@ -734,7 +740,7 @@ impl SystemSimulation {
     }
 
     fn on_load_done(&mut self, w: WorkerId, t: SimTime) {
-        self.cluster.worker_mut(w).finish_load(t);
+        self.cluster.finish_load(w, t);
         self.maybe_start(w, t);
         self.check_transition_complete(t);
     }
@@ -828,16 +834,12 @@ impl SystemSimulation {
             .pool_plans
             .iter()
             .map(|plan| {
-                let alive = self.cluster.alive_on(plan.gpu);
-                let jobs: usize = alive
-                    .iter()
-                    .map(|&w| self.cluster.worker(w).backlog())
-                    .sum();
+                let (alive, jobs) = self.cluster.pool_load(plan.gpu);
                 // Backlog expressed as the drain rate needed to clear it
                 // within one tick, against the plan's capacity at the
                 // pool's current size.
                 let backlog_qpm = jobs as f64 * 60.0 / tick_secs;
-                let cap = plan.current_cap_qpm(alive.len().max(1));
+                let cap = plan.current_cap_qpm(alive.max(1));
                 let pressured = self.tick_saturated || resplit_fired || backlog_qpm > cap;
                 // Idle: both the planned share and the instantaneous
                 // backlog sit far below capacity. (Requiring a literally
@@ -854,7 +856,7 @@ impl SystemSimulation {
                     gpu: plan.gpu,
                     pressured,
                     idle,
-                    alive: alive.len(),
+                    alive,
                     pending,
                 }
             })
@@ -938,7 +940,7 @@ impl SystemSimulation {
             FaultEvent::WorkerRecover { workers, .. } => {
                 for wi in workers {
                     if wi < self.cluster.len() {
-                        self.cluster.worker_mut(WorkerId(wi)).recover(t);
+                        self.cluster.recover(WorkerId(wi), t);
                         // Its cache-plane replicas come back (cold where
                         // the shard survived elsewhere, migrated where the
                         // whole shard had died — see the anti-entropy pass
@@ -972,7 +974,7 @@ impl SystemSimulation {
                     // jobs migrate to survivors immediately, the in-flight
                     // pass races the warning window — and schedule the
                     // actual disappearance. Billing continues until then.
-                    let migrated = self.cluster.worker_mut(WorkerId(wi)).begin_drain(t);
+                    let migrated = self.cluster.begin_drain(WorkerId(wi), t);
                     for job in migrated {
                         self.dispatch(job as usize, t);
                     }
@@ -995,7 +997,7 @@ impl SystemSimulation {
     /// all three are bit-identical in effect.
     fn fail_worker_now(&mut self, wi: usize, t: SimTime) {
         self.cache.worker_fail(wi);
-        let lost = self.cluster.worker_mut(WorkerId(wi)).fail(t);
+        let lost = self.cluster.fail(WorkerId(wi), t);
         for job in lost {
             self.dispatch(job as usize, t);
         }
@@ -1006,7 +1008,7 @@ impl SystemSimulation {
     /// tick, like any recovery).
     fn on_provision(&mut self, wi: usize, t: SimTime) {
         self.provisioning.retain(|&p| p != wi);
-        self.cluster.worker_mut(WorkerId(wi)).recover(t);
+        self.cluster.recover(WorkerId(wi), t);
         self.cache.worker_recover(wi);
         self.record_membership(t);
     }
@@ -1258,62 +1260,53 @@ impl SystemSimulation {
         // spike, the capacity is additionally re-derated at the current
         // overhead (a planner query, memoized like any other derivation).
         let cache_active = self.cache_active();
-        let pressure: Vec<(f64, f64)> = self
-            .pool_plans
-            .iter()
-            .map(|plan| {
-                let alive = self.cluster.alive_on(plan.gpu);
-                let jobs: usize = alive
-                    .iter()
-                    .map(|&w| self.cluster.worker(w).backlog())
-                    .sum();
-                let backlog_qpm = jobs as f64 * 60.0 / remaining_secs;
-                let mut cap = plan.current_cap_qpm(alive.len());
-                let spiked = cache_active
-                    && plan.strategy == Strategy::Ac
-                    && self.retrieval_ewma > SPIKE_FACTOR * plan.overhead
-                    && self.retrieval_ewma - plan.overhead > SPIKE_FLOOR_SECS;
-                if spiked {
-                    let spec = PoolSpec {
-                        gpu: plan.gpu,
-                        strategy: plan.strategy,
-                        ladder: plan.ladder.clone(),
-                        workers: alive.len().max(1),
-                        overhead: self.retrieval_ewma,
-                        // The spike re-derate fires for AC pools only,
-                        // where escalation pricing is `None` by
-                        // definition (cascades run the SM ladder).
-                        escalation: None,
-                    };
-                    cap = cap.min(self.planner.capacity(&spec));
-                }
-                (
-                    backlog_qpm.max(if spiked { plan.share_qpm } else { 0.0 }),
-                    cap,
-                )
-            })
-            .collect();
-        let saturated: Vec<bool> = pressure.iter().map(|&(b, cap)| b > cap).collect();
+        // Each pool's (backlog drain rate, capacity), in a buffer kept
+        // across arrivals.
+        let mut pressure = std::mem::take(&mut self.resplit_pressure);
+        pressure.clear();
+        for plan in &self.pool_plans {
+            let (alive, jobs) = self.cluster.pool_load(plan.gpu);
+            let backlog_qpm = jobs as f64 * 60.0 / remaining_secs;
+            let mut cap = plan.current_cap_qpm(alive);
+            let spiked = cache_active
+                && plan.strategy == Strategy::Ac
+                && self.retrieval_ewma > SPIKE_FACTOR * plan.overhead
+                && self.retrieval_ewma - plan.overhead > SPIKE_FLOOR_SECS;
+            if spiked {
+                let spec = PoolSpec {
+                    gpu: plan.gpu,
+                    strategy: plan.strategy,
+                    ladder: plan.ladder.clone(),
+                    workers: alive.max(1),
+                    overhead: self.retrieval_ewma,
+                    // The spike re-derate fires for AC pools only,
+                    // where escalation pricing is `None` by
+                    // definition (cascades run the SM ladder).
+                    escalation: None,
+                };
+                cap = cap.min(self.planner.capacity(&spec));
+            }
+            pressure.push((
+                backlog_qpm.max(if spiked { plan.share_qpm } else { 0.0 }),
+                cap,
+            ));
+        }
+        let headroom = |&(b, cap): &(f64, f64)| if b > cap { 0.0 } else { (cap - b).max(0.0) };
         let excess: f64 = pressure
             .iter()
-            .zip(&saturated)
-            .filter(|&(_, &sat)| sat)
-            .map(|(&(b, cap), _)| b - cap)
+            .filter(|&&(b, cap)| b > cap)
+            .map(|&(b, cap)| b - cap)
             .sum();
-        let headroom: Vec<f64> = pressure
-            .iter()
-            .zip(&saturated)
-            .map(|(&(b, cap), &sat)| if sat { 0.0 } else { (cap - b).max(0.0) })
-            .collect();
-        let total_headroom: f64 = headroom.iter().sum();
+        let total_headroom: f64 = pressure.iter().map(headroom).sum();
         if excess <= 0.0 || total_headroom <= 0.0 {
+            self.resplit_pressure = pressure;
             return;
         }
 
         self.resplit_done = true;
         self.demand_resplits += 1;
-        for (i, &pool_headroom) in headroom.iter().enumerate() {
-            let extra = excess * pool_headroom / total_headroom;
+        for (i, pool) in pressure.iter().enumerate() {
+            let extra = excess * headroom(pool) / total_headroom;
             if extra <= 0.0 {
                 continue;
             }
@@ -1341,6 +1334,7 @@ impl SystemSimulation {
             self.pool_plans[i].omega = allocation.omega_qpm;
             self.apply_allocation(&spec.ladder, &allocation.workers_per_level, &ws, t);
         }
+        self.resplit_pressure = pressure;
         let strategy = self.pipeline.planning_strategy(&self.switcher);
         self.refresh_distribution(strategy);
     }
@@ -1439,7 +1433,7 @@ impl SystemSimulation {
     /// Assigns `level` to `w`: an immediate switch may start a pass, a
     /// weight load schedules its completion.
     pub(crate) fn assign_and_schedule(&mut self, w: WorkerId, level: ApproxLevel, t: SimTime) {
-        match self.cluster.worker_mut(w).assign_level(level, t) {
+        match self.cluster.assign_level(w, level, t) {
             SwitchOutcome::Immediate => self.maybe_start(w, t),
             SwitchOutcome::Loading(d) => {
                 self.obs_counter_add("model_loads", 1);

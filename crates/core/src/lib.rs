@@ -70,6 +70,8 @@ pub mod pipeline;
 pub mod policy;
 pub mod predictor;
 pub mod scheduler;
+#[cfg(test)]
+mod select_reference;
 pub mod solver;
 pub mod switcher;
 pub mod system;

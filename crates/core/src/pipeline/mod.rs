@@ -187,6 +187,12 @@ pub trait WorkerSelector {
     /// prompt assigned to `ladder[target]`. The default is the shared
     /// Eq. 3 argmin with the §4.7 tail-latency spill and the
     /// least-backlogged fallback; every built-in policy uses it.
+    ///
+    /// `proc_secs(rung, gpu)` is the per-image processing time at a rung
+    /// on an architecture: a pure function of its arguments, positive and
+    /// finite. The default relies on that: it reads the cluster's dispatch
+    /// index and calls `proc_secs` once per (rung, architecture) group
+    /// instead of once per worker.
     fn select_worker(
         &self,
         ctx: &SelectCtx<'_>,
@@ -261,7 +267,8 @@ pub fn pipeline_for(policy: Policy) -> Arc<dyn ServingPolicy> {
 /// tail-latency spill (fall back to the globally fastest-draining worker
 /// when the chosen worker's expected sojourn would eat most of the SLO
 /// budget), then the least-backlogged fallback for mid-transition windows
-/// where the ladder matches no worker.
+/// where the ladder matches no worker. All three read the cluster's
+/// dispatch index.
 pub fn default_select_worker(
     ctx: &SelectCtx<'_>,
     ladder: &[ApproxLevel],
@@ -275,41 +282,55 @@ pub fn default_select_worker(
         let sojourn =
             (cluster.worker(w).backlog() as f64 + 1.0) * proc_secs(lvl, cluster.worker(w).gpu());
         if sojourn > TAIL_BUDGET_FRACTION * ctx.slo_secs {
-            let spill = cluster
-                .alive()
-                .into_iter()
-                .filter_map(|cand| {
-                    let worker = cluster.worker(cand);
-                    let l = worker.level().or(worker.pending_level())?;
-                    let i = match ctx.pool_view {
-                        Some(v) => v.index_of(worker.gpu(), l)?,
-                        None => ladder.iter().position(|&x| x == l)?,
-                    };
-                    let cost = (worker.backlog() as f64 + 1.0) * proc_secs(i, worker.gpu());
-                    Some((cand, i, cost))
-                })
-                .min_by(|a, b| {
-                    a.2.partial_cmp(&b.2)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-            if let Some((w2, lvl2, cost2)) = spill {
+            if let Some((w2, lvl2, cost2)) = spill_worker(cluster, ladder, ctx.pool_view, proc_secs)
+            {
                 if cost2 + 1e-9 < sojourn {
                     choice = Some((w2, lvl2));
                 }
             }
         }
     }
-    choice.or_else(|| {
-        cluster
-            .alive()
-            .into_iter()
-            .filter(|&w| {
-                cluster.worker(w).level().is_some() || cluster.worker(w).pending_level().is_some()
-            })
-            .min_by_key(|&w| (cluster.worker(w).backlog(), w))
-            .map(|w| (w, target))
-    })
+    choice.or_else(|| least_backlogged_worker(cluster).map(|w| (w, target)))
+}
+
+/// The §4.7 spill candidate: among dispatchable workers keyed by
+/// `level().or(pending_level())` at a level on the ladder (or in the
+/// view), the least expected sojourn `(backlog + 1) × t_proc`, ties to the
+/// lowest id. Returns the worker, its ladder index and that sojourn.
+///
+/// Within one (level, architecture) serving group the sojourn rises with
+/// the backlog, so only each group's head can win.
+pub(crate) fn spill_worker(
+    cluster: &Cluster,
+    ladder: &[ApproxLevel],
+    view: Option<&crate::scheduler::PoolView>,
+    proc_secs: &dyn Fn(usize, GpuArch) -> f64,
+) -> Option<(WorkerId, usize, f64)> {
+    cluster
+        .serving_heads()
+        .filter_map(|(level, gpu, backlog, id)| {
+            let i = match view {
+                Some(v) => v.index_of(gpu, level)?,
+                None => ladder.iter().position(|&x| x == level)?,
+            };
+            let cost = (backlog as f64 + 1.0) * proc_secs(i, gpu);
+            Some((id, i, cost))
+        })
+        .min_by(|a, b| {
+            a.2.partial_cmp(&b.2)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        })
+}
+
+/// The least-backlogged dispatchable worker that serves or loads any
+/// level, on the ladder or not, ties to the lowest id.
+pub(crate) fn least_backlogged_worker(cluster: &Cluster) -> Option<WorkerId> {
+    cluster
+        .serving_heads()
+        .map(|(_, _, backlog, id)| (backlog, id))
+        .min()
+        .map(|(_, id)| id)
 }
 
 /// The default batch-size choice: drain up to `max_batch` queued jobs, but
@@ -341,16 +362,14 @@ pub fn default_batch_size(ctx: &SelectCtx<'_>, worker: WorkerId, level: ApproxLe
 
 /// Shared target choice for per-worker policies (Sommelier, NIRVANA,
 /// Clipper): route to the least-backlogged worker's level; the ladder index
-/// seeds the backlog-based fallback ordering.
+/// seeds the backlog-based fallback ordering. Reads the heads of the
+/// serving groups whose level is on the ladder.
 pub(crate) fn least_backlogged_level(cluster: &Cluster, ladder: &[ApproxLevel]) -> usize {
     cluster
-        .alive()
-        .into_iter()
-        .filter_map(|w| {
-            let worker = cluster.worker(w);
-            let lvl = worker.level().or(worker.pending_level())?;
-            let i = ladder.iter().position(|&l| l == lvl)?;
-            Some((worker.backlog(), w, i))
+        .serving_heads()
+        .filter_map(|(level, _, backlog, id)| {
+            let i = ladder.iter().position(|&l| l == level)?;
+            Some((backlog, id, i))
         })
         .min()
         .map(|(_, _, i)| i)
@@ -409,9 +428,9 @@ mod tests {
     fn batch_size_is_one_without_batching() {
         let mut cluster = Cluster::new(1, GpuArch::A100);
         let lvl = ApproxLevel::Ac(AcLevel(25));
-        cluster.worker_mut(WorkerId(0)).preload(lvl);
+        cluster.preload(WorkerId(0), lvl);
         for j in 0..8 {
-            cluster.worker_mut(WorkerId(0)).enqueue(j);
+            cluster.enqueue(WorkerId(0), j);
         }
         let ctx = SelectCtx {
             cluster: &cluster,
@@ -426,9 +445,9 @@ mod tests {
     fn batch_size_caps_at_queue_and_bound() {
         let mut cluster = Cluster::new(1, GpuArch::A100);
         let lvl = ApproxLevel::Sm(ModelVariant::TinySd);
-        cluster.worker_mut(WorkerId(0)).preload(lvl);
+        cluster.preload(WorkerId(0), lvl);
         for j in 0..3 {
-            cluster.worker_mut(WorkerId(0)).enqueue(j);
+            cluster.enqueue(WorkerId(0), j);
         }
         let ctx = SelectCtx {
             cluster: &cluster,
@@ -447,9 +466,9 @@ mod tests {
         // Tiny-SD's slack admits a real batch.
         let mut cluster = Cluster::new(1, GpuArch::A100);
         let slow = ApproxLevel::Sm(ModelVariant::SdXl);
-        cluster.worker_mut(WorkerId(0)).preload(slow);
+        cluster.preload(WorkerId(0), slow);
         for j in 0..16 {
-            cluster.worker_mut(WorkerId(0)).enqueue(j);
+            cluster.enqueue(WorkerId(0), j);
         }
         let ctx = SelectCtx {
             cluster: &cluster,
@@ -460,7 +479,7 @@ mod tests {
         let b_slow = default_batch_size(&ctx, WorkerId(0), slow);
         assert!(b_slow <= 2, "SD-XL batch {b_slow} exceeds the SLO budget");
         let fast = ApproxLevel::Sm(ModelVariant::TinySd);
-        cluster.worker_mut(WorkerId(0)).preload(fast);
+        cluster.preload(WorkerId(0), fast);
         let ctx = SelectCtx {
             cluster: &cluster,
             slo_secs: 12.6,
@@ -478,9 +497,9 @@ mod tests {
         // keeps the AC ladder at batch-1 under the default 3× SLO (§4.5).
         let mut cluster = Cluster::new(1, GpuArch::A100);
         let lvl = ApproxLevel::Ac(AcLevel(25));
-        cluster.worker_mut(WorkerId(0)).preload(lvl);
+        cluster.preload(WorkerId(0), lvl);
         for j in 0..8 {
-            cluster.worker_mut(WorkerId(0)).enqueue(j);
+            cluster.enqueue(WorkerId(0), j);
         }
         let ctx = SelectCtx {
             cluster: &cluster,

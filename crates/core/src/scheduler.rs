@@ -68,9 +68,10 @@ impl PoolView {
 /// Picks the worker for a prompt assigned to `ladder[target]`.
 ///
 /// `proc_secs(level_idx, gpu)` estimates per-image processing time at a
-/// level on an architecture (compute + retrieval overhead). Returns the
-/// chosen worker and the ladder index it is counted under, or `None` if no
-/// alive worker serves any level (e.g. total failure).
+/// level on an architecture (compute + retrieval overhead); it must be a
+/// pure function of its arguments. Returns the chosen worker and the
+/// ladder index it is counted under, or `None` if no alive worker serves
+/// any level (e.g. total failure).
 ///
 /// # Panics
 /// Panics if `target >= ladder.len()`.
@@ -88,6 +89,14 @@ pub fn select_worker(
 /// pool's* level at that index, so per-pool-strategy fleets route across
 /// strategies by rung. Without a view this is exactly [`select_worker`].
 ///
+/// The candidates come from the cluster's dispatch index
+/// ([`Cluster::dispatch_head`]): within one architecture `t_proc` is a
+/// single number, so the head of each (level, architecture) group — least
+/// backlog, then lowest id — is that group's argmin, and the rung's answer
+/// is the cheapest head, ties to the lowest id. That is the answer of a
+/// scan over every worker in id order with a strict `<`, in
+/// O(rungs × architectures) instead of O(workers × rungs).
+///
 /// # Panics
 /// Panics if `target >= ladder.len()`.
 pub fn select_worker_in_view(
@@ -101,48 +110,28 @@ pub fn select_worker_in_view(
     // Candidate levels in preference order: exact, then ±1, ±2 … with the
     // slower (lower-index) side first — shifting left never hurts quality.
     let n = ladder.len();
-    let mut level_order = Vec::with_capacity(n);
-    level_order.push(target);
-    for d in 1..n {
-        if target >= d {
-            level_order.push(target - d);
-        }
-        if target + d < n {
-            level_order.push(target + d);
-        }
-    }
-
-    for lvl in level_order {
+    let rungs = std::iter::once(target).chain((1..n).flat_map(|d| {
+        let slower = target.checked_sub(d);
+        let faster = Some(target + d).filter(|&i| i < n);
+        slower.into_iter().chain(faster)
+    }));
+    for lvl in rungs {
         // Eq. 3: minimize backlog × processing time (per-arch); ties to
-        // lowest id. One in-order pass with a strict `<` keeps the
-        // lowest-id minimum, and `proc_secs` — a pure function of
-        // (level, architecture) — is evaluated once per architecture
-        // present instead of twice per pairwise comparison.
-        let mut proc_memo = [None::<f64>; GpuArch::ALL.len()];
+        // lowest id. Draining workers (preemption warning in progress) are
+        // alive for their in-flight pass but not in the index.
         let mut best: Option<(f64, WorkerId)> = None;
-        for worker in cluster.iter() {
-            // Draining workers (preemption warning in progress) are alive
-            // for their in-flight pass but closed to new work.
-            if worker.is_failed() || worker.is_draining() {
+        for gpu in GpuArch::ALL {
+            let Some(level) = view.map_or(Some(ladder[lvl]), |v| v.level_of(gpu, lvl)) else {
                 continue;
-            }
-            let serves = match view {
-                None => {
-                    worker.level() == Some(ladder[lvl])
-                        || worker.pending_level() == Some(ladder[lvl])
-                }
-                Some(v) => v.level_of(worker.gpu(), lvl).is_some_and(|pool_level| {
-                    worker.level() == Some(pool_level) || worker.pending_level() == Some(pool_level)
-                }),
             };
-            if !serves {
+            let Some((backlog, id)) = cluster.dispatch_head(level, gpu) else {
                 continue;
-            }
-            let proc = *proc_memo[worker.gpu() as usize]
-                .get_or_insert_with(|| proc_secs(lvl, worker.gpu()).max(1e-9));
-            let cost = worker.backlog() as f64 * proc;
-            if best.is_none_or(|(best_cost, _)| cost < best_cost) {
-                best = Some((cost, worker.id()));
+            };
+            let cost = backlog as f64 * proc_secs(lvl, gpu).max(1e-9);
+            if best.is_none_or(|(best_cost, best_id)| {
+                cost < best_cost || (cost == best_cost && id < best_id)
+            }) {
+                best = Some((cost, id));
             }
         }
         if let Some((_, w)) = best {
@@ -170,9 +159,8 @@ mod tests {
         let mut wid = 0;
         for &(lvl, count) in levels {
             for _ in 0..count {
-                let w = cluster.worker_mut(WorkerId(wid));
-                w.assign_level(ladder[lvl], SimTime::ZERO);
-                w.finish_load(SimTime::from_secs(100.0));
+                cluster.assign_level(WorkerId(wid), ladder[lvl], SimTime::ZERO);
+                cluster.finish_load(WorkerId(wid), SimTime::from_secs(100.0));
                 wid += 1;
             }
         }
@@ -186,9 +174,9 @@ mod tests {
     #[test]
     fn picks_least_loaded_worker_at_target_level() {
         let mut cluster = cluster_with_levels(&[(2, 3)]);
-        cluster.worker_mut(WorkerId(0)).enqueue(1);
-        cluster.worker_mut(WorkerId(0)).enqueue(2);
-        cluster.worker_mut(WorkerId(1)).enqueue(3);
+        cluster.enqueue(WorkerId(0), 1);
+        cluster.enqueue(WorkerId(0), 2);
+        cluster.enqueue(WorkerId(1), 3);
         let (w, lvl) = select_worker(&cluster, &ladder(), 2, &proc).unwrap();
         assert_eq!(w, WorkerId(2)); // empty queue
         assert_eq!(lvl, 2);
@@ -221,7 +209,7 @@ mod tests {
     #[test]
     fn skips_failed_workers() {
         let mut cluster = cluster_with_levels(&[(0, 2)]);
-        cluster.worker_mut(WorkerId(0)).fail(SimTime::ZERO);
+        cluster.fail(WorkerId(0), SimTime::ZERO);
         let (w, _) = select_worker(&cluster, &ladder(), 0, &proc).unwrap();
         assert_eq!(w, WorkerId(1));
     }
@@ -229,8 +217,8 @@ mod tests {
     #[test]
     fn none_when_everything_failed() {
         let mut cluster = cluster_with_levels(&[(0, 2)]);
-        cluster.worker_mut(WorkerId(0)).fail(SimTime::ZERO);
-        cluster.worker_mut(WorkerId(1)).fail(SimTime::ZERO);
+        cluster.fail(WorkerId(0), SimTime::ZERO);
+        cluster.fail(WorkerId(1), SimTime::ZERO);
         assert!(select_worker(&cluster, &ladder(), 0, &proc).is_none());
     }
 
@@ -238,10 +226,8 @@ mod tests {
     fn counts_in_flight_jobs_in_backlog() {
         let mut cluster = cluster_with_levels(&[(0, 2)]);
         // Worker 0: one in-flight job; worker 1: idle.
-        cluster.worker_mut(WorkerId(0)).enqueue(1);
-        cluster
-            .worker_mut(WorkerId(0))
-            .try_start_batch(SimTime::ZERO, 1);
+        cluster.enqueue(WorkerId(0), 1);
+        cluster.try_start_batch(WorkerId(0), SimTime::ZERO, 1);
         let (w, _) = select_worker(&cluster, &ladder(), 0, &proc).unwrap();
         assert_eq!(w, WorkerId(1));
     }
@@ -250,9 +236,7 @@ mod tests {
     fn loading_workers_count_for_their_pending_level() {
         let mut cluster = Cluster::new(1, GpuArch::A100);
         let lvl = ApproxLevel::Ac(AcLevel(10));
-        cluster
-            .worker_mut(WorkerId(0))
-            .assign_level(lvl, SimTime::ZERO);
+        cluster.assign_level(WorkerId(0), lvl, SimTime::ZERO);
         // Still loading, but routable (jobs queue behind the load).
         let (w, idx) = select_worker(&cluster, &ladder(), 2, &proc).unwrap();
         assert_eq!(w, WorkerId(0));
@@ -274,11 +258,10 @@ mod tests {
         let mut cluster = Cluster::heterogeneous(&[(GpuArch::A100, 1), (GpuArch::V100, 1)]);
         let lvl = ladder()[0];
         for id in 0..2 {
-            let w = cluster.worker_mut(WorkerId(id));
-            w.assign_level(lvl, SimTime::ZERO);
-            w.finish_load(SimTime::from_secs(100.0));
+            cluster.assign_level(WorkerId(id), lvl, SimTime::ZERO);
+            cluster.finish_load(WorkerId(id), SimTime::from_secs(100.0));
         }
-        cluster.worker_mut(WorkerId(0)).enqueue(1);
+        cluster.enqueue(WorkerId(0), 1);
         let arch_proc = |_: usize, gpu: GpuArch| match gpu {
             GpuArch::A100 => 4.0,
             _ => 9.0,
@@ -288,7 +271,7 @@ mod tests {
         assert_eq!(w, WorkerId(1));
         // …but once the V100 queue grows, the A100 wins on cost even with
         // equal backlog.
-        cluster.worker_mut(WorkerId(1)).enqueue(2);
+        cluster.enqueue(WorkerId(1), 2);
         let (w, _) = select_worker(&cluster, &ladder(), 0, &arch_proc).unwrap();
         assert_eq!(w, WorkerId(0));
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use argus_cachestore::{CacheKey, CacheStore, NetworkModel, NetworkRegime};
 use argus_classifier::{label_prompts, train, Classifier, DriftDetector, TrainerConfig};
-use argus_cluster::{Cluster, WorkerId};
+use argus_cluster::{Cluster, JobId, WorkerId};
 use argus_des::rng::RngFactory;
 use argus_des::stats::WindowedRate;
 use argus_des::{EventQueue, SimDuration, SimTime};
@@ -802,6 +802,11 @@ pub struct SystemSimulation {
     pub(crate) recorder: Option<Recorder>,
     /// Monotone id stamped on every batched dispatch's spans.
     pub(crate) batch_seq: u32,
+    /// The jobs of the pass being finished; one buffer for every finish.
+    pub(crate) finished: Vec<JobId>,
+    /// Per-pool (backlog drain rate, capacity) of the re-split check; one
+    /// buffer for every arrival.
+    pub(crate) resplit_pressure: Vec<(f64, f64)>,
     /// Cascade plane state ([`RunConfig::with_cascade`]); `None` keeps
     /// the run bit-identical to the pre-cascade tree.
     pub(crate) cascade: Option<CascadeState>,
@@ -1013,7 +1018,7 @@ impl SystemSimulation {
         let hbm_slots = pipeline.hbm_slots();
         if hbm_slots != argus_cluster::MAX_RESIDENT_MODELS {
             for id in 0..cluster.len() {
-                cluster.worker_mut(WorkerId(id)).set_hbm_slots(hbm_slots);
+                cluster.set_hbm_slots(WorkerId(id), hbm_slots);
             }
         }
 
@@ -1132,6 +1137,8 @@ impl SystemSimulation {
             tick_saturated: false,
             recorder,
             batch_seq: 0,
+            finished: Vec::new(),
+            resplit_pressure: Vec::new(),
             cascade,
             pipeline,
             cfg,
@@ -1172,7 +1179,7 @@ impl SystemSimulation {
         // starts (production clusters do not serve cold, §4.7).
         for w in sim.cluster.alive() {
             if let Some(l) = sim.cluster.worker(w).pending_level() {
-                sim.cluster.worker_mut(w).preload(l);
+                sim.cluster.preload(w, l);
             }
         }
         sim.sample_pool_allocation();
