@@ -38,8 +38,8 @@ use crate::pipeline::{RouteCtx, SelectCtx, TickAction};
 use crate::scheduler::PoolView;
 use crate::switcher::{SwitchCommand, SwitcherState};
 use crate::system::{
-    alloc_gauge_name, provisioning_target, Event, Exec, FaultEvent, PoolPlan, RunOutcome,
-    SystemSimulation, E2E_BOUNDS, PROBE, RETRIEVAL_BOUNDS, TICK,
+    alloc_gauge_name, provisioning_target, ClassifierUpdates, Event, Exec, FaultEvent, PoolPlan,
+    RunOutcome, SystemSimulation, E2E_BOUNDS, PROBE, RETRIEVAL_BOUNDS, TICK,
 };
 
 impl SystemSimulation {
@@ -131,7 +131,7 @@ impl SystemSimulation {
         rec.registry.gauge_set("fleet_alive", alive);
         rec.registry.gauge_set("draining", draining);
         rec.registry.gauge_set("dollars_per_hour", dollars_per_hour);
-        rec.sample_tick(t.as_minutes() as u32, t.as_micros());
+        rec.registry.sample(t.as_minutes() as u32, t.as_micros());
     }
 
     /// The ladder the system currently plans and routes with (pipeline
@@ -204,17 +204,12 @@ impl SystemSimulation {
         let mut level_completions: Vec<(ApproxLevel, u64)> =
             report.level_completions.into_iter().collect();
         level_completions.sort_by_key(|&(l, _)| l.ordinal());
-        // Per-pool reporting covers the whole configured fleet: spot
-        // workers fold into their architecture's entry (appended when no
-        // on-demand pool shares the architecture).
-        let mut configured_pools = self.cfg.effective_pools();
-        for sp in &self.cfg.spot_pools {
-            match configured_pools.iter_mut().find(|(g, _)| *g == sp.gpu) {
-                Some(e) => e.1 += sp.workers,
-                None => configured_pools.push((sp.gpu, sp.workers)),
-            }
-        }
-        let pools = configured_pools
+        // Per-pool reporting covers the whole configured fleet, one entry
+        // per architecture (the metrics stage keys its tallies the same
+        // way).
+        let pools = self
+            .cfg
+            .fleet_by_arch()
             .into_iter()
             .map(|(gpu, workers)| {
                 let (completions, violations) =
@@ -239,30 +234,19 @@ impl SystemSimulation {
             .collect();
         // Telemetry teardown: the planner surrenders its profile, each
         // stage's call counters become its profile, and the recorder
-        // finishes into the outcome (plus any configured exports).
-        let (spans, timeline, stage_profiles) = if let Some(mut rec) = self.recorder.take() {
-            let stage_profiles = vec![
-                StageProfile::new("planner", self.planner.finish()),
-                StageProfile::new("cache-plane", drain.profile),
-                StageProfile::new("metrics", report.profile),
-                StageProfile::new("fleet", fleet_report.profile),
-            ];
-            let tcfg = rec.config().clone();
-            // Span lines already streamed to disk during the run; the
-            // sink only appends ticks, stages and the footer here.
-            let jsonl_stream = rec.take_jsonl_stream();
-            let (spans, timeline) = rec.finish();
-            if let Some(stream) = jsonl_stream {
-                stream.finish(spans.as_ref(), timeline.as_ref(), &stage_profiles);
+        // finishes into the outcome. Exporting it is the caller's job.
+        let (spans, timeline, stage_profiles) = match self.recorder.take() {
+            Some(rec) => {
+                let stage_profiles = vec![
+                    StageProfile::new("planner", self.planner.finish()),
+                    StageProfile::new("cache-plane", drain.profile),
+                    StageProfile::new("metrics", report.profile),
+                    StageProfile::new("fleet", fleet_report.profile),
+                ];
+                let (spans, timeline) = rec.finish();
+                (spans, Some(timeline), stage_profiles)
             }
-            if let Some(path) = &tcfg.chrome_trace_path {
-                let doc = argus_obs::chrome_trace_document(spans.as_ref(), timeline.as_ref());
-                std::fs::write(path, doc)
-                    .unwrap_or_else(|e| panic!("Chrome trace export to {path:?} failed: {e}"));
-            }
-            (spans, timeline, stage_profiles)
-        } else {
-            (None, None, Vec::new())
+            None => (None, None, Vec::new()),
         };
         RunOutcome {
             minutes: report.minutes,
@@ -689,18 +673,25 @@ impl SystemSimulation {
         // Drift detection and off-critical-path retraining (§4.1), or the
         // §6 online-learning alternative: one SGD step per labelled
         // completion (the label reuses the just-generated image's scores,
-        // exactly like batch retraining does).
+        // exactly like batch retraining does). The drift detector sees
+        // scores only under drift retraining.
         if self.pipeline.uses_classifier() {
-            if self.cfg.online_learning {
-                let strategy = self.switcher.planning_strategy();
-                let ladder = ApproxLevel::ladder(strategy);
-                let prompt = &self.jobs.get(job).prompt;
-                let label = self.oracle.optimal_level(prompt, &ladder);
-                if let Some(clf) = self.classifiers.get_mut(&strategy) {
-                    clf.update(&prompt.text, label, 0.02);
+            match self.cfg.classifier_updates {
+                ClassifierUpdates::OnDrift => {
+                    if self.drift_detector.record(score) {
+                        self.retrain(t);
+                    }
                 }
-            } else if self.cfg.retrain_on_drift && self.drift_detector.record(score) {
-                self.retrain(t);
+                ClassifierUpdates::Online => {
+                    let strategy = self.switcher.planning_strategy();
+                    let ladder = ApproxLevel::ladder(strategy);
+                    let prompt = &self.jobs.get(job).prompt;
+                    let label = self.oracle.optimal_level(prompt, &ladder);
+                    if let Some(clf) = self.classifiers.get_mut(&strategy) {
+                        clf.update(&prompt.text, label, 0.02);
+                    }
+                }
+                ClassifierUpdates::Frozen => {}
             }
         }
 
@@ -924,10 +915,6 @@ impl SystemSimulation {
     }
 
     fn on_fault(&mut self, i: usize, t: SimTime) {
-        // Fault events bound the lifetime of memoized derated profiles
-        // (the ladder itself is unaffected, but this keeps the memo from
-        // outliving the regime that produced it).
-        self.planner.invalidate();
         match self.cfg.faults[i].clone() {
             FaultEvent::WorkerFail { workers, .. } => {
                 for wi in workers {
@@ -1258,7 +1245,7 @@ impl SystemSimulation {
         // pool's *current* alive workers, so a mid-minute fault shows up
         // as lost capacity immediately. For AC pools under a retrieval
         // spike, the capacity is additionally re-derated at the current
-        // overhead (a planner query, memoized like any other derivation).
+        // overhead (a planner query).
         let cache_active = self.cache_active();
         // Each pool's (backlog drain rate, capacity), in a buffer kept
         // across arrivals.

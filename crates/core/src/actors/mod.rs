@@ -4,8 +4,8 @@
 //! stages, each a plain struct owning exactly its own state, which the
 //! driver calls directly:
 //!
-//! * [`planner`] — owns the Eq. 1 solver state ([`crate::solver::SolveCache`]
-//!   and the derated-profile memo) and answers allocation queries,
+//! * [`planner`] — owns the Eq. 1 solver state (the
+//!   [`crate::solver::SolveCache`]s) and answers allocation queries,
 //!   solving heterogeneous pools one after another in pool order;
 //! * [`cacheplane`] — owns the retrieval index (flat / LSH / sharded) and
 //!   the [`argus_cachestore::CacheStore`]: retrieval, index inserts,

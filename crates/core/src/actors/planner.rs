@@ -1,8 +1,7 @@
 //! The planner stage: Eq. 1 allocation solving.
 //!
-//! The stage owns every piece of solver state the old loop kept inline —
-//! the per-(architecture, strategy) [`SolveCache`]s and the memo of
-//! derated level profiles — and answers three queries: a full plan over
+//! The stage owns the solver state — the per-(architecture, strategy)
+//! [`SolveCache`]s — and answers three queries: a full plan over
 //! the fleet's pools ([`PlannerStage::plan`]), a single-pool re-solve for
 //! the mid-minute demand re-split ([`PlannerStage::solve`]), and a
 //! derated capacity probe ([`PlannerStage::capacity`]) for the
@@ -21,39 +20,6 @@ use argus_obs::StageCounters;
 use crate::capacity::{CapacityCtx, CapacityModel, EscalationCtx};
 use crate::solver::{AllocationProblem, LevelProfile, SolveCache};
 use std::sync::Arc;
-
-/// Memoized per-architecture derated level profiles: heterogeneous runs
-/// used to rebuild and re-derate every pool's Eq. 1 profiles on every
-/// tick, although they only change when the ladder, the
-/// retrieval-overhead estimate, or the §6 load-aware ablation change.
-/// Keyed by the exact inputs, so a hit is bit-identical to a fresh
-/// derivation (debug-asserted at the lookup site); cleared on fault
-/// events as a hygiene bound.
-#[derive(Debug, Default)]
-struct DeratedCache {
-    entries: Vec<(DerateKey, Vec<LevelProfile>)>,
-}
-
-/// Memo key of one derated profile set: `(architecture, strategy,
-/// retrieval-overhead bits, load-aware-solver flag, cascade escalation
-/// fingerprint)`. The fingerprint carries the exact rate bits and the
-/// from/to levels, so two ticks with different observed escalation rates
-/// never share a memo entry.
-type DerateKey = (
-    GpuArch,
-    Strategy,
-    u64,
-    bool,
-    Option<(u64, ApproxLevel, ApproxLevel)>,
-);
-
-/// The memo fingerprint of a pool's escalation context.
-fn escalation_key(e: Option<EscalationCtx>) -> Option<(u64, ApproxLevel, ApproxLevel)> {
-    e.map(|e| (e.rate.to_bits(), e.from, e.to))
-}
-
-/// Retained (architecture × strategy × overhead) profile sets.
-const DERATED_CACHE_CAP: usize = 16;
 
 /// One pool's solve inputs, as the driver sees them: the retrieval
 /// overhead is resolved driver-side (the EWMA for AC strategies, zero for
@@ -98,12 +64,11 @@ pub(crate) struct PlannerStage {
     load_aware: bool,
     /// Per-(architecture, strategy) solve caches.
     solve_caches: Vec<((GpuArch, Strategy), SolveCache)>,
-    derated: DeratedCache,
     profile: StageCounters,
 }
 
 impl PlannerStage {
-    /// A planner with empty memos; they fill on demand.
+    /// A planner with empty solve caches; they fill on demand.
     pub(crate) fn new(
         capacity_model: Arc<dyn CapacityModel>,
         slo_secs: f64,
@@ -116,7 +81,6 @@ impl PlannerStage {
             max_batch,
             load_aware,
             solve_caches: Vec::new(),
-            derated: DeratedCache::default(),
             profile: StageCounters::default(),
         }
     }
@@ -180,12 +144,6 @@ impl PlannerStage {
         self.pool_problem(pool, 0.0).max_capacity_qpm()
     }
 
-    /// Fault hygiene: drops memoized derated profiles.
-    pub(crate) fn invalidate(&mut self) {
-        self.profile.count(false);
-        self.derated.entries.clear();
-    }
-
     /// Surrenders the stage profile at teardown (§12 telemetry).
     pub(crate) fn finish(&mut self) -> StageCounters {
         self.profile.count(true);
@@ -210,49 +168,16 @@ impl PlannerStage {
         (solved, allocation.saturated)
     }
 
-    /// Builds the Eq. 1 problem for one pool, with derated profiles
-    /// memoized per (architecture, strategy, overhead, load-aware flag);
-    /// debug builds assert each hit against a fresh derivation.
-    fn pool_problem(&mut self, pool: &PoolSpec, demand_qpm: f64) -> AllocationProblem {
-        let key = (
-            pool.gpu,
-            pool.strategy,
-            pool.overhead.to_bits(),
-            self.load_aware,
-            escalation_key(pool.escalation),
-        );
-        let levels = match self
-            .derated
-            .entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-        {
-            Some(cached) => {
-                debug_assert_eq!(
-                    cached,
-                    self.derated_profiles(pool),
-                    "memoized derated profiles diverged from a fresh derivation"
-                );
-                cached
-            }
-            None => {
-                let fresh = self.derated_profiles(pool);
-                if self.derated.entries.len() == DERATED_CACHE_CAP {
-                    self.derated.entries.remove(0);
-                }
-                self.derated.entries.push((key, fresh.clone()));
-                fresh
-            }
-        };
+    /// Builds the Eq. 1 problem for one pool at `demand_qpm`.
+    fn pool_problem(&self, pool: &PoolSpec, demand_qpm: f64) -> AllocationProblem {
         AllocationProblem {
-            levels,
+            levels: self.derated_profiles(pool),
             workers: pool.workers,
             demand_qpm,
         }
     }
 
-    /// Derives one pool's derated Eq. 1 level profiles from scratch: the
+    /// Derives one pool's derated Eq. 1 level profiles: the
     /// run's [`CapacityModel`] answers the raw per-level peaks (under the
     /// batch bound and SLO), then SLO-aware queueing derating applies on
     /// top.

@@ -97,7 +97,7 @@ pub use predictor::WorkloadDistributionPredictor;
 pub use scheduler::PoolView;
 pub use solver::{Allocation, AllocationProblem, LevelProfile, SolveCache};
 pub use switcher::{StrategySwitcher, SwitcherConfig, SwitcherState};
-pub use system::{FaultEvent, RunConfig, RunOutcome, SystemSimulation};
+pub use system::{ClassifierUpdates, FaultEvent, RunConfig, RunOutcome, SystemSimulation};
 
 // Telemetry vocabulary, re-exported so downstream code can configure
 // `RunConfig::with_telemetry` and consume `RunOutcome::{timeline, spans,

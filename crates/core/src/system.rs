@@ -144,8 +144,10 @@ pub struct RunConfig {
     pub classifier_train_size: usize,
     /// Classifier training epochs (swept in Fig. 19).
     pub classifier_epochs: usize,
-    /// Whether drift triggers retraining (§4.1).
-    pub retrain_on_drift: bool,
+    /// How the classifier follows the prompt stream during the run:
+    /// drift-triggered retraining (§4.1, the default), per-completion
+    /// online updates (§6 ablation), or not at all.
+    pub classifier_updates: ClassifierUpdates,
     /// Whether the AC↔SM switch is allowed (Fig. 20b's "no-switch" line
     /// disables it).
     pub allow_strategy_switch: bool,
@@ -154,10 +156,6 @@ pub struct RunConfig {
     /// Ablation (§6): amortize model-load cost into the solver's level
     /// profiles so reallocations account for switch overheads.
     pub load_aware_solver: bool,
-    /// Ablation (§6): continuously update the classifier with one SGD step
-    /// per completion (online learning) instead of drift-triggered batch
-    /// retraining.
-    pub online_learning: bool,
     /// Upper bound on jobs a worker drains into one batched start (Obs. 5
     /// batching). The default of 1 is the paper's §4.5 operating point and
     /// reproduces unbatched serving bit-for-bit.
@@ -213,11 +211,10 @@ impl RunConfig {
             network_events: Vec::new(),
             classifier_train_size: 6000,
             classifier_epochs: 8,
-            retrain_on_drift: true,
+            classifier_updates: ClassifierUpdates::OnDrift,
             allow_strategy_switch: true,
             vdb_capacity: 768,
             load_aware_solver: false,
-            online_learning: false,
             max_batch: 1,
             custom_pipeline: None,
             capacity_model: Arc::new(Batch1Model),
@@ -299,6 +296,22 @@ impl RunConfig {
         }
     }
 
+    /// The whole fleet by architecture, in order of first appearance:
+    /// every on-demand and spot pool of one architecture summed into one
+    /// entry. The autoscaler's default bounds and
+    /// [`RunOutcome::pools`] both read it.
+    pub(crate) fn fleet_by_arch(&self) -> Vec<(GpuArch, usize)> {
+        let spot = self.spot_pools.iter().map(|sp| (sp.gpu, sp.workers));
+        let mut fleet: Vec<(GpuArch, usize)> = Vec::new();
+        for (gpu, n) in self.effective_pools().into_iter().chain(spot) {
+            match fleet.iter_mut().find(|(g, _)| *g == gpu) {
+                Some(e) => e.1 += n,
+                None => fleet.push((gpu, n)),
+            }
+        }
+        fleet
+    }
+
     /// Adds fault-injection events.
     pub fn with_faults(mut self, faults: Vec<FaultEvent>) -> Self {
         self.faults = faults;
@@ -329,9 +342,10 @@ impl RunConfig {
         self
     }
 
-    /// Disables drift-triggered retraining.
+    /// Freezes the offline classifier: no drift-triggered retraining
+    /// and no online updates ([`ClassifierUpdates::Frozen`]).
     pub fn without_retraining(mut self) -> Self {
-        self.retrain_on_drift = false;
+        self.classifier_updates = ClassifierUpdates::Frozen;
         self
     }
 
@@ -341,9 +355,10 @@ impl RunConfig {
         self
     }
 
-    /// Enables continuous online classifier updates (§6 ablation).
+    /// Replaces drift-triggered retraining with continuous online
+    /// classifier updates (§6 ablation, [`ClassifierUpdates::Online`]).
     pub fn with_online_learning(mut self) -> Self {
-        self.online_learning = true;
+        self.classifier_updates = ClassifierUpdates::Online;
         self
     }
 
@@ -445,12 +460,13 @@ impl RunConfig {
         self
     }
 
-    /// Enables the telemetry plane: job-lifecycle spans, the per-tick
-    /// time-series registry and control-plane stage profiles, recorded in
-    /// sim-time and surfaced on [`RunOutcome`] (plus optional JSONL /
-    /// Chrome-trace exports at the paths in `cfg`). Telemetry never
-    /// perturbs the simulation: results are bit-identical with it on and
-    /// off.
+    /// Enables the telemetry plane: job-lifecycle spans (sampled at
+    /// `cfg`'s rate), the per-tick time-series registry and control-plane
+    /// stage profiles, recorded in sim-time and returned on
+    /// [`RunOutcome`]. The run writes no file: the caller exports the
+    /// outcome ([`RunOutcome::write_telemetry_jsonl`],
+    /// [`RunOutcome::chrome_trace`]). Telemetry never perturbs the
+    /// simulation: results are bit-identical with it on and off.
     pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.telemetry = Some(cfg);
         self
@@ -484,7 +500,23 @@ impl RunConfig {
     }
 }
 
-/// Results of one run.
+/// How the §4.1 classifier follows the prompt stream during a run
+/// ([`RunConfig::classifier_updates`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ClassifierUpdates {
+    /// Batch retraining whenever the drift detector fires (§4.1).
+    #[default]
+    OnDrift,
+    /// One SGD step per labelled completion instead of drift-triggered
+    /// retraining (§6 ablation, [`RunConfig::with_online_learning`]).
+    Online,
+    /// The offline classifier, never updated
+    /// ([`RunConfig::without_retraining`]).
+    Frozen,
+}
+
+/// Results of one run. Everything the run recorded, telemetry included,
+/// comes back here; the run itself reads and writes no file.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Per-minute telemetry.
@@ -517,10 +549,12 @@ pub struct RunOutcome {
     /// and the retrieval-latency mean/p99, so cache-plane experiments are
     /// measurable without re-running.
     pub retrieval: RetrievalStats,
-    /// Per-architecture pool telemetry (one entry per configured pool, in
-    /// pool order), so heterogeneous experiments stop inferring pool
-    /// behaviour from aggregates. Jobs lost before reaching a worker have
-    /// no pool and are excluded from the per-pool violation counts.
+    /// Per-architecture pool telemetry (one entry per architecture in
+    /// the fleet, its on-demand and spot workers summed, in order of
+    /// first appearance), so heterogeneous experiments stop inferring
+    /// pool behaviour from aggregates. Jobs lost before reaching a
+    /// worker have no pool and are excluded from the per-pool violation
+    /// counts.
     pub pools: Vec<PoolStats>,
     /// Mid-minute demand re-splits triggered
     /// ([`RunConfig::with_demand_resplit`]).
@@ -549,16 +583,36 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// The deterministic JSONL telemetry document (empty sections for
-    /// whatever the run did not record). See DESIGN.md §12 for the line
-    /// schema.
+    /// whatever the run did not record) as a `String`: the bytes
+    /// [`RunOutcome::write_telemetry_jsonl`] writes. See DESIGN.md §12
+    /// for the line schema.
     pub fn telemetry_jsonl(&self) -> String {
-        let sample = self.spans.as_ref().map_or(0, |s| s.sample_every);
         argus_obs::jsonl_document(
-            sample,
+            self.span_sample(),
             self.spans.as_ref(),
             self.timeline.as_ref(),
             &self.stage_profiles,
         )
+    }
+
+    /// Writes the JSONL telemetry document into `out` line by line and
+    /// flushes it (pass a buffered file to export a long run without
+    /// holding the rendered document). Returns the sink's first I/O
+    /// error.
+    pub fn write_telemetry_jsonl(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        argus_obs::write_jsonl(
+            out,
+            self.span_sample(),
+            self.spans.as_ref(),
+            self.timeline.as_ref(),
+            &self.stage_profiles,
+        )
+    }
+
+    /// The span sampling rate the JSONL header declares (0 when no span
+    /// was recorded).
+    fn span_sample(&self) -> u32 {
+        self.spans.as_ref().map_or(0, |s| s.sample_every)
     }
 
     /// The Chrome trace-event document (`chrome://tracing` / Perfetto)
@@ -1038,17 +1092,10 @@ impl SystemSimulation {
         );
         // The autoscale controller's per-architecture bounds default off
         // the initial pool sizes (spot workers count toward them).
-        let mut initial_pools: Vec<(GpuArch, usize)> = Vec::new();
-        for &(gpu, n) in &pools {
-            match initial_pools.iter_mut().find(|(g, _)| *g == gpu) {
-                Some(e) => e.1 += n,
-                None => initial_pools.push((gpu, n)),
-            }
-        }
         let controller = cfg
             .autoscaler
             .clone()
-            .map(|p| AutoscaleController::new(p, &initial_pools));
+            .map(|p| AutoscaleController::new(p, &cfg.fleet_by_arch()));
         let fleet = FleetStage::new(controller);
         // Per-worker spot discounts in cluster id order: the on-demand
         // pools first, then each spot pool.
@@ -1060,7 +1107,7 @@ impl SystemSimulation {
         // Telemetry: pre-register every series up front so each tick
         // sample carries an identical vector layout from minute zero
         // (DESIGN.md §12).
-        let recorder = cfg.telemetry.clone().map(|tc| {
+        let recorder = cfg.telemetry.map(|tc| {
             let mut r = Recorder::new(tc);
             for name in OBS_COUNTERS {
                 r.registry.counter_add(name, 0);

@@ -160,19 +160,17 @@ impl SpanLog {
         job.is_multiple_of(self.sample_every)
     }
 
-    /// Appends `ev` if its job is sampled and the cap has room, and
-    /// reports whether it was recorded (so incremental sinks mirror the
-    /// log exactly).
-    pub fn record(&mut self, ev: SpanEvent) -> bool {
+    /// Appends `ev` if its job is sampled and the cap has room; an event
+    /// over the cap is counted in [`SpanLog::dropped`].
+    pub fn record(&mut self, ev: SpanEvent) {
         if !self.wants(ev.job) {
-            return false;
+            return;
         }
         if self.events.len() >= self.max_events {
             self.dropped += 1;
-            return false;
+            return;
         }
         self.events.push(ev);
-        true
     }
 
     /// Number of recorded events.

@@ -1,12 +1,14 @@
 //! Deterministic exporters: JSONL event log and Chrome trace-event
 //! output, plus a dependency-free JSON validator used by tests and CI.
 //!
-//! Both documents are rendered as strings from already-deterministic
-//! in-memory telemetry, so byte-for-byte equality across runs follows
-//! from the determinism of [`SpanLog`] / [`Timeline`] /
-//! [`StageProfile`]. Floats are formatted with Rust's shortest
-//! round-trip representation (`{:?}`), which is stable across
-//! platforms; non-finite values are rendered as `null`.
+//! Both documents are rendered from already-deterministic in-memory
+//! telemetry, so byte-for-byte equality across runs follows from the
+//! determinism of [`SpanLog`] / [`Timeline`] / [`StageProfile`]. JSONL
+//! has one renderer, [`write_jsonl`], which writes line by line into any
+//! [`io::Write`]; the Chrome trace is rendered as a string. Floats are
+//! formatted with Rust's shortest round-trip representation (`{:?}`),
+//! which is stable across platforms; non-finite values are rendered as
+//! `null`.
 
 use crate::event::{SpanLog, NO_BATCH, NO_WORKER};
 use crate::profile::StageProfile;
@@ -14,6 +16,7 @@ use crate::timeseries::{Histogram, Timeline};
 use argus_models::GpuArch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
 
 /// Schema version stamped into the JSONL header (and every
 /// `BENCH_*.json`); bump on any breaking format change.
@@ -67,7 +70,7 @@ fn hist_json(h: &Histogram) -> String {
     )
 }
 
-pub(crate) fn str_list(names: &[&'static str]) -> String {
+fn str_list(names: &[&'static str]) -> String {
     names
         .iter()
         .map(|n| format!("\"{}\"", json_escape(n)))
@@ -75,163 +78,123 @@ pub(crate) fn str_list(names: &[&'static str]) -> String {
         .join(",")
 }
 
-// ------------------------------------------------------------------ //
-// Per-line renderers, shared verbatim by the buffered document below
-// and the incremental `JsonlStream` sink — byte-identity of the two
-// paths holds by construction. None emit a trailing newline.
-// ------------------------------------------------------------------ //
+/// The numeric keys of the stage lines [`write_jsonl`] writes; the
+/// validator requires each of them.
+const STAGE_KEYS: [&str; 4] = ["processed", "replies", "sent", "mailbox_hwm"];
 
-/// Renders the JSONL header line from pre-rendered name lists (each the
-/// comma-joined quoted series names, or empty).
-pub(crate) fn jsonl_header_line(
+/// Writes the JSONL telemetry document into `out`, one line at a time:
+/// a header line, then span lines, tick lines, stage lines, and a footer
+/// with totals (DESIGN.md §12).
+///
+/// This is the format's one renderer. [`jsonl_document`] collects it
+/// into a `String`; an export to disk passes a buffered file, so a
+/// million-job document is never held rendered in memory. It flushes
+/// `out` at the end, so a buffered sink's last write error is returned
+/// too; the only errors are the sink's own.
+pub fn write_jsonl(
+    out: &mut impl io::Write,
     lifecycle_sample: u32,
-    counter_names: &str,
-    gauge_names: &str,
-    hist_names: &str,
-) -> String {
-    format!(
-        "{{\"schema_version\":{JSONL_SCHEMA_VERSION},\"kind\":\"header\",\
-         \"source\":\"argus_obs\",\"lifecycle_sample\":{lifecycle_sample},\
-         \"counters\":[{counter_names}],\"gauges\":[{gauge_names}],\"hists\":[{hist_names}]}}"
-    )
-}
-
-/// The header's name lists: the timeline's series names when sampling
-/// is enabled, empty lists otherwise.
-pub(crate) fn jsonl_header_names(timeline: Option<&Timeline>) -> (String, String, String) {
-    match timeline {
+    spans: Option<&SpanLog>,
+    timeline: Option<&Timeline>,
+    profiles: &[StageProfile],
+) -> io::Result<()> {
+    // The header declares the timeline's series names (empty lists when
+    // there is no timeline); every tick line's vectors align with them.
+    let (counters, gauges, hists) = match timeline {
         Some(tl) => (
             str_list(&tl.counter_names),
             str_list(&tl.gauge_names),
             str_list(&tl.hist_names),
         ),
-        None => (String::new(), String::new(), String::new()),
+        None => Default::default(),
+    };
+    writeln!(
+        out,
+        "{{\"schema_version\":{JSONL_SCHEMA_VERSION},\"kind\":\"header\",\
+         \"source\":\"argus_obs\",\"lifecycle_sample\":{lifecycle_sample},\
+         \"counters\":[{counters}],\"gauges\":[{gauges}],\"hists\":[{hists}]}}"
+    )?;
+
+    // Span lines carry the optional fields only when they are set.
+    let events = spans.map_or(&[][..], |log| &log.events);
+    for ev in events {
+        write!(
+            out,
+            "{{\"kind\":\"span\",\"t_us\":{},\"job\":{},\"event\":\"{}\"",
+            ev.t_us,
+            ev.job,
+            ev.kind.as_str()
+        )?;
+        if let Some(level) = ev.level {
+            write!(out, ",\"level\":\"{}\"", json_escape(&level.to_string()))?;
+        }
+        if let Some(pool) = ev.pool {
+            write!(out, ",\"pool\":\"{}\"", json_escape(pool.name()))?;
+        }
+        if ev.worker != NO_WORKER {
+            write!(out, ",\"worker\":{}", ev.worker)?;
+        }
+        if ev.batch != NO_BATCH {
+            write!(out, ",\"batch\":{}", ev.batch)?;
+        }
+        writeln!(out, "}}")?;
     }
+
+    let samples = timeline.map_or(&[][..], |tl| &tl.samples);
+    for s in samples {
+        let counters: Vec<String> = s.counters.iter().map(|c| c.to_string()).collect();
+        let gauges: Vec<String> = s.gauges.iter().map(|&g| json_f64(g)).collect();
+        let hists: Vec<String> = s.hists.iter().map(hist_json).collect();
+        writeln!(
+            out,
+            "{{\"kind\":\"tick\",\"minute\":{},\"t_us\":{},\"counters\":[{}],\
+             \"gauges\":[{}],\"hists\":[{}]}}",
+            s.minute,
+            s.t_us,
+            counters.join(","),
+            gauges.join(","),
+            hists.join(",")
+        )?;
+    }
+
+    for p in profiles {
+        writeln!(
+            out,
+            "{{\"kind\":\"stage\",\"stage\":\"{}\",\"processed\":{},\"replies\":{},\
+             \"sent\":{},\"mailbox_hwm\":{}}}",
+            json_escape(p.stage),
+            p.counters.processed,
+            p.counters.replies,
+            p.sent,
+            p.mailbox_hwm
+        )?;
+    }
+
+    writeln!(
+        out,
+        "{{\"kind\":\"footer\",\"spans\":{},\"spans_dropped\":{},\"ticks\":{},\
+         \"ticks_dropped\":{},\"stages\":{}}}",
+        events.len(),
+        spans.map_or(0, |s| s.dropped),
+        samples.len(),
+        timeline.map_or(0, |t| t.dropped),
+        profiles.len()
+    )?;
+    out.flush()
 }
 
-/// Renders one span line.
-pub(crate) fn jsonl_span_line(ev: &crate::event::SpanEvent) -> String {
-    let mut extra = String::new();
-    if let Some(level) = ev.level {
-        let _ = write!(extra, ",\"level\":\"{}\"", json_escape(&level.to_string()));
-    }
-    if let Some(pool) = ev.pool {
-        let _ = write!(extra, ",\"pool\":\"{}\"", json_escape(pool.name()));
-    }
-    if ev.worker != NO_WORKER {
-        let _ = write!(extra, ",\"worker\":{}", ev.worker);
-    }
-    if ev.batch != NO_BATCH {
-        let _ = write!(extra, ",\"batch\":{}", ev.batch);
-    }
-    format!(
-        "{{\"kind\":\"span\",\"t_us\":{},\"job\":{},\"event\":\"{}\"{}}}",
-        ev.t_us,
-        ev.job,
-        ev.kind.as_str(),
-        extra
-    )
-}
-
-/// Renders one tick line.
-pub(crate) fn jsonl_tick_line(s: &crate::timeseries::TickSample) -> String {
-    let counters: Vec<String> = s.counters.iter().map(|c| c.to_string()).collect();
-    let gauges: Vec<String> = s.gauges.iter().map(|&g| json_f64(g)).collect();
-    let hists: Vec<String> = s.hists.iter().map(hist_json).collect();
-    format!(
-        "{{\"kind\":\"tick\",\"minute\":{},\"t_us\":{},\"counters\":[{}],\
-         \"gauges\":[{}],\"hists\":[{}]}}",
-        s.minute,
-        s.t_us,
-        counters.join(","),
-        gauges.join(","),
-        hists.join(",")
-    )
-}
-
-/// The numeric keys [`jsonl_stage_line`] writes; the validator requires
-/// each of them.
-const STAGE_KEYS: [&str; 4] = ["processed", "replies", "sent", "mailbox_hwm"];
-
-/// Renders one stage-profile line.
-pub(crate) fn jsonl_stage_line(p: &StageProfile) -> String {
-    format!(
-        "{{\"kind\":\"stage\",\"stage\":\"{}\",\"processed\":{},\"replies\":{},\
-         \"sent\":{},\"mailbox_hwm\":{}}}",
-        json_escape(p.stage),
-        p.counters.processed,
-        p.counters.replies,
-        p.sent,
-        p.mailbox_hwm
-    )
-}
-
-/// Renders the footer line.
-pub(crate) fn jsonl_footer_line(
-    spans: u64,
-    spans_dropped: u64,
-    ticks: u64,
-    ticks_dropped: u64,
-    stages: usize,
-) -> String {
-    format!(
-        "{{\"kind\":\"footer\",\"spans\":{spans},\"spans_dropped\":{spans_dropped},\
-         \"ticks\":{ticks},\"ticks_dropped\":{ticks_dropped},\"stages\":{stages}}}"
-    )
-}
-
-/// Renders the full JSONL telemetry document: one header line, then
-/// span lines, tick lines, stage lines, and a footer with totals.
+/// The full JSONL telemetry document as a `String`, rendered by
+/// [`write_jsonl`].
 pub fn jsonl_document(
     lifecycle_sample: u32,
     spans: Option<&SpanLog>,
     timeline: Option<&Timeline>,
     profiles: &[StageProfile],
 ) -> String {
-    let mut out = String::new();
-    let (counter_names, gauge_names, hist_names) = jsonl_header_names(timeline);
-    let _ = writeln!(
-        out,
-        "{}",
-        jsonl_header_line(lifecycle_sample, &counter_names, &gauge_names, &hist_names)
-    );
-
-    let mut span_lines = 0u64;
-    if let Some(log) = spans {
-        for ev in &log.events {
-            let _ = writeln!(out, "{}", jsonl_span_line(ev));
-            span_lines += 1;
-        }
-    }
-
-    let mut tick_lines = 0u64;
-    if let Some(tl) = timeline {
-        for s in &tl.samples {
-            let _ = writeln!(out, "{}", jsonl_tick_line(s));
-            tick_lines += 1;
-        }
-    }
-
-    for p in profiles {
-        let _ = writeln!(out, "{}", jsonl_stage_line(p));
-    }
-
-    let (spans_dropped, ticks_dropped) = (
-        spans.map_or(0, |s| s.dropped),
-        timeline.map_or(0, |t| t.dropped),
-    );
-    let _ = writeln!(
-        out,
-        "{}",
-        jsonl_footer_line(
-            span_lines,
-            spans_dropped,
-            tick_lines,
-            ticks_dropped,
-            profiles.len()
-        )
-    );
-    out
+    let mut out = Vec::new();
+    write_jsonl(&mut out, lifecycle_sample, spans, timeline, profiles)
+        .expect("writing into a Vec cannot fail");
+    String::from_utf8(out).expect("the renderer writes UTF-8")
 }
 
 fn pool_pid(pool: Option<GpuArch>) -> u32 {
@@ -853,6 +816,105 @@ mod tests {
         assert!(doc.contains("\"pool\":\"A100\""));
         let arrive_line = doc.lines().nth(1).unwrap();
         assert!(!arrive_line.contains("worker"));
+    }
+
+    /// Renders through [`write_jsonl`] into a sink that takes a few bytes
+    /// at a time, as a buffered file takes a long export.
+    fn written(
+        lifecycle_sample: u32,
+        spans: Option<&SpanLog>,
+        timeline: Option<&Timeline>,
+        profiles: &[StageProfile],
+    ) -> String {
+        let mut sink = io::BufWriter::with_capacity(16, Vec::new());
+        write_jsonl(&mut sink, lifecycle_sample, spans, timeline, profiles).unwrap();
+        String::from_utf8(sink.into_inner().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn write_jsonl_keeps_the_ticks_a_full_ring_retains() {
+        const B: &[f64] = &[1.0, 2.0];
+        let mut r = Registry::new(3);
+        r.counter_set("arrivals", 0);
+        r.gauge_set("backlog", 0.0);
+        r.hist_register("lat", B);
+        let mut log = SpanLog::new(1, usize::MAX);
+        for minute in 0..5u32 {
+            let t = SimTime::from_micros(u64::from(minute) * 60_000_000);
+            log.record(SpanEvent::new(t, minute, SpanKind::Arrive));
+            log.record(
+                SpanEvent::new(t, minute, SpanKind::Complete)
+                    .with_worker(minute)
+                    .with_batch(2),
+            );
+            r.counter_add("arrivals", 1);
+            r.gauge_set("backlog", f64::from(minute));
+            r.hist_record("lat", B, f64::from(minute));
+            r.sample(minute, t.as_micros());
+        }
+        let tl = r.finish();
+        assert_eq!(tl.dropped, 2, "ring capacity 3 over 5 ticks evicts 2");
+        let profiles = [StageProfile::new(
+            "planner",
+            StageCounters {
+                processed: 7,
+                replies: 1,
+            },
+        )];
+        let doc = written(1, Some(&log), Some(&tl), &profiles);
+        assert_eq!(doc, jsonl_document(1, Some(&log), Some(&tl), &profiles));
+        let ticks: Vec<&str> = doc.lines().filter(|l| l.contains("\"tick\"")).collect();
+        assert_eq!(ticks.len(), 3);
+        assert!(ticks[0].starts_with("{\"kind\":\"tick\",\"minute\":2,\"t_us\":120000000,"));
+        assert_eq!(
+            doc.lines().last(),
+            Some(
+                "{\"kind\":\"footer\",\"spans\":10,\"spans_dropped\":0,\"ticks\":3,\
+                 \"ticks_dropped\":2,\"stages\":1}"
+            )
+        );
+        assert_eq!(
+            validate_jsonl(&doc).unwrap(),
+            JsonlSummary {
+                spans: 10,
+                ticks: 3,
+                stages: 1
+            }
+        );
+    }
+
+    #[test]
+    fn write_jsonl_tallies_the_spans_over_the_cap() {
+        let mut log = SpanLog::new(2, 2);
+        for job in 0..8u32 {
+            log.record(SpanEvent::new(SimTime::ZERO, job, SpanKind::Arrive));
+        }
+        assert_eq!(log.len(), 2, "the cap admits two of the four sampled jobs");
+        let doc = written(2, Some(&log), None, &[]);
+        assert_eq!(doc, jsonl_document(2, Some(&log), None, &[]));
+        assert_eq!(
+            doc,
+            "{\"schema_version\":2,\"kind\":\"header\",\"source\":\"argus_obs\",\
+             \"lifecycle_sample\":2,\"counters\":[],\"gauges\":[],\"hists\":[]}\n\
+             {\"kind\":\"span\",\"t_us\":0,\"job\":0,\"event\":\"arrive\"}\n\
+             {\"kind\":\"span\",\"t_us\":0,\"job\":2,\"event\":\"arrive\"}\n\
+             {\"kind\":\"footer\",\"spans\":2,\"spans_dropped\":2,\"ticks\":0,\
+             \"ticks_dropped\":0,\"stages\":0}\n"
+        );
+    }
+
+    #[test]
+    fn write_jsonl_of_a_run_without_telemetry_is_header_and_footer() {
+        let doc = written(0, None, None, &[]);
+        assert_eq!(doc, jsonl_document(0, None, None, &[]));
+        assert_eq!(
+            doc,
+            "{\"schema_version\":2,\"kind\":\"header\",\"source\":\"argus_obs\",\
+             \"lifecycle_sample\":0,\"counters\":[],\"gauges\":[],\"hists\":[]}\n\
+             {\"kind\":\"footer\",\"spans\":0,\"spans_dropped\":0,\"ticks\":0,\
+             \"ticks_dropped\":0,\"stages\":0}\n"
+        );
+        assert!(validate_jsonl(&doc).is_ok());
     }
 
     #[test]

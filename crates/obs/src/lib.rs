@@ -14,6 +14,12 @@
 //!   (`chrome://tracing` / Perfetto) documents, plus a dependency-free
 //!   validator used by tests and CI.
 //!
+//! A run records into memory and returns what it recorded; it opens no
+//! file. Writing a document to disk is the caller's job: JSONL goes
+//! through its one renderer, [`write_jsonl`], into any [`std::io::Write`]
+//! (so an I/O error is a `Result` for the caller, not a panic inside the
+//! simulation), and the Chrome trace is a `String`.
+//!
 //! # Determinism contract (DESIGN.md §12)
 //!
 //! The plane reads **no wall clock** (lint rule D1 applies to this
@@ -30,44 +36,31 @@
 pub mod event;
 pub mod export;
 pub mod profile;
-pub mod stream;
 pub mod timeseries;
 
 pub use event::{SpanEvent, SpanKind, SpanLog, NO_BATCH, NO_WORKER};
 pub use export::{
     chrome_trace_document, json_escape, json_f64, jsonl_document, parse_json,
-    validate_chrome_trace, validate_jsonl, Json, JsonlSummary, JSONL_SCHEMA_VERSION,
+    validate_chrome_trace, validate_jsonl, write_jsonl, Json, JsonlSummary, JSONL_SCHEMA_VERSION,
 };
 pub use profile::{StageCounters, StageProfile};
-pub use stream::JsonlStream;
 pub use timeseries::{Histogram, Registry, TickSample, Timeline};
 
-use std::path::PathBuf;
+/// Tick-sample ring capacity: one sample per minute for 7 simulated
+/// days (older samples are evicted and counted in [`Timeline::dropped`]).
+pub const RING_CAPACITY: usize = 10_080;
 
-/// Default ring-buffer capacity: one sample per minute for 7 simulated
-/// days.
-pub const DEFAULT_RING_CAPACITY: usize = 10_080;
+/// Hard cap on recorded span events (~16.7 M ≈ 640 MB); the excess is
+/// counted in [`SpanLog::dropped`].
+pub const MAX_SPAN_EVENTS: usize = 1 << 24;
 
-/// Default hard cap on recorded span events (~16.7 M ≈ 640 MB).
-pub const DEFAULT_MAX_EVENTS: usize = 1 << 24;
-
-/// What to record and where to export it
-/// (`RunConfig::with_telemetry`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What to record (`RunConfig::with_telemetry`): the span sampling
+/// rate. The timeline and the stage profiles are always recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Record lifecycle spans for jobs with `id % lifecycle_sample == 0`;
     /// `1` records every job, `0` disables span recording.
     pub lifecycle_sample: u32,
-    /// Whether to sample the per-tick time-series registry.
-    pub timeline: bool,
-    /// Ring-buffer capacity for tick samples (oldest evicted first).
-    pub ring_capacity: usize,
-    /// Hard cap on recorded span events (excess counted as dropped).
-    pub max_events: usize,
-    /// Write the JSONL event log here at teardown.
-    pub jsonl_path: Option<PathBuf>,
-    /// Write the Chrome trace-event document here at teardown.
-    pub chrome_trace_path: Option<PathBuf>,
 }
 
 impl Default for TelemetryConfig {
@@ -81,11 +74,6 @@ impl TelemetryConfig {
     pub fn full() -> Self {
         TelemetryConfig {
             lifecycle_sample: 1,
-            timeline: true,
-            ring_capacity: DEFAULT_RING_CAPACITY,
-            max_events: DEFAULT_MAX_EVENTS,
-            jsonl_path: None,
-            chrome_trace_path: None,
         }
     }
 
@@ -94,7 +82,6 @@ impl TelemetryConfig {
     pub fn sampled(n: u32) -> Self {
         TelemetryConfig {
             lifecycle_sample: n.max(1),
-            ..TelemetryConfig::full()
         }
     }
 
@@ -102,26 +89,7 @@ impl TelemetryConfig {
     pub fn timeline_only() -> Self {
         TelemetryConfig {
             lifecycle_sample: 0,
-            ..TelemetryConfig::full()
         }
-    }
-
-    /// Sets the JSONL export path.
-    pub fn with_jsonl(mut self, path: impl Into<PathBuf>) -> Self {
-        self.jsonl_path = Some(path.into());
-        self
-    }
-
-    /// Sets the Chrome trace export path.
-    pub fn with_chrome_trace(mut self, path: impl Into<PathBuf>) -> Self {
-        self.chrome_trace_path = Some(path.into());
-        self
-    }
-
-    /// Overrides the tick-sample ring-buffer capacity.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
     }
 
     /// Whether any span recording is enabled.
@@ -136,38 +104,20 @@ impl TelemetryConfig {
 pub struct Recorder {
     cfg: TelemetryConfig,
     spans: SpanLog,
-    /// The time-series registry (public so the driver writes series
-    /// directly).
+    /// The time-series registry (public so the driver writes series and
+    /// takes the per-minute samples directly).
     pub registry: Registry,
-    jsonl: Option<JsonlStream>,
 }
 
 impl Recorder {
-    /// A recorder for one run under `cfg`. A configured `jsonl_path`
-    /// attaches an incremental [`JsonlStream`] sink: span lines reach
-    /// disk as they are recorded instead of buffering until teardown.
+    /// A recorder for one run under `cfg`, bounded by [`RING_CAPACITY`]
+    /// tick samples and [`MAX_SPAN_EVENTS`] span events.
     pub fn new(cfg: TelemetryConfig) -> Self {
-        let spans = SpanLog::new(cfg.lifecycle_sample.max(1), cfg.max_events);
-        let registry = Registry::new(cfg.ring_capacity);
-        let jsonl = cfg.jsonl_path.as_ref().map(|p| {
-            JsonlStream::new(
-                p.clone(),
-                cfg.lifecycle_sample,
-                cfg.timeline,
-                cfg.ring_capacity,
-            )
-        });
         Recorder {
             cfg,
-            spans,
-            registry,
-            jsonl,
+            spans: SpanLog::new(cfg.lifecycle_sample.max(1), MAX_SPAN_EVENTS),
+            registry: Registry::new(RING_CAPACITY),
         }
-    }
-
-    /// The configuration this recorder was built with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
     }
 
     /// Whether spans are recorded for `job` (cheap pre-check so callers
@@ -176,40 +126,18 @@ impl Recorder {
         self.cfg.spans_enabled() && self.spans.wants(job)
     }
 
-    /// Records one span event (no-op for unsampled jobs). Recorded
-    /// events also stream to the JSONL sink, when one is attached.
+    /// Records one span event (no-op for unsampled jobs).
     pub fn span(&mut self, ev: SpanEvent) {
-        if self.cfg.spans_enabled() && self.spans.record(ev) {
-            if let Some(stream) = self.jsonl.as_mut() {
-                stream.span(&ev, &self.registry);
-            }
+        if self.cfg.spans_enabled() {
+            self.spans.record(ev);
         }
     }
 
-    /// Takes the per-minute registry snapshot, if the timeline is
-    /// enabled, mirroring it into the JSONL sink's tick ring.
-    pub fn sample_tick(&mut self, minute: u32, t_us: u64) {
-        if self.cfg.timeline {
-            self.registry.sample(minute, t_us);
-            if let Some(stream) = self.jsonl.as_mut() {
-                let s = self.registry.last_sample().expect("sample just pushed");
-                stream.tick(s);
-            }
-        }
-    }
-
-    /// Detaches the incremental JSONL sink, if one is attached, so the
-    /// caller can [`JsonlStream::finish`] it once [`Recorder::finish`]
-    /// has produced the run artifacts the footer needs.
-    pub fn take_jsonl_stream(&mut self) -> Option<JsonlStream> {
-        self.jsonl.take()
-    }
-
-    /// Consumes the recorder into its finished artifacts.
-    pub fn finish(self) -> (Option<SpanLog>, Option<Timeline>) {
+    /// Consumes the recorder into its finished artifacts: the span log
+    /// (`None` when span recording is off) and the timeline.
+    pub fn finish(self) -> (Option<SpanLog>, Timeline) {
         let spans = self.cfg.spans_enabled().then_some(self.spans);
-        let timeline = self.cfg.timeline.then(|| self.registry.finish());
-        (spans, timeline)
+        (spans, self.registry.finish())
     }
 }
 
@@ -223,9 +151,9 @@ mod tests {
         let full = TelemetryConfig::full();
         assert!(full.spans_enabled());
         assert_eq!(full.lifecycle_sample, 1);
+        assert_eq!(TelemetryConfig::default(), full);
         let sampled = TelemetryConfig::sampled(64);
         assert_eq!(sampled.lifecycle_sample, 64);
-        assert!(sampled.timeline);
         let tl = TelemetryConfig::timeline_only();
         assert!(!tl.spans_enabled());
         assert!(TelemetryConfig::sampled(0).spans_enabled()); // clamped to 1
@@ -236,9 +164,11 @@ mod tests {
         let mut off = Recorder::new(TelemetryConfig::timeline_only());
         assert!(!off.wants(0));
         off.span(SpanEvent::new(SimTime::ZERO, 0, SpanKind::Arrive));
+        off.registry.counter_set("x", 1);
+        off.registry.sample(0, 0);
         let (spans, timeline) = off.finish();
         assert!(spans.is_none());
-        assert!(timeline.is_some());
+        assert_eq!(timeline.counter("x"), Some(vec![1]));
 
         let mut on = Recorder::new(TelemetryConfig::sampled(2));
         assert!(on.wants(0));
@@ -247,16 +177,5 @@ mod tests {
         on.span(SpanEvent::new(SimTime::ZERO, 1, SpanKind::Arrive));
         let (spans, _) = on.finish();
         assert_eq!(spans.unwrap().len(), 1);
-    }
-
-    #[test]
-    fn tick_sampling_respects_timeline_flag() {
-        let mut cfg = TelemetryConfig::full();
-        cfg.timeline = false;
-        let mut r = Recorder::new(cfg);
-        r.registry.counter_set("x", 1);
-        r.sample_tick(0, 0);
-        let (_, timeline) = r.finish();
-        assert!(timeline.is_none());
     }
 }

@@ -331,23 +331,6 @@ impl Registry {
         }
     }
 
-    /// The live series names in registration order — `(counters,
-    /// gauges, hists)` — matching the name vectors a [`Registry::finish`]
-    /// would produce right now. Incremental exporters render the JSONL
-    /// header from these.
-    pub fn series_names(&self) -> (Vec<&'static str>, Vec<&'static str>, Vec<&'static str>) {
-        (
-            self.counters.iter().map(|&(n, _)| n).collect(),
-            self.gauges.iter().map(|&(n, _)| n).collect(),
-            self.hists.iter().map(|&(n, _)| n).collect(),
-        )
-    }
-
-    /// The most recent tick sample, if any survive in the ring.
-    pub fn last_sample(&self) -> Option<&TickSample> {
-        self.samples.last()
-    }
-
     /// Consumes the registry into its finished [`Timeline`], folding
     /// anything recorded after the last tick into the run totals so
     /// [`Timeline::totals`] covers the entire run.

@@ -1,13 +1,17 @@
 //! Observability walkthrough: run a short diurnal trace with the §12
 //! telemetry plane enabled, then tour everything it recorded — the
 //! per-minute timeline, the job-lifecycle spans, the control-plane stage
-//! profiles — and export the deterministic JSONL event log plus a
+//! profiles — and write the deterministic JSONL event log plus a
 //! Chrome trace-event file you can open in `chrome://tracing` or
-//! Perfetto.
+//! Perfetto. The run itself writes no file: both exports come from the
+//! returned `RunOutcome`.
 //!
 //! ```sh
 //! cargo run --release --example observability
 //! ```
+
+use std::fs::{self, File};
+use std::io::BufWriter;
 
 use argus::core::{Policy, RunConfig, SpanKind, TelemetryConfig};
 use argus::workload::twitter_like;
@@ -23,11 +27,7 @@ fn main() {
     // one job in 64 when a million-job trace makes full spans too big.
     let out = RunConfig::new(Policy::Argus, twitter_like(7, minutes))
         .with_seed(7)
-        .with_telemetry(
-            TelemetryConfig::full()
-                .with_jsonl(jsonl_path)
-                .with_chrome_trace(trace_path),
-        )
+        .with_telemetry(TelemetryConfig::full())
         .run();
     println!(
         "run: {} offered, {} completed, {:.2}% SLO violations\n",
@@ -98,14 +98,19 @@ fn main() {
         );
     }
 
-    // ---- 4. Exports: both files were written at teardown; the same
-    // documents are available in-memory, byte-identical.
+    // ---- 4. Exports, written from the outcome: the JSONL line by line
+    // through a buffered file, the Chrome trace as one document. Both
+    // files hold exactly the in-memory documents.
+    let mut jsonl = BufWriter::new(File::create(jsonl_path).expect("create the JSONL file"));
+    out.write_telemetry_jsonl(&mut jsonl)
+        .expect("write the JSONL export");
+    fs::write(trace_path, out.chrome_trace()).expect("write the Chrome trace");
     assert_eq!(
-        std::fs::read_to_string(jsonl_path).expect("export written"),
+        fs::read_to_string(jsonl_path).expect("export written"),
         out.telemetry_jsonl()
     );
     assert_eq!(
-        std::fs::read_to_string(trace_path).expect("export written"),
+        fs::read_to_string(trace_path).expect("export written"),
         out.chrome_trace()
     );
     println!("\nexports:");

@@ -422,6 +422,20 @@ fn pool_stats_are_consistent_with_run_totals() {
 }
 
 #[test]
+fn a_repeated_architecture_is_reported_as_one_pool() {
+    // Two A100 pools make one A100 fleet of eight workers: one entry,
+    // whose completions are the run's, not one copy per listing.
+    let out = cfg(Policy::Argus, steady(90.0, 6), 13)
+        .with_heterogeneous_pools(vec![(GpuArch::A100, 4), (GpuArch::A100, 4)])
+        .run();
+    let pools: Vec<(GpuArch, usize)> = out.pools.iter().map(|p| (p.gpu, p.workers)).collect();
+    assert_eq!(pools, [(GpuArch::A100, 8)]);
+    let pool_completions: u64 = out.pools.iter().map(|p| p.completions).sum();
+    assert_eq!(pool_completions, out.totals.completed);
+    assert!(out.totals.completed > 0);
+}
+
+#[test]
 fn replica_write_hops_follow_the_replication_factor() {
     let sharded = cfg(Policy::Argus, twitter_like(5, 6), 5)
         .with_sharded_cache(4, 2)

@@ -8,7 +8,12 @@
 //!   repeats, down to the exported JSONL/Chrome-trace bytes;
 //! * the timeline reconciles with the run totals, spans tell a
 //!   well-formed lifecycle story, sampling keeps 1-in-N jobs, and the
-//!   stage profiles count one call per stage operation.
+//!   stage profiles count one call per stage operation;
+//! * the run writes no file: the caller exports the outcome, and a
+//!   failing sink is an `Err` for the caller.
+
+use std::fs::{self, File};
+use std::io::{self, BufWriter};
 
 use argus::core::{Policy, RunConfig, RunOutcome, SpanKind, TelemetryConfig};
 use argus::models::{AcLevel, ApproxLevel};
@@ -191,13 +196,11 @@ fn exports_validate_and_roundtrip_to_disk() {
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target");
     let jsonl_path = dir.join("obs_test.telemetry.jsonl");
     let trace_path = dir.join("obs_test.trace.json");
-    let out = cfg(11, 6)
-        .with_telemetry(
-            TelemetryConfig::sampled(4)
-                .with_jsonl(&jsonl_path)
-                .with_chrome_trace(&trace_path),
-        )
-        .run();
+    let out = cfg(11, 6).with_telemetry(TelemetryConfig::sampled(4)).run();
+    // The caller writes both exports from the outcome.
+    out.write_telemetry_jsonl(&mut BufWriter::new(File::create(&jsonl_path).unwrap()))
+        .unwrap();
+    fs::write(&trace_path, out.chrome_trace()).unwrap();
     let jsonl = out.telemetry_jsonl();
     let summary = validate_jsonl(&jsonl).expect("jsonl validates");
     assert_eq!(
@@ -210,14 +213,45 @@ fn exports_validate_and_roundtrip_to_disk() {
     );
     assert_eq!(summary.stages, 4);
     validate_chrome_trace(&out.chrome_trace()).expect("chrome trace validates");
-    // Teardown wrote the same bytes the in-memory exporters produce.
-    assert_eq!(std::fs::read_to_string(&jsonl_path).unwrap(), jsonl);
-    assert_eq!(
-        std::fs::read_to_string(&trace_path).unwrap(),
-        out.chrome_trace()
-    );
-    let _ = std::fs::remove_file(jsonl_path);
-    let _ = std::fs::remove_file(trace_path);
+    // The files hold the same bytes the in-memory exporters produce.
+    assert_eq!(fs::read_to_string(&jsonl_path).unwrap(), jsonl);
+    assert_eq!(fs::read_to_string(&trace_path).unwrap(), out.chrome_trace());
+    let _ = fs::remove_file(jsonl_path);
+    let _ = fs::remove_file(trace_path);
+}
+
+/// A sink that accepts `room` bytes and then fails every write.
+struct FailingSink {
+    room: usize,
+}
+
+impl io::Write for FailingSink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.room == 0 {
+            return Err(io::Error::other("sink full"));
+        }
+        let n = buf.len().min(self.room);
+        self.room -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_failing_export_sink_is_an_error_for_the_caller() {
+    let out = cfg(11, 6).with_telemetry(TelemetryConfig::full()).run();
+    let len = out.telemetry_jsonl().len();
+    // The sink fails in the middle of the span section...
+    let mut sink = FailingSink { room: len / 2 };
+    let err = out.write_telemetry_jsonl(&mut sink).unwrap_err();
+    assert_eq!(err.to_string(), "sink full");
+    // ...and one with room for the document takes all of it.
+    let mut sink = FailingSink { room: len };
+    out.write_telemetry_jsonl(&mut sink).unwrap();
+    assert_eq!(sink.room, 0);
 }
 
 #[test]
