@@ -5,7 +5,7 @@
 //! fleet grows, in two parts:
 //!
 //! * **Sizes.** The exhaustive composition enumeration (`solve_exact`) is
-//!   timed while it is tractable and the branch-and-bound (`solve_fast`,
+//!   timed while it is tractable and the branch-and-bound (`solve`,
 //!   cold) up to 256 workers; the two are asserted identical wherever
 //!   both run. The 3-level / 128-worker case is the pinned claim: it must
 //!   solve in < 100 ms.
@@ -171,7 +171,7 @@ fn tick_pass(
         p.demand_qpm = demand;
         out.push(match cache.as_deref_mut() {
             Some(cache) => p.solve_cached(cache),
-            None => p.solve_fast(),
+            None => p.solve(),
         });
     }
     let ms = t0.elapsed().as_secs_f64() * 1e3 / targets.len() as f64;
@@ -190,7 +190,7 @@ fn main() {
         if exact_tractable(levels, workers) {
             assert_eq!(
                 p.solve_exact(),
-                p.solve_fast(),
+                p.solve(),
                 "exact and fast disagree at V={levels} W={workers}"
             );
         }
@@ -206,7 +206,7 @@ fn main() {
     let mut seed_kept = 0usize;
     for rep in 0..REPS {
         for (i, (&(levels, workers), p)) in SIZES.iter().zip(&problems).enumerate() {
-            fast_ms[i].push(time_ms(|| p.solve_fast()));
+            fast_ms[i].push(time_ms(|| p.solve()));
             if exact_tractable(levels, workers) {
                 exact_ms[i].push(time_ms(|| p.solve_exact()));
             }
@@ -278,7 +278,7 @@ fn main() {
     );
 
     let pinned = pinned_ms.expect("3-level/128-worker case ran");
-    println!("\npinned: 128 workers / 3 levels solve_fast = {pinned:.3} ms (budget 100 ms)");
+    println!("\npinned: 128 workers / 3 levels solve = {pinned:.3} ms (budget 100 ms)");
 
     let mut ticks_row = BenchReport::group()
         .uint("workers", TICK_WORKERS as u64)

@@ -172,7 +172,7 @@ fn main() {
             demand,
         )
         .with_slo_derating_latencies(12.6, &latencies);
-        let allocation = problem.solve_fast();
+        let allocation = problem.solve();
         let ms = start.elapsed().as_secs_f64() * 1e3;
         worst_ms = worst_ms.max(ms);
         println!(

@@ -38,8 +38,8 @@ use crate::pipeline::{RouteCtx, SelectCtx, TickAction};
 use crate::scheduler::PoolView;
 use crate::switcher::{SwitchCommand, SwitcherState};
 use crate::system::{
-    alloc_gauge_name, provisioning_target, ClassifierUpdates, Event, Exec, FaultEvent, PoolPlan,
-    RunOutcome, SystemSimulation, E2E_BOUNDS, PROBE, RETRIEVAL_BOUNDS, TICK,
+    alloc_gauge_name, provisioning_target, ClassifierUpdates, Event, Exec, FaultEvent, RunOutcome,
+    SystemSimulation, E2E_BOUNDS, PROBE, RETRIEVAL_BOUNDS, TICK,
 };
 
 impl SystemSimulation {
@@ -175,7 +175,6 @@ impl SystemSimulation {
             .flat_map(|w| w.queued_jobs().chain(w.in_flight_jobs()))
             .map(|j| j as u32)
             .collect();
-        self.obs_counter_add("lost", stranded.len() as u64);
         for job in stranded {
             self.metrics.lost(end);
             self.obs_span(SpanEvent::new(end, job, SpanKind::Lost));
@@ -825,7 +824,7 @@ impl SystemSimulation {
             .pool_plans
             .iter()
             .map(|plan| {
-                let (alive, jobs) = self.cluster.pool_load(plan.gpu);
+                let (alive, jobs) = self.cluster.pool_load(plan.spec.gpu);
                 // Backlog expressed as the drain rate needed to clear it
                 // within one tick, against the plan's capacity at the
                 // pool's current size.
@@ -841,10 +840,10 @@ impl SystemSimulation {
                 let pending = self
                     .provisioning
                     .iter()
-                    .filter(|&&p| self.cluster.worker(WorkerId(p)).gpu() == plan.gpu)
+                    .filter(|&&p| self.cluster.worker(WorkerId(p)).gpu() == plan.spec.gpu)
                     .count();
                 PoolSignal {
-                    gpu: plan.gpu,
+                    gpu: plan.spec.gpu,
                     pressured,
                     idle,
                     alive,
@@ -1098,12 +1097,7 @@ impl SystemSimulation {
         if pools.is_empty() {
             return;
         }
-        let margin = if self.switcher.state() == SwitcherState::SwitchingToSm {
-            self.switcher.config().switch_margin
-        } else {
-            1.0
-        };
-        let total_demand = demand_qpm * margin;
+        let total_demand = demand_qpm * self.switcher.demand_margin();
         let specs: Vec<PoolSpec> = pools
             .iter()
             .map(|(gpu, ws)| {
@@ -1118,24 +1112,13 @@ impl SystemSimulation {
                 }
             })
             .collect();
-        let plan = self.planner.plan(&specs, total_demand);
-        if plan.saturated {
+        let (saturated, plans) = self.planner.plan(specs, total_demand);
+        if saturated {
             self.saturated_minutes += 1;
             self.tick_saturated = true;
         }
-        let mut plans: Vec<PoolPlan> = Vec::with_capacity(pools.len());
-        for ((spec, allocation), (_, ws)) in specs.into_iter().zip(plan.pools).zip(&pools) {
-            plans.push(PoolPlan {
-                gpu: spec.gpu,
-                strategy: spec.strategy,
-                workers: spec.workers,
-                cap_qpm: allocation.cap_qpm,
-                share_qpm: allocation.share_qpm,
-                omega: allocation.omega_qpm,
-                ladder: spec.ladder.clone(),
-                overhead: spec.overhead,
-            });
-            self.apply_allocation(&spec.ladder, &allocation.workers_per_level, ws, t);
+        for (plan, (_, ws)) in plans.iter().zip(&pools) {
+            self.apply_allocation(&plan.spec.ladder, &plan.workers_per_level, ws, t);
         }
         self.pool_plans = plans;
         self.pool_view = self.build_pool_view(&ApproxLevel::ladder(global));
@@ -1151,11 +1134,11 @@ impl SystemSimulation {
         let n = self
             .pool_plans
             .first()
-            .map(|p| p.omega.len())
+            .map(|p| p.omega_qpm.len())
             .unwrap_or(self.omega_norm.len());
         let mut omega_qpm = vec![0.0; n];
         for plan in &self.pool_plans {
-            for (o, w) in omega_qpm.iter_mut().zip(&plan.omega) {
+            for (o, w) in omega_qpm.iter_mut().zip(&plan.omega_qpm) {
                 *o += w;
             }
         }
@@ -1252,24 +1235,22 @@ impl SystemSimulation {
         let mut pressure = std::mem::take(&mut self.resplit_pressure);
         pressure.clear();
         for plan in &self.pool_plans {
-            let (alive, jobs) = self.cluster.pool_load(plan.gpu);
+            let (alive, jobs) = self.cluster.pool_load(plan.spec.gpu);
             let backlog_qpm = jobs as f64 * 60.0 / remaining_secs;
             let mut cap = plan.current_cap_qpm(alive);
             let spiked = cache_active
-                && plan.strategy == Strategy::Ac
-                && self.retrieval_ewma > SPIKE_FACTOR * plan.overhead
-                && self.retrieval_ewma - plan.overhead > SPIKE_FLOOR_SECS;
+                && plan.spec.strategy == Strategy::Ac
+                && self.retrieval_ewma > SPIKE_FACTOR * plan.spec.overhead
+                && self.retrieval_ewma - plan.spec.overhead > SPIKE_FLOOR_SECS;
             if spiked {
                 let spec = PoolSpec {
-                    gpu: plan.gpu,
-                    strategy: plan.strategy,
-                    ladder: plan.ladder.clone(),
                     workers: alive.max(1),
                     overhead: self.retrieval_ewma,
                     // The spike re-derate fires for AC pools only,
                     // where escalation pricing is `None` by
                     // definition (cascades run the SM ladder).
                     escalation: None,
+                    ..plan.spec.clone()
                 };
                 cap = cap.min(self.planner.capacity(&spec));
             }
@@ -1297,29 +1278,26 @@ impl SystemSimulation {
             if extra <= 0.0 {
                 continue;
             }
-            let (gpu, strategy, ladder, old_share) = {
-                let plan = &self.pool_plans[i];
-                (plan.gpu, plan.strategy, plan.ladder.clone(), plan.share_qpm)
-            };
-            let ws = self.cluster.alive_on(gpu);
+            let plan = &self.pool_plans[i];
+            let ws = self.cluster.alive_on(plan.spec.gpu);
             if ws.is_empty() {
                 continue;
             }
-            let new_share = old_share + extra;
-            let overhead = self.pool_overhead(strategy);
-            let escalation = self.escalation_ctx_for(strategy);
+            let strategy = plan.spec.strategy;
             let spec = PoolSpec {
-                gpu,
-                strategy,
-                ladder,
                 workers: ws.len(),
-                overhead,
-                escalation,
+                overhead: self.pool_overhead(strategy),
+                escalation: self.escalation_ctx_for(strategy),
+                ..plan.spec.clone()
             };
-            let allocation = self.planner.solve(&spec, new_share);
-            self.pool_plans[i].share_qpm = new_share;
-            self.pool_plans[i].omega = allocation.omega_qpm;
-            self.apply_allocation(&spec.ladder, &allocation.workers_per_level, &ws, t);
+            let resolved = self.planner.solve(spec, plan.share_qpm + extra);
+            self.apply_allocation(&resolved.spec.ladder, &resolved.workers_per_level, &ws, t);
+            // The stored spec and capacity keep their plan-time values:
+            // the spike trigger and `current_cap_qpm` read them.
+            let plan = &mut self.pool_plans[i];
+            plan.share_qpm = resolved.share_qpm;
+            plan.omega_qpm = resolved.omega_qpm;
+            plan.workers_per_level = resolved.workers_per_level;
         }
         self.resplit_pressure = pressure;
         let strategy = self.pipeline.planning_strategy(&self.switcher);

@@ -5,20 +5,22 @@
 //! the fleet's pools ([`PlannerStage::plan`]), a single-pool re-solve for
 //! the mid-minute demand re-split ([`PlannerStage::solve`]), and a
 //! derated capacity probe ([`PlannerStage::capacity`]) for the
-//! retrieval-spike re-split trigger.
+//! retrieval-spike re-split trigger. Each solved pool comes back as one
+//! [`PoolPlan`]: the [`PoolSpec`] it was solved from plus the solve's
+//! result.
 //!
-//! Heterogeneous plans fully specify every pool's problem first, then
-//! solve the pools in pool order, each through its own solve cache (pools
-//! are keyed by architecture, so the caches are disjoint). Eq. 1 solving
-//! is a pure function of the problem — cache hits are debug-asserted
-//! bit-identical against fresh solves — so the solve order cannot perturb
+//! A plan fully specifies every pool's problem first, then solves the
+//! pools in pool order, each through its own solve cache (pools are keyed
+//! by architecture, so the caches are disjoint). Eq. 1 solving is a pure
+//! function of the problem — warm-started searches are debug-asserted
+//! bit-identical against cold ones — so the solve order cannot perturb
 //! any result.
 
 use argus_models::{latency, ApproxLevel, GpuArch, Strategy};
 use argus_obs::StageCounters;
 
 use crate::capacity::{CapacityCtx, CapacityModel, EscalationCtx};
-use crate::solver::{AllocationProblem, LevelProfile, SolveCache};
+use crate::solver::{AllocationProblem, SolveCache};
 use std::sync::Arc;
 
 /// One pool's solve inputs, as the driver sees them: the retrieval
@@ -36,24 +38,34 @@ pub(crate) struct PoolSpec {
     pub escalation: Option<EscalationCtx>,
 }
 
-/// One pool's solved allocation.
+/// One architecture pool's share of an Eq. 1 solve: the spec it was
+/// solved from and what the solve returned. The driver keeps the last
+/// plan per pool for ω re-merging, mid-minute re-splitting and the
+/// autoscaler's pool signals.
 #[derive(Debug, Clone)]
-pub(crate) struct PoolAllocation {
-    /// Derated maximum capacity (QPM) at solve time.
+pub(crate) struct PoolPlan {
+    /// The pool's solve inputs at plan time. `overhead` is the baseline
+    /// the mid-minute retrieval-spike trigger compares the live EWMA
+    /// against.
+    pub spec: PoolSpec,
+    /// Derated maximum capacity (QPM) of the pool at plan time. The
+    /// re-split scales this by the *current* alive count, so a fault that
+    /// shrinks a pool mid-minute immediately shrinks the capacity the
+    /// saturation check reasons with.
     pub cap_qpm: f64,
     /// Demand share (QPM) the pool was solved with.
     pub share_qpm: f64,
-    /// Solved per-level load vector (QPM).
+    /// Solved per-level load vector `ω` (QPM, per ladder index).
     pub omega_qpm: Vec<f64>,
     /// Solved per-level worker counts.
     pub workers_per_level: Vec<usize>,
 }
 
-/// A full plan: per-pool allocations in pool order, plus the cluster-wide
-/// saturation verdict.
-pub(crate) struct Plan {
-    pub saturated: bool,
-    pub pools: Vec<PoolAllocation>,
+impl PoolPlan {
+    /// The plan's capacity scaled to the pool's current alive workers.
+    pub(crate) fn current_cap_qpm(&self, alive_now: usize) -> f64 {
+        self.cap_qpm * alive_now as f64 / self.spec.workers as f64
+    }
 }
 
 /// The planner stage: Eq. 1 solver state, driven by plain method calls.
@@ -85,55 +97,49 @@ impl PlannerStage {
         }
     }
 
-    /// Solves the whole fleet for `total_demand` QPM: a single pool takes
-    /// the demand unsplit (the paper's homogeneous testbed), several
-    /// pools split it proportionally to their derated capacity and are
-    /// solved one after another in pool order.
-    pub(crate) fn plan(&mut self, pools: &[PoolSpec], total_demand: f64) -> Plan {
+    /// Solves the whole fleet for `total_demand` QPM and returns the
+    /// cluster-wide saturation verdict with one plan per pool, in pool
+    /// order. Every pool's problem is specified first; several pools split
+    /// the demand proportionally to their derated capacity, a single pool
+    /// (the paper's homogeneous testbed) takes it whole.
+    pub(crate) fn plan(
+        &mut self,
+        pools: Vec<PoolSpec>,
+        total_demand: f64,
+    ) -> (bool, Vec<PoolPlan>) {
         self.profile.count(true);
-        if let [pool] = pools {
-            // Homogeneous fast path (the paper's testbed): no demand split.
-            let problem = self.pool_problem(pool, total_demand);
-            let (allocation, saturated) = self.solve_problem(pool, &problem);
-            return Plan {
-                saturated,
-                pools: vec![allocation],
-            };
-        }
-        // Heterogeneous: fully specify every pool's problem (shares
-        // proportional to derated capacity), then solve each. Every solve
-        // is a pure function of its problem, and pools are keyed by
-        // architecture, so each uses its own solve cache.
-        let mut problems: Vec<AllocationProblem> = pools
+        let problems: Vec<AllocationProblem> = pools
             .iter()
             .map(|pool| self.pool_problem(pool, 0.0))
             .collect();
         let total_cap: f64 = problems.iter().map(|p| p.max_capacity_qpm()).sum();
         let saturated = total_demand > total_cap + 1e-9;
-        let solved = pools
-            .iter()
-            .zip(&mut problems)
-            .map(|(pool, problem)| {
-                problem.demand_qpm = if total_cap > 0.0 {
+        let single = problems.len() == 1;
+        let plans = pools
+            .into_iter()
+            .zip(problems)
+            .map(|(pool, mut problem)| {
+                // The proportional share of a lone pool can miss the
+                // demand in the last bit.
+                problem.demand_qpm = if single {
+                    total_demand
+                } else if total_cap > 0.0 {
                     total_demand * problem.max_capacity_qpm() / total_cap
                 } else {
                     0.0
                 };
-                self.solve_problem(pool, problem).0
+                self.solve_problem(pool, &problem)
             })
             .collect();
-        Plan {
-            saturated,
-            pools: solved,
-        }
+        (saturated, plans)
     }
 
     /// Re-solves one pool at an explicit demand share (mid-minute
     /// re-split).
-    pub(crate) fn solve(&mut self, pool: &PoolSpec, demand_qpm: f64) -> PoolAllocation {
+    pub(crate) fn solve(&mut self, pool: PoolSpec, demand_qpm: f64) -> PoolPlan {
         self.profile.count(true);
-        let problem = self.pool_problem(pool, demand_qpm);
-        self.solve_problem(pool, &problem).0
+        let problem = self.pool_problem(&pool, demand_qpm);
+        self.solve_problem(pool, &problem)
     }
 
     /// The pool's derated maximum capacity (QPM) at the spec's overhead —
@@ -151,37 +157,22 @@ impl PlannerStage {
     }
 
     /// Solves one fully specified pool problem through the pool's solve
-    /// cache, returning its allocation and the solver's saturation
-    /// verdict.
-    fn solve_problem(
-        &mut self,
-        pool: &PoolSpec,
-        problem: &AllocationProblem,
-    ) -> (PoolAllocation, bool) {
-        let allocation = problem.solve_cached(self.cache_for(pool.gpu, pool.strategy));
-        let solved = PoolAllocation {
+    /// cache.
+    fn solve_problem(&mut self, spec: PoolSpec, problem: &AllocationProblem) -> PoolPlan {
+        let allocation = problem.solve_cached(self.cache_for(spec.gpu, spec.strategy));
+        PoolPlan {
+            spec,
             cap_qpm: problem.max_capacity_qpm(),
             share_qpm: problem.demand_qpm,
             omega_qpm: allocation.omega_qpm,
             workers_per_level: allocation.workers_per_level,
-        };
-        (solved, allocation.saturated)
-    }
-
-    /// Builds the Eq. 1 problem for one pool at `demand_qpm`.
-    fn pool_problem(&self, pool: &PoolSpec, demand_qpm: f64) -> AllocationProblem {
-        AllocationProblem {
-            levels: self.derated_profiles(pool),
-            workers: pool.workers,
-            demand_qpm,
         }
     }
 
-    /// Derives one pool's derated Eq. 1 level profiles: the
-    /// run's [`CapacityModel`] answers the raw per-level peaks (under the
-    /// batch bound and SLO), then SLO-aware queueing derating applies on
-    /// top.
-    fn derated_profiles(&self, pool: &PoolSpec) -> Vec<LevelProfile> {
+    /// Builds the Eq. 1 problem for one pool at `demand_qpm`: the run's
+    /// [`CapacityModel`] answers the raw per-level peaks (under the batch
+    /// bound and SLO), then SLO-aware queueing derating applies on top.
+    fn pool_problem(&self, pool: &PoolSpec, demand_qpm: f64) -> AllocationProblem {
         let (ladder, strategy, gpu) = (&pool.ladder[..], pool.strategy, pool.gpu);
         let ctx = CapacityCtx {
             max_batch: self.max_batch,
@@ -208,8 +199,8 @@ impl PlannerStage {
             ladder,
             gpu,
             &ctx,
-            1,
-            0.0,
+            pool.workers,
+            demand_qpm,
         )
         .with_slo_derating_latencies(self.slo_secs, &latencies);
         if self.load_aware && strategy == Strategy::Sm {
@@ -222,7 +213,7 @@ impl PlannerStage {
                 lp.peak_qpm = 60.0 / (60.0 / lp.peak_qpm + amortized) * 1.0;
             }
         }
-        problem.levels
+        problem
     }
 
     fn cache_for(&mut self, gpu: GpuArch, strategy: Strategy) -> &mut SolveCache {
@@ -232,5 +223,37 @@ impl PlannerStage {
         }
         self.solve_caches.push((key, SolveCache::new()));
         &mut self.solve_caches.last_mut().expect("just pushed").1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::capacity::Batch1Model;
+
+    /// A lone pool takes the whole demand: the proportional share
+    /// `d × cap / cap` can miss `d` in the last bit.
+    #[test]
+    fn a_single_pool_takes_the_demand_bit_for_bit() {
+        let mut planner = PlannerStage::new(Arc::new(Batch1Model), 12.6, 1, false);
+        let spec = PoolSpec {
+            gpu: GpuArch::A100,
+            strategy: Strategy::Ac,
+            ladder: ApproxLevel::ladder(Strategy::Ac),
+            workers: 8,
+            overhead: 0.02,
+            escalation: None,
+        };
+        let cap = planner.capacity(&spec);
+        let demands: Vec<f64> = (0..1000)
+            .map(|k| 50.0 + 0.37 * k as f64)
+            .filter(|&d| d * cap / cap != d)
+            .take(16)
+            .collect();
+        assert!(!demands.is_empty(), "every demand survived d × cap / cap");
+        for d in demands {
+            let (_, plans) = planner.plan(vec![spec.clone()], d);
+            assert_eq!(plans[0].share_qpm.to_bits(), d.to_bits(), "demand {d}");
+        }
     }
 }

@@ -272,7 +272,6 @@ impl CascadeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::switcher::SwitcherConfig;
     use argus_prompts::PromptGenerator;
 
     #[test]
@@ -335,7 +334,7 @@ mod tests {
     #[test]
     fn policy_targets_the_first_pass_rung() {
         let p = CascadePolicy::new(usize::MAX);
-        let switcher = StrategySwitcher::new(SwitcherConfig::default());
+        let switcher = StrategySwitcher::new();
         let ladder = p.active_ladder(&switcher);
         assert_eq!(ladder, ApproxLevel::ladder(Strategy::Sm));
         assert!(!p.cache_active(&switcher));

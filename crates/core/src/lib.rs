@@ -96,7 +96,7 @@ pub use policy::Policy;
 pub use predictor::WorkloadDistributionPredictor;
 pub use scheduler::PoolView;
 pub use solver::{Allocation, AllocationProblem, LevelProfile, SolveCache};
-pub use switcher::{StrategySwitcher, SwitcherConfig, SwitcherState};
+pub use switcher::{StrategySwitcher, SwitcherState};
 pub use system::{ClassifierUpdates, FaultEvent, RunConfig, RunOutcome, SystemSimulation};
 
 // Telemetry vocabulary, re-exported so downstream code can configure

@@ -293,9 +293,7 @@ impl MetricsCollector {
     fn roll_to(&mut self, t: SimTime) {
         let m = self.minute_of(t);
         while self.current.minute < m {
-            let mut rec = self.current;
-            rec.utilization = self.current.utilization;
-            self.minutes.push(rec);
+            self.minutes.push(self.current);
             self.current = MinuteRecord {
                 minute: self.current.minute + 1,
                 ..MinuteRecord::default()

@@ -12,19 +12,17 @@
 //!   (the workers are interchangeable, so only the per-level *counts*
 //!   matter) with an optimal greedy fill per composition. The reference
 //!   the other two are tested and benched against.
-//! * [`AllocationProblem::solve_fast`] — branch-and-bound over the same
+//! * [`AllocationProblem::solve`] — branch-and-bound over the same
 //!   composition space with a certified upper bound, returning the
 //!   bit-identical optimum while visiting a tiny fraction of the
 //!   `C(W + V − 1, V − 1)` compositions; this is what keeps the §5.7
 //!   sub-100 ms allocation budget at 64–256-worker fleets.
+//!   [`AllocationProblem::solve_cached`] runs the same search
+//!   warm-started from the previous tick's optimum.
 //! * [`AllocationProblem::solve_milp`] — the paper's integer linear
 //!   program (linearized per-worker formulation) through `argus-ilp`,
 //!   as solved by Gurobi in the authors' deployment. Used for
 //!   cross-validation and the solver-scalability claim of §5.7.
-//!
-//! [`AllocationProblem::solve`] and [`AllocationProblem::solve_cached`]
-//! run the branch-and-bound at every cluster size; the cached form also
-//! warm-starts the search from the previous tick's optimum.
 
 use argus_models::ApproxLevel;
 
@@ -326,27 +324,10 @@ impl AllocationProblem {
         self.finish(best, capacity, saturated)
     }
 
-    /// Solves Eq. 1 with the branch-and-bound at every cluster size. It
-    /// returns [`AllocationProblem::solve_exact`]'s allocation bit for bit
-    /// and visits a small fraction of its compositions.
-    pub fn solve(&self) -> Allocation {
-        self.solve_fast()
-    }
-
-    /// Like [`AllocationProblem::solve`], but reuses `cache`d
-    /// branch-and-bound tables (Lagrangian dual candidates, suffix
-    /// maxima) across solves whose ladder profiles are unchanged, and
-    /// warm-starts the search from the cache's previous optimum — the
-    /// per-tick allocator case. Bit-identical to the uncached solve (see
-    /// [`AllocationProblem::solve_fast_cached`]).
-    pub fn solve_cached(&self, cache: &mut SolveCache) -> Allocation {
-        self.solve_fast_cached(cache)
-    }
-
-    /// Scalable solve: depth-first branch-and-bound over worker
-    /// compositions with a certified upper bound (LP-style relaxations of
-    /// the unassigned suffix), pruning subtrees that provably cannot beat
-    /// the incumbent.
+    /// Solves Eq. 1 at every cluster size: depth-first branch-and-bound
+    /// over worker compositions with a certified upper bound (LP-style
+    /// relaxations of the unassigned suffix), pruning subtrees that
+    /// provably cannot beat the incumbent.
     ///
     /// Returns the **same allocation as [`AllocationProblem::solve_exact`],
     /// bit for bit**: leaves are scored by the identical shared scorer, the
@@ -358,28 +339,25 @@ impl AllocationProblem {
     ///
     /// # Panics
     /// Panics on invalid inputs (see [`AllocationProblem`]).
-    pub fn solve_fast(&self) -> Allocation {
-        self.solve_fast_cached(&mut SolveCache::new())
+    pub fn solve(&self) -> Allocation {
+        self.solve_cached(&mut SolveCache::new())
     }
 
-    /// [`AllocationProblem::solve_fast`] with state carried across solves.
+    /// [`AllocationProblem::solve`] warm-started from the `cache`'s
+    /// previous result — the per-tick allocator case.
     ///
-    /// * **Tables.** The per-depth suffix aggregates and Lagrangian dual
-    ///   candidates depend only on the level profiles, so consecutive
-    ///   solves over an unchanged ladder (the allocator re-solving every
-    ///   tick) skip rebuilding them.
-    /// * **Warm start.** The cache keeps the worker counts of its last
-    ///   result. When the level count and worker total still match and
-    ///   those counts can meet the new target, they are re-scored and seed
-    ///   the search as its incumbent, so the bound prunes from the first
-    ///   node. The result cannot change: pruning is strict, so no subtree
-    ///   holding an optimal composition is ever cut, and exact ties still
-    ///   go to the lexicographically smallest counts. Debug builds assert
-    ///   every warm result against a cold search.
+    /// The cache keeps the worker counts of its last result. When the
+    /// level count and worker total still match and those counts can meet
+    /// the new target, they are re-scored and seed the search as its
+    /// incumbent, so the bound prunes from the first node. The result
+    /// cannot change: pruning is strict, so no subtree holding an optimal
+    /// composition is ever cut, and exact ties still go to the
+    /// lexicographically smallest counts. Debug builds assert every warm
+    /// result against a cold search.
     ///
     /// # Panics
     /// Panics on invalid inputs (see [`AllocationProblem`]).
-    pub fn solve_fast_cached(&self, cache: &mut SolveCache) -> Allocation {
+    pub fn solve_cached(&self, cache: &mut SolveCache) -> Allocation {
         self.validate();
         let capacity = self.max_capacity_qpm();
         let saturated = self.demand_qpm > capacity + 1e-9;
@@ -389,11 +367,11 @@ impl AllocationProblem {
             .last
             .take()
             .filter(|c| c.len() == self.levels.len() && c.iter().sum::<usize>() == self.workers);
-        let tables = cache.tables_for(self);
+        let tables = FastTables::compute(self);
         let seeded = seed.is_some();
-        let best = self.search(tables, target, seed);
+        let best = self.search(&tables, target, seed);
         debug_assert!(
-            !seeded || best == self.search(tables, target, None),
+            !seeded || best == self.search(&tables, target, None),
             "warm-started search diverged from a cold search"
         );
         let allocation = self.finish(best, capacity, saturated);
@@ -614,15 +592,10 @@ impl Fill {
     }
 }
 
-/// Precomputed branch-and-bound tables for one ladder of level profiles:
-/// the branching order plus every per-depth suffix aggregate the bound
-/// needs. A pure function of [`AllocationProblem::levels`] — independent of
-/// worker count and demand — which is what makes the tables reusable across
-/// allocator ticks through a [`SolveCache`].
-#[derive(Debug, Clone, PartialEq)]
+/// Branch-and-bound tables for one ladder of level profiles, built once
+/// per solve: the branching order plus every per-depth suffix aggregate
+/// the bound needs. A pure function of [`AllocationProblem::levels`].
 struct FastTables {
-    /// The level profiles these tables were computed from (the cache key).
-    levels: Vec<LevelProfile>,
     /// Branching order: quality-descending (greedy_fill's consumption
     /// order), so the prefix of a node is exactly the high-quality chunk
     /// set the bound needs.
@@ -639,50 +612,22 @@ struct FastTables {
     lambdas: Vec<Vec<(f64, f64)>>,
 }
 
-/// Cross-solve state of the branch-and-bound: [`FastTables`] keyed by the
-/// exact level profiles, plus the worker counts of the last result.
+/// The warm-start seed [`AllocationProblem::solve_cached`] carries across
+/// solves: the worker counts of the last result.
 ///
-/// The allocator re-solves Eq. 1 every tick; when the ladder (and hence
-/// every profile) is unchanged between ticks, rebuilding the Lagrangian
-/// candidate set is the dominant per-solve setup cost. The cache keeps a
-/// small FIFO of recent ladders (heterogeneous fleets cycle one per
-/// architecture pool). Lookups compare profiles exactly, so a hit can only
-/// return tables bit-identical to a fresh computation — debug builds
-/// assert this. Demand moves little between ticks, so the last result is
-/// usually a near-optimal incumbent to warm-start the next search from.
+/// The allocator re-solves Eq. 1 every tick and demand moves little
+/// between ticks, so the last result is usually a near-optimal incumbent
+/// for the next search; the bound then prunes from the first node.
 #[derive(Debug, Default)]
 pub struct SolveCache {
-    entries: Vec<FastTables>,
-    /// Worker counts of the last solve's allocation (the warm-start seed).
+    /// Worker counts of the last solve's allocation.
     last: Option<Vec<usize>>,
 }
-
-/// Retained ladders; heterogeneous fleets use one entry per (architecture,
-/// strategy, retrieval-overhead) combination in flight.
-const SOLVE_CACHE_CAP: usize = 8;
 
 impl SolveCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         SolveCache::default()
-    }
-
-    /// The tables for `p`'s ladder, computed on first sight and reused
-    /// while the profiles stay bit-identical.
-    fn tables_for(&mut self, p: &AllocationProblem) -> &FastTables {
-        if let Some(i) = self.entries.iter().position(|e| e.levels == p.levels) {
-            debug_assert_eq!(
-                self.entries[i],
-                FastTables::compute(p),
-                "cached solver tables diverged from a fresh computation"
-            );
-            return &self.entries[i];
-        }
-        if self.entries.len() == SOLVE_CACHE_CAP {
-            self.entries.remove(0);
-        }
-        self.entries.push(FastTables::compute(p));
-        self.entries.last().expect("just pushed")
     }
 }
 
@@ -744,7 +689,6 @@ impl FastTables {
             })
             .collect();
         FastTables {
-            levels: p.levels.clone(),
             order,
             pmax,
             qmax,
@@ -754,10 +698,10 @@ impl FastTables {
     }
 }
 
-/// Depth-first branch-and-bound state for [`AllocationProblem::solve_fast`].
+/// Depth-first branch-and-bound state for [`AllocationProblem::solve`].
 ///
-/// Levels are branched in the quality-descending order of the (possibly
-/// cached) [`FastTables`]; position `d` in the recursion fixes the count of
+/// Levels are branched in the quality-descending order of the
+/// [`FastTables`]; position `d` in the recursion fixes the count of
 /// `order[d]`. All suffix aggregates the bound needs are precomputed per
 /// depth, and each node carries its prefix's [`Fill`], so every bound
 /// costs one more fill step.
@@ -1045,7 +989,7 @@ mod tests {
             for demand in [0.0, 40.0, 80.0, 130.0, 200.0, 500.0] {
                 let p = ac_problem(workers, demand);
                 let exact = p.solve_exact();
-                let fast = p.solve_fast();
+                let fast = p.solve();
                 assert_eq!(exact, fast, "W={workers} demand={demand}");
             }
         }
@@ -1062,7 +1006,7 @@ mod tests {
                 demand,
             )
             .with_slo_derating(12.6);
-            assert_eq!(p.solve_exact(), p.solve_fast(), "demand={demand}");
+            assert_eq!(p.solve_exact(), p.solve(), "demand={demand}");
         }
     }
 
@@ -1072,7 +1016,7 @@ mod tests {
         // can visit; the search must still return a feasible optimum.
         for demand in [400.0, 1500.0, 2600.0] {
             let p = ac_problem(128, demand);
-            let a = p.solve_fast();
+            let a = p.solve();
             let expect = demand.min(p.max_capacity_qpm());
             assert!(
                 (a.served_qpm - expect).abs() < 1e-6,
@@ -1084,7 +1028,7 @@ mod tests {
                 assert!(*w <= cap + 1e-6);
             }
             // Bit determinism of the search itself.
-            assert_eq!(a, p.solve_fast());
+            assert_eq!(a, p.solve());
         }
     }
 
@@ -1107,7 +1051,7 @@ mod tests {
                 })
                 .collect();
             let p = AllocationProblem { levels, workers, demand_qpm: demand };
-            prop_assert_eq!(p.solve_exact(), p.solve_fast());
+            prop_assert_eq!(p.solve_exact(), p.solve());
         }
 
         /// Exact and MILP solvers agree on objective for random instances.

@@ -13,37 +13,21 @@ use argus_des::stats::MovingAverage;
 use argus_des::SimTime;
 use argus_models::Strategy;
 
-/// Switcher tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwitcherConfig {
-    /// Mean retrieval latency (seconds, over the monitoring window) above
-    /// which AC is considered degraded. Normal retrievals are ~20 ms;
-    /// congestion pushes seconds (Fig. 11), so 0.5 s separates cleanly.
-    pub latency_threshold_secs: f64,
-    /// Fraction of failed retrievals in the window that forces a switch
-    /// regardless of latency.
-    pub failure_ratio_threshold: f64,
-    /// Monitoring window, in retrievals.
-    pub window: usize,
-    /// Consecutive healthy probes required to switch back to AC.
-    pub healthy_probes_required: usize,
-    /// Load-diversion margin used by the solver during a switch (§4.6:
-    /// "the solver uses a 1.5× margin to divert more load to a smaller
-    /// model to cover for the throughput drop").
-    pub switch_margin: f64,
-}
-
-impl Default for SwitcherConfig {
-    fn default() -> Self {
-        SwitcherConfig {
-            latency_threshold_secs: 0.5,
-            failure_ratio_threshold: 0.3,
-            window: 20,
-            healthy_probes_required: 4,
-            switch_margin: 1.5,
-        }
-    }
-}
+/// Mean retrieval latency (seconds, over the monitoring window) above which
+/// AC is considered degraded. Normal retrievals are ~20 ms; congestion
+/// pushes seconds (Fig. 11), so 0.5 s separates cleanly.
+const LATENCY_THRESHOLD_SECS: f64 = 0.5;
+/// Fraction of failed retrievals in the window that forces a switch
+/// regardless of latency.
+const FAILURE_RATIO_THRESHOLD: f64 = 0.3;
+/// Monitoring window, in retrievals.
+const WINDOW: usize = 20;
+/// Consecutive healthy probes required to switch back to AC.
+const HEALTHY_PROBES_REQUIRED: usize = 4;
+/// Load-diversion margin used by the solver during a switch (§4.6: "the
+/// solver uses a 1.5× margin to divert more load to a smaller model to
+/// cover for the throughput drop").
+const SWITCH_MARGIN: f64 = 1.5;
 
 /// The switcher's operating state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +55,6 @@ pub enum SwitchCommand {
 /// Monitors retrieval health and drives the strategy state machine.
 #[derive(Debug, Clone)]
 pub struct StrategySwitcher {
-    cfg: SwitcherConfig,
     state: SwitcherState,
     latency: MovingAverage,
     failures: MovingAverage,
@@ -81,17 +64,18 @@ pub struct StrategySwitcher {
     last_transition: SimTime,
 }
 
+impl Default for StrategySwitcher {
+    fn default() -> Self {
+        StrategySwitcher::new()
+    }
+}
+
 impl StrategySwitcher {
     /// Creates a switcher in the AC state.
-    ///
-    /// # Panics
-    /// Panics if the config window is zero.
-    pub fn new(cfg: SwitcherConfig) -> Self {
-        assert!(cfg.window > 0, "monitor window must be positive");
+    pub fn new() -> Self {
         StrategySwitcher {
-            latency: MovingAverage::new(cfg.window),
-            failures: MovingAverage::new(cfg.window),
-            cfg,
+            latency: MovingAverage::new(WINDOW),
+            failures: MovingAverage::new(WINDOW),
             state: SwitcherState::Ac,
             healthy_streak: 0,
             switches_to_sm: 0,
@@ -121,9 +105,14 @@ impl StrategySwitcher {
         self.state == SwitcherState::Ac
     }
 
-    /// The configured switch margin.
-    pub fn config(&self) -> &SwitcherConfig {
-        &self.cfg
+    /// The factor the allocator scales its demand by: the §4.6 switch
+    /// margin while switching to SM, otherwise 1.
+    pub fn demand_margin(&self) -> f64 {
+        if self.state == SwitcherState::SwitchingToSm {
+            SWITCH_MARGIN
+        } else {
+            1.0
+        }
     }
 
     /// Lifetime switch counts `(to_sm, to_ac)`.
@@ -154,7 +143,7 @@ impl StrategySwitcher {
         }
         let lat = self.latency.value().unwrap_or(0.0);
         let fail = self.failures.value().unwrap_or(0.0);
-        if lat > self.cfg.latency_threshold_secs || fail > self.cfg.failure_ratio_threshold {
+        if lat > LATENCY_THRESHOLD_SECS || fail > FAILURE_RATIO_THRESHOLD {
             self.begin(SwitcherState::SwitchingToSm, now);
             self.switches_to_sm += 1;
             return Some(SwitchCommand::ToSm);
@@ -168,12 +157,12 @@ impl StrategySwitcher {
         if self.state != SwitcherState::Sm {
             return None;
         }
-        if ok && latency_secs <= self.cfg.latency_threshold_secs {
+        if ok && latency_secs <= LATENCY_THRESHOLD_SECS {
             self.healthy_streak += 1;
         } else {
             self.healthy_streak = 0;
         }
-        if self.healthy_streak >= self.cfg.healthy_probes_required {
+        if self.healthy_streak >= HEALTHY_PROBES_REQUIRED {
             self.begin(SwitcherState::SwitchingToAc, now);
             self.switches_to_ac += 1;
             return Some(SwitchCommand::ToAc);
@@ -196,8 +185,8 @@ impl StrategySwitcher {
         self.last_transition = now;
         self.healthy_streak = 0;
         // Reset monitors: observations from the previous regime are stale.
-        self.latency = MovingAverage::new(self.cfg.window);
-        self.failures = MovingAverage::new(self.cfg.window);
+        self.latency = MovingAverage::new(WINDOW);
+        self.failures = MovingAverage::new(WINDOW);
     }
 }
 
@@ -210,7 +199,7 @@ mod tests {
     }
 
     fn switcher() -> StrategySwitcher {
-        StrategySwitcher::new(SwitcherConfig::default())
+        StrategySwitcher::new()
     }
 
     #[test]
@@ -327,9 +316,16 @@ mod tests {
 
     #[test]
     fn default_config_matches_paper_margin() {
-        let cfg = SwitcherConfig::default();
-        assert_eq!(cfg.switch_margin, 1.5);
-        let s = StrategySwitcher::new(cfg);
-        assert_eq!(s.config().switch_margin, 1.5);
+        let mut s = switcher();
+        assert_eq!(s.demand_margin(), 1.0);
+        for i in 0..40 {
+            if s.on_retrieval(3.0, false, t(i as f64)).is_some() {
+                break;
+            }
+        }
+        assert_eq!(s.state(), SwitcherState::SwitchingToSm);
+        assert_eq!(s.demand_margin(), 1.5);
+        s.on_transition_complete(t(50.0));
+        assert_eq!(s.demand_margin(), 1.0);
     }
 }

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use crate::actors::cacheplane::{CacheStage, Vdb};
 use crate::actors::fleet::FleetStage;
 use crate::actors::metrics::MetricsStage;
-use crate::actors::planner::PlannerStage;
+use crate::actors::planner::{PlannerStage, PoolPlan};
 use crate::cacheplane::CachePlane;
 use crate::capacity::{Batch1Model, CapacityModel};
 use crate::cascade::{
@@ -42,7 +42,7 @@ use crate::pipeline::{pipeline_for, InitialPlacement, ServingPolicy};
 use crate::policy::Policy;
 use crate::predictor::WorkloadDistributionPredictor;
 use crate::scheduler::PoolView;
-use crate::switcher::{StrategySwitcher, SwitcherConfig};
+use crate::switcher::StrategySwitcher;
 
 /// Allocator cadence (§4.7: "ILP-based load assignment is solved every
 /// minute").
@@ -835,7 +835,7 @@ pub struct SystemSimulation {
     /// (at most one per tick).
     pub(crate) resplit_done: bool,
     pub(crate) demand_resplits: u64,
-    /// Planner stage: Eq. 1 solving and the derated-profile memo.
+    /// Planner stage: Eq. 1 solving and its warm-start seeds.
     pub(crate) planner: PlannerStage,
     /// Cache-plane stage: the retrieval index and the cache store.
     pub(crate) cache: CacheStage,
@@ -898,38 +898,6 @@ pub(crate) fn alloc_gauge_name(gpu: GpuArch) -> &'static str {
         GpuArch::V100 => "alloc_v100",
         GpuArch::A10G => "alloc_a10g",
         GpuArch::A100 => "alloc_a100",
-    }
-}
-
-/// One architecture pool's share of the last Eq. 1 solve: the inputs the
-/// mid-minute re-split needs to grow an unsaturated pool's plan without
-/// re-deriving the whole allocation.
-#[derive(Debug, Clone)]
-pub(crate) struct PoolPlan {
-    pub(crate) gpu: GpuArch,
-    pub(crate) strategy: Strategy,
-    pub(crate) ladder: Vec<ApproxLevel>,
-    /// Alive workers the pool was solved with.
-    pub(crate) workers: usize,
-    /// Derated maximum capacity (QPM) of the pool at plan time. The
-    /// re-split scales this by the *current* alive count, so a fault that
-    /// shrinks a pool mid-minute immediately shrinks the capacity the
-    /// saturation check reasons with.
-    pub(crate) cap_qpm: f64,
-    /// Demand share (QPM) the pool was solved with.
-    pub(crate) share_qpm: f64,
-    /// The pool's solved load vector `ω` (per ladder index).
-    pub(crate) omega: Vec<f64>,
-    /// Retrieval overhead (seconds) the pool's derating was planned with —
-    /// the baseline the mid-minute retrieval-spike trigger compares the
-    /// live EWMA against.
-    pub(crate) overhead: f64,
-}
-
-impl PoolPlan {
-    /// The plan's capacity scaled to the pool's current alive workers.
-    pub(crate) fn current_cap_qpm(&self, alive_now: usize) -> f64 {
-        self.cap_qpm * alive_now as f64 / self.workers as f64
     }
 }
 
@@ -1079,7 +1047,7 @@ impl SystemSimulation {
         // Build the control-plane stages around the pre-warmed state. The
         // collector moves into the metrics stage (the driver keeps only the
         // SLO scalar); the warmed index and store move into the cache-plane
-        // stage; the planner starts empty and builds its memos on demand.
+        // stage; the planner starts empty and builds its solve caches on demand.
         let collector = MetricsCollector::new(base_latency);
         let slo = collector.slo();
         let metrics = MetricsStage::new(collector, factory.stream("samples"));
@@ -1152,7 +1120,7 @@ impl SystemSimulation {
             oracle,
             trace,
             jobs: JobWindow::default(),
-            switcher: StrategySwitcher::new(SwitcherConfig::default()),
+            switcher: StrategySwitcher::new(),
             classifiers,
             predictors,
             pasm: Pasm::identity(6),

@@ -1,7 +1,7 @@
 //! Cross-validation of the specialized Eq. 1 searches (`solve_exact`,
-//! `solve_fast`) against each other and against the general MILP
-//! formulation (`solve_milp`) on randomized instances, using a seeded RNG
-//! so every run checks the same instance family.
+//! the branch-and-bound `solve`) against each other and against the
+//! general MILP formulation (`solve_milp`) on randomized instances, using
+//! a seeded RNG so every run checks the same instance family.
 //!
 //! Coverage by cluster size:
 //! * small (≤ 6 workers): exact vs MILP on objective;
@@ -164,11 +164,7 @@ fn fast_solver_bit_identical_at_64_and_128_workers() {
                 workers,
                 demand_qpm,
             };
-            assert_eq!(
-                p.solve_exact(),
-                p.solve_fast(),
-                "W={workers} case {case}: {p:?}"
-            );
+            assert_eq!(p.solve_exact(), p.solve(), "W={workers} case {case}: {p:?}");
         }
     }
 }
@@ -203,7 +199,7 @@ fn fast_solver_invariants_on_large_calibrated_fleets() {
                 p = p.with_slo_derating(12.6);
             }
             p.demand_qpm = 1.1 * p.max_capacity_qpm() * rng.random::<f64>();
-            let a = p.solve_fast();
+            let a = p.solve();
             let expect = p.demand_qpm.min(p.max_capacity_qpm());
             assert!(
                 (a.served_qpm - expect).abs() < 1e-6,
@@ -222,11 +218,7 @@ fn fast_solver_invariants_on_large_calibrated_fleets() {
                     "W={workers} case {case}: level {v} overloaded"
                 );
             }
-            assert_eq!(
-                a,
-                p.solve_fast(),
-                "W={workers} case {case}: not deterministic"
-            );
+            assert_eq!(a, p.solve(), "W={workers} case {case}: not deterministic");
         }
     }
 }
@@ -238,7 +230,7 @@ fn cold_reference(p: &AllocationProblem) -> Allocation {
     if p.workers <= 16 {
         p.solve_exact()
     } else {
-        p.solve_fast()
+        p.solve()
     }
 }
 

@@ -12,8 +12,8 @@
 //!   distributions the simulator needs (exponential, normal, log-normal,
 //!   Poisson, Pareto), implemented from scratch because only the base `rand`
 //!   crate is available offline.
-//! * [`stats`] — online statistics (Welford), percentiles, histograms,
-//!   moving averages and windowed rate counters used by the metrics pipeline.
+//! * [`stats`] — percentiles, moving averages and windowed rate counters
+//!   used by the metrics pipeline.
 //!
 //! # Example
 //!

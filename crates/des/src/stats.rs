@@ -5,107 +5,6 @@
 
 use crate::{SimDuration, SimTime};
 
-/// Streaming mean/variance via Welford's algorithm, plus min/max.
-///
-/// # Example
-///
-/// ```
-/// use argus_des::stats::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] { s.push(x); }
-/// assert_eq!(s.mean(), 2.5);
-/// assert_eq!(s.count(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Computes the `q`-quantile (0 ≤ q ≤ 1) of a slice using linear
 /// interpolation between closest ranks. Returns `None` for an empty slice.
 ///
@@ -132,74 +31,6 @@ pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
 /// Computes the median of a slice (`None` if empty).
 pub fn median(samples: &[f64]) -> Option<f64> {
     percentile(samples, 0.5)
-}
-
-/// Fixed-width histogram over `[lo, hi)` with out-of-range samples clamped
-/// into the edge buckets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `buckets == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "invalid histogram range [{lo}, {hi})");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            total: 0,
-        }
-    }
-
-    /// Adds a sample (clamped into the edge buckets if out of range).
-    pub fn push(&mut self, x: f64) {
-        let n = self.buckets.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            n - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * n as f64) as usize
-        };
-        self.buckets[idx.min(n - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of mass in each bucket (all zeros if empty).
-    pub fn normalized(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.buckets.len()];
-        }
-        self.buckets
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-
-    /// Midpoint value of bucket `i`.
-    pub fn bucket_mid(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
 }
 
 /// Simple-moving-average over the last `window` samples.
@@ -316,49 +147,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), all.count());
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&all);
-        assert!((empty.mean() - all.mean()).abs() < 1e-12);
-        let mut c = all;
-        c.merge(&OnlineStats::new());
-        assert_eq!(c.count(), all.count());
-    }
-
-    #[test]
     fn percentile_interpolates() {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(percentile(&v, 0.0), Some(1.0));
@@ -366,26 +154,6 @@ mod tests {
         assert_eq!(percentile(&v, 0.5), Some(2.5));
         assert_eq!(median(&[5.0]), Some(5.0));
         assert_eq!(percentile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn histogram_buckets_and_clamping() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.9, 10.0, 100.0] {
-            h.push(x);
-        }
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.counts(), &[3, 1, 0, 0, 3]);
-        let norm = h.normalized();
-        assert!((norm.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((h.bucket_mid(0) - 1.0).abs() < 1e-12);
-        assert!((h.bucket_mid(4) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_rejects_zero_buckets() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 
     #[test]
@@ -420,28 +188,11 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_welford_matches_naive(xs in proptest::collection::vec(-1e3f64..1e3, 1..200)) {
-            let mut s = OnlineStats::new();
-            for &x in &xs { s.push(x); }
-            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-            prop_assert!((s.mean() - mean).abs() < 1e-6);
-            prop_assert!((s.variance() - var).abs() < 1e-4);
-        }
-
-        #[test]
         fn prop_percentile_bounded(xs in proptest::collection::vec(-1e3f64..1e3, 1..100), q in 0.0f64..=1.0) {
             let p = percentile(&xs, q).unwrap();
             let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(p >= lo - 1e-9 && p <= hi + 1e-9);
-        }
-
-        #[test]
-        fn prop_histogram_conserves_mass(xs in proptest::collection::vec(-50.0f64..150.0, 0..200)) {
-            let mut h = Histogram::new(0.0, 100.0, 10);
-            for &x in &xs { h.push(x); }
-            prop_assert_eq!(h.counts().iter().sum::<u64>(), xs.len() as u64);
         }
     }
 }

@@ -8,8 +8,6 @@
 //!   bench crate or an annotated site.
 //! - **D2 `unordered-iter`** — no iteration over `HashMap`/`HashSet`;
 //!   use `BTreeMap` or sort explicitly.
-//! - **D3 `unbounded-channel`** — `mpsc::channel()` forbidden;
-//!   `sync_channel` caps must be named constants.
 //! - **D4 `stray-thread`** — no `thread::spawn`/`scope`/`Builder`
 //!   anywhere: the simulation runs on one thread.
 //! - **D5 `unseeded-rng`** — no `thread_rng`/OS entropy.
@@ -79,7 +77,6 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
             file_findings.extend(rules::wall_clock(rel, &lexed));
         }
         file_findings.extend(rules::unordered_iter(rel, &lexed));
-        file_findings.extend(rules::unbounded_channel(rel, &lexed));
         file_findings.extend(rules::stray_thread(rel, &lexed));
         file_findings.extend(rules::unseeded_rng(rel, &lexed));
 

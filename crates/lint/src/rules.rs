@@ -1,4 +1,5 @@
-//! The pattern rules D1–D5 of the determinism contract (DESIGN.md §10).
+//! The pattern rules D1, D2, D4 and D5 of the determinism contract
+//! (DESIGN.md §10).
 //! Each rule is an independent scan over one file's token stream.
 
 use crate::lexer::{is_seq, Lexed, Tok, TokKind};
@@ -16,7 +17,7 @@ pub struct RuleInfo {
 }
 
 /// The rule catalog, in id order.
-pub const RULES: [RuleInfo; 6] = [
+pub const RULES: [RuleInfo; 5] = [
     RuleInfo {
         id: "D1",
         slug: "wall-clock",
@@ -26,11 +27,6 @@ pub const RULES: [RuleInfo; 6] = [
         id: "D2",
         slug: "unordered-iter",
         title: "no iteration over HashMap/HashSet — use BTreeMap or an explicit sort",
-    },
-    RuleInfo {
-        id: "D3",
-        slug: "unbounded-channel",
-        title: "all channels bounded; sync_channel caps must be named constants",
     },
     RuleInfo {
         id: "D4",
@@ -240,115 +236,10 @@ fn for_loop_over<'t>(toks: &'t [Tok], i: usize, names: &[String]) -> Option<&'t 
         .then_some(last)
 }
 
-/// D3 — channel boundedness. `mpsc::channel` is forbidden outright;
-/// `sync_channel(cap)` requires `cap` to be a named (SCREAMING_SNAKE)
-/// constant, possibly path-qualified.
-pub fn unbounded_channel(rel: &str, lexed: &Lexed) -> Vec<Finding> {
-    let rule = &RULES[2];
-    let toks = &lexed.toks;
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.text == "mpsc" && is_seq(toks, i + 1, &["::", "channel"]) {
-            out.push(finding(
-                rule,
-                rel,
-                t,
-                "unbounded `mpsc::channel` — use a bounded `sync_channel`".to_string(),
-                lexed.in_test(t.line),
-            ));
-        }
-        if t.text == "sync_channel" {
-            let mut j = i + 1;
-            // Skip a turbofish `::<…>`.
-            if toks.get(j).is_some_and(|t| t.text == "::")
-                && toks.get(j + 1).is_some_and(|t| t.text == "<")
-            {
-                let mut depth = 0usize;
-                j += 1;
-                while let Some(t2) = toks.get(j) {
-                    match t2.text.as_str() {
-                        "<" => depth += 1,
-                        ">" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-            if toks.get(j).is_some_and(|t| t.text == "(") {
-                if let Some(msg) = check_cap_arg(toks, j + 1) {
-                    out.push(finding(rule, rel, t, msg, lexed.in_test(t.line)));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Checks the first argument of a `sync_channel(` call starting right
-/// after the paren; `Some(message)` if it is not a named constant.
-fn check_cap_arg(toks: &[Tok], start: usize) -> Option<String> {
-    // Collect the argument's tokens up to the matching `,` or `)`.
-    let mut depth = 0usize;
-    let mut arg: Vec<&Tok> = Vec::new();
-    for t in &toks[start..] {
-        match t.text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" if depth == 0 => break,
-            ")" | "]" | "}" => depth -= 1,
-            "," if depth == 0 => break,
-            _ => {}
-        }
-        arg.push(t);
-    }
-    if arg.is_empty() {
-        return Some("`sync_channel` with no capacity argument".to_string());
-    }
-    if arg.len() == 1 && arg[0].kind == TokKind::Number {
-        return Some(format!(
-            "`sync_channel({})` — the cap must be a named constant",
-            arg[0].text
-        ));
-    }
-    // Accept a path whose final segment is SCREAMING_SNAKE.
-    let is_path = arg.iter().enumerate().all(|(k, t)| {
-        if k % 2 == 0 {
-            t.kind == TokKind::Ident
-        } else {
-            t.text == "::"
-        }
-    });
-    let last_is_const = arg.last().is_some_and(|t| is_screaming_snake(&t.text));
-    if is_path && last_is_const {
-        None
-    } else {
-        let expr: String = arg
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect::<Vec<_>>()
-            .join("");
-        Some(format!(
-            "`sync_channel({expr})` — the cap must be a named constant"
-        ))
-    }
-}
-
-fn is_screaming_snake(s: &str) -> bool {
-    s.len() >= 2
-        && s.chars().any(|c| c.is_ascii_uppercase())
-        && s.chars()
-            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-}
-
 /// D4 — thread spawning anywhere: the simulation runs on one thread, so
 /// a thread is only allowed at an annotated site (concurrency tests).
 pub fn stray_thread(rel: &str, lexed: &Lexed) -> Vec<Finding> {
-    let rule = &RULES[3];
+    let rule = &RULES[2];
     let toks = &lexed.toks;
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -375,7 +266,7 @@ pub fn stray_thread(rel: &str, lexed: &Lexed) -> Vec<Finding> {
 
 /// D5 — entropy-sourced randomness.
 pub fn unseeded_rng(rel: &str, lexed: &Lexed) -> Vec<Finding> {
-    let rule = &RULES[4];
+    let rule = &RULES[3];
     let mut out = Vec::new();
     for t in &lexed.toks {
         if t.kind == TokKind::Ident && ENTROPY_IDENTS.contains(&t.text.as_str()) {
@@ -432,21 +323,6 @@ mod tests {
                    let v: Vec<u32> = vec![];\nfor x in &v { let _ = x; }\nlet _ = v.iter();";
         let lexed = lex(src);
         assert!(unordered_iter("x.rs", &lexed).is_empty());
-    }
-
-    #[test]
-    fn d3_requires_named_caps() {
-        let lexed = lex("let (a, b) = sync_channel(4096);\nlet (c, d) = sync_channel::<M>(CAP);\nlet (e, f) = mpsc::channel();");
-        let f = unbounded_channel("x.rs", &lexed);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert_eq!(f[0].line, 1); // literal cap
-        assert_eq!(f[1].line, 3); // unbounded channel
-    }
-
-    #[test]
-    fn d3_accepts_qualified_consts() {
-        let lexed = lex("let (a, b) = sync_channel(super::MAILBOX_CAP);");
-        assert!(unbounded_channel("x.rs", &lexed).is_empty());
     }
 
     #[test]

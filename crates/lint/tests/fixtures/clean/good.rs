@@ -1,9 +1,6 @@
 // Fixture: contract-conforming code — the lint must report nothing.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::mpsc;
-
-const MAILBOX_CAP: usize = 4096;
 
 struct State {
     ordered: BTreeMap<u32, u64>,
@@ -11,8 +8,6 @@ struct State {
 }
 
 fn run(state: &mut State, seed: u64) -> u64 {
-    // Bounded channel with a named cap.
-    let (_tx, _rx) = mpsc::sync_channel::<u32>(MAILBOX_CAP);
     // Seeded RNG, not entropy.
     let mut rng = StdRng::seed_from_u64(seed);
     // Iterating a BTreeMap is deterministic.

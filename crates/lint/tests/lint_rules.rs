@@ -1,6 +1,6 @@
-//! Integration tests: each determinism rule D1–D5 must fire on its bad
-//! fixture at the expected file:line, stay silent on the clean fixture,
-//! and honor (and count) the escape-hatch annotation.
+//! Integration tests: each determinism rule (D1, D2, D4, D5) must fire
+//! on its bad fixture at the expected file:line, stay silent on the clean
+//! fixture, and honor (and count) the escape-hatch annotation.
 //!
 //! The fixtures under `tests/fixtures/` are plain text to the lint —
 //! they are excluded from the workspace scan and never compiled.
@@ -108,15 +108,6 @@ fn d2_unordered_iter_fixture() {
     assert_eq!(d.len(), 2, "{d:?}");
     assert_eq!(d[0], ("D2".into(), "bad/d2_unordered_iter.rs".into(), 11));
     assert_eq!(d[1], ("D2".into(), "bad/d2_unordered_iter.rs".into(), 15));
-}
-
-#[test]
-fn d3_unbounded_channel_fixture() {
-    let rep = run("bad/d3_unbounded_channel.rs");
-    let d = denies(&rep);
-    assert_eq!(d.len(), 2, "{d:?}");
-    assert_eq!(d[0], ("D3".into(), "bad/d3_unbounded_channel.rs".into(), 6));
-    assert_eq!(d[1], ("D3".into(), "bad/d3_unbounded_channel.rs".into(), 7));
 }
 
 #[test]

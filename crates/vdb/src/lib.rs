@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 
 use argus_embed::{cosine, for_each_cosine, for_each_dot, Embedding, DIM};
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 pub mod shard;
 
@@ -634,6 +634,19 @@ impl<P, I> SharedIndex<P, I> {
             _payload: std::marker::PhantomData,
         }
     }
+
+    /// A shared read guard. The lock does not poison: a holder that
+    /// panicked has already failed the run it served, so the guard is
+    /// recovered instead of re-raising that panic in every other caller.
+    fn read(&self) -> RwLockReadGuard<'_, I> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An exclusive write guard, recovered from poisoning like
+    /// [`Self::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, I> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl<P> SharedIndex<P, FlatIndex<P>> {
@@ -651,7 +664,7 @@ impl<P> SharedIndex<P, FlatIndex<P>> {
 impl<P, I: VectorIndex<P>> SharedIndex<P, I> {
     /// Inserts under a write lock.
     pub fn insert(&self, embedding: Embedding, payload: P) -> Option<P> {
-        self.inner.write().insert(embedding, payload)
+        self.write().insert(embedding, payload)
     }
 
     /// Searches under a read lock.
@@ -659,7 +672,7 @@ impl<P, I: VectorIndex<P>> SharedIndex<P, I> {
     where
         P: Clone,
     {
-        self.inner.read().search(query, k)
+        self.read().search(query, k)
     }
 
     /// The single best match.
@@ -667,17 +680,17 @@ impl<P, I: VectorIndex<P>> SharedIndex<P, I> {
     where
         P: Clone,
     {
-        self.inner.read().nearest(query)
+        self.read().nearest(query)
     }
 
     /// Number of stored embeddings.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.read().is_empty()
     }
 }
 

@@ -227,7 +227,7 @@ fn zero_warning_preemption_degrades_to_worker_fail() {
 #[test]
 fn switcher_state_machine_is_exposed() {
     // The switcher type is part of the public API for operators.
-    use argus::core::{StrategySwitcher, SwitcherConfig};
-    let s = StrategySwitcher::new(SwitcherConfig::default());
+    use argus::core::StrategySwitcher;
+    let s = StrategySwitcher::new();
     assert_eq!(s.state(), SwitcherState::Ac);
 }

@@ -214,9 +214,9 @@ fn cost_report_reconciles_with_membership_telemetry() {
 
 #[test]
 fn workspace_lints_clean_with_the_fleet_stage() {
-    // D1–D5 must stay green with the fleet stage wired into the
-    // control plane: no wall clock, unordered iteration, unbounded
-    // channel, thread or unseeded RNG in its accounting.
+    // D1, D2, D4 and D5 must stay green with the fleet stage wired into
+    // the control plane: no wall clock, unordered iteration, thread or
+    // unseeded RNG in its accounting.
     let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let rep = argus_lint::run(&argus_lint::Config::for_repo(root)).expect("workspace scan");
     let denies: Vec<_> = rep
