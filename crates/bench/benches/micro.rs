@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the hot control-plane paths: the solver
 //! (the §5.7 <100 ms claim in bench form), ODA, PASM sampling,
-//! tokenizing, embeddings, vector search, classifier inference and raw
-//! event throughput.
+//! tokenizing, embeddings, vector search, classifier inference, oracle
+//! labelling, a drift retrain and raw event throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -11,7 +11,7 @@ use argus_core::{oda, AllocationProblem};
 use argus_des::{EventQueue, SimTime};
 use argus_embed::embed;
 use argus_models::{ApproxLevel, GpuArch, Strategy};
-use argus_prompts::{tokenize, PromptGenerator};
+use argus_prompts::{tokenize, DriftSchedule, PromptGenerator};
 use argus_quality::QualityOracle;
 use argus_vdb::{FlatIndex, LshIndex, ShardedIndex};
 use rand::rngs::StdRng;
@@ -127,6 +127,25 @@ fn bench_classifier(c: &mut Criterion) {
     });
     c.bench_function("oracle_score_ladder", |b| {
         b.iter(|| black_box(oracle.scores(&pool[7], &ladder)))
+    });
+    let mut next = cycle(&pool);
+    c.bench_function("oracle_optimal_level", |b| {
+        b.iter(|| black_box(oracle.optimal_level(next(), &ladder)))
+    });
+    // A drift retrain's shape: the last 3,000 arrivals of a drifted
+    // stream, labelled by the oracle and trained at the default 8 epochs.
+    let drifted = PromptGenerator::new(2)
+        .with_drift(DriftSchedule {
+            start_at: 0,
+            ramp: 0,
+            max_fraction: 0.65,
+        })
+        .generate_batch(3000);
+    c.bench_function("classifier_retrain_3000", |b| {
+        b.iter(|| {
+            let samples = label_prompts(&oracle, &drifted, &ladder);
+            black_box(train(&samples, ladder.len(), &TrainerConfig::default()))
+        })
     });
 }
 

@@ -14,6 +14,13 @@
 //! epoch-controllable accuracy for the Fig. 19 sweep, drift-triggered
 //! retraining for Fig. 18).
 //!
+//! The weights are feature-major: one row of eight lanes per hashed
+//! feature, one lane per class, so a classifier has at most eight classes
+//! (every approximation ladder has six). A sample's forward and backward
+//! passes each make one allocation-free pass over its features, and train
+//! bit for bit like the row-major `classes × dim` trainer the tests keep
+//! as the reference.
+//!
 //! # Example
 //!
 //! ```

@@ -19,7 +19,7 @@
 //! them.
 
 use argus_cachestore::FetchStatus;
-use argus_classifier::{label_prompts, train, TrainerConfig};
+use argus_classifier::{train, TrainerConfig};
 use argus_cluster::{SwitchOutcome, WorkerId};
 use argus_des::rng::log_normal;
 use argus_des::{SimDuration, SimTime};
@@ -715,8 +715,13 @@ impl SystemSimulation {
         if self.jobs.recent().len() < 200 {
             return;
         }
-        let pool: Vec<Prompt> = self.jobs.recent().cloned().collect();
-        let samples = label_prompts(&self.oracle, &pool, &ladder);
+        // Labelled in window order, as `label_prompts` would, without
+        // cloning the window's prompts or texts.
+        let samples: Vec<(&str, usize)> = self
+            .jobs
+            .recent()
+            .map(|p| (p.text.as_str(), self.oracle.optimal_level(p, &ladder)))
+            .collect();
         let (clf, _) = train(
             &samples,
             ladder.len(),

@@ -143,15 +143,15 @@ impl QualityOracle {
     /// the resumed trajectory needs less correction, i.e. shallower
     /// effective approximation.
     pub fn score_with_similarity(&self, p: &Prompt, level: ApproxLevel, similarity: f64) -> f64 {
-        score_of(p, self.prompt_hash(p), level, similarity)
+        PromptTerms::of(p, self.prompt_hash(p)).score(level, similarity)
     }
 
     /// Scores for every level of a ladder.
     pub fn scores(&self, p: &Prompt, ladder: &[ApproxLevel]) -> Vec<f64> {
-        let h = self.prompt_hash(p);
+        let terms = PromptTerms::of(p, self.prompt_hash(p));
         ladder
             .iter()
-            .map(|&l| score_of(p, h, l, DEFAULT_AC_SIMILARITY))
+            .map(|&l| terms.score(l, DEFAULT_AC_SIMILARITY))
             .collect()
     }
 
@@ -164,16 +164,22 @@ impl QualityOracle {
     /// Panics if `ladder` is empty.
     pub fn optimal_level(&self, p: &Prompt, ladder: &[ApproxLevel]) -> usize {
         assert!(!ladder.is_empty(), "empty approximation ladder");
-        let scores = self.scores(p, ladder);
-        let best = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        // Fastest = deepest approximation = last in ladder order; scan from
-        // the fast end and take the first level meeting the bar.
-        for i in (0..ladder.len()).rev() {
-            if scores[i] >= OPTIMAL_QUALITY_THETA * best {
-                return i;
+        let terms = PromptTerms::of(p, self.prompt_hash(p));
+        // Fastest = deepest approximation = last in ladder order. In one
+        // pass, a new best takes the pick (scores are at least
+        // `SCORE_FLOOR > 0`, so the best meets its own bar) and a later
+        // level within θ of the best so far takes it over, so the pick
+        // ends on the last level within θ of the overall best.
+        let (mut best, mut pick) = (f64::NEG_INFINITY, 0);
+        for (i, &l) in ladder.iter().enumerate() {
+            let s = terms.score(l, DEFAULT_AC_SIMILARITY);
+            if s > best {
+                (best, pick) = (s, i);
+            } else if s >= OPTIMAL_QUALITY_THETA * best {
+                pick = i;
             }
         }
-        0
+        pick
     }
 
     /// Histogram (fractions summing to 1) of optimal-level choices over a
@@ -199,17 +205,37 @@ fn severity_of(p: &Prompt, h: u64) -> f64 {
     ((GAMMA * (p.complexity + eta)).exp() / MU).clamp(0.05, 6.0)
 }
 
-/// [`QualityOracle::score_with_similarity`] of `p`, whose hash is `h`.
-fn score_of(p: &Prompt, h: u64, level: ApproxLevel, similarity: f64) -> f64 {
-    let mut depth = approximation_depth(level);
-    if level.strategy() == Strategy::Ac && depth > 0.0 {
-        let mult = 1.0 + 0.5 * (DEFAULT_AC_SIMILARITY - similarity.clamp(0.0, 1.0));
-        depth *= mult;
+/// The per-prompt terms every level's score shares, computed once for a
+/// ladder.
+struct PromptTerms {
+    h: u64,
+    base_quality: f64,
+    severity: f64,
+}
+
+impl PromptTerms {
+    /// The terms of `p`, whose hash is `h`.
+    fn of(p: &Prompt, h: u64) -> Self {
+        PromptTerms {
+            h,
+            base_quality: base_quality_of(h),
+            severity: severity_of(p, h),
+        }
     }
-    let drop = mean_drop_at_depth(depth) * severity_of(p, h);
-    let lt = level_tag(level);
-    let level_noise = LEVEL_NOISE_SD * gauss(mix(h, 31 * lt + 7), mix(h, 17 * lt + 3));
-    (base_quality_of(h) - drop + level_noise).clamp(SCORE_FLOOR, SCORE_CEIL)
+
+    /// [`QualityOracle::score_with_similarity`] at `level`.
+    fn score(&self, level: ApproxLevel, similarity: f64) -> f64 {
+        let mut depth = approximation_depth(level);
+        if level.strategy() == Strategy::Ac && depth > 0.0 {
+            let mult = 1.0 + 0.5 * (DEFAULT_AC_SIMILARITY - similarity.clamp(0.0, 1.0));
+            depth *= mult;
+        }
+        let drop = mean_drop_at_depth(depth) * self.severity;
+        let lt = level_tag(level);
+        let level_noise =
+            LEVEL_NOISE_SD * gauss(mix(self.h, 31 * lt + 7), mix(self.h, 17 * lt + 3));
+        (self.base_quality - drop + level_noise).clamp(SCORE_FLOOR, SCORE_CEIL)
+    }
 }
 
 fn level_tag(level: ApproxLevel) -> u64 {
@@ -290,9 +316,19 @@ mod tests {
     #[test]
     fn scores_and_optimal_level_match_per_level_scores() {
         let o = QualityOracle::new(13);
+        let (sm, ac) = (
+            ApproxLevel::ladder(Strategy::Sm),
+            ApproxLevel::ladder(Strategy::Ac),
+        );
+        // Both ladders, plus orders that move the best score around.
+        let ladders = [
+            sm.clone(),
+            ac.clone(),
+            ac.iter().rev().copied().collect(),
+            [&ac[3..], &sm[..], &ac[..3]].concat(),
+        ];
         for p in prompts(1000) {
-            for strategy in [Strategy::Sm, Strategy::Ac] {
-                let ladder = ApproxLevel::ladder(strategy);
+            for ladder in &ladders {
                 let per_level: Vec<u64> = ladder
                     .iter()
                     .map(|&l| {
@@ -300,7 +336,7 @@ mod tests {
                             .to_bits()
                     })
                     .collect();
-                let scores = o.scores(&p, &ladder);
+                let scores = o.scores(&p, ladder);
                 assert_eq!(
                     scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                     per_level
@@ -312,7 +348,7 @@ mod tests {
                     .rev()
                     .find(|&i| s[i] >= OPTIMAL_QUALITY_THETA * best)
                     .unwrap_or(0);
-                assert_eq!(o.optimal_level(&p, &ladder), expected);
+                assert_eq!(o.optimal_level(&p, ladder), expected);
             }
         }
     }
