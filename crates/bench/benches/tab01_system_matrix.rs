@@ -5,23 +5,27 @@
 //! approximation, strategy switching and throughput targets for T2I.
 
 use argus_bench::{banner, print_table};
-use argus_core::Policy;
+use argus_core::{pipeline_for, InitialPlacement, Policy, StrategySwitcher, TickAction};
 
 fn main() {
     banner("T1", "Serving-system feature matrix", "Table 1");
     let yn = |b: bool| if b { "yes" } else { "no" }.to_string();
+    // Every column is read off the policy's pipeline.
     let rows: Vec<Vec<String>> = Policy::ALL
         .iter()
         .map(|&p| {
+            let pipe = pipeline_for(p);
             vec![
                 p.name().to_string(),
-                yn(p.uses_solver()),
-                yn(p.uses_classifier()),
-                yn(p.uses_oda()),
-                yn(p.switches_strategy()),
-                yn(p.uses_cache()),
-                yn(p.per_gpu_scaling()),
-                p.initial_strategy().to_string(),
+                yn(pipe.initial_placement() == InitialPlacement::Solve),
+                yn(pipe.uses_classifier()),
+                yn(pipe.uses_oda()),
+                yn(pipe.switches_strategy()),
+                yn(pipe.uses_cache_store()),
+                yn(pipe.plan_tick(0.0, 0.0) == TickAction::AdaptPerWorker),
+                pipe.active_ladder(&StrategySwitcher::new())[0]
+                    .strategy()
+                    .to_string(),
             ]
         })
         .collect();

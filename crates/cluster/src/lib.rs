@@ -96,8 +96,6 @@ pub struct Worker {
     created_at: SimTime,
     failed_total: SimDuration,
     failed_since: Option<SimTime>,
-    completed: u64,
-    loads: u64,
 }
 
 impl Worker {
@@ -119,8 +117,6 @@ impl Worker {
             created_at: SimTime::ZERO,
             failed_total: SimDuration::ZERO,
             failed_since: None,
-            completed: 0,
-            loads: 0,
         }
     }
 
@@ -239,7 +235,6 @@ impl Worker {
         let load =
             SimDuration::from_secs(argus_models::latency::load_secs(model, Loader::Accelerate));
         self.pending = Some((level, now + load));
-        self.loads += 1;
         SwitchOutcome::Loading(load)
     }
 
@@ -356,7 +351,6 @@ impl Worker {
         if let Some(since) = self.busy_since.take() {
             self.busy += now - since;
         }
-        self.completed += self.in_flight.len() as u64;
         done.append(&mut self.in_flight);
     }
 
@@ -433,16 +427,6 @@ impl Worker {
         } else {
             self.busy_time(now) / alive
         }
-    }
-
-    /// Completed job count.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Model-load (switch) count.
-    pub fn loads(&self) -> u64 {
-        self.loads
     }
 }
 
@@ -933,16 +917,6 @@ impl Cluster {
         }
         alive.iter().map(|w| w.utilization(now)).sum::<f64>() / alive.len() as f64
     }
-
-    /// Total completed jobs.
-    pub fn total_completed(&self) -> u64 {
-        self.workers.iter().map(|w| w.completed()).sum()
-    }
-
-    /// Total model loads (variant switches requiring weight movement).
-    pub fn total_loads(&self) -> u64 {
-        self.workers.iter().map(|w| w.loads()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -994,7 +968,6 @@ mod tests {
             );
             assert_eq!(w.level(), Some(ApproxLevel::Ac(AcLevel(k))));
         }
-        assert_eq!(w.loads(), 1);
     }
 
     #[test]
@@ -1060,7 +1033,6 @@ mod tests {
         assert_eq!(w.try_start_batch(t(11.5), 1), 0);
         assert_eq!(finish(&mut w, t(15.2)), vec![10]);
         assert!((w.busy_time(t(15.2)).as_secs() - 4.2).abs() < 1e-9);
-        assert_eq!(w.completed(), 1);
         assert_eq!(w.try_start_batch(t(15.2), 1), 1);
         assert_eq!(w.in_flight_job(), Some(11));
     }
@@ -1085,7 +1057,6 @@ mod tests {
         assert_eq!(w.try_start_batch(t(11.0), 2), 0);
         let done = finish(&mut w, t(13.0));
         assert_eq!(done, vec![0, 1, 2]);
-        assert_eq!(w.completed(), 3);
         assert!((w.busy_time(t(13.0)).as_secs() - 3.0).abs() < 1e-9);
         // Remainder bounded by the queue.
         assert_eq!(w.try_start_batch(t(13.0), 8), 2);
@@ -1182,8 +1153,6 @@ mod tests {
         assert_eq!(c.alive().len(), 3);
         assert_eq!(candidates(&c, lvl, GpuArch::A100), vec![WorkerId(1)]);
         assert_eq!(c.dispatch_head(lvl, GpuArch::A100), Some((0, WorkerId(1))));
-        assert_eq!(c.total_completed(), 0);
-        assert_eq!(c.total_loads(), 2);
         assert!(c.mean_utilization(t(20.0)) >= 0.0);
     }
 

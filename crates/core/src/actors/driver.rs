@@ -817,13 +817,14 @@ impl SystemSimulation {
     /// controller step and the execution of its decisions.
     fn fleet_tick(&mut self, t: SimTime, resplit_fired: bool) {
         self.record_membership(t);
-        let Some(policy) = self.cfg.autoscaler.clone() else {
+        if self.cfg.autoscaler.is_none() {
             self.tick_saturated = false;
             return;
-        };
-        // Per-pool pressure/idle signals off the last plan. Non-solver
-        // policies never plan, so they produce no signals and never scale
-        // — the autoscaler is a planner feature by construction.
+        }
+        // Per-pool load signals off the last plan, from which the
+        // controller also decides idleness. Non-solver policies never
+        // plan, so they produce no signals and never scale — the
+        // autoscaler is a planner feature by construction.
         let tick_secs = TICK.as_secs();
         let signals: Vec<PoolSignal> = self
             .pool_plans
@@ -834,14 +835,8 @@ impl SystemSimulation {
                 // within one tick, against the plan's capacity at the
                 // pool's current size.
                 let backlog_qpm = jobs as f64 * 60.0 / tick_secs;
-                let cap = plan.current_cap_qpm(alive.max(1));
-                let pressured = self.tick_saturated || resplit_fired || backlog_qpm > cap;
-                // Idle: both the planned share and the instantaneous
-                // backlog sit far below capacity. (Requiring a literally
-                // empty backlog would make the signal flicker with every
-                // in-flight straggler and never sustain a streak.)
-                let idle_cap = policy.idle_utilization * cap;
-                let idle = !pressured && backlog_qpm < idle_cap && plan.share_qpm < idle_cap;
+                let cap_qpm = plan.current_cap_qpm(alive.max(1));
+                let pressured = self.tick_saturated || resplit_fired || backlog_qpm > cap_qpm;
                 let pending = self
                     .provisioning
                     .iter()
@@ -850,7 +845,9 @@ impl SystemSimulation {
                 PoolSignal {
                     gpu: plan.spec.gpu,
                     pressured,
-                    idle,
+                    backlog_qpm,
+                    cap_qpm,
+                    share_qpm: plan.share_qpm,
                     alive,
                     pending,
                 }
@@ -864,8 +861,7 @@ impl SystemSimulation {
         let changed = !actions.is_empty();
         for action in actions {
             match action {
-                ScaleAction::Out { gpu, n } => {
-                    let delay = SimDuration::from_secs(policy.provisioning_delay_secs);
+                ScaleAction::Out { gpu, n, delay } => {
                     for _ in 0..n {
                         let wid = self.cluster.provision(gpu, t);
                         self.worker_spot.push(None);
@@ -955,10 +951,7 @@ impl SystemSimulation {
                         // No warning window: an unwarned crash. Counted
                         // against the preemption tallies, but the serving
                         // effect is bit-identical to a WorkerFail.
-                        let clean = self.cluster.worker(WorkerId(wi)).in_flight_count() == 0;
-                        self.obs_counter_add("spot_drains", 1);
-                        self.fleet.preempt(clean as u64, !clean as u64);
-                        self.fail_worker_now(wi, t);
+                        self.reclaim_now(wi, t);
                         continue;
                     }
                     // Warned reclaim: drain the doomed worker now — queued
@@ -1004,20 +997,28 @@ impl SystemSimulation {
         self.record_membership(t);
     }
 
-    /// A preemption warning expired: the instance disappears now. If the
-    /// warning window sufficed to drain the pass the preemption was
-    /// "ridden" (nothing lost); otherwise the in-flight jobs reroute and
-    /// restart from scratch on survivors.
+    /// A preemption warning expired: the instance disappears now.
     fn on_preempt_fire(&mut self, wi: usize, t: SimTime) {
+        if self.reclaim_now(wi, t) {
+            self.record_membership(t);
+        }
+    }
+
+    /// A spot reclaim takes worker `wi` now, whether its warning expired
+    /// or it had none. If nothing was in flight the preemption was
+    /// "ridden" (nothing lost); otherwise the in-flight jobs reroute and
+    /// restart from scratch on survivors. A worker a separate fault
+    /// already took down is not reclaimed again and counts as no
+    /// preemption; returns whether the reclaim happened.
+    fn reclaim_now(&mut self, wi: usize, t: SimTime) -> bool {
         if self.cluster.worker(WorkerId(wi)).is_failed() {
-            // A separate fault already took the worker down mid-warning.
-            return;
+            return false;
         }
         let clean = self.cluster.worker(WorkerId(wi)).in_flight_count() == 0;
         self.obs_counter_add("spot_drains", 1);
         self.fleet.preempt(clean as u64, !clean as u64);
         self.fail_worker_now(wi, t);
-        self.record_membership(t);
+        true
     }
 
     /// Reports the billed membership in force from `t` to the fleet

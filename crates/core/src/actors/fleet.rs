@@ -84,8 +84,8 @@ impl FleetStage {
         self.last_counts = counts;
     }
 
-    /// Allocator-tick controller step: per-pool pressure/idle signals
-    /// in, scale actions out.
+    /// Allocator-tick controller step: per-pool load signals in, scale
+    /// actions out.
     pub(crate) fn tick(&mut self, t: SimTime, signals: &[PoolSignal]) -> Vec<ScaleAction> {
         self.profile.count(true);
         let actions = match self.controller.as_mut() {

@@ -1,13 +1,16 @@
-//! The metrics stage: every accounting sink of the run.
+//! The metrics stage: the run's ledger.
 //!
-//! The stage owns the per-minute [`MetricsCollector`], the per-level
-//! completion counts, the quality reservoir (and its dedicated RNG
-//! stream), the per-pool outcome counters, the Fig. 18 classifier
-//! accuracy log and the cascade verdict tallies. The driver is its only
-//! caller, so the stage runs operations in exactly the order the old
-//! synchronous loop performed them — f64 accumulation order and reservoir
-//! RNG draws are bit-identical. [`MetricsStage::finish`] hands everything
-//! back at run teardown.
+//! The stage owns every accounting fact of the run: the per-minute
+//! [`MinuteRecord`]s and the [`RunTotals`], the retrieval tallies behind
+//! [`RetrievalStats`] (per-level cache outcomes, store round-trip
+//! latencies, insert counters), the per-level completion counts, the
+//! quality reservoir (and its dedicated RNG stream), the per-pool outcome
+//! counters, the Fig. 18 classifier accuracy log and the cascade verdict
+//! tallies. A completion is judged against the SLO once, and that one
+//! verdict feeds the minute record, the totals, the pool tally and the
+//! reservoir. The driver is the stage's only caller, so f64 accumulation
+//! order and reservoir RNG draws follow its call order exactly.
+//! [`MetricsStage::finish`] consumes the stage at run teardown.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::RngExt as _;
 
 use crate::cascade::CascadeStats;
-use crate::metrics::{MetricsCollector, MinuteRecord, RetrievalStats, RunTotals};
+use crate::metrics::{LevelCacheCounts, MinuteRecord, RetrievalStats, RunTotals};
 
 /// Reservoir size for (score, base) quality samples.
 pub(crate) const SAMPLE_CAP: usize = 2000;
@@ -50,11 +53,20 @@ pub(crate) struct MetricsReport {
     pub profile: StageCounters,
 }
 
-/// The metrics stage: the run's accounting sinks, fed by one method call
-/// per accounting event.
+/// The metrics stage: the run's ledger, fed by one method call per
+/// accounting event.
 pub(crate) struct MetricsStage {
-    collector: MetricsCollector,
+    /// The latency SLO every completion is judged against.
     slo: SimDuration,
+    /// The minute being filled; `minutes` holds the closed ones.
+    current: MinuteRecord,
+    minutes: Vec<MinuteRecord>,
+    totals: RunTotals,
+    /// Per-level cache outcomes (first-seen order) and insert counters;
+    /// the latency fields are filled from `lookup_latencies` at teardown.
+    retrieval: RetrievalStats,
+    /// One entry per store round trip (seconds), for the exact p99.
+    lookup_latencies: Vec<f64>,
     level_completions: BTreeMap<ApproxLevel, u64>,
     quality_samples: Vec<(f64, f64)>,
     sample_seen: u64,
@@ -68,13 +80,16 @@ pub(crate) struct MetricsStage {
 }
 
 impl MetricsStage {
-    /// A stage around a freshly-built collector and the reservoir's RNG
-    /// stream.
-    pub(crate) fn new(collector: MetricsCollector, sample_rng: StdRng) -> Self {
-        let slo = collector.slo();
+    /// An empty ledger judging completions against `slo`, with the
+    /// reservoir's RNG stream.
+    pub(crate) fn new(slo: SimDuration, sample_rng: StdRng) -> Self {
         MetricsStage {
-            collector,
             slo,
+            current: MinuteRecord::default(),
+            minutes: Vec::new(),
+            totals: RunTotals::default(),
+            retrieval: RetrievalStats::default(),
+            lookup_latencies: Vec::new(),
             level_completions: BTreeMap::new(),
             quality_samples: Vec::with_capacity(SAMPLE_CAP),
             sample_seen: 0,
@@ -88,44 +103,82 @@ impl MetricsStage {
         }
     }
 
+    /// Closes minute records until the current one covers `t`.
+    fn roll_to(&mut self, t: SimTime) {
+        let m = t.as_micros() / 60_000_000;
+        while self.current.minute < m {
+            self.minutes.push(self.current);
+            self.current = MinuteRecord {
+                minute: self.current.minute + 1,
+                ..MinuteRecord::default()
+            };
+        }
+    }
+
     /// A query arrived.
     pub(crate) fn arrival(&mut self, t: SimTime) {
         self.profile.count(false);
-        self.collector.on_arrival(t);
+        self.roll_to(t);
+        self.current.offered += 1;
+        self.totals.offered += 1;
     }
 
-    /// A query was lost (no worker, or stranded at teardown).
+    /// A query was lost (no worker, or stranded at teardown): an SLO
+    /// violation.
     pub(crate) fn lost(&mut self, t: SimTime) {
         self.profile.count(false);
-        self.collector.on_lost(t);
+        self.roll_to(t);
+        self.current.violations += 1;
+        self.totals.violations += 1;
     }
 
-    /// A model load started.
+    /// A model load (variant switch with weight movement) started.
     pub(crate) fn model_load(&mut self, t: SimTime) {
         self.profile.count(false);
-        self.collector.on_model_load(t);
+        self.roll_to(t);
+        self.current.model_loads += 1;
+        self.totals.model_loads += 1;
     }
 
     /// A cache retrieval round trip completed.
     pub(crate) fn retrieval(&mut self, t: SimTime, latency: SimDuration) {
         self.profile.count(false);
-        self.collector.on_retrieval(t, latency);
+        self.roll_to(t);
+        self.current.retrievals += 1;
+        self.current.retrieval_latency_sum += latency.as_secs();
+        self.lookup_latencies.push(latency.as_secs());
     }
 
-    /// A cache lookup resolved against the assigned level.
+    /// A cache lookup resolved against the worker's assigned AC level
+    /// (the driver records no-neighbour lookups as misses).
     pub(crate) fn cache_lookup(&mut self, level: ApproxLevel, status: FetchStatus) {
         self.profile.count(false);
-        self.collector.on_cache_lookup(level, status);
+        let per_level = &mut self.retrieval.per_level;
+        let i = match per_level.iter().position(|&(l, _)| l == level) {
+            Some(i) => i,
+            None => {
+                per_level.push((level, LevelCacheCounts::default()));
+                per_level.len() - 1
+            }
+        };
+        let counts = &mut per_level[i].1;
+        match status {
+            FetchStatus::Hit => counts.hits += 1,
+            FetchStatus::Miss => counts.misses += 1,
+            FetchStatus::Failed => counts.failures += 1,
+        }
     }
 
     /// Minute-boundary utilization sample.
     pub(crate) fn utilization(&mut self, t: SimTime, value: f64) {
         self.profile.count(false);
-        self.collector.on_utilization_sample(t, value);
+        self.roll_to(t);
+        self.current.utilization = value;
     }
 
-    /// One job completed: the full accounting bundle (minute rollup,
-    /// level counts, pool outcome, reservoir sampling).
+    /// One job completed with its end-to-end latency, PickScore and the
+    /// prompt's base (best-achievable) score. The one SLO verdict feeds
+    /// the minute record, the totals, the pool tally and the reservoir.
     pub(crate) fn completion(
         &mut self,
         t: SimTime,
@@ -136,14 +189,24 @@ impl MetricsStage {
         gpu: GpuArch,
     ) {
         self.profile.count(false);
-        self.collector.on_completion(t, latency, score, base);
+        self.roll_to(t);
+        self.current.completed += 1;
+        self.totals.completed += 1;
         *self.level_completions.entry(level).or_insert(0) += 1;
         let pool = self.pool_outcomes.entry(gpu).or_insert((0, 0));
         pool.0 += 1;
         if latency > self.slo {
             pool.1 += 1;
-        }
-        if latency <= self.slo {
+            self.current.violations += 1;
+            self.totals.violations += 1;
+        } else {
+            self.current.in_slo += 1;
+            self.totals.in_slo += 1;
+            self.current.quality_sum += score;
+            self.totals.quality_sum += score;
+            let rel = if base > 0.0 { score / base } else { 0.0 };
+            self.current.relative_quality_sum += rel;
+            self.totals.relative_quality_sum += rel;
             self.reservoir_sample(score, base);
         }
     }
@@ -181,7 +244,7 @@ impl MetricsStage {
     }
 
     /// Folds in the insert counters the cache-plane stage accumulated
-    /// (run-level totals; order-insensitive).
+    /// (run-level totals, so the merge point touches no minute record).
     pub(crate) fn cache_insert_totals(
         &mut self,
         inserts: u64,
@@ -189,8 +252,9 @@ impl MetricsStage {
         remote_hops: u64,
     ) {
         self.profile.count(false);
-        self.collector
-            .on_cache_insert_totals(inserts, replica_writes, remote_hops);
+        self.retrieval.inserts += inserts;
+        self.retrieval.replica_writes += replica_writes;
+        self.retrieval.remote_write_hops += remote_hops;
     }
 
     /// A cascade first pass was judged: updates the per-level counts and
@@ -224,25 +288,36 @@ impl MetricsStage {
         &self.cascade.escalation_rate
     }
 
-    /// Finalizes and hands every sink back.
-    pub(crate) fn finish(&mut self, end: SimTime) -> MetricsReport {
+    /// Closes the ledger at `end`: the last minute record, the
+    /// level-ordered cache outcomes and the retrieval-latency mean and
+    /// p99.
+    pub(crate) fn finish(mut self, end: SimTime) -> MetricsReport {
         self.profile.count(true);
-        // `finish` consumes the collector; swap in a throwaway.
-        let collector = std::mem::replace(&mut self.collector, MetricsCollector::new(self.slo));
-        let (minutes, totals, retrieval) = collector.finish(end);
-        let mut cascade = std::mem::take(&mut self.cascade);
+        self.roll_to(end);
+        self.minutes.push(self.current);
+        let mut retrieval = self.retrieval;
+        retrieval.per_level.sort_by_key(|&(l, _)| l.ordinal());
+        let mut lats = self.lookup_latencies;
+        lats.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let n = lats.len();
+        retrieval.lookups = n as u64;
+        if n > 0 {
+            retrieval.mean_latency = lats.iter().sum::<f64>() / n as f64;
+            retrieval.p99_latency = lats[(((n as f64) * 0.99).ceil() as usize).clamp(1, n) - 1];
+        }
+        let mut cascade = self.cascade;
         if cascade.escalated_completed > 0 {
             cascade.quality_delta = self.cascade_delta_sum / cascade.escalated_completed as f64;
         }
         MetricsReport {
-            minutes,
-            totals,
+            minutes: self.minutes,
+            totals: self.totals,
             retrieval,
-            level_completions: std::mem::take(&mut self.level_completions),
-            quality_samples: std::mem::take(&mut self.quality_samples),
-            accuracy_log: std::mem::take(&mut self.accuracy_log),
-            pool_outcomes: std::mem::take(&mut self.pool_outcomes),
-            pool_alloc_samples: std::mem::take(&mut self.pool_alloc_samples),
+            level_completions: self.level_completions,
+            quality_samples: self.quality_samples,
+            accuracy_log: self.accuracy_log,
+            pool_outcomes: self.pool_outcomes,
+            pool_alloc_samples: self.pool_alloc_samples,
             cascade,
             profile: self.profile,
         }
@@ -258,5 +333,174 @@ impl MetricsStage {
                 self.quality_samples[j as usize] = (score, base);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use argus_models::{AcLevel, ModelVariant};
+    use rand::SeedableRng;
+
+    const LEVEL: ApproxLevel = ApproxLevel::Sm(ModelVariant::SdXl);
+    const GPU: GpuArch = GpuArch::A100;
+
+    fn t(secs: f64) -> SimTime {
+        SimTime::from_secs(secs)
+    }
+
+    /// A ledger with the SLO of a 4.2 s base model (12.6 s).
+    fn stage() -> MetricsStage {
+        stage_with_slo(SimDuration::from_secs(4.2) * crate::metrics::SLO_MULTIPLIER)
+    }
+
+    fn stage_with_slo(slo: SimDuration) -> MetricsStage {
+        MetricsStage::new(slo, StdRng::seed_from_u64(7))
+    }
+
+    #[test]
+    fn minute_rollup_and_totals() {
+        let mut s = stage();
+        s.arrival(t(10.0));
+        s.completion(t(14.0), SimDuration::from_secs(4.0), 20.0, 21.0, LEVEL, GPU);
+        s.arrival(t(70.0)); // minute 1
+        s.completion(
+            t(90.0),
+            SimDuration::from_secs(20.0),
+            19.0,
+            21.0,
+            LEVEL,
+            GPU,
+        ); // violation
+        let r = s.finish(t(121.0));
+        let (minutes, totals) = (r.minutes, r.totals);
+        assert_eq!(minutes.len(), 3);
+        assert_eq!(minutes[0].offered, 1);
+        assert_eq!(minutes[0].completed, 1);
+        assert_eq!(minutes[0].violations, 0);
+        assert!((minutes[0].effective_accuracy() - 20.0).abs() < 1e-12);
+        assert!((minutes[0].relative_quality() - 20.0 / 21.0).abs() < 1e-12);
+        assert_eq!(minutes[1].violations, 1);
+        assert_eq!(minutes[1].in_slo, 0);
+        assert_eq!(minutes[1].effective_accuracy(), 0.0);
+        assert_eq!(totals.offered, 2);
+        assert_eq!(totals.completed, 2);
+        assert_eq!(totals.violations, 1);
+        assert_eq!(totals.slo_violation_ratio(), 0.5);
+        assert!((totals.mean_throughput_qpm(2.0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lost_queries_count_as_violations() {
+        let mut s = stage();
+        s.arrival(t(1.0));
+        s.lost(t(2.0));
+        let r = s.finish(t(3.0));
+        assert_eq!(r.totals.violations, 1);
+        assert_eq!(r.totals.completed, 0);
+        assert_eq!(r.totals.slo_violation_ratio(), 1.0);
+        assert_eq!(r.retrieval, RetrievalStats::default());
+    }
+
+    #[test]
+    fn retrieval_and_load_accounting() {
+        let mut s = stage();
+        s.retrieval(t(5.0), SimDuration::from_millis(20.0));
+        s.retrieval(t(6.0), SimDuration::from_millis(40.0));
+        s.model_load(t(7.0));
+        s.utilization(t(8.0), 0.85);
+        let r = s.finish(t(59.0));
+        let (minutes, totals, retrieval) = (r.minutes, r.totals, r.retrieval);
+        assert_eq!(minutes[0].retrievals, 2);
+        assert!((minutes[0].mean_retrieval_latency() - 0.03).abs() < 1e-9);
+        assert_eq!(minutes[0].model_loads, 1);
+        assert_eq!(totals.model_loads, 1);
+        assert_eq!(minutes[0].utilization, 0.85);
+        assert_eq!(retrieval.lookups, 2);
+        assert!((retrieval.mean_latency - 0.03).abs() < 1e-9);
+        assert!((retrieval.p99_latency - 0.04).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cache_lookup_counts_sort_by_level_ordinal() {
+        let mut s = stage();
+        let deep = ApproxLevel::Ac(AcLevel(25));
+        let shallow = ApproxLevel::Ac(AcLevel(10));
+        s.cache_lookup(deep, FetchStatus::Hit);
+        s.cache_lookup(shallow, FetchStatus::Miss);
+        s.cache_lookup(deep, FetchStatus::Hit);
+        s.cache_lookup(deep, FetchStatus::Failed);
+        let retrieval = s.finish(t(60.0)).retrieval;
+        // First-seen was the deeper level; the output is ordinal-sorted.
+        assert_eq!(
+            retrieval.per_level,
+            vec![
+                (
+                    shallow,
+                    LevelCacheCounts {
+                        hits: 0,
+                        misses: 1,
+                        failures: 0
+                    }
+                ),
+                (
+                    deep,
+                    LevelCacheCounts {
+                        hits: 2,
+                        misses: 0,
+                        failures: 1
+                    }
+                ),
+            ]
+        );
+        assert_eq!(retrieval.hits(), 2);
+        assert_eq!(retrieval.misses(), 1);
+        assert_eq!(retrieval.failures(), 1);
+        assert!((retrieval.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn p99_latency_picks_the_tail() {
+        let mut s = stage();
+        for i in 1..=100 {
+            s.retrieval(t(i as f64 * 0.01), SimDuration::from_millis(i as f64));
+        }
+        let retrieval = s.finish(t(60.0)).retrieval;
+        assert_eq!(retrieval.lookups, 100);
+        assert!((retrieval.p99_latency - 0.099).abs() < 1e-9);
+        assert!((retrieval.mean_latency - 0.0505).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_minutes_are_materialized() {
+        let mut s = stage();
+        s.arrival(t(0.0));
+        s.arrival(t(300.0)); // minute 5
+        let minutes = s.finish(t(301.0)).minutes;
+        assert_eq!(minutes.len(), 6);
+        assert!(minutes[1..5].iter().all(|m| m.offered == 0));
+        assert_eq!(minutes[5].offered, 1);
+    }
+
+    #[test]
+    fn a_completion_at_the_slo_is_in_slo_and_one_microsecond_over_is_not() {
+        let slo = SimDuration::from_secs(12.6);
+        let judged = |latency: SimDuration| {
+            let mut s = stage_with_slo(slo);
+            s.completion(t(30.0), latency, 20.0, 21.0, LEVEL, GPU);
+            s.finish(t(31.0))
+        };
+
+        let at = judged(slo);
+        assert_eq!((at.minutes[0].in_slo, at.minutes[0].violations), (1, 0));
+        assert_eq!((at.totals.in_slo, at.totals.violations), (1, 0));
+        assert_eq!(at.pool_outcomes[&GPU], (1, 0));
+        assert_eq!(at.quality_samples, vec![(20.0, 21.0)]);
+
+        let over = judged(slo + SimDuration::from_micros(1));
+        assert_eq!((over.minutes[0].in_slo, over.minutes[0].violations), (0, 1));
+        assert_eq!((over.totals.in_slo, over.totals.violations), (0, 1));
+        assert_eq!(over.pool_outcomes[&GPU], (1, 1));
+        assert!(over.quality_samples.is_empty());
     }
 }

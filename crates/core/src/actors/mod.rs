@@ -10,9 +10,10 @@
 //! * [`cacheplane`] — owns the retrieval index (flat / LSH / sharded) and
 //!   the [`argus_cachestore::CacheStore`]: retrieval, index inserts,
 //!   store puts, network probes and the sharded plane's fault hooks;
-//! * [`metrics`] — owns every accounting sink (per-minute collector,
-//!   level-completion counts, quality reservoir, per-pool outcomes,
-//!   classifier-accuracy sampling, cascade verdicts);
+//! * [`metrics`] — the run's one ledger: the per-minute roll-up, the
+//!   run totals, the retrieval tallies, level-completion counts, the
+//!   quality reservoir, per-pool outcomes, classifier-accuracy sampling
+//!   and cascade verdicts, with one SLO test per completion;
 //! * [`fleet`] — owns the autoscale controller and the billed-membership
 //!   cost integral;
 //! * [`driver`] — the event pump: pops virtual-time events, with the

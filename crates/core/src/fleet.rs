@@ -24,6 +24,7 @@
 //! function of the signal sequence it is fed, so same-seed runs stay
 //! bit-identical (`tests/fleet.rs` pins it).
 
+use argus_des::SimDuration;
 use argus_models::GpuArch;
 
 use crate::system::FaultEvent;
@@ -68,10 +69,10 @@ pub struct SpotPool {
 /// consecutive pressured ticks (solver saturation, a mid-minute re-split
 /// firing, or backlog beyond the planned capacity) and **in** after
 /// [`AutoscalePolicy::scale_in_after`] consecutive idle ticks (demand
-/// share below [`AutoscalePolicy::idle_utilization`] of capacity with an
-/// empty backlog). New instances come up after
-/// [`AutoscalePolicy::provisioning_delay_secs`]; any action starts a
-/// per-pool cooldown of [`AutoscalePolicy::cooldown_secs`].
+/// share and backlog drain rate both below
+/// [`AutoscalePolicy::idle_utilization`] of capacity). New instances
+/// come up after [`AutoscalePolicy::provisioning_delay_secs`]; any action
+/// starts a per-pool cooldown of [`AutoscalePolicy::cooldown_secs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoscalePolicy {
     /// Consecutive pressured ticks before a scale-out.
@@ -84,8 +85,9 @@ pub struct AutoscalePolicy {
     pub provisioning_delay_secs: f64,
     /// Minimum seconds between actions on the same pool.
     pub cooldown_secs: f64,
-    /// Idle threshold: a pool is idle when its demand share is below this
-    /// fraction of its planned capacity (and its backlog is empty).
+    /// Idle threshold: an unpressured pool is idle when its demand share
+    /// and its backlog drain rate are both below this fraction of its
+    /// planned capacity.
     pub idle_utilization: f64,
     /// Per-architecture `(min, max)` worker bounds. Architectures not
     /// listed default to `min 1, max 2 × initial pool size`.
@@ -149,8 +151,12 @@ pub(crate) struct PoolSignal {
     pub(crate) gpu: GpuArch,
     /// Saturation, a re-split firing, or backlog beyond planned capacity.
     pub(crate) pressured: bool,
-    /// Demand share below the idle fraction of capacity, empty backlog.
-    pub(crate) idle: bool,
+    /// The backlog as the drain rate (QPM) that clears it within one tick.
+    pub(crate) backlog_qpm: f64,
+    /// The plan's capacity (QPM) at the pool's current size.
+    pub(crate) cap_qpm: f64,
+    /// The pool's planned demand share (QPM).
+    pub(crate) share_qpm: f64,
     /// Dispatchable workers right now.
     pub(crate) alive: usize,
     /// Workers already provisioning toward this pool.
@@ -160,8 +166,12 @@ pub(crate) struct PoolSignal {
 /// A scaling decision the driver must carry out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScaleAction {
-    /// Provision `n` new on-demand workers on `gpu`.
-    Out { gpu: GpuArch, n: usize },
+    /// Provision `n` new on-demand workers on `gpu`, serving after `delay`.
+    Out {
+        gpu: GpuArch,
+        n: usize,
+        delay: SimDuration,
+    },
     /// Retire `n` idle workers from the `gpu` pool.
     In { gpu: GpuArch, n: usize },
 }
@@ -178,8 +188,9 @@ struct PoolCtl {
 
 /// The deterministic hysteresis controller behind
 /// [`crate::system::RunConfig::with_autoscaler`]. Owned by the fleet
-/// stage; the driver feeds it one [`PoolSignal`] per pool per tick
-/// and executes the returned [`ScaleAction`]s.
+/// stage, it applies the whole [`AutoscalePolicy`]: the driver feeds it
+/// one [`PoolSignal`] per pool per tick and executes the returned
+/// [`ScaleAction`]s.
 #[derive(Debug, Clone)]
 pub(crate) struct AutoscaleController {
     policy: AutoscalePolicy,
@@ -220,10 +231,15 @@ impl AutoscaleController {
             let Some(ctl) = self.pools.iter_mut().find(|p| p.gpu == s.gpu) else {
                 continue;
             };
+            // Idle: both the planned share and the instantaneous backlog
+            // sit far below capacity. (Requiring a literally empty backlog
+            // would make the signal flicker with every in-flight
+            // straggler and never sustain a streak.)
+            let idle_cap = self.policy.idle_utilization * s.cap_qpm;
             if s.pressured {
                 ctl.in_streak = 0;
                 ctl.out_streak += 1;
-            } else if s.idle {
+            } else if s.backlog_qpm < idle_cap && s.share_qpm < idle_cap {
                 ctl.out_streak = 0;
                 ctl.in_streak += 1;
             } else {
@@ -236,7 +252,12 @@ impl AutoscaleController {
             let present = s.alive + s.pending;
             if ctl.out_streak >= self.policy.scale_out_after && present < ctl.max {
                 let n = self.policy.step.min(ctl.max - present);
-                actions.push(ScaleAction::Out { gpu: ctl.gpu, n });
+                let delay = SimDuration::from_secs(self.policy.provisioning_delay_secs);
+                actions.push(ScaleAction::Out {
+                    gpu: ctl.gpu,
+                    n,
+                    delay,
+                });
                 ctl.out_streak = 0;
                 ctl.cooldown_until = t_secs + self.policy.cooldown_secs;
             } else if ctl.in_streak >= self.policy.scale_in_after && s.alive > ctl.min {
@@ -326,13 +347,39 @@ pub fn preemption_events(schedule: &[(f64, Vec<usize>)], warning_secs: f64) -> V
 mod tests {
     use super::*;
 
-    fn sig(gpu: GpuArch, pressured: bool, idle: bool, alive: usize, pending: usize) -> PoolSignal {
+    /// Planned capacity of every test pool (QPM); the default policy's
+    /// idle line is 30% of it.
+    const CAP: f64 = 100.0;
+    /// (backlog, share) drain rates in QPM, above the idle line.
+    const BUSY: (f64, f64) = (40.0, 80.0);
+    /// (backlog, share) drain rates in QPM, below the idle line.
+    const IDLE: (f64, f64) = (5.0, 10.0);
+
+    /// A pool signal from raw load numbers against [`CAP`].
+    fn sig(
+        gpu: GpuArch,
+        pressured: bool,
+        (backlog_qpm, share_qpm): (f64, f64),
+        alive: usize,
+        pending: usize,
+    ) -> PoolSignal {
         PoolSignal {
             gpu,
             pressured,
-            idle,
+            backlog_qpm,
+            cap_qpm: CAP,
+            share_qpm,
             alive,
             pending,
+        }
+    }
+
+    /// A scale-out of `n` A100 workers after the default 90 s delay.
+    fn out(n: usize) -> ScaleAction {
+        ScaleAction::Out {
+            gpu: GpuArch::A100,
+            n,
+            delay: SimDuration::from_secs(90.0),
         }
     }
 
@@ -350,56 +397,38 @@ mod tests {
         let policy = AutoscalePolicy::default().with_cooldown(180.0);
         let mut ctl = AutoscaleController::new(policy, &[(GpuArch::A100, 8)]);
         // One pressured tick: below the streak threshold.
-        let a = ctl.on_tick(60.0, &[sig(GpuArch::A100, true, false, 8, 0)]);
+        let a = ctl.on_tick(60.0, &[sig(GpuArch::A100, true, BUSY, 8, 0)]);
         assert!(a.is_empty());
         // Second consecutive pressured tick: scale out one step.
-        let a = ctl.on_tick(120.0, &[sig(GpuArch::A100, true, false, 8, 0)]);
-        assert_eq!(
-            a,
-            vec![ScaleAction::Out {
-                gpu: GpuArch::A100,
-                n: 1
-            }]
-        );
+        let a = ctl.on_tick(120.0, &[sig(GpuArch::A100, true, BUSY, 8, 0)]);
+        assert_eq!(a, vec![out(1)]);
         // Pressure continues but the cooldown holds further actions.
-        let a = ctl.on_tick(180.0, &[sig(GpuArch::A100, true, false, 8, 1)]);
+        let a = ctl.on_tick(180.0, &[sig(GpuArch::A100, true, BUSY, 8, 1)]);
         assert!(a.is_empty());
-        let a = ctl.on_tick(240.0, &[sig(GpuArch::A100, true, false, 8, 1)]);
+        let a = ctl.on_tick(240.0, &[sig(GpuArch::A100, true, BUSY, 8, 1)]);
         assert!(a.is_empty());
         // Cooldown expired and the streak is sustained: act again.
-        let a = ctl.on_tick(300.0, &[sig(GpuArch::A100, true, false, 9, 0)]);
-        assert_eq!(
-            a,
-            vec![ScaleAction::Out {
-                gpu: GpuArch::A100,
-                n: 1
-            }]
-        );
+        let a = ctl.on_tick(300.0, &[sig(GpuArch::A100, true, BUSY, 9, 0)]);
+        assert_eq!(a, vec![out(1)]);
     }
 
     #[test]
     fn scale_out_stops_at_the_max_bound() {
         let policy = AutoscalePolicy::default().with_bounds(GpuArch::A100, 2, 9);
         let mut ctl = AutoscaleController::new(policy, &[(GpuArch::A100, 8)]);
-        ctl.on_tick(60.0, &[sig(GpuArch::A100, true, false, 8, 0)]);
+        ctl.on_tick(60.0, &[sig(GpuArch::A100, true, BUSY, 8, 0)]);
         // 8 alive + 1 pending = 9 = max: nothing to add.
-        ctl.on_tick(120.0, &[sig(GpuArch::A100, true, false, 8, 1)]);
-        let a = ctl.on_tick(600.0, &[sig(GpuArch::A100, true, false, 8, 1)]);
+        ctl.on_tick(120.0, &[sig(GpuArch::A100, true, BUSY, 8, 1)]);
+        let a = ctl.on_tick(600.0, &[sig(GpuArch::A100, true, BUSY, 8, 1)]);
         assert!(a.is_empty(), "{a:?}");
         // With headroom of one, the step is clamped to it.
         let policy = AutoscalePolicy::default()
             .with_step(4)
             .with_bounds(GpuArch::A100, 2, 9);
         let mut ctl = AutoscaleController::new(policy, &[(GpuArch::A100, 8)]);
-        ctl.on_tick(60.0, &[sig(GpuArch::A100, true, false, 8, 0)]);
-        let a = ctl.on_tick(120.0, &[sig(GpuArch::A100, true, false, 8, 0)]);
-        assert_eq!(
-            a,
-            vec![ScaleAction::Out {
-                gpu: GpuArch::A100,
-                n: 1
-            }]
-        );
+        ctl.on_tick(60.0, &[sig(GpuArch::A100, true, BUSY, 8, 0)]);
+        let a = ctl.on_tick(120.0, &[sig(GpuArch::A100, true, BUSY, 8, 0)]);
+        assert_eq!(a, vec![out(1)]);
     }
 
     #[test]
@@ -409,11 +438,11 @@ mod tests {
         for i in 0..4 {
             let a = ctl.on_tick(
                 60.0 * (i + 1) as f64,
-                &[sig(GpuArch::A100, false, true, 8, 0)],
+                &[sig(GpuArch::A100, false, IDLE, 8, 0)],
             );
             assert!(a.is_empty(), "tick {i}: {a:?}");
         }
-        let a = ctl.on_tick(300.0, &[sig(GpuArch::A100, false, true, 8, 0)]);
+        let a = ctl.on_tick(300.0, &[sig(GpuArch::A100, false, IDLE, 8, 0)]);
         assert_eq!(
             a,
             vec![ScaleAction::In {
@@ -429,7 +458,7 @@ mod tests {
         for i in 0..10 {
             let a = ctl.on_tick(
                 60.0 * (i + 1) as f64,
-                &[sig(GpuArch::A100, false, true, 8, 0)],
+                &[sig(GpuArch::A100, false, IDLE, 8, 0)],
             );
             assert!(a.is_empty(), "tick {i}: {a:?}");
         }
@@ -438,11 +467,47 @@ mod tests {
     #[test]
     fn neutral_ticks_reset_both_streaks() {
         let mut ctl = AutoscaleController::new(AutoscalePolicy::default(), &[(GpuArch::A100, 8)]);
-        ctl.on_tick(60.0, &[sig(GpuArch::A100, true, false, 8, 0)]);
+        ctl.on_tick(60.0, &[sig(GpuArch::A100, true, BUSY, 8, 0)]);
         // Neither pressured nor idle: the pressure streak resets.
-        ctl.on_tick(120.0, &[sig(GpuArch::A100, false, false, 8, 0)]);
-        let a = ctl.on_tick(180.0, &[sig(GpuArch::A100, true, false, 8, 0)]);
+        ctl.on_tick(120.0, &[sig(GpuArch::A100, false, BUSY, 8, 0)]);
+        let a = ctl.on_tick(180.0, &[sig(GpuArch::A100, true, BUSY, 8, 0)]);
         assert!(a.is_empty());
+    }
+
+    #[test]
+    fn a_load_exactly_at_the_idle_line_is_not_idle() {
+        // Idleness is strict: a share or a backlog equal to
+        // `idle_utilization × capacity` keeps resetting the idle streak.
+        let line = AutoscalePolicy::default().idle_utilization * CAP;
+        for load in [(0.0, line), (line, 0.0)] {
+            let mut ctl =
+                AutoscaleController::new(AutoscalePolicy::default(), &[(GpuArch::A100, 8)]);
+            for i in 0..10 {
+                let a = ctl.on_tick(
+                    60.0 * (i + 1) as f64,
+                    &[sig(GpuArch::A100, false, load, 8, 0)],
+                );
+                assert!(a.is_empty(), "{load:?} tick {i}: {a:?}");
+            }
+        }
+        // Strictly below the line, the default five-tick streak scales in.
+        let mut ctl = AutoscaleController::new(AutoscalePolicy::default(), &[(GpuArch::A100, 8)]);
+        let below = (0.0, line - 1e-9);
+        let acted: Vec<ScaleAction> = (0..5)
+            .flat_map(|i| {
+                ctl.on_tick(
+                    60.0 * (i + 1) as f64,
+                    &[sig(GpuArch::A100, false, below, 8, 0)],
+                )
+            })
+            .collect();
+        assert_eq!(
+            acted,
+            vec![ScaleAction::In {
+                gpu: GpuArch::A100,
+                n: 1
+            }]
+        );
     }
 
     #[test]
@@ -459,8 +524,20 @@ mod tests {
                 log.extend(ctl.on_tick(
                     60.0 * (i + 1) as f64,
                     &[
-                        sig(GpuArch::A100, pressured, idle, 8, 0),
-                        sig(GpuArch::V100, idle, pressured, 4, 0),
+                        sig(
+                            GpuArch::A100,
+                            pressured,
+                            if idle { IDLE } else { BUSY },
+                            8,
+                            0,
+                        ),
+                        sig(
+                            GpuArch::V100,
+                            idle,
+                            if pressured { IDLE } else { BUSY },
+                            4,
+                            0,
+                        ),
                     ],
                 ));
             }

@@ -32,8 +32,8 @@
 //! * [`fleet`] — the elastic fleet subsystem: the autoscale controller,
 //!   spot pools with warning-window preemption, and cost-aware
 //!   accounting (`RunConfig::with_autoscaler` / `with_spot_pool`);
-//! * [`metrics`] — per-minute throughput / effective accuracy / SLO
-//!   violation accounting (§5.1);
+//! * [`metrics`] — the per-minute and whole-run result types of the
+//!   throughput / effective accuracy / SLO violation metrics (§5.1);
 //! * telemetry (the `argus_obs` crate) — opt-in job-lifecycle spans,
 //!   the per-tick time-series registry and control-plane stage profiles,
 //!   wired through `RunConfig::with_telemetry` (§12);
@@ -41,8 +41,9 @@
 //!   GPU cluster, vector DB, cache store and workload traces; its driver
 //!   owns the planner, cache-plane, metrics and fleet stages as plain
 //!   structs and calls them directly;
-//! * [`policy`] — Argus plus every baseline the paper compares against
-//!   (PAC, Proteus, Sommelier, NIRVANA, Clipper-HA/HT).
+//! * [`policy`] — the names of Argus and every baseline the paper
+//!   compares against (PAC, Proteus, Sommelier, NIRVANA, Clipper-HA/HT);
+//!   [`pipeline_for`] maps each to its pipeline.
 //!
 //! # Example
 //!

@@ -250,7 +250,8 @@ pub trait ServingPolicy:
 }
 
 /// The built-in pipeline for a [`Policy`] — the only place a policy tag is
-/// mapped to behaviour; the event loop itself is policy-agnostic.
+/// mapped to behaviour ([`Policy`] itself is just a name); the event loop
+/// itself is policy-agnostic.
 pub fn pipeline_for(policy: Policy) -> Arc<dyn ServingPolicy> {
     match policy {
         Policy::Argus => Arc::new(ArgusPolicy),
@@ -384,14 +385,53 @@ mod tests {
     #[test]
     fn pipeline_for_covers_every_policy() {
         for p in Policy::ALL {
-            let pipe = pipeline_for(p);
-            assert_eq!(pipe.name(), p.name());
-            // Feature flags mirror the Policy table.
-            assert_eq!(pipe.uses_classifier(), p.uses_classifier());
-            assert_eq!(pipe.uses_oda(), p.uses_oda());
-            assert_eq!(pipe.switches_strategy(), p.switches_strategy());
-            assert_eq!(pipe.uses_cache_store(), p.uses_cache());
+            assert_eq!(pipeline_for(p).name(), p.name());
         }
+    }
+
+    #[test]
+    fn table1_feature_matrix() {
+        // The Table 1 rows this reproduction implements, read off the
+        // pipelines the way `tab01_system_matrix` prints them.
+        let solver = |p| pipeline_for(p).initial_placement() == InitialPlacement::Solve;
+        let classifier = |p| pipeline_for(p).uses_classifier();
+        let oda = |p| pipeline_for(p).uses_oda();
+        let switches = |p| pipeline_for(p).switches_strategy();
+        let per_gpu = |p| pipeline_for(p).plan_tick(0.0, 0.0) == TickAction::AdaptPerWorker;
+        let cache = |p| pipeline_for(p).uses_cache_store();
+        let default_strategy =
+            |p| pipeline_for(p).active_ladder(&StrategySwitcher::new())[0].strategy();
+
+        assert!(solver(Policy::Argus));
+        assert!(classifier(Policy::Argus));
+        assert!(oda(Policy::Argus));
+        assert!(switches(Policy::Argus));
+
+        assert!(solver(Policy::Pac));
+        assert!(!classifier(Policy::Pac));
+        assert!(!oda(Policy::Pac));
+        assert!(switches(Policy::Pac));
+
+        assert!(solver(Policy::Proteus));
+        assert!(!classifier(Policy::Proteus));
+        assert!(!switches(Policy::Proteus));
+        assert_eq!(default_strategy(Policy::Proteus), Strategy::Sm);
+
+        assert!(per_gpu(Policy::Sommelier));
+        assert!(!solver(Policy::Sommelier));
+
+        assert!(!solver(Policy::Nirvana));
+        assert!(cache(Policy::Nirvana));
+
+        assert_eq!(
+            pipeline_for(Policy::ClipperHa).static_level(),
+            ApproxLevel::Sm(ModelVariant::SdXl)
+        );
+        assert_eq!(
+            pipeline_for(Policy::ClipperHt).static_level(),
+            ApproxLevel::Sm(ModelVariant::TinySd)
+        );
+        assert!(!cache(Policy::ClipperHa));
     }
 
     #[test]

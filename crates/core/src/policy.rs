@@ -1,6 +1,8 @@
 //! Serving policies: Argus and every baseline of §5.1.
+//!
+//! A [`Policy`] is a name. What it does is its pipeline, which
+//! [`crate::pipeline::pipeline_for`] builds: the one policy→behaviour map.
 
-use argus_models::{ApproxLevel, ModelVariant, Strategy};
 use std::fmt;
 
 /// A serving policy — the system under test in an experiment run.
@@ -52,59 +54,6 @@ impl Policy {
             Policy::ClipperHt => "Clipper-HT",
         }
     }
-
-    /// Whether the policy runs the cluster-level Eq. 1 solver every minute.
-    pub fn uses_solver(self) -> bool {
-        matches!(self, Policy::Argus | Policy::Pac | Policy::Proteus)
-    }
-
-    /// Whether the policy consults the per-prompt classifier.
-    pub fn uses_classifier(self) -> bool {
-        matches!(self, Policy::Argus)
-    }
-
-    /// Whether prompts are redistributed through ODA's PASM (vs the
-    /// proportional map).
-    pub fn uses_oda(self) -> bool {
-        matches!(self, Policy::Argus)
-    }
-
-    /// Whether the policy adaptively switches between AC and SM (§4.6).
-    pub fn switches_strategy(self) -> bool {
-        matches!(self, Policy::Argus | Policy::Pac)
-    }
-
-    /// Whether per-worker (not cluster-level) adaptation is used.
-    pub fn per_gpu_scaling(self) -> bool {
-        matches!(self, Policy::Sommelier)
-    }
-
-    /// The initial approximation strategy.
-    pub fn initial_strategy(self) -> Strategy {
-        match self {
-            // Argus and PAC default to AC (Obs. 4); NIRVANA is AC by
-            // definition; Clipper-HA serves the base model (equivalent to
-            // AC at K=0 without retrieval, but modelled as SM/SD-XL).
-            Policy::Argus | Policy::Pac | Policy::Nirvana => Strategy::Ac,
-            Policy::Proteus | Policy::Sommelier | Policy::ClipperHa | Policy::ClipperHt => {
-                Strategy::Sm
-            }
-        }
-    }
-
-    /// The static level this policy pins every worker to, if any.
-    pub fn fixed_level(self) -> Option<ApproxLevel> {
-        match self {
-            Policy::ClipperHa => Some(ApproxLevel::Sm(ModelVariant::SdXl)),
-            Policy::ClipperHt => Some(ApproxLevel::Sm(ModelVariant::TinySd)),
-            _ => None,
-        }
-    }
-
-    /// Whether this policy uses approximate caching at all.
-    pub fn uses_cache(self) -> bool {
-        matches!(self, Policy::Argus | Policy::Pac | Policy::Nirvana)
-    }
 }
 
 impl fmt::Display for Policy {
@@ -116,41 +65,6 @@ impl fmt::Display for Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table1_feature_matrix() {
-        // The Table 1 rows this reproduction implements.
-        assert!(Policy::Argus.uses_solver());
-        assert!(Policy::Argus.uses_classifier());
-        assert!(Policy::Argus.uses_oda());
-        assert!(Policy::Argus.switches_strategy());
-
-        assert!(Policy::Pac.uses_solver());
-        assert!(!Policy::Pac.uses_classifier());
-        assert!(!Policy::Pac.uses_oda());
-        assert!(Policy::Pac.switches_strategy());
-
-        assert!(Policy::Proteus.uses_solver());
-        assert!(!Policy::Proteus.uses_classifier());
-        assert!(!Policy::Proteus.switches_strategy());
-        assert_eq!(Policy::Proteus.initial_strategy(), Strategy::Sm);
-
-        assert!(Policy::Sommelier.per_gpu_scaling());
-        assert!(!Policy::Sommelier.uses_solver());
-
-        assert!(!Policy::Nirvana.uses_solver());
-        assert!(Policy::Nirvana.uses_cache());
-
-        assert_eq!(
-            Policy::ClipperHa.fixed_level(),
-            Some(ApproxLevel::Sm(ModelVariant::SdXl))
-        );
-        assert_eq!(
-            Policy::ClipperHt.fixed_level(),
-            Some(ApproxLevel::Sm(ModelVariant::TinySd))
-        );
-        assert!(!Policy::ClipperHa.uses_cache());
-    }
 
     #[test]
     fn names_and_display() {

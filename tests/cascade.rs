@@ -27,7 +27,8 @@ fn cascade_cfg(seed: u64, minutes: usize, cc: CascadeConfig) -> RunConfig {
 
 /// The run SLO in integer microseconds: three times the base model's
 /// (SD-XL, SM rung 0) compute time on the default single-A100 fleet —
-/// the same constant `MetricsCollector` derives.
+/// the same constant `SystemSimulation::new` derives for the metrics
+/// stage.
 fn slo_us() -> u64 {
     let base = ApproxLevel::ladder(Strategy::Sm)[0].compute_secs(GpuArch::A100);
     (3.0 * base * 1e6).round() as u64

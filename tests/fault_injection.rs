@@ -225,6 +225,42 @@ fn zero_warning_preemption_degrades_to_worker_fail() {
 }
 
 #[test]
+fn zero_warning_preemption_of_a_failed_worker_is_not_a_preemption() {
+    // Worker 1 crashes at minute 3; an unwarned reclaim of it at minute 5
+    // finds nothing to take: no preemption is tallied, and the serving
+    // outcome is the crash-only run's.
+    let run = |faults: Vec<FaultEvent>| {
+        let mut c = RunConfig::new(Policy::Argus, steady(90.0, 8))
+            .with_seed(11)
+            .with_faults(faults);
+        c.classifier_train_size = 600;
+        c.run()
+    };
+    let crash = FaultEvent::WorkerFail {
+        at_minute: 3.0,
+        workers: vec![1],
+    };
+    let failed = run(vec![crash.clone()]);
+    let reclaimed = run(vec![
+        crash,
+        FaultEvent::Preemption {
+            at_minute: 5.0,
+            workers: vec![1],
+            warning_secs: 0.0,
+        },
+    ]);
+    assert_eq!(
+        (
+            reclaimed.fleet.preemptions_ridden,
+            reclaimed.fleet.preemptions_lost
+        ),
+        (0, 0)
+    );
+    assert_eq!(failed.totals, reclaimed.totals);
+    assert_eq!(failed.minutes, reclaimed.minutes);
+}
+
+#[test]
 fn switcher_state_machine_is_exposed() {
     // The switcher type is part of the public API for operators.
     use argus::core::StrategySwitcher;

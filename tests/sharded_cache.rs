@@ -13,7 +13,7 @@
 //!   better hit-rate through the same fault than an `R = 1` plane, whose
 //!   dead shards lose their entries outright.
 
-use argus::core::{FaultEvent, Policy, RunConfig, RunOutcome};
+use argus::core::{pipeline_for, FaultEvent, Policy, RunConfig, RunOutcome};
 use argus::workload::{steady, twitter_like};
 
 /// The quickstart trace (`examples/quickstart.rs`), truncated so the
@@ -87,7 +87,7 @@ fn every_policy_runs_on_the_sharded_plane() {
             "{policy}: completed {}",
             out.totals.completed
         );
-        if policy.uses_cache() {
+        if pipeline_for(policy).uses_cache_store() {
             assert!(out.retrieval.lookups > 0, "{policy}: no lookups");
         } else {
             assert_eq!(out.retrieval.lookups, 0, "{policy}: unexpected lookups");
