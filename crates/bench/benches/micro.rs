@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks of the hot control-plane paths: the solver
 //! (the §5.7 <100 ms claim in bench form), ODA, PASM sampling,
 //! tokenizing, embeddings, vector search, classifier inference, oracle
-//! labelling, a drift retrain and raw event throughput.
+//! labelling, a drift retrain, the per-job prompt path (generation,
+//! completion scoring, a cascade judgement) and raw event throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use argus_classifier::{label_prompts, train, TrainerConfig};
-use argus_core::{oda, AllocationProblem};
+use argus_core::{oda, AllocationProblem, Discriminator, OracleDiscriminator};
 use argus_des::{EventQueue, SimTime};
 use argus_embed::embed;
 use argus_models::{ApproxLevel, GpuArch, Strategy};
@@ -149,6 +150,32 @@ fn bench_classifier(c: &mut Criterion) {
     });
 }
 
+/// What every job pays on the prompt path: its prompt built on arrival,
+/// its completion scored against its base quality, and, in a cascade,
+/// its first pass judged by the discriminator (at the cheapest SM rung,
+/// where cascade first passes run).
+fn bench_prompt_path(c: &mut Criterion) {
+    let mut generator = PromptGenerator::new(1);
+    c.bench_function("prompt_generate", |b| {
+        b.iter(|| black_box(generator.generate()))
+    });
+    let pool = PromptGenerator::new(2).generate_batch(768);
+    let level = ApproxLevel::ladder(Strategy::Sm)[5];
+    let oracle = QualityOracle::new(1);
+    let mut next = cycle(&pool);
+    c.bench_function("oracle_completion", |b| {
+        b.iter(|| {
+            let terms = oracle.terms(next());
+            black_box((terms.score(level, 0.75), terms.base_quality()))
+        })
+    });
+    let judge = OracleDiscriminator::new(1);
+    let mut next = cycle(&pool);
+    c.bench_function("discriminator_doubt", |b| {
+        b.iter(|| black_box(judge.doubt(next(), level, 0.75)))
+    });
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_10k_schedule_pop", |b| {
         b.iter_batched(
@@ -172,6 +199,7 @@ criterion_group!(
     bench_oda,
     bench_embedding_and_vdb,
     bench_classifier,
+    bench_prompt_path,
     bench_event_queue
 );
 criterion_main!(benches);

@@ -86,6 +86,9 @@ pub struct Worker {
     /// Billing continues — a draining spot instance is still rented until
     /// it disappears.
     draining: bool,
+    /// Drains begun so far: names the current drain, so a preemption
+    /// warning can tell whether the drain it announced is still on.
+    drains: u32,
     /// HBM capacity in co-resident model variants. Argus keeps
     /// [`MAX_RESIDENT_MODELS`] (§4.6); systems that swap the serving model
     /// in place run with a single slot and pay a load on every switch.
@@ -111,6 +114,7 @@ impl Worker {
             in_flight: Vec::new(),
             failed: false,
             draining: false,
+            drains: 0,
             hbm_slots: MAX_RESIDENT_MODELS,
             busy: SimDuration::ZERO,
             busy_since: None,
@@ -162,6 +166,13 @@ impl Worker {
     /// [`Cluster::begin_drain`]).
     pub fn is_draining(&self) -> bool {
         self.draining
+    }
+
+    /// How many preemption drains the worker has begun. While it is
+    /// draining, this names the drain in progress: a drain that a
+    /// recover cancelled, or a failure ended, is never current again.
+    pub fn drains_begun(&self) -> u32 {
+        self.drains
     }
 
     /// When the worker was created (run start, or the provisioning
@@ -365,6 +376,7 @@ impl Worker {
             return Vec::new();
         }
         self.draining = true;
+        self.drains += 1;
         self.queue.drain(..).collect()
     }
 
@@ -1225,11 +1237,17 @@ mod tests {
         w.finish_load(t(9.42));
         w.begin_drain(t(10.0));
         assert!(w.is_draining());
+        assert_eq!(w.drains_begun(), 1);
         w.recover(t(12.0));
         assert!(!w.is_draining());
         assert!(!w.is_failed());
         // The level survived the cancelled preemption (no cold restart).
         assert_eq!(w.level(), Some(ApproxLevel::Ac(AcLevel(0))));
+        // A second warning begins a new drain, told apart from the first.
+        w.begin_drain(t(13.0));
+        assert_eq!(w.drains_begun(), 2);
+        assert!(w.begin_drain(t(13.5)).is_empty());
+        assert_eq!(w.drains_begun(), 2, "a double drain is not a new drain");
     }
 
     #[test]

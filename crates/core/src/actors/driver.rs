@@ -164,7 +164,7 @@ impl SystemSimulation {
                 Event::Probe => self.on_probe(t),
                 Event::Fault(i) => self.on_fault(i as usize, t),
                 Event::Provision(wi) => self.on_provision(wi as usize, t),
-                Event::Preempt(wi) => self.on_preempt_fire(wi as usize, t),
+                Event::Preempt(wi, drain) => self.on_preempt_fire(wi as usize, drain, t),
             }
         }
         let end = self.queue.now().max(self.horizon);
@@ -591,13 +591,12 @@ impl SystemSimulation {
         let slot = self.jobs.get(job);
         let exec = slot.exec.expect("a finishing job's pass has started");
         let prompt = &slot.prompt;
-        let score = self.oracle.score_with_similarity(
-            prompt,
-            exec.level,
-            exec.similarity
-                .unwrap_or(argus_quality::DEFAULT_AC_SIMILARITY),
-        );
-        let base = self.oracle.base_quality(prompt);
+        let similarity = exec
+            .similarity
+            .unwrap_or(argus_quality::DEFAULT_AC_SIMILARITY);
+        // One hash of the text serves the score and its base.
+        let terms = self.oracle.terms(prompt);
+        let (score, base) = (terms.score(exec.level, similarity), terms.base_quality());
         let latency_e2e = t - slot.arrival;
 
         // Cascade gate. A first pass is judged by the discriminator:
@@ -621,12 +620,7 @@ impl SystemSimulation {
                 // escalation rung would re-run the same level.
                 let escalated = c.first_level != c.escalate_level
                     && exec.level != c.escalate_level
-                    && c.discriminator.doubt(
-                        prompt,
-                        exec.level,
-                        exec.similarity
-                            .unwrap_or(argus_quality::DEFAULT_AC_SIMILARITY),
-                    ) >= c.threshold;
+                    && c.discriminator.doubt(prompt, exec.level, similarity) >= c.threshold;
                 let level = exec.level;
                 self.metrics.cascade_judged(level, escalated);
                 if escalated {
@@ -958,13 +952,16 @@ impl SystemSimulation {
                     // jobs migrate to survivors immediately, the in-flight
                     // pass races the warning window — and schedule the
                     // actual disappearance. Billing continues until then.
+                    // The warning names the drain in progress (its own, or
+                    // an earlier warning's it joins), which a recover ends.
                     let migrated = self.cluster.begin_drain(WorkerId(wi), t);
+                    let drain = self.cluster.worker(WorkerId(wi)).drains_begun();
                     for job in migrated {
                         self.dispatch(job as usize, t);
                     }
                     self.queue.schedule(
                         t + SimDuration::from_secs(warning_secs),
-                        Event::Preempt(wi as u32),
+                        Event::Preempt(wi as u32, drain),
                     );
                 }
             }
@@ -997,9 +994,13 @@ impl SystemSimulation {
         self.record_membership(t);
     }
 
-    /// A preemption warning expired: the instance disappears now.
-    fn on_preempt_fire(&mut self, wi: usize, t: SimTime) {
-        if self.reclaim_now(wi, t) {
+    /// A preemption warning expired: the instance disappears now, if it
+    /// is still in drain number `drain`, the one the warning announced. A
+    /// recover during the window cancelled that drain (a false alarm), and
+    /// a worker warned again after it is taken by the later warning.
+    fn on_preempt_fire(&mut self, wi: usize, drain: u32, t: SimTime) {
+        let w = self.cluster.worker(WorkerId(wi));
+        if w.is_draining() && w.drains_begun() == drain && self.reclaim_now(wi, t) {
             self.record_membership(t);
         }
     }

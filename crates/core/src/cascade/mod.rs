@@ -89,11 +89,9 @@ impl Discriminator for OracleDiscriminator {
     }
 
     fn doubt(&self, prompt: &Prompt, level: ApproxLevel, similarity: f64) -> f64 {
-        let est = self
-            .estimator
-            .score_with_similarity(prompt, level, similarity);
-        let base = self.estimator.base_quality(prompt);
-        (1.0 - est / base).clamp(0.0, MAX_DOUBT)
+        // One hash of the text per judgement serves the estimate and its base.
+        let terms = self.estimator.terms(prompt);
+        (1.0 - terms.score(level, similarity) / terms.base_quality()).clamp(0.0, MAX_DOUBT)
     }
 }
 
@@ -285,6 +283,33 @@ mod tests {
                 let b = d.doubt(p, level, 0.75);
                 assert_eq!(a.to_bits(), b.to_bits());
                 assert!((0.0..=MAX_DOUBT).contains(&a), "{a}");
+            }
+        }
+    }
+
+    #[test]
+    fn doubt_equals_the_two_call_formula() {
+        // The doubt as two oracle reads, each hashing the text: the
+        // estimated score at the executed level, then the base quality.
+        let two_call = |d: &OracleDiscriminator, p: &Prompt, level, similarity| {
+            let est = d.estimator.score_with_similarity(p, level, similarity);
+            let base = d.estimator.base_quality(p);
+            (1.0 - est / base).clamp(0.0, MAX_DOUBT)
+        };
+        let prompts = PromptGenerator::new(11).generate_batch(500);
+        let d = OracleDiscriminator::new(24);
+        for strategy in [Strategy::Sm, Strategy::Ac] {
+            for level in ApproxLevel::ladder(strategy) {
+                for p in &prompts {
+                    for similarity in [0.0, 0.3, 0.75, 1.0, 1.7] {
+                        assert_eq!(
+                            d.doubt(p, level, similarity).to_bits(),
+                            two_call(&d, p, level, similarity).to_bits(),
+                            "{level} at {similarity}: {}",
+                            p.text
+                        );
+                    }
+                }
             }
         }
     }

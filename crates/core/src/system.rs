@@ -784,8 +784,10 @@ pub(crate) enum Event {
     /// A scale-out's provisioning delay elapsed: the worker joins the
     /// serving set.
     Provision(u32),
-    /// A preemption warning expired: the worker disappears now.
-    Preempt(u32),
+    /// A preemption warning expired: the worker disappears now, if it is
+    /// still in the drain the warning announced (worker, drain number:
+    /// [`argus_cluster::Worker::drains_begun`] when the warning came).
+    Preempt(u32, u32),
 }
 
 /// The discrete-event simulation of the full serving system.

@@ -100,8 +100,12 @@ impl PromptGenerator {
         let with_setting = self.rng.random::<f64>() < 0.8;
         let n_modifiers = self.rng.random_range(0..=3usize);
 
+        // Every piece is drawn first, in the stream's RNG order (each
+        // subject, then its relation), and the text is then written into
+        // one allocation of its exact length.
         let style = theme.styles[self.rng.random_range(0..theme.styles.len())];
-        let mut text = format!("{style} of ");
+        let mut subjects = [""; 3];
+        let mut relations = [""; 2];
         let mut prev: Option<usize> = None;
         for i in 0..n_subjects {
             let mut s_idx = self.rng.random_range(0..theme.subjects.len());
@@ -109,22 +113,48 @@ impl PromptGenerator {
                 s_idx = (s_idx + 1) % theme.subjects.len();
             }
             prev = Some(s_idx);
+            subjects[i] = theme.subjects[s_idx];
             if i > 0 {
-                let rel = RELATIONS[self.rng.random_range(0..RELATIONS.len())];
-                text.push(' ');
-                text.push_str(rel);
-                text.push(' ');
+                relations[i - 1] = RELATIONS[self.rng.random_range(0..RELATIONS.len())];
             }
-            text.push_str(theme.subjects[s_idx]);
         }
-        if with_setting {
+        let setting =
+            with_setting.then(|| theme.settings[self.rng.random_range(0..theme.settings.len())]);
+        let mut modifiers = [""; 3];
+        for m in &mut modifiers[..n_modifiers] {
+            *m = theme.modifiers[self.rng.random_range(0..theme.modifiers.len())];
+        }
+
+        let (subjects, relations, modifiers) = (
+            &subjects[..n_subjects],
+            &relations[..n_subjects - 1],
+            &modifiers[..n_modifiers],
+        );
+        let len = style.len()
+            + " of ".len()
+            + subjects.iter().map(|s| s.len()).sum::<usize>()
+            + relations.iter().map(|r| r.len() + 2).sum::<usize>()
+            + setting.map_or(0, |s| s.len() + 1)
+            + modifiers.iter().map(|m| m.len() + 2).sum::<usize>();
+        let mut text = String::with_capacity(len);
+        text.push_str(style);
+        text.push_str(" of ");
+        text.push_str(subjects[0]);
+        for (rel, subject) in relations.iter().zip(&subjects[1..]) {
             text.push(' ');
-            text.push_str(theme.settings[self.rng.random_range(0..theme.settings.len())]);
+            text.push_str(rel);
+            text.push(' ');
+            text.push_str(subject);
         }
-        for _ in 0..n_modifiers {
+        if let Some(setting) = setting {
+            text.push(' ');
+            text.push_str(setting);
+        }
+        for m in modifiers {
             text.push_str(", ");
-            text.push_str(theme.modifiers[self.rng.random_range(0..theme.modifiers.len())]);
+            text.push_str(m);
         }
+        debug_assert_eq!(text.len(), len);
 
         // Structural complexity: subjects and relations dominate; settings
         // and modifiers add detail pressure. Jitter models everything the
@@ -158,6 +188,108 @@ impl PromptGenerator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `generate` as it was before exact-size text: the same draws, with
+    /// the text started by `format!` and grown as each piece is drawn.
+    fn reference_generate(g: &mut PromptGenerator) -> Prompt {
+        let id = PromptId(g.next_id);
+        let index = g.next_id;
+        g.next_id += 1;
+
+        let drift_fraction = g.drift.map(|d| d.fraction_at(index)).unwrap_or(0.0);
+        let theme_idx = if THEMES.len() > BASE_THEMES && g.rng.random::<f64>() < drift_fraction {
+            BASE_THEMES + g.rng.random_range(0..THEMES.len() - BASE_THEMES)
+        } else {
+            g.rng.random_range(0..BASE_THEMES)
+        };
+        let theme = &THEMES[theme_idx];
+        let n_subjects = match g.rng.random::<f64>() {
+            x if x < 0.50 => 1,
+            x if x < 0.85 => 2,
+            _ => 3,
+        };
+        let with_setting = g.rng.random::<f64>() < 0.8;
+        let n_modifiers = g.rng.random_range(0..=3usize);
+
+        let style = theme.styles[g.rng.random_range(0..theme.styles.len())];
+        let mut text = format!("{style} of ");
+        let mut prev: Option<usize> = None;
+        for i in 0..n_subjects {
+            let mut s_idx = g.rng.random_range(0..theme.subjects.len());
+            if prev == Some(s_idx) {
+                s_idx = (s_idx + 1) % theme.subjects.len();
+            }
+            prev = Some(s_idx);
+            if i > 0 {
+                let rel = RELATIONS[g.rng.random_range(0..RELATIONS.len())];
+                text.push(' ');
+                text.push_str(rel);
+                text.push(' ');
+            }
+            text.push_str(theme.subjects[s_idx]);
+        }
+        if with_setting {
+            text.push(' ');
+            text.push_str(theme.settings[g.rng.random_range(0..theme.settings.len())]);
+        }
+        for _ in 0..n_modifiers {
+            text.push_str(", ");
+            text.push_str(theme.modifiers[g.rng.random_range(0..theme.modifiers.len())]);
+        }
+        let base = match n_subjects {
+            1 => 0.15,
+            2 => 0.45,
+            _ => 0.70,
+        };
+        let complexity = (base
+            + if with_setting { 0.08 } else { 0.0 }
+            + 0.04 * n_modifiers as f64
+            + 0.06 * g.rng.random::<f64>())
+        .clamp(0.0, 1.0);
+        Prompt {
+            id,
+            text,
+            complexity,
+            theme: theme_idx,
+        }
+    }
+
+    #[test]
+    fn exact_size_text_is_bit_identical_to_the_format_reference() {
+        let step = DriftSchedule {
+            start_at: 3_000,
+            ramp: 0,
+            max_fraction: 0.6,
+        };
+        let ramped = DriftSchedule {
+            start_at: 1_000,
+            ramp: 6_000,
+            max_fraction: 0.65,
+        };
+        for seed in [1, 77, 2024] {
+            for drift in [None, Some(step), Some(ramped)] {
+                let generator = || {
+                    let g = PromptGenerator::new(seed);
+                    match drift {
+                        Some(d) => g.with_drift(d),
+                        None => g,
+                    }
+                };
+                let (mut g, mut reference) = (generator(), generator());
+                for _ in 0..10_000 {
+                    let (p, r) = (g.generate(), reference_generate(&mut reference));
+                    assert_eq!(p.id, r.id);
+                    assert_eq!(p.text.as_bytes(), r.text.as_bytes(), "seed {seed}");
+                    assert_eq!(p.complexity.to_bits(), r.complexity.to_bits());
+                    assert_eq!(p.theme, r.theme);
+                    assert_eq!(p.text.capacity(), p.text.len(), "{}", p.text);
+                }
+                // Both streams stand at the same RNG position.
+                assert_eq!(g.generate(), reference_generate(&mut reference));
+                assert_eq!(g.rng.random::<u64>(), reference.rng.random::<u64>());
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_equal_seeds() {

@@ -24,6 +24,14 @@
 //! `base − λ·a − κ·(max(0, a − t))² − noise`: approximation is nearly free
 //! until depth exceeds tolerance, then cost grows quadratically.
 //!
+//! Every quantity of one prompt derives from one hash of its text and id
+//! plus the prompt's base-quality and severity draws: its
+//! [`PromptTerms`]. [`QualityOracle::terms`] computes them once, so a
+//! caller that needs a score *and* the base it is judged against (a
+//! completion, a discriminator judgement) or a whole ladder's scores
+//! hashes the text once; the oracle's per-quantity methods are shorthands
+//! that compute the terms for one read.
+//!
 //! # Example
 //!
 //! ```
@@ -38,6 +46,11 @@
 //! let score = oracle.score(&p, ladder[optimal]);
 //! assert!(score >= 0.9 * oracle.scores(&p, &ladder).into_iter().fold(f64::MIN, f64::max));
 //! assert!(optimal < ladder.len());
+//!
+//! // One hash of the text serves a score and its base.
+//! let terms = oracle.terms(&p);
+//! assert_eq!(terms.score(ladder[optimal], 0.75), score);
+//! assert_eq!(terms.base_quality(), oracle.base_quality(&p));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,5 +63,5 @@ mod rater;
 
 pub use degradation::DegradationProfile;
 pub use depth::approximation_depth;
-pub use oracle::{QualityOracle, DEFAULT_AC_SIMILARITY, OPTIMAL_QUALITY_THETA};
+pub use oracle::{PromptTerms, QualityOracle, DEFAULT_AC_SIMILARITY, OPTIMAL_QUALITY_THETA};
 pub use rater::{simulate_suitability, RaterPanel};

@@ -107,9 +107,19 @@ impl QualityOracle {
     }
 
     /// The per-prompt hash every draw derives from. It hashes the whole
-    /// text, so each public entry point computes it once.
+    /// text, so each public entry point computes it once, and a caller
+    /// that reads several quantities of a prompt does so through
+    /// [`Self::terms`].
     fn prompt_hash(&self, p: &Prompt) -> u64 {
         mix(mix(self.seed, fnv1a(p.text.as_bytes())), p.id.0)
+    }
+
+    /// The terms every quantity this oracle reports for `p` derives from:
+    /// one text hash plus the base-quality and severity draws. A caller
+    /// that needs several quantities of one prompt (a completion's score
+    /// and base, say) reads them all from one [`PromptTerms`].
+    pub fn terms(&self, p: &Prompt) -> PromptTerms {
+        PromptTerms::of(p, self.prompt_hash(p))
     }
 
     /// The best achievable PickScore for this prompt (its SD-XL / K=0
@@ -139,47 +149,27 @@ impl QualityOracle {
     }
 
     /// PickScore when the AC cache retrieval found a neighbour of the given
-    /// cosine `similarity` (ignored for SM levels). Better neighbours mean
-    /// the resumed trajectory needs less correction, i.e. shallower
-    /// effective approximation.
+    /// cosine `similarity` (see [`PromptTerms::score`]).
     pub fn score_with_similarity(&self, p: &Prompt, level: ApproxLevel, similarity: f64) -> f64 {
-        PromptTerms::of(p, self.prompt_hash(p)).score(level, similarity)
+        self.terms(p).score(level, similarity)
     }
 
     /// Scores for every level of a ladder.
     pub fn scores(&self, p: &Prompt, ladder: &[ApproxLevel]) -> Vec<f64> {
-        let terms = PromptTerms::of(p, self.prompt_hash(p));
+        let terms = self.terms(p);
         ladder
             .iter()
             .map(|&l| terms.score(l, DEFAULT_AC_SIMILARITY))
             .collect()
     }
 
-    /// The index (into `ladder`) of the prompt's **optimal model** (§3): the
-    /// fastest level whose score is within [`OPTIMAL_QUALITY_THETA`] of the
-    /// best score across the ladder. `ladder` must be ordered slowest
-    /// (least approximate) first, as produced by [`ApproxLevel::ladder`].
+    /// The index (into `ladder`) of the prompt's **optimal model** (see
+    /// [`PromptTerms::optimal_level`]).
     ///
     /// # Panics
     /// Panics if `ladder` is empty.
     pub fn optimal_level(&self, p: &Prompt, ladder: &[ApproxLevel]) -> usize {
-        assert!(!ladder.is_empty(), "empty approximation ladder");
-        let terms = PromptTerms::of(p, self.prompt_hash(p));
-        // Fastest = deepest approximation = last in ladder order. In one
-        // pass, a new best takes the pick (scores are at least
-        // `SCORE_FLOOR > 0`, so the best meets its own bar) and a later
-        // level within θ of the best so far takes it over, so the pick
-        // ends on the last level within θ of the overall best.
-        let (mut best, mut pick) = (f64::NEG_INFINITY, 0);
-        for (i, &l) in ladder.iter().enumerate() {
-            let s = terms.score(l, DEFAULT_AC_SIMILARITY);
-            if s > best {
-                (best, pick) = (s, i);
-            } else if s >= OPTIMAL_QUALITY_THETA * best {
-                pick = i;
-            }
-        }
-        pick
+        self.terms(p).optimal_level(ladder)
     }
 
     /// Histogram (fractions summing to 1) of optimal-level choices over a
@@ -205,9 +195,13 @@ fn severity_of(p: &Prompt, h: u64) -> f64 {
     ((GAMMA * (p.complexity + eta)).exp() / MU).clamp(0.05, 6.0)
 }
 
-/// The per-prompt terms every level's score shares, computed once for a
-/// ladder.
-struct PromptTerms {
+/// The per-prompt terms of one oracle: the prompt's hash and its
+/// base-quality and severity draws, from which every level's score
+/// follows without touching the text again. [`QualityOracle::terms`]
+/// computes them once; every quantity read from them is bit-identical to
+/// the oracle's per-quantity method for the same prompt.
+#[derive(Debug, Clone, Copy)]
+pub struct PromptTerms {
     h: u64,
     base_quality: f64,
     severity: f64,
@@ -223,8 +217,17 @@ impl PromptTerms {
         }
     }
 
-    /// [`QualityOracle::score_with_similarity`] at `level`.
-    fn score(&self, level: ApproxLevel, similarity: f64) -> f64 {
+    /// The prompt's best achievable PickScore
+    /// ([`QualityOracle::base_quality`]).
+    pub fn base_quality(&self) -> f64 {
+        self.base_quality
+    }
+
+    /// PickScore at `level` when the AC cache retrieval found a neighbour
+    /// of the given cosine `similarity`, clamped to `[0, 1]` and ignored
+    /// for SM levels. Better neighbours mean the resumed trajectory needs
+    /// less correction, i.e. shallower effective approximation.
+    pub fn score(&self, level: ApproxLevel, similarity: f64) -> f64 {
         let mut depth = approximation_depth(level);
         if level.strategy() == Strategy::Ac && depth > 0.0 {
             let mult = 1.0 + 0.5 * (DEFAULT_AC_SIMILARITY - similarity.clamp(0.0, 1.0));
@@ -235,6 +238,33 @@ impl PromptTerms {
         let level_noise =
             LEVEL_NOISE_SD * gauss(mix(self.h, 31 * lt + 7), mix(self.h, 17 * lt + 3));
         (self.base_quality - drop + level_noise).clamp(SCORE_FLOOR, SCORE_CEIL)
+    }
+
+    /// The index (into `ladder`) of the prompt's **optimal model** (§3):
+    /// the fastest level whose score (at the nominal AC similarity) is
+    /// within [`OPTIMAL_QUALITY_THETA`] of the best score across the
+    /// ladder. `ladder` must be ordered slowest (least approximate) first,
+    /// as produced by [`ApproxLevel::ladder`].
+    ///
+    /// # Panics
+    /// Panics if `ladder` is empty.
+    pub fn optimal_level(&self, ladder: &[ApproxLevel]) -> usize {
+        assert!(!ladder.is_empty(), "empty approximation ladder");
+        // Fastest = deepest approximation = last in ladder order. In one
+        // pass, a new best takes the pick (scores are at least
+        // `SCORE_FLOOR > 0`, so the best meets its own bar) and a later
+        // level within θ of the best so far takes it over, so the pick
+        // ends on the last level within θ of the overall best.
+        let (mut best, mut pick) = (f64::NEG_INFINITY, 0);
+        for (i, &l) in ladder.iter().enumerate() {
+            let s = self.score(l, DEFAULT_AC_SIMILARITY);
+            if s > best {
+                (best, pick) = (s, i);
+            } else if s >= OPTIMAL_QUALITY_THETA * best {
+                pick = i;
+            }
+        }
+        pick
     }
 }
 
@@ -260,53 +290,81 @@ mod tests {
         v.iter().sum::<f64>() / v.len() as f64
     }
 
-    /// `score_with_similarity` before hash-once: the text hashed three
-    /// times per call, by the score, `severity` and `base_quality`.
-    fn reference_score(o: &QualityOracle, p: &Prompt, level: ApproxLevel, similarity: f64) -> f64 {
-        fn fnv(bytes: &[u8]) -> u64 {
+    /// The oracle before hash-once: every quantity hashes the text again,
+    /// and a score hashes it three times, for itself, its severity and its
+    /// base quality.
+    struct Reference(u64);
+
+    impl Reference {
+        fn prompt_hash(&self, p: &Prompt) -> u64 {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in bytes {
+            for b in p.text.as_bytes() {
                 h ^= u64::from(*b);
                 h = h.wrapping_mul(0x1000_0000_01b3);
             }
-            h
+            mix(mix(self.0, h), p.id.0)
         }
-        let prompt_hash = |p: &Prompt| mix(mix(o.seed, fnv(p.text.as_bytes())), p.id.0);
-        let severity = |p: &Prompt| {
-            let h = prompt_hash(p);
+
+        fn base_quality(&self, p: &Prompt) -> f64 {
+            let h = self.prompt_hash(p);
+            (21.0 + 0.5 * gauss(mix(h, 1), mix(h, 2))).clamp(19.5, 22.5)
+        }
+
+        fn severity(&self, p: &Prompt) -> f64 {
+            let h = self.prompt_hash(p);
             let eta = ETA_SD * gauss(mix(h, 3), mix(h, 4));
             ((GAMMA * (p.complexity + eta)).exp() / MU).clamp(0.05, 6.0)
-        };
-        let base_quality = |p: &Prompt| {
-            let h = prompt_hash(p);
-            (21.0 + 0.5 * gauss(mix(h, 1), mix(h, 2))).clamp(19.5, 22.5)
-        };
-        let mut depth = approximation_depth(level);
-        if level.strategy() == Strategy::Ac && depth > 0.0 {
-            let mult = 1.0 + 0.5 * (DEFAULT_AC_SIMILARITY - similarity.clamp(0.0, 1.0));
-            depth *= mult;
         }
-        let drop = mean_drop_at_depth(depth) * severity(p);
-        let h = prompt_hash(p);
-        let lt = level_tag(level);
-        let level_noise = LEVEL_NOISE_SD * gauss(mix(h, 31 * lt + 7), mix(h, 17 * lt + 3));
-        (base_quality(p) - drop + level_noise).clamp(SCORE_FLOOR, SCORE_CEIL)
+
+        fn score(&self, p: &Prompt, level: ApproxLevel, similarity: f64) -> f64 {
+            let mut depth = approximation_depth(level);
+            if level.strategy() == Strategy::Ac && depth > 0.0 {
+                let mult = 1.0 + 0.5 * (DEFAULT_AC_SIMILARITY - similarity.clamp(0.0, 1.0));
+                depth *= mult;
+            }
+            let drop = mean_drop_at_depth(depth) * self.severity(p);
+            let h = self.prompt_hash(p);
+            let lt = level_tag(level);
+            let level_noise = LEVEL_NOISE_SD * gauss(mix(h, 31 * lt + 7), mix(h, 17 * lt + 3));
+            (self.base_quality(p) - drop + level_noise).clamp(SCORE_FLOOR, SCORE_CEIL)
+        }
+
+        /// The fastest level within θ of the best, from per-level scores.
+        fn optimal_level(&self, p: &Prompt, ladder: &[ApproxLevel]) -> usize {
+            let s: Vec<f64> = ladder
+                .iter()
+                .map(|&l| self.score(p, l, DEFAULT_AC_SIMILARITY))
+                .collect();
+            let best = s.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            (0..s.len())
+                .rev()
+                .find(|&i| s[i] >= OPTIMAL_QUALITY_THETA * best)
+                .unwrap_or(0)
+        }
     }
 
     #[test]
-    fn hash_once_scores_are_bit_identical_to_the_reference() {
-        let o = QualityOracle::new(12);
-        for p in prompts(400) {
+    fn prompt_terms_are_bit_identical_to_the_hash_per_quantity_reference() {
+        let o = QualityOracle::new(14);
+        let reference = Reference(14);
+        for p in prompts(2000) {
+            let terms = o.terms(&p);
+            assert_eq!(
+                terms.base_quality().to_bits(),
+                reference.base_quality(&p).to_bits()
+            );
+            assert_eq!(o.severity(&p).to_bits(), reference.severity(&p).to_bits());
             for strategy in [Strategy::Sm, Strategy::Ac] {
                 let ladder = ApproxLevel::ladder(strategy);
+                assert_eq!(
+                    terms.optimal_level(&ladder),
+                    reference.optimal_level(&p, &ladder)
+                );
                 for &l in &ladder {
-                    for sim in [0.0, 0.3, DEFAULT_AC_SIMILARITY, 0.95, 1.2] {
-                        assert_eq!(
-                            o.score_with_similarity(&p, l, sim).to_bits(),
-                            reference_score(&o, &p, l, sim).to_bits(),
-                            "{l} at {sim}: {}",
-                            p.text
-                        );
+                    for sim in [0.0, 0.3, DEFAULT_AC_SIMILARITY, 1.0, 1.7] {
+                        let expected = reference.score(&p, l, sim).to_bits();
+                        assert_eq!(terms.score(l, sim).to_bits(), expected, "{l} at {sim}");
+                        assert_eq!(o.score_with_similarity(&p, l, sim).to_bits(), expected);
                     }
                 }
             }

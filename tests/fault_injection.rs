@@ -1,7 +1,7 @@
 //! Cross-crate integration: fault handling (§5.6 / Fig. 20).
 
 use argus::cachestore::NetworkRegime;
-use argus::core::{FaultEvent, Policy, RunConfig, SwitcherState};
+use argus::core::{FaultEvent, Policy, RunConfig, RunOutcome, SwitcherState};
 use argus::workload::steady;
 
 fn cfg(policy: Policy, trace: argus::workload::Trace, seed: u64) -> RunConfig {
@@ -224,24 +224,27 @@ fn zero_warning_preemption_degrades_to_worker_fail() {
     );
 }
 
+/// Argus on 8×A100 at 90 QPM for 8 minutes (seed 11, a 600-prompt
+/// classifier) under `faults`.
+fn spot_run(faults: Vec<FaultEvent>) -> RunOutcome {
+    let mut c = RunConfig::new(Policy::Argus, steady(90.0, 8))
+        .with_seed(11)
+        .with_faults(faults);
+    c.classifier_train_size = 600;
+    c.run()
+}
+
 #[test]
 fn zero_warning_preemption_of_a_failed_worker_is_not_a_preemption() {
     // Worker 1 crashes at minute 3; an unwarned reclaim of it at minute 5
     // finds nothing to take: no preemption is tallied, and the serving
     // outcome is the crash-only run's.
-    let run = |faults: Vec<FaultEvent>| {
-        let mut c = RunConfig::new(Policy::Argus, steady(90.0, 8))
-            .with_seed(11)
-            .with_faults(faults);
-        c.classifier_train_size = 600;
-        c.run()
-    };
     let crash = FaultEvent::WorkerFail {
         at_minute: 3.0,
         workers: vec![1],
     };
-    let failed = run(vec![crash.clone()]);
-    let reclaimed = run(vec![
+    let failed = spot_run(vec![crash.clone()]);
+    let reclaimed = spot_run(vec![
         crash,
         FaultEvent::Preemption {
             at_minute: 5.0,
@@ -258,6 +261,81 @@ fn zero_warning_preemption_of_a_failed_worker_is_not_a_preemption() {
     );
     assert_eq!(failed.totals, reclaimed.totals);
     assert_eq!(failed.minutes, reclaimed.minutes);
+}
+
+/// Billed GPU-minutes over every architecture, on-demand and spot.
+fn billed_gpu_minutes(out: &RunOutcome) -> f64 {
+    out.cost
+        .gpu_minutes
+        .iter()
+        .map(|&(_, on_demand, spot)| on_demand + spot)
+        .sum()
+}
+
+/// A 30 s warning for worker 1 at `at_minute`.
+fn warn_worker_1(at_minute: f64) -> FaultEvent {
+    FaultEvent::Preemption {
+        at_minute,
+        workers: vec![1],
+        warning_secs: 30.0,
+    }
+}
+
+#[test]
+fn a_recover_during_the_warning_cancels_the_preemption() {
+    // Worker 1 is warned at minute 5 and recovered at minute 5.2: the
+    // warning was a false alarm. When it expires at 5.5 it reclaims
+    // nothing, and the fleet bills as in the fault-free run: all eight
+    // workers to the end. (The drain's migration moves the last
+    // completion, so the two runs end about a second apart.)
+    let eight_to_the_end = |out: &RunOutcome| {
+        let billed = billed_gpu_minutes(out);
+        let expected = 8.0 * out.makespan_secs / 60.0;
+        assert!(
+            (billed - expected).abs() < 1e-6,
+            "{billed} GPU-minutes billed, {expected} for 8 workers to the end"
+        );
+    };
+    let cancelled = spot_run(vec![
+        warn_worker_1(5.0),
+        FaultEvent::WorkerRecover {
+            at_minute: 5.2,
+            workers: vec![1],
+        },
+    ]);
+    assert_eq!(
+        (
+            cancelled.fleet.preemptions_ridden,
+            cancelled.fleet.preemptions_lost
+        ),
+        (0, 0)
+    );
+    eight_to_the_end(&cancelled);
+    eight_to_the_end(&spot_run(vec![]));
+}
+
+#[test]
+fn a_worker_warned_again_after_a_recover_goes_when_the_second_warning_expires() {
+    // The first warning (minute 5) is cancelled by the recover at 5.2; a
+    // second one at 5.4 takes worker 1 when it expires at 5.9, not when
+    // the first would have expired, at 5.5.
+    let out = spot_run(vec![
+        warn_worker_1(5.0),
+        FaultEvent::WorkerRecover {
+            at_minute: 5.2,
+            workers: vec![1],
+        },
+        warn_worker_1(5.4),
+    ]);
+    assert_eq!(out.fleet.preemptions_ridden + out.fleet.preemptions_lost, 1);
+    // Eight workers billed to the end of the run, less worker 1 from 5.9.
+    let end = out.makespan_secs / 60.0;
+    let expected = 8.0 * end - (end - 5.9);
+    let billed = billed_gpu_minutes(&out);
+    assert!(
+        (billed - expected).abs() < 1e-6,
+        "{billed} GPU-minutes billed, {expected} if reclaimed at minute 5.9"
+    );
 }
 
 #[test]
