@@ -1,4 +1,4 @@
-//! # argus-cachestore — intermediate-state storage and its network
+//! # argus-cachestore — the retrieval network
 //!
 //! Approximate caching stores the intermediate noise state of every
 //! generated image (144 KB each, §4.7) in shared storage (AWS EFS in the
@@ -8,35 +8,33 @@
 //! latency increases substantially … Argus initiates a switch to SM"
 //! (§4.6, Fig. 11, Fig. 20b).
 //!
-//! This crate models both pieces:
+//! This crate models that network: [`NetworkModel`] is a regime-switching
+//! latency process (normal ≈ 20 ms log-normal; congested ≈ seconds with a
+//! heavy tail; outage = timeouts), driven by a deterministic schedule so
+//! failure experiments are reproducible, with a [`Locality`] for reads
+//! served by a worker-attached shard. [`FetchStatus`] and
+//! [`FetchOutcome`] name what one fetch came to.
 //!
-//! * [`NetworkModel`] — a regime-switching latency process
-//!   (normal ≈ 20 ms log-normal; congested ≈ seconds with heavy tail;
-//!   outage = timeouts), driven by a deterministic schedule so failure
-//!   experiments are reproducible;
-//! * [`CacheStore`] — the store keyed by `(prompt, K)`, returning
-//!   per-fetch outcomes (hit/miss/failure + latency) that the switcher
-//!   monitors.
-//!
-//! The store holds no per-blob state. Every prompt the retrieval index
-//! can return had its states put at every reusable level when it was
-//! indexed, and the store never evicts, so whether a state exists depends
-//! only on its level: the store remembers the levels `put` has stored (at
-//! most the five skipped-step levels), and its memory does not grow with
-//! the run.
+//! The store itself keeps no state. Every prompt the retrieval index can
+//! return had its states captured at every skip step of the AC ladder
+//! when it was indexed, and nothing is evicted from storage, so whether a
+//! fetch finds a state depends only on the step it asks for. The
+//! cache-plane stage in `argus-core` decides a fetch's status from one
+//! network draw and that step.
 //!
 //! # Example
 //!
 //! ```
-//! use argus_cachestore::{CacheStore, CacheKey, FetchStatus};
+//! use argus_cachestore::{Locality, NetworkModel, NetworkRegime};
 //! use argus_des::{rng::RngFactory, SimTime};
 //!
-//! let mut store = CacheStore::new(RngFactory::new(1));
-//! let key = CacheKey { prompt_id: 7, k: 20 };
-//! store.put(key);
-//! let outcome = store.fetch(key, SimTime::from_secs(1.0));
-//! assert_eq!(outcome.status, FetchStatus::Hit);
-//! assert!(outcome.latency.as_secs() < 0.5);
+//! let mut net = NetworkModel::new(RngFactory::new(1))
+//!     .with_event(SimTime::from_secs(60.0), NetworkRegime::Outage);
+//! let (latency, ok) = net.sample_lookup(SimTime::from_secs(1.0), Locality::Remote);
+//! assert!(ok && latency.as_secs() < 0.5);
+//! // During the outage a remote fetch times out; a local shard read does not.
+//! assert!(!net.sample_lookup(SimTime::from_secs(90.0), Locality::Remote).1);
+//! assert!(net.sample_lookup(SimTime::from_secs(90.0), Locality::Local).1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,6 +43,10 @@
 use argus_des::rng::{log_normal, RngFactory};
 use argus_des::{SimDuration, SimTime};
 use rand::rngs::StdRng;
+
+/// Client-side timeout of a remote fetch: an outage costs exactly this,
+/// and a congested round trip beyond it fails.
+pub const FETCH_TIMEOUT: SimDuration = SimDuration::from_micros(5_000_000);
 
 /// Where a cache lookup is served from, relative to the requesting
 /// worker — the cost model of the sharded cache plane.
@@ -82,8 +84,6 @@ pub struct NetworkModel {
     /// Regime transitions, sorted by time; regime at `t` is the last entry
     /// with `time <= t` (Normal before the first entry).
     schedule: Vec<(SimTime, NetworkRegime)>,
-    /// Client-side timeout for failed fetches.
-    timeout: SimDuration,
 }
 
 impl NetworkModel {
@@ -92,7 +92,6 @@ impl NetworkModel {
         NetworkModel {
             rng: factory.stream("cachestore-network"),
             schedule: Vec::new(),
-            timeout: SimDuration::from_secs(5.0),
         }
     }
 
@@ -101,12 +100,6 @@ impl NetworkModel {
     pub fn with_event(mut self, t: SimTime, regime: NetworkRegime) -> Self {
         self.schedule.push((t, regime));
         self.schedule.sort_by_key(|&(t, _)| t);
-        self
-    }
-
-    /// Overrides the client-side fetch timeout.
-    pub fn with_timeout(mut self, timeout: SimDuration) -> Self {
-        self.timeout = timeout;
         self
     }
 
@@ -133,13 +126,13 @@ impl NetworkModel {
                 // Median ≈ 1.5 s, heavy upper tail (Fig. 11's spike shape);
                 // a small fraction exceeds the timeout and fails outright.
                 let secs = log_normal(&mut self.rng, (1.5f64).ln(), 0.8);
-                if secs > self.timeout.as_secs() {
-                    (self.timeout, false)
+                if secs > FETCH_TIMEOUT.as_secs() {
+                    (FETCH_TIMEOUT, false)
                 } else {
                     (SimDuration::from_secs(secs), true)
                 }
             }
-            NetworkRegime::Outage => (self.timeout, false),
+            NetworkRegime::Outage => (FETCH_TIMEOUT, false),
         }
     }
 
@@ -159,21 +152,6 @@ impl NetworkModel {
             }
         }
     }
-
-    /// The configured client-side timeout.
-    pub fn timeout(&self) -> SimDuration {
-        self.timeout
-    }
-}
-
-/// Key of a cached intermediate state: which prompt produced it and at
-/// which denoising step it was captured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Producing prompt id.
-    pub prompt_id: u64,
-    /// Denoising step at which the state was captured.
-    pub k: u32,
 }
 
 /// Result status of a cache fetch.
@@ -181,7 +159,7 @@ pub struct CacheKey {
 pub enum FetchStatus {
     /// The state was present and retrieved.
     Hit,
-    /// The network worked but no state exists for the key.
+    /// The network worked but no state exists at the requested step.
     Miss,
     /// The request failed (congestion drop or outage timeout).
     Failed,
@@ -197,177 +175,18 @@ pub struct FetchOutcome {
     pub latency: SimDuration,
 }
 
-/// The EFS-like store holding intermediate noise states.
-///
-/// The scheduler only ever observes latency and hit/miss, never pixel
-/// data, so the store keeps no blobs: a fetch hits exactly when `put` has
-/// stored a state at the key's capture step. Callers put every reusable
-/// level of a prompt together with its index insert (see the crate docs),
-/// so at a stored level every prompt the index can return has its state;
-/// a fetch at any other level is a miss.
-#[derive(Debug)]
-pub struct CacheStore {
-    network: NetworkModel,
-    /// Capture steps `put` has stored, in first-put order.
-    levels: Vec<u32>,
-    fetches: u64,
-    hits: u64,
-    failures: u64,
-}
-
-impl CacheStore {
-    /// Creates a store with a healthy network.
-    pub fn new(factory: RngFactory) -> Self {
-        Self::with_network(NetworkModel::new(factory))
-    }
-
-    /// Creates a store over a custom network model (failure injection).
-    pub fn with_network(network: NetworkModel) -> Self {
-        CacheStore {
-            network,
-            levels: Vec::new(),
-            fetches: 0,
-            hits: 0,
-            failures: 0,
-        }
-    }
-
-    /// Stores the intermediate state for `key` (writes are asynchronous in
-    /// the paper's deployment and never block generation, so no latency is
-    /// charged here).
-    pub fn put(&mut self, key: CacheKey) {
-        if !self.levels.contains(&key.k) {
-            self.levels.push(key.k);
-        }
-    }
-
-    /// Fetches the state for `key` at time `t`, sampling the network
-    /// (always [`Locality::Remote`] — the monolithic deployment).
-    pub fn fetch(&mut self, key: CacheKey, t: SimTime) -> FetchOutcome {
-        self.fetch_routed(key, t, Locality::Remote)
-    }
-
-    /// Fetches the state for `key` at time `t` from the given
-    /// [`Locality`] — the sharded cache plane's cost model: a local-shard
-    /// hit is a cheap on-worker read, a remote-shard hop pays the full
-    /// round trip, and a miss still pays the lookup that discovered it.
-    pub fn fetch_routed(&mut self, key: CacheKey, t: SimTime, locality: Locality) -> FetchOutcome {
-        self.fetches += 1;
-        let (latency, ok) = self.network.sample_lookup(t, locality);
-        let status = if !ok {
-            self.failures += 1;
-            FetchStatus::Failed
-        } else if self.levels.contains(&key.k) {
-            self.hits += 1;
-            FetchStatus::Hit
-        } else {
-            FetchStatus::Miss
-        };
-        FetchOutcome { status, latency }
-    }
-
-    /// A background "test retrieval" (§4.6): samples the network without
-    /// counting a fetch, used while running in SM mode to detect recovery.
-    pub fn probe(&mut self, t: SimTime) -> (SimDuration, bool) {
-        self.network.sample_round_trip(t)
-    }
-
-    /// Lifetime (fetches, hits, failures) counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.fetches, self.hits, self.failures)
-    }
-
-    /// The current network regime (diagnostics).
-    pub fn regime_at(&self, t: SimTime) -> NetworkRegime {
-        self.network.regime_at(t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn store() -> CacheStore {
-        CacheStore::new(RngFactory::new(11))
-    }
-
-    #[test]
-    fn any_prompt_at_a_stored_level_hits() {
-        let mut s = store();
-        s.put(CacheKey {
-            prompt_id: 1,
-            k: 15,
-        });
-        // The answer depends on the level alone: the producing prompt and
-        // any other prompt the index could return both hit.
-        for prompt_id in [1, 2, 1 << 40] {
-            let out = s.fetch(CacheKey { prompt_id, k: 15 }, SimTime::from_secs(1.0));
-            assert_eq!(out.status, FetchStatus::Hit);
-            assert!(!out.latency.is_zero());
-        }
-        assert_eq!(s.stats(), (3, 3, 0));
-    }
-
-    #[test]
-    fn a_level_never_put_misses_with_latency() {
-        let mut s = store();
-        let unstored = CacheKey {
-            prompt_id: 99,
-            k: 5,
-        };
-        // Nothing stored yet: every level misses.
-        let out = s.fetch(unstored, SimTime::ZERO);
-        assert_eq!(out.status, FetchStatus::Miss);
-        assert!(!out.latency.is_zero());
-        // Storing other levels (repeatedly) leaves this one a miss that
-        // still pays the lookup that discovered it.
-        for _ in 0..2 {
-            s.put(CacheKey {
-                prompt_id: 99,
-                k: 15,
-            });
-        }
-        let out = s.fetch(unstored, SimTime::from_secs(1.0));
-        assert_eq!(out.status, FetchStatus::Miss);
-        assert!(!out.latency.is_zero());
-        // A miss counts as a fetch, neither a hit nor a failure.
-        assert_eq!(s.stats(), (2, 0, 0));
-    }
-
-    #[test]
-    fn failures_count_as_fetches_not_hits() {
-        let net = NetworkModel::new(RngFactory::new(7))
-            .with_event(SimTime::from_secs(10.0), NetworkRegime::Outage);
-        let mut s = CacheStore::with_network(net);
-        let stored = CacheKey {
-            prompt_id: 1,
-            k: 15,
-        };
-        s.put(stored);
-        assert_eq!(s.fetch(stored, SimTime::ZERO).status, FetchStatus::Hit);
-        // The network leg comes first: during the outage a stored and an
-        // unstored level both fail after the timeout.
-        for k in [15, 5] {
-            let out = s.fetch(CacheKey { prompt_id: 1, k }, SimTime::from_secs(20.0));
-            assert_eq!(out.status, FetchStatus::Failed);
-            assert_eq!(out.latency, SimDuration::from_secs(5.0));
-        }
-        assert_eq!(s.stats(), (3, 1, 2));
-    }
-
     #[test]
     fn normal_latency_is_tens_of_milliseconds() {
-        let mut s = store();
-        let key = CacheKey {
-            prompt_id: 1,
-            k: 10,
-        };
-        s.put(key);
+        let mut net = NetworkModel::new(RngFactory::new(11));
         let mut total = 0.0;
         for i in 0..500 {
-            let out = s.fetch(key, SimTime::from_secs(i as f64));
-            assert_eq!(out.status, FetchStatus::Hit);
-            total += out.latency.as_secs();
+            let (latency, ok) = net.sample_round_trip(SimTime::from_secs(i as f64));
+            assert!(ok);
+            total += latency.as_secs();
         }
         let mean = total / 500.0;
         // "orders of magnitude less" than the ~2 s of saved denoising.
@@ -376,129 +195,66 @@ mod tests {
 
     #[test]
     fn congestion_inflates_latency_and_outage_fails() {
-        let net = NetworkModel::new(RngFactory::new(3))
+        let mut net = NetworkModel::new(RngFactory::new(3))
+            .with_event(SimTime::from_secs(300.0), NetworkRegime::Normal)
             .with_event(SimTime::from_secs(100.0), NetworkRegime::Congested)
-            .with_event(SimTime::from_secs(200.0), NetworkRegime::Outage)
-            .with_event(SimTime::from_secs(300.0), NetworkRegime::Normal);
-        let mut s = CacheStore::with_network(net);
-        let key = CacheKey {
-            prompt_id: 2,
-            k: 20,
-        };
-        s.put(key);
+            .with_event(SimTime::from_secs(200.0), NetworkRegime::Outage);
 
-        assert_eq!(s.regime_at(SimTime::from_secs(50.0)), NetworkRegime::Normal);
-        assert_eq!(
-            s.regime_at(SimTime::from_secs(150.0)),
-            NetworkRegime::Congested
-        );
-        assert_eq!(
-            s.regime_at(SimTime::from_secs(250.0)),
-            NetworkRegime::Outage
-        );
-        assert_eq!(
-            s.regime_at(SimTime::from_secs(350.0)),
-            NetworkRegime::Normal
-        );
+        // Events added out of order are kept sorted.
+        let regime = |s: f64| net.regime_at(SimTime::from_secs(s));
+        assert_eq!(regime(50.0), NetworkRegime::Normal);
+        assert_eq!(regime(150.0), NetworkRegime::Congested);
+        assert_eq!(regime(250.0), NetworkRegime::Outage);
+        assert_eq!(regime(350.0), NetworkRegime::Normal);
 
-        let normal = s.fetch(key, SimTime::from_secs(50.0));
-        let congested = s.fetch(key, SimTime::from_secs(150.0));
-        assert!(congested.latency.as_secs() > 10.0 * normal.latency.as_secs());
+        let (normal, _) = net.sample_round_trip(SimTime::from_secs(50.0));
+        let (congested, _) = net.sample_round_trip(SimTime::from_secs(150.0));
+        assert!(congested.as_secs() > 10.0 * normal.as_secs());
 
-        let outage = s.fetch(key, SimTime::from_secs(250.0));
-        assert_eq!(outage.status, FetchStatus::Failed);
-        assert_eq!(outage.latency, SimDuration::from_secs(5.0));
+        let outage = net.sample_round_trip(SimTime::from_secs(250.0));
+        assert_eq!(outage, (FETCH_TIMEOUT, false));
+        assert_eq!(FETCH_TIMEOUT, SimDuration::from_secs(5.0));
 
-        let recovered = s.fetch(key, SimTime::from_secs(350.0));
-        assert_eq!(recovered.status, FetchStatus::Hit);
-        assert!(recovered.latency.as_secs() < 0.5);
-    }
-
-    #[test]
-    fn probe_reflects_regime_without_touching_blobs() {
-        let net = NetworkModel::new(RngFactory::new(4))
-            .with_event(SimTime::from_secs(10.0), NetworkRegime::Outage);
-        let mut s = CacheStore::with_network(net);
-        let (lat, ok) = s.probe(SimTime::ZERO);
-        assert!(ok);
-        assert!(lat.as_secs() < 0.5);
-        let (lat, ok) = s.probe(SimTime::from_secs(20.0));
-        assert!(!ok);
-        assert_eq!(lat, SimDuration::from_secs(5.0));
-        assert_eq!(s.stats(), (0, 0, 0)); // probes are not fetches
-    }
-
-    #[test]
-    fn custom_timeout_is_respected() {
-        let net = NetworkModel::new(RngFactory::new(5))
-            .with_event(SimTime::ZERO, NetworkRegime::Outage)
-            .with_timeout(SimDuration::from_secs(2.0));
-        assert_eq!(net.timeout(), SimDuration::from_secs(2.0));
-        let mut s = CacheStore::with_network(net);
-        let out = s.fetch(CacheKey { prompt_id: 1, k: 0 }, SimTime::ZERO);
-        assert_eq!(out.latency, SimDuration::from_secs(2.0));
-        assert_eq!(out.status, FetchStatus::Failed);
+        let (recovered, ok) = net.sample_round_trip(SimTime::from_secs(350.0));
+        assert!(ok && recovered.as_secs() < 0.5);
     }
 
     #[test]
     fn local_lookups_are_cheap_and_ride_through_outages() {
-        let net = NetworkModel::new(RngFactory::new(8))
+        let mut net = NetworkModel::new(RngFactory::new(8))
             .with_event(SimTime::from_secs(100.0), NetworkRegime::Outage);
-        let mut s = CacheStore::with_network(net);
-        let key = CacheKey {
-            prompt_id: 3,
-            k: 25,
-        };
-        s.put(key);
         // Healthy network: local reads are an order of magnitude under the
         // ~20 ms remote round trip.
         let mut total = 0.0;
         for i in 0..200 {
-            let out = s.fetch_routed(key, SimTime::from_secs(i as f64 * 0.1), Locality::Local);
-            assert_eq!(out.status, FetchStatus::Hit);
-            total += out.latency.as_secs();
+            let (latency, ok) =
+                net.sample_lookup(SimTime::from_secs(i as f64 * 0.1), Locality::Local);
+            assert!(ok);
+            total += latency.as_secs();
         }
         let mean = total / 200.0;
         assert!(mean > 0.0005 && mean < 0.01, "local mean {mean}");
         // During the outage the remote path fails but the local shard
         // keeps serving — the fault-domain payoff of worker attachment.
-        let remote = s.fetch_routed(key, SimTime::from_secs(150.0), Locality::Remote);
-        assert_eq!(remote.status, FetchStatus::Failed);
-        let local = s.fetch_routed(key, SimTime::from_secs(150.0), Locality::Local);
-        assert_eq!(local.status, FetchStatus::Hit);
-        assert!(local.latency.as_secs() < 0.05);
-    }
-
-    #[test]
-    fn remote_routed_fetch_is_the_plain_fetch() {
-        // Same seed, same call sequence: fetch_routed(Remote) must consume
-        // the RNG identically to fetch() — the monolithic path is
-        // bit-unchanged (the sharded (1,1) parity contract).
-        let key = CacheKey {
-            prompt_id: 9,
-            k: 10,
-        };
-        let mut a = CacheStore::new(RngFactory::new(12));
-        let mut b = CacheStore::new(RngFactory::new(12));
-        a.put(key);
-        b.put(key);
-        for i in 0..50 {
-            let t = SimTime::from_secs(i as f64);
-            assert_eq!(a.fetch(key, t), b.fetch_routed(key, t, Locality::Remote));
-        }
-        assert_eq!(a.stats(), b.stats());
+        let t = SimTime::from_secs(150.0);
+        assert_eq!(
+            net.sample_lookup(t, Locality::Remote),
+            (FETCH_TIMEOUT, false)
+        );
+        let (local, ok) = net.sample_lookup(t, Locality::Local);
+        assert!(ok && local.as_secs() < 0.05);
     }
 
     #[test]
     fn congested_latencies_show_heavy_tail() {
-        let net = NetworkModel::new(RngFactory::new(6))
+        let mut net = NetworkModel::new(RngFactory::new(6))
             .with_event(SimTime::ZERO, NetworkRegime::Congested);
-        let mut s = CacheStore::with_network(net);
-        let mut lats = Vec::new();
-        for i in 0..1000 {
-            let (lat, _) = s.probe(SimTime::from_secs(i as f64));
-            lats.push(lat.as_secs());
-        }
+        let mut lats: Vec<f64> = (0..1000)
+            .map(|i| {
+                let (latency, _) = net.sample_round_trip(SimTime::from_secs(i as f64));
+                latency.as_secs()
+            })
+            .collect();
         lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let p50 = lats[500];
         let p95 = lats[950];

@@ -1,16 +1,17 @@
 //! The cache-plane stage: the retrieval index (flat scan, shared LSH, or
-//! the sharded plane) plus the [`CacheStore`].
+//! the sharded plane) plus the retrieval network.
 //!
 //! Retrieval ([`CacheStage::retrieve`]) fuses what the old loop did
 //! inline: nearest-neighbour search, the pipeline's cache-gate mapping
 //! from similarity to an effective AC level, and the store fetch with its
-//! locality-dependent network cost. Index inserts and store puts are the
-//! asynchronous, off-critical-path writes of §4.7: they charge no
+//! locality-dependent network cost. The stage is the one place that
+//! decides what a fetch found ([`CacheStage::fetch`]). Index inserts are
+//! the asynchronous, off-critical-path writes of §4.7: they charge no
 //! latency, and every later lookup observes them in the order the driver
 //! issued them. The stage counts its own insert receipts and surrenders
 //! them at [`CacheStage::drain`], preserving `replica_writes ≥ inserts`.
 
-use argus_cachestore::{CacheKey, CacheStore, FetchOutcome, Locality};
+use argus_cachestore::{FetchOutcome, FetchStatus, Locality, NetworkModel};
 use argus_des::{SimDuration, SimTime};
 use argus_embed::Embedding;
 use argus_models::{AcLevel, AC_LEVELS};
@@ -89,11 +90,11 @@ pub(crate) struct CacheDrainReport {
     pub profile: StageCounters,
 }
 
-/// The cache-plane stage: the retrieval index and the cache store, driven
-/// by plain method calls in driver event order.
+/// The cache-plane stage: the retrieval index and the retrieval network,
+/// driven by plain method calls in driver event order.
 pub(crate) struct CacheStage {
     vdb: Vdb,
-    store: CacheStore,
+    network: NetworkModel,
     inserts: u64,
     replica_writes: u64,
     remote_hops: u64,
@@ -101,11 +102,11 @@ pub(crate) struct CacheStage {
 }
 
 impl CacheStage {
-    /// A stage around a pre-warmed index and store.
-    pub(crate) fn new(vdb: Vdb, store: CacheStore) -> Self {
+    /// A stage around a pre-warmed index and the run's network.
+    pub(crate) fn new(vdb: Vdb, network: NetworkModel) -> Self {
         CacheStage {
             vdb,
-            store,
+            network,
             inserts: 0,
             replica_writes: 0,
             remote_hops: 0,
@@ -128,22 +129,10 @@ impl CacheStage {
         }
     }
 
-    /// Persists every reusable intermediate state of a completed prompt
-    /// (the per-level store puts).
-    pub(crate) fn put_levels(&mut self, id: u64) {
-        self.profile.count(false);
-        for k in AC_LEVELS.iter().skip(1) {
-            self.store.put(CacheKey {
-                prompt_id: id,
-                k: k.skipped_steps(),
-            });
-        }
-    }
-
     /// SM-mode background network probe (§4.6).
     pub(crate) fn probe(&mut self, t: SimTime) -> (SimDuration, bool) {
         self.profile.count(true);
-        self.store.probe(t)
+        self.network.sample_round_trip(t)
     }
 
     /// A worker crashed: fail its hosted replicas (sharded plane only).
@@ -192,28 +181,14 @@ impl CacheStage {
     ) -> RetrieveOutcome {
         self.profile.count(true);
         let (neighbour, locality) = self.vdb.nearest(worker, query);
-        let (k_eff, similarity, neighbour_id) = match &neighbour {
-            Some(hit) => (
-                gate.ac_level_for_hit(assigned, hit.similarity as f64),
-                Some(hit.similarity as f64),
-                Some(hit.payload),
-            ),
-            None => (AcLevel(0), None, None),
-        };
-        if k_eff.skipped_steps() > 0 {
-            if let Some(nid) = neighbour_id {
-                let outcome = self.store.fetch_routed(
-                    CacheKey {
-                        prompt_id: nid,
-                        k: k_eff.skipped_steps(),
-                    },
-                    t,
-                    locality,
-                );
+        if let Some(hit) = neighbour {
+            let similarity = hit.similarity as f64;
+            let k_eff = gate.ac_level_for_hit(assigned, similarity);
+            if k_eff.skipped_steps() > 0 {
                 return RetrieveOutcome {
-                    fetch: Some(outcome),
+                    fetch: Some(self.fetch(k_eff, t, locality)),
                     k_eff,
-                    similarity,
+                    similarity: Some(similarity),
                 };
             }
         }
@@ -224,6 +199,90 @@ impl CacheStage {
             fetch: None,
             k_eff: AcLevel(0),
             similarity: None,
+        }
+    }
+
+    /// Fetches the neighbour's state captured at skip step `k`. The
+    /// network leg decides first: a failed round trip is a failure
+    /// whatever the step. A served fetch hits exactly at a capture step,
+    /// `AC_LEVELS[1..]`: every prompt the index can return had its state
+    /// stored at each of them when it was indexed (the offline pool at
+    /// pre-warm, a completion right after its generation), and storage
+    /// never evicts. A miss still pays the lookup that discovered it.
+    fn fetch(&mut self, k: AcLevel, t: SimTime, locality: Locality) -> FetchOutcome {
+        let (latency, ok) = self.network.sample_lookup(t, locality);
+        let status = if !ok {
+            FetchStatus::Failed
+        } else if AC_LEVELS[1..].contains(&k) {
+            FetchStatus::Hit
+        } else {
+            FetchStatus::Miss
+        };
+        FetchOutcome { status, latency }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use argus_cachestore::{NetworkRegime, FETCH_TIMEOUT};
+    use argus_des::rng::RngFactory;
+
+    /// A stage over an empty flat index whose network goes down at 100 s.
+    fn stage(seed: u64) -> CacheStage {
+        let network = NetworkModel::new(RngFactory::new(seed))
+            .with_event(SimTime::from_secs(100.0), NetworkRegime::Outage);
+        CacheStage::new(Vdb::Flat(FlatIndex::new()), network)
+    }
+
+    #[test]
+    fn a_capture_step_hits() {
+        let mut s = stage(11);
+        for (i, &k) in AC_LEVELS[1..].iter().enumerate() {
+            let out = s.fetch(k, SimTime::from_secs(i as f64), Locality::Remote);
+            assert_eq!(out.status, FetchStatus::Hit, "{k:?}");
+            assert!(!out.latency.is_zero());
+        }
+    }
+
+    #[test]
+    fn an_uncaptured_step_misses_and_still_pays_its_latency() {
+        let mut s = stage(11);
+        let out = s.fetch(AcLevel(7), SimTime::from_secs(1.0), Locality::Remote);
+        assert_eq!(out.status, FetchStatus::Miss);
+        assert!(out.latency.as_secs() > 0.001 && out.latency.as_secs() < 0.5);
+    }
+
+    #[test]
+    fn an_outage_fails_both_before_the_step_matters() {
+        let mut s = stage(7);
+        for k in [AcLevel(15), AcLevel(7)] {
+            let out = s.fetch(k, SimTime::from_secs(150.0), Locality::Remote);
+            assert_eq!(out.status, FetchStatus::Failed, "{k:?}");
+            assert_eq!(out.latency, FETCH_TIMEOUT);
+        }
+    }
+
+    #[test]
+    fn a_local_read_rides_through_the_outage() {
+        let mut s = stage(8);
+        let out = s.fetch(AcLevel(25), SimTime::from_secs(150.0), Locality::Local);
+        assert_eq!(out.status, FetchStatus::Hit);
+        assert!(out.latency.as_secs() < 0.05);
+    }
+
+    #[test]
+    fn a_remote_fetch_draws_exactly_what_a_probe_draws() {
+        // Same seed, same call sequence: a remote fetch consumes the
+        // network stream exactly as the SM-mode probe does, healthy and
+        // down alike.
+        let (mut fetched, mut probed) = (stage(12), stage(12));
+        for i in 0..150 {
+            let t = SimTime::from_secs(i as f64);
+            let out = fetched.fetch(AcLevel(10), t, Locality::Remote);
+            let (latency, ok) = probed.probe(t);
+            assert_eq!(out.latency, latency, "t = {i} s");
+            assert_eq!(out.status != FetchStatus::Failed, ok, "t = {i} s");
         }
     }
 }

@@ -30,7 +30,6 @@ use argus_obs::{SpanEvent, SpanKind, StageProfile};
 use argus_prompts::Prompt;
 
 use super::planner::PoolSpec;
-use crate::capacity::EscalationCtx;
 use crate::fleet::{hourly_rate, CostReport, PoolSignal, ScaleAction};
 use crate::metrics::PoolStats;
 use crate::oda::{oda, Pasm};
@@ -62,13 +61,6 @@ impl SystemSimulation {
         }
     }
 
-    /// Bumps a cumulative counter series.
-    fn obs_counter_add(&mut self, name: &'static str, delta: u64) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.registry.counter_add(name, delta);
-        }
-    }
-
     /// Records into a fixed-bound histogram series.
     fn obs_hist(&mut self, name: &'static str, bounds: &'static [f64], v: f64) {
         if let Some(rec) = self.recorder.as_mut() {
@@ -90,8 +82,38 @@ impl SystemSimulation {
         id
     }
 
-    /// Per-tick gauge sweep + ring-buffer sample, taken after the tick's
-    /// fleet work so the sample reflects the post-scale fleet.
+    /// Sets the timeline's counter series, each from the fact's owner:
+    /// the ledger's totals, whose violations split into late completions
+    /// and lost jobs; the fleet stage's spot reclaims; the driver's
+    /// re-splits; and, on cascade runs only, the ledger's escalated first
+    /// passes. Called at every tick, and once at construction, where every
+    /// count is 0, to register the series in this order.
+    pub(crate) fn obs_set_counters(&mut self) {
+        let Some(rec) = self.recorder.as_mut() else {
+            return;
+        };
+        let totals = self.metrics.totals();
+        let late = totals.completed - totals.in_slo;
+        let counters = [
+            ("arrivals", totals.offered),
+            ("completions", totals.completed),
+            ("violations", late),
+            ("lost", totals.violations - late),
+            ("resplits", self.demand_resplits),
+            ("spot_drains", self.fleet.preemptions()),
+            ("model_loads", totals.model_loads),
+        ];
+        for (name, v) in counters {
+            rec.registry.counter_set(name, v);
+        }
+        if self.cascade.is_some() {
+            rec.registry
+                .counter_set("escalations", self.metrics.escalations());
+        }
+    }
+
+    /// Per-tick counter and gauge sweep + ring-buffer sample, taken after
+    /// the tick's fleet work so the sample reflects the post-scale fleet.
     /// `saturated` is the solver's verdict captured before
     /// [`SystemSimulation::fleet_tick`] consumes it.
     fn obs_tick(&mut self, t: SimTime, saturated: bool) {
@@ -122,9 +144,8 @@ impl SystemSimulation {
                 hourly_rate(w.gpu(), discount)
             })
             .sum();
-        let resplits = self.demand_resplits;
+        self.obs_set_counters();
         let rec = self.recorder.as_mut().expect("checked above");
-        rec.registry.counter_set("resplits", resplits);
         rec.registry.gauge_set("backlog", backlog as f64);
         rec.registry
             .gauge_set("saturated", if saturated { 1.0 } else { 0.0 });
@@ -275,7 +296,6 @@ impl SystemSimulation {
     // ---------------------------------------------------------------- //
 
     fn on_arrive(&mut self, idx: usize, prompt: Prompt, t: SimTime) {
-        self.obs_counter_add("arrivals", 1);
         if self.obs_wants(idx) {
             self.obs_span(SpanEvent::new(t, idx as u32, SpanKind::Arrive));
         }
@@ -368,7 +388,6 @@ impl SystemSimulation {
                 self.maybe_start(w, t);
             }
             None => {
-                self.obs_counter_add("lost", 1);
                 if self.obs_wants(idx) {
                     self.obs_span(SpanEvent::new(t, idx as u32, SpanKind::Lost));
                 }
@@ -625,7 +644,6 @@ impl SystemSimulation {
                 self.metrics.cascade_judged(level, escalated);
                 if escalated {
                     self.jobs.get_mut(job).first_ratio = Some(score / base);
-                    self.obs_counter_add("escalations", 1);
                     if self.obs_wants(job) {
                         self.obs_span(
                             SpanEvent::new(t, job as u32, SpanKind::Escalate)
@@ -640,25 +658,20 @@ impl SystemSimulation {
             }
         }
         let gpu = self.cluster.worker(w).gpu();
-        self.metrics
+        let met_slo = self
+            .metrics
             .completion(t, latency_e2e, score, base, exec.level, gpu);
-        // `>` matches the metrics stage's strict SLO comparison exactly.
-        let violated = latency_e2e > self.slo;
-        self.obs_counter_add("completions", 1);
-        if violated {
-            self.obs_counter_add("violations", 1);
-        }
         self.obs_hist("e2e_latency_secs", E2E_BOUNDS, latency_e2e.as_secs());
         if self.obs_wants(job) {
-            let kind = if violated {
-                SpanKind::Violation
-            } else {
+            let kind = if met_slo {
                 SpanKind::Complete
+            } else {
+                SpanKind::Violation
             };
             self.obs_span(
                 SpanEvent::new(t, job as u32, kind)
                     .with_level(exec.level)
-                    .with_pool(self.cluster.worker(w).gpu())
+                    .with_pool(gpu)
                     .with_worker(w.0 as u32),
             );
         }
@@ -688,14 +701,14 @@ impl SystemSimulation {
             }
         }
 
-        // Persist this generation for future cache reuse. Replica
-        // fan-out is charged as write hops by the cache-plane stage
-        // (writes are asynchronous and off the critical path, §4.7, so no
-        // latency accrues).
+        // Persist this generation for future cache reuse: its states at
+        // every capture step go to storage, and the index insert makes
+        // them findable. Replica fan-out is charged as write hops by the
+        // cache-plane stage (writes are asynchronous and off the critical
+        // path, §4.7, so no latency accrues).
         if self.pipeline.uses_cache_store() {
             self.cache
                 .insert(w.0, embed(&self.jobs.get(job).prompt.text), job as u64);
-            self.cache.put_levels(job as u64);
         }
         self.jobs.retire(job);
     }
@@ -744,7 +757,7 @@ impl SystemSimulation {
 
         // Cascade runs: read the first-pass escalation-rate EWMA from the
         // metrics stage ahead of planning, so this tick's Eq. 1 pricing
-        // (see [`SystemSimulation::escalation_ctx_for`]) sees every
+        // (see [`SystemSimulation::escalation_rate_for`]) sees every
         // verdict already recorded.
         if let Some(c) = self.cascade.as_mut() {
             let rates = self.metrics.escalation_rates();
@@ -1016,7 +1029,6 @@ impl SystemSimulation {
             return false;
         }
         let clean = self.cluster.worker(WorkerId(wi)).in_flight_count() == 0;
-        self.obs_counter_add("spot_drains", 1);
         self.fleet.preempt(clean as u64, !clean as u64);
         self.fail_worker_now(wi, t);
         true
@@ -1058,23 +1070,18 @@ impl SystemSimulation {
         }
     }
 
-    /// The escalation surcharge a pool's Eq. 1 pricing plans with: on
-    /// cascade runs with pricing enabled, the observed escalation-rate
-    /// EWMA at the first-pass rung (read from the metrics stage each
-    /// tick) times the escalation level's service time —
-    /// first-pass + expected-escalation capacity. `None` everywhere
-    /// else, so every other configuration prices exactly as before.
-    fn escalation_ctx_for(&self, strategy: Strategy) -> Option<EscalationCtx> {
+    /// The escalation rate a pool's Eq. 1 pricing plans with: on cascade
+    /// runs with pricing enabled, the observed escalation-rate EWMA at the
+    /// first-pass rung (read from the metrics stage each tick), when it
+    /// is positive. `None` everywhere else, so every other configuration
+    /// prices exactly as before.
+    fn escalation_rate_for(&self, strategy: Strategy) -> Option<f64> {
         let c = self.cascade.as_ref()?;
         if !c.price_escalations || strategy != Strategy::Sm || c.first_level == c.escalate_level {
             return None;
         }
         let rate = c.first_pass_rate;
-        (rate > 0.0).then_some(EscalationCtx {
-            rate,
-            from: c.first_level,
-            to: c.escalate_level,
-        })
+        (rate > 0.0).then_some(rate)
     }
 
     /// Solves Eq. 1 for the current demand via the planner stage and
@@ -1115,7 +1122,7 @@ impl SystemSimulation {
                     ladder: ApproxLevel::ladder(strategy),
                     workers: ws.len(),
                     overhead: self.pool_overhead(strategy),
-                    escalation: self.escalation_ctx_for(strategy),
+                    escalation: self.escalation_rate_for(strategy),
                 }
             })
             .collect();
@@ -1294,7 +1301,7 @@ impl SystemSimulation {
             let spec = PoolSpec {
                 workers: ws.len(),
                 overhead: self.pool_overhead(strategy),
-                escalation: self.escalation_ctx_for(strategy),
+                escalation: self.escalation_rate_for(strategy),
                 ..plan.spec.clone()
             };
             let resolved = self.planner.solve(spec, plan.share_qpm + extra);
@@ -1408,7 +1415,6 @@ impl SystemSimulation {
         match self.cluster.assign_level(w, level, t) {
             SwitchOutcome::Immediate => self.maybe_start(w, t),
             SwitchOutcome::Loading(d) => {
-                self.obs_counter_add("model_loads", 1);
                 self.metrics.model_load(t);
                 self.queue.schedule(t + d, Event::LoadDone(w));
             }

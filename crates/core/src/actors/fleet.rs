@@ -116,6 +116,12 @@ impl FleetStage {
         self.stats.preemptions_lost += lost;
     }
 
+    /// Spot reclaims so far, ridden or lost (an accessor, not a stage
+    /// call).
+    pub(crate) fn preemptions(&self) -> u64 {
+        self.stats.preemptions_ridden + self.stats.preemptions_lost
+    }
+
     /// Workers a scale-in action actually evicted (bounded by how many
     /// idle victims existed when it fired).
     pub(crate) fn retired(&mut self, n: u64) {

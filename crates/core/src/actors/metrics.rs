@@ -8,9 +8,13 @@
 //! counters, the Fig. 18 classifier accuracy log and the cascade verdict
 //! tallies. A completion is judged against the SLO once, and that one
 //! verdict feeds the minute record, the totals, the pool tally and the
-//! reservoir. The driver is the stage's only caller, so f64 accumulation
-//! order and reservoir RNG draws follow its call order exactly.
-//! [`MetricsStage::finish`] consumes the stage at run teardown.
+//! reservoir, and is returned for the driver's lifecycle span. The
+//! driver reads the running totals and the escalation count through
+//! `&self` accessors, which are not stage calls, to set the telemetry
+//! timeline's counters at each tick. The driver is the stage's only
+//! caller, so f64 accumulation order and reservoir RNG draws follow its
+//! call order exactly. [`MetricsStage::finish`] consumes the stage at run
+//! teardown.
 
 use std::collections::BTreeMap;
 
@@ -178,7 +182,8 @@ impl MetricsStage {
 
     /// One job completed with its end-to-end latency, PickScore and the
     /// prompt's base (best-achievable) score. The one SLO verdict feeds
-    /// the minute record, the totals, the pool tally and the reservoir.
+    /// the minute record, the totals, the pool tally and the reservoir;
+    /// returns it: whether the job met the SLO.
     pub(crate) fn completion(
         &mut self,
         t: SimTime,
@@ -187,8 +192,8 @@ impl MetricsStage {
         base: f64,
         level: ApproxLevel,
         gpu: GpuArch,
-    ) {
-        self.profile.count(false);
+    ) -> bool {
+        self.profile.count(true);
         self.roll_to(t);
         self.current.completed += 1;
         self.totals.completed += 1;
@@ -199,6 +204,7 @@ impl MetricsStage {
             pool.1 += 1;
             self.current.violations += 1;
             self.totals.violations += 1;
+            false
         } else {
             self.current.in_slo += 1;
             self.totals.in_slo += 1;
@@ -208,7 +214,19 @@ impl MetricsStage {
             self.current.relative_quality_sum += rel;
             self.totals.relative_quality_sum += rel;
             self.reservoir_sample(score, base);
+            true
         }
+    }
+
+    /// The run totals so far (an accessor, not a stage call).
+    pub(crate) fn totals(&self) -> &RunTotals {
+        &self.totals
+    }
+
+    /// First passes the cascade escalated so far (an accessor, not a
+    /// stage call).
+    pub(crate) fn escalations(&self) -> u64 {
+        self.cascade.escalated.values().sum()
     }
 
     /// Per-architecture allocated-worker counts at one sample point.
@@ -487,17 +505,19 @@ mod tests {
         let slo = SimDuration::from_secs(12.6);
         let judged = |latency: SimDuration| {
             let mut s = stage_with_slo(slo);
-            s.completion(t(30.0), latency, 20.0, 21.0, LEVEL, GPU);
-            s.finish(t(31.0))
+            let met = s.completion(t(30.0), latency, 20.0, 21.0, LEVEL, GPU);
+            (met, s.finish(t(31.0)))
         };
 
-        let at = judged(slo);
+        let (met, at) = judged(slo);
+        assert!(met);
         assert_eq!((at.minutes[0].in_slo, at.minutes[0].violations), (1, 0));
         assert_eq!((at.totals.in_slo, at.totals.violations), (1, 0));
         assert_eq!(at.pool_outcomes[&GPU], (1, 0));
         assert_eq!(at.quality_samples, vec![(20.0, 21.0)]);
 
-        let over = judged(slo + SimDuration::from_micros(1));
+        let (met, over) = judged(slo + SimDuration::from_micros(1));
+        assert!(!met);
         assert_eq!((over.minutes[0].in_slo, over.minutes[0].violations), (0, 1));
         assert_eq!((over.totals.in_slo, over.totals.violations), (0, 1));
         assert_eq!(over.pool_outcomes[&GPU], (1, 1));

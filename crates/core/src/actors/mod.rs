@@ -8,12 +8,14 @@
 //!   [`crate::solver::SolveCache`]s) and answers allocation queries,
 //!   solving heterogeneous pools one after another in pool order;
 //! * [`cacheplane`] — owns the retrieval index (flat / LSH / sharded) and
-//!   the [`argus_cachestore::CacheStore`]: retrieval, index inserts,
-//!   store puts, network probes and the sharded plane's fault hooks;
+//!   the [`argus_cachestore::NetworkModel`]: retrieval (and the one rule
+//!   that decides what a fetch found), index inserts, network probes and
+//!   the sharded plane's fault hooks;
 //! * [`metrics`] — the run's one ledger: the per-minute roll-up, the
 //!   run totals, the retrieval tallies, level-completion counts, the
 //!   quality reservoir, per-pool outcomes, classifier-accuracy sampling
-//!   and cascade verdicts, with one SLO test per completion;
+//!   and cascade verdicts, with one SLO test per completion, whose
+//!   verdict it returns;
 //! * [`fleet`] — owns the autoscale controller and the billed-membership
 //!   cost integral;
 //! * [`driver`] — the event pump: pops virtual-time events, with the

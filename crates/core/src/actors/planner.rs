@@ -19,7 +19,7 @@
 use argus_models::{latency, ApproxLevel, GpuArch, Strategy};
 use argus_obs::StageCounters;
 
-use crate::capacity::{CapacityCtx, CapacityModel, EscalationCtx};
+use crate::capacity::{CapacityCtx, CapacityModel};
 use crate::solver::{AllocationProblem, SolveCache};
 use std::sync::Arc;
 
@@ -33,9 +33,9 @@ pub(crate) struct PoolSpec {
     pub ladder: Vec<ApproxLevel>,
     pub workers: usize,
     pub overhead: f64,
-    /// Observed cascade escalation demand to price into Eq. 1 (`None`
-    /// for every non-cascade run).
-    pub escalation: Option<EscalationCtx>,
+    /// Observed cascade escalation rate to price into Eq. 1 (`None` for
+    /// every non-cascade run; see [`CapacityCtx::escalation`]).
+    pub escalation: Option<f64>,
 }
 
 /// One architecture pool's share of an Eq. 1 solve: the spec it was

@@ -60,37 +60,27 @@ pub struct CapacityCtx {
     /// (the network state the allocator observed, not a property of the
     /// level).
     pub retrieval_overhead_secs: f64,
-    /// Observed cascade escalation demand, when a cascade is running
-    /// (`None` on every non-cascade path — the pricing branch is never
-    /// taken and the estimate is bit-identical to the pre-cascade tree).
-    pub escalation: Option<EscalationCtx>,
-}
-
-/// The escalation demand a cascade feeds into Eq. 1: the observed
-/// (EWMA) fraction of first-pass jobs at `from` that the discriminator
-/// re-enqueues at `to`. A model prices it as a **uniform capacity tax**
-/// of `1 + rate` — every escalation is one extra planned job, so the
-/// fleet plans as if demand were `(1 + rate) × λ` (DESIGN.md §13).
-///
-/// Two rejected alternatives, both measured worse in `s65_cascade`:
-/// charging `rate × service(to)` on the first-pass rung alone distorts
-/// Eq. 1's quality trade (the cheap rung stops looking cheap, the
-/// solver drifts to slower rungs and violations *rise*); anchoring a
-/// uniform tax at `service(to) / service(from)` over-cools the plan by
-/// an order of magnitude (Tiny-SD → SD-XL is a ~20× service ratio),
-/// collapsing every first pass onto the cheapest rung and giving the
-/// escalation feedback loop more doubt to chew on. The level-neutral
-/// `1 + rate` leaves the quality trade untouched and provisions just
-/// enough headroom for the second passes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EscalationCtx {
-    /// Escalated fraction of first-pass completions, in `[0, 1]`.
-    pub rate: f64,
-    /// The cascade's first-pass level (diagnostics; the tax itself is
-    /// level-neutral).
-    pub from: ApproxLevel,
-    /// The level escalated jobs re-run at.
-    pub to: ApproxLevel,
+    /// The escalation demand a cascade feeds into Eq. 1: the observed
+    /// (EWMA) fraction of first-pass jobs the discriminator re-enqueues
+    /// at the escalation level, in `[0, 1]`. `None` on every non-cascade
+    /// path — the pricing branch is never taken and the estimate is
+    /// bit-identical to the pre-cascade tree.
+    ///
+    /// A model prices the rate as a **uniform capacity tax** of
+    /// `1 + rate` — every escalation is one extra planned job, so the
+    /// fleet plans as if demand were `(1 + rate) × λ` (DESIGN.md §13).
+    /// Two rejected alternatives, both measured worse in `s65_cascade`:
+    /// charging `rate × service(escalation level)` on the first-pass rung
+    /// alone distorts Eq. 1's quality trade (the cheap rung stops looking
+    /// cheap, the solver drifts to slower rungs and violations *rise*);
+    /// anchoring a uniform tax at the escalation-to-first-pass service
+    /// ratio over-cools the plan by an order of magnitude (Tiny-SD →
+    /// SD-XL is a ~20× service ratio), collapsing every first pass onto
+    /// the cheapest rung and giving the escalation feedback loop more
+    /// doubt to chew on. The level-neutral `1 + rate` leaves the quality
+    /// trade untouched and provisions just enough headroom for the second
+    /// passes.
+    pub escalation: Option<f64>,
 }
 
 impl CapacityCtx {
@@ -109,9 +99,9 @@ impl CapacityCtx {
     /// when no escalation demand is present. Shared by both built-in
     /// models so their Eq. 1 pricing can never disagree.
     fn escalation_tax(&self) -> Option<f64> {
-        let e = self.escalation?;
-        if e.rate > 0.0 {
-            Some(1.0 + e.rate.min(1.0))
+        let rate = self.escalation?;
+        if rate > 0.0 {
+            Some(1.0 + rate.min(1.0))
         } else {
             None
         }
@@ -404,14 +394,9 @@ mod tests {
     #[test]
     fn escalation_pricing_is_a_uniform_capacity_tax() {
         let tiny = ApproxLevel::Sm(ModelVariant::TinySd);
-        let xl = ApproxLevel::Sm(ModelVariant::SdXl);
         let base = ctx(1);
         let priced = CapacityCtx {
-            escalation: Some(EscalationCtx {
-                rate: 0.2,
-                from: tiny,
-                to: xl,
-            }),
+            escalation: Some(0.2),
             ..base
         };
         // Every level pays the same `1 + rate` factor — the quality
@@ -430,11 +415,7 @@ mod tests {
         }
         // A zero rate is a no-op, bit for bit.
         let zero = CapacityCtx {
-            escalation: Some(EscalationCtx {
-                rate: 0.0,
-                from: tiny,
-                to: xl,
-            }),
+            escalation: Some(0.0),
             ..base
         };
         assert_eq!(
@@ -448,11 +429,7 @@ mod tests {
             ..priced
         };
         let hot = CapacityCtx {
-            escalation: Some(EscalationCtx {
-                rate: 0.5,
-                from: tiny,
-                to: xl,
-            }),
+            escalation: Some(0.5),
             ..b8
         };
         let p_cold = BatchedModel.peak_qpm(

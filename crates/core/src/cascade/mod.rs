@@ -9,7 +9,7 @@
 //! stage maintains a per-level escalation-rate EWMA, the driver snapshots
 //! it each allocator tick, and Eq. 1 prices first-pass capacity as
 //! first-pass **plus expected-escalation** work
-//! ([`crate::capacity::EscalationCtx`]).
+//! ([`crate::capacity::CapacityCtx::escalation`]).
 //!
 //! The plane is a composition of existing subsystems, not a side
 //! channel: escalated jobs go through the same cache gate, Eq. 3

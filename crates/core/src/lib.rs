@@ -78,9 +78,7 @@ pub mod switcher;
 pub mod system;
 
 pub use cacheplane::{CachePlane, InsertReceipt};
-pub use capacity::{
-    Batch1Model, BatchedModel, CapacityCtx, CapacityModel, EscalationCtx, TAIL_BUDGET_FRACTION,
-};
+pub use capacity::{Batch1Model, BatchedModel, CapacityCtx, CapacityModel, TAIL_BUDGET_FRACTION};
 pub use cascade::{CascadeConfig, CascadePolicy, CascadeStats, Discriminator, OracleDiscriminator};
 pub use fleet::{
     on_demand_hourly, preemption_events, AutoscalePolicy, CostReport, FleetStats, MembershipSample,

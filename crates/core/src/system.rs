@@ -1,24 +1,24 @@
 //! The end-to-end discrete-event system simulation (§4.7 testbed).
 //!
 //! One [`SystemSimulation`] binds a policy (Argus or a baseline), a
-//! workload trace, the GPU cluster, the vector database + cache store, the
-//! classifier, allocator, PASM and the strategy switcher into a single
-//! event loop over virtual time. Every result in the paper's evaluation
-//! (Figs. 16, 17, 18, 20, §5.4–§5.7) is a run of this simulation under a
-//! different configuration.
+//! workload trace, the GPU cluster, the vector database + retrieval
+//! network, the classifier, allocator, PASM and the strategy switcher into
+//! a single event loop over virtual time. Every result in the paper's
+//! evaluation (Figs. 16, 17, 18, 20, §5.4–§5.7) is a run of this
+//! simulation under a different configuration.
 
 use std::collections::{HashMap, VecDeque};
 use std::iter::Peekable;
 use std::sync::Arc;
 
-use argus_cachestore::{CacheKey, CacheStore, NetworkModel, NetworkRegime};
+use argus_cachestore::{NetworkModel, NetworkRegime};
 use argus_classifier::{label_prompts, train, Classifier, DriftDetector, TrainerConfig};
 use argus_cluster::{Cluster, JobId, WorkerId};
 use argus_des::rng::RngFactory;
 use argus_des::stats::WindowedRate;
 use argus_des::{EventQueue, SimDuration, SimTime};
 use argus_embed::embed;
-use argus_models::{latency, ApproxLevel, GpuArch, Strategy, AC_LEVELS};
+use argus_models::{latency, ApproxLevel, GpuArch, Strategy};
 use argus_obs::{Recorder, SpanLog, StageProfile, TelemetryConfig, Timeline};
 use argus_prompts::{DriftSchedule, Prompt, PromptGenerator};
 use argus_quality::QualityOracle;
@@ -137,7 +137,7 @@ pub struct RunConfig {
     pub drift: Option<DriftSchedule>,
     /// Injected worker faults (Fig. 20a).
     pub faults: Vec<FaultEvent>,
-    /// Network regime schedule for the cache store `(minute, regime)`
+    /// Network regime schedule for cache retrieval `(minute, regime)`
     /// (Fig. 11 / Fig. 20b).
     pub network_events: Vec<(f64, NetworkRegime)>,
     /// Offline classifier training-set size.
@@ -815,7 +815,7 @@ pub struct SystemSimulation {
     pub(crate) omega_norm: Vec<f64>,
     /// The run's SLO, [`SLO_MULTIPLIER`] × the slowest pool's SD-XL
     /// latency. The metrics stage judges completions against its copy;
-    /// routing, batching and the telemetry verdict read this one.
+    /// routing and batching read this one.
     pub(crate) slo: SimDuration,
     pub(crate) route_rng: StdRng,
     pub(crate) service_rng: StdRng,
@@ -840,7 +840,7 @@ pub struct SystemSimulation {
     pub(crate) demand_resplits: u64,
     /// Planner stage: Eq. 1 solving and its warm-start seeds.
     pub(crate) planner: PlannerStage,
-    /// Cache-plane stage: the retrieval index and the cache store.
+    /// Cache-plane stage: the retrieval index and the retrieval network.
     pub(crate) cache: CacheStage,
     /// Metrics stage: every accounting sink of the run.
     pub(crate) metrics: MetricsStage,
@@ -873,16 +873,6 @@ pub struct SystemSimulation {
 pub(crate) const RETRIEVAL_BOUNDS: &[f64] = &[0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0];
 /// End-to-end job-latency histogram bounds (seconds).
 pub(crate) const E2E_BOUNDS: &[f64] = &[1.0, 2.5, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0];
-/// Counter series the driver maintains, in registration order.
-pub(crate) const OBS_COUNTERS: [&str; 7] = [
-    "arrivals",
-    "completions",
-    "violations",
-    "lost",
-    "resplits",
-    "spot_drains",
-    "model_loads",
-];
 /// Gauge series the driver samples every tick, in registration order.
 pub(crate) const OBS_GAUGES: [&str; 8] = [
     "backlog",
@@ -952,14 +942,11 @@ impl SystemSimulation {
             }
         }
 
-        // Cache store with the configured network schedule; pre-warmed
-        // with the offline pool (those images were generated during
-        // training, so their states exist).
+        // The retrieval network with the configured regime schedule.
         let mut network = NetworkModel::new(factory);
         for &(minute, regime) in &cfg.network_events {
             network = network.with_event(SimTime::from_minutes(minute), regime);
         }
-        let mut store = CacheStore::with_network(network);
         // One shard with one replica (after the clamp to the cluster size)
         // is no plane but the monolithic off-cluster index: remote from
         // every worker and untouched by worker faults.
@@ -988,17 +975,13 @@ impl SystemSimulation {
         } else {
             Vdb::Flat(FlatIndex::with_capacity_limit(cfg.vdb_capacity.max(1)))
         };
+        // The index is pre-warmed with the offline pool: those images were
+        // generated during training, so their states exist at every
+        // capture step. Pre-deployment warm-up writes are not charged to
+        // the run.
         const OFFLINE_BASE: u64 = 1 << 40;
         for (i, p) in offline.iter().enumerate() {
-            let id = OFFLINE_BASE + i as u64;
-            // Pre-deployment warm-up writes are not charged to the run.
-            vdb.insert(None, embed(&p.text), id);
-            for k in AC_LEVELS.iter().skip(1) {
-                store.put(CacheKey {
-                    prompt_id: id,
-                    k: k.skipped_steps(),
-                });
-            }
+            vdb.insert(None, embed(&p.text), OFFLINE_BASE + i as u64);
         }
 
         let predictors = [Strategy::Ac, Strategy::Sm]
@@ -1049,12 +1032,12 @@ impl SystemSimulation {
 
         // Build the control-plane stages around the pre-warmed state. The
         // metrics stage judges completions against the SLO (§5.1: a
-        // multiple of the base model's latency); the warmed index and store
-        // move into the cache-plane stage; the planner starts empty and
-        // builds its solve caches on demand.
+        // multiple of the base model's latency); the warmed index and the
+        // network move into the cache-plane stage; the planner starts empty
+        // and builds its solve caches on demand.
         let slo = base_latency * SLO_MULTIPLIER;
         let metrics = MetricsStage::new(slo, factory.stream("samples"));
-        let cache = CacheStage::new(vdb, store);
+        let cache = CacheStage::new(vdb, network);
         let planner = PlannerStage::new(
             Arc::clone(&cfg.capacity_model),
             slo.as_secs(),
@@ -1077,19 +1060,16 @@ impl SystemSimulation {
 
         // Telemetry: pre-register every series up front so each tick
         // sample carries an identical vector layout from minute zero
-        // (DESIGN.md §12).
+        // (DESIGN.md §12). The counters register once the stages they are
+        // read from exist (`obs_set_counters` below).
         let recorder = cfg.telemetry.map(|tc| {
             let mut r = Recorder::new(tc);
-            for name in OBS_COUNTERS {
-                r.registry.counter_add(name, 0);
-            }
             for name in OBS_GAUGES {
                 r.registry.gauge_set(name, 0.0);
             }
             // Cascade series exist only on cascade runs, so the default
             // export stays byte-identical to the pre-cascade tree.
             if cfg.cascade.is_some() {
-                r.registry.counter_add("escalations", 0);
                 r.registry.gauge_set("escalation_rate", 0.0);
             }
             r.registry
@@ -1161,6 +1141,7 @@ impl SystemSimulation {
             pipeline,
             cfg,
         };
+        sim.obs_set_counters();
 
         // Schedule the periodic events (arrivals stream in through
         // `trace`). Periodic events only make sense inside the horizon; a

@@ -847,7 +847,7 @@ mod tests {
                     .with_worker(minute)
                     .with_batch(2),
             );
-            r.counter_add("arrivals", 1);
+            r.counter_set("arrivals", u64::from(minute + 1));
             r.gauge_set("backlog", f64::from(minute));
             r.hist_record("lat", B, f64::from(minute));
             r.sample(minute, t.as_micros());

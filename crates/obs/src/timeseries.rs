@@ -283,12 +283,6 @@ impl Registry {
         self.counters[i].1 = v;
     }
 
-    /// Adds `delta` to the cumulative counter `name`.
-    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        let i = self.counter_idx(name);
-        self.counters[i].1 += delta;
-    }
-
     /// Sets the gauge `name` to `v`.
     pub fn gauge_set(&mut self, name: &'static str, v: f64) {
         let i = self.gauge_idx(name);
@@ -434,7 +428,7 @@ mod tests {
         r.counter_set("arrivals", 0);
         r.gauge_set("backlog", 0.0);
         for minute in 0..4u32 {
-            r.counter_add("arrivals", 10);
+            r.counter_set("arrivals", 10 * u64::from(minute + 1));
             r.gauge_set("backlog", minute as f64);
             r.hist_record("lat", BOUNDS, minute as f64);
             r.sample(minute, minute as u64 * 60_000_000);

@@ -70,35 +70,24 @@ pub trait VectorIndex<P> {
     fn len(&self) -> usize;
 
     /// Removes and returns every entry matching `pred`, oldest first; the
-    /// survivors keep their FIFO age order. Backends without extraction
-    /// support keep everything and return nothing — which degrades
-    /// [`shard::ShardedIndex`]'s recovery anti-entropy pass to a no-op
-    /// instead of breaking it.
-    fn extract_if(&mut self, pred: &mut dyn FnMut(&Embedding, &P) -> bool) -> Vec<(Embedding, P)> {
-        let _ = pred;
-        Vec::new()
-    }
+    /// survivors keep their FIFO age order. [`shard::ShardedIndex`]'s
+    /// recovery anti-entropy pass re-homes entries through it.
+    fn extract_if(&mut self, pred: &mut dyn FnMut(&Embedding, &P) -> bool) -> Vec<(Embedding, P)>;
 
     /// Replaces the capacity limit, evicting the oldest entries beyond the
-    /// new cap (FIFO) and returning their payloads. Backends without
-    /// bounded storage ignore the request.
-    fn set_capacity(&mut self, capacity: usize) -> Vec<P> {
-        let _ = capacity;
-        Vec::new()
-    }
+    /// new cap (FIFO) and returning their payloads.
+    fn set_capacity(&mut self, capacity: usize) -> Vec<P>;
 
     /// Whether the index is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The single best match, if the index is non-empty.
+    /// The single best match, if the index is non-empty: the first hit
+    /// `search(query, 1)` returns.
     fn nearest(&self, query: &Embedding) -> Option<SearchHit<P>>
     where
-        P: Clone,
-    {
-        self.search(query, 1).into_iter().next()
-    }
+        P: Clone;
 }
 
 /// Generates `n` fixed pseudo-random hyperplanes from a seeded SplitMix64

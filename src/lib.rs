@@ -18,7 +18,7 @@
 //! | [`cluster`] | `argus-cluster` | GPU worker state machines |
 //! | [`obs`] | `argus-obs` | telemetry: lifecycle spans, time-series registry, stage profiles, JSONL/Chrome-trace exporters |
 //! | [`vdb`] | `argus-vdb` | vector index substrate |
-//! | [`cachestore`] | `argus-cachestore` | cache store + network model |
+//! | [`cachestore`] | `argus-cachestore` | retrieval network model (the cache store keeps no state) |
 //! | [`embed`] | `argus-embed` | deterministic text embeddings |
 //! | [`ilp`] | `argus-ilp` | simplex LP + branch-and-bound MILP |
 //! | [`des`] | `argus-des` | discrete-event engine, RNG streams, statistics |

@@ -9,16 +9,22 @@
 //! * the timeline reconciles with the run totals, spans tell a
 //!   well-formed lifecycle story, sampling keeps 1-in-N jobs, and the
 //!   stage profiles count one call per stage operation;
+//! * the timeline's counter series of a cascade run and of a run with
+//!   spot preemptions and lost jobs match goldens captured while the
+//!   driver still bumped each counter at its event;
 //! * the run writes no file: the caller exports the outcome, and a
 //!   failing sink is an `Err` for the caller.
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter};
 
-use argus::core::{Policy, RunConfig, RunOutcome, SpanKind, TelemetryConfig};
-use argus::models::{AcLevel, ApproxLevel};
+use argus::core::{
+    preemption_events, CascadeConfig, FaultEvent, Policy, RunConfig, RunOutcome, SpanKind,
+    TelemetryConfig,
+};
+use argus::models::{AcLevel, ApproxLevel, GpuArch};
 use argus::obs::{validate_chrome_trace, validate_jsonl};
-use argus::workload::twitter_like;
+use argus::workload::{preemption_storm, twitter_like};
 
 fn cfg(seed: u64, minutes: usize) -> RunConfig {
     let mut c = RunConfig::new(Policy::Argus, twitter_like(seed, minutes)).with_seed(seed);
@@ -264,8 +270,12 @@ fn stage_profiles_count_every_stage_call() {
         assert_eq!(p.mailbox_hwm, 0, "{}", p.stage);
     }
     // (stage, calls, calls returning a value), pinned at the message and
-    // reply counts the thread-and-mailbox plane reported for this run:
-    // every message became one call, so the stages do the same work.
+    // reply counts the thread-and-mailbox plane reported for this run
+    // (every message became one call, so the stages do the same work),
+    // with two moves since, one per completion of the run's 609: the
+    // cache plane no longer takes a per-completion store put (1,612 →
+    // 1,003 calls), and the metrics stage's completion call returns the
+    // SLO verdict the lifecycle span reads (1 → 610 replies).
     let counts: Vec<(&str, u64, u64)> = out
         .stage_profiles
         .iter()
@@ -275,8 +285,8 @@ fn stage_profiles_count_every_stage_call() {
         counts,
         [
             ("planner", 8, 8),
-            ("cache-plane", 1_612, 394),
-            ("metrics", 2_033, 1),
+            ("cache-plane", 1_003, 394),
+            ("metrics", 2_033, 610),
             ("fleet", 8, 1),
         ]
     );
@@ -313,4 +323,97 @@ fn every_retrieval_round_trip_is_a_recorded_lookup() {
         "{:?}",
         r.per_level
     );
+}
+
+/// Every counter series of the run's timeline, in registration order.
+fn counter_series(out: &RunOutcome) -> Vec<(&'static str, Vec<u64>)> {
+    let tl = out.timeline.as_ref().expect("telemetry on");
+    tl.counter_names
+        .iter()
+        .map(|&name| (name, tl.counter(name).expect("registered")))
+        .collect()
+}
+
+#[test]
+fn cascade_timeline_counters_match_the_golden() {
+    let out = cfg(11, 10)
+        .with_cascade(CascadeConfig::new())
+        .with_telemetry(TelemetryConfig::timeline_only())
+        .run();
+    let stats = out.cascade.as_ref().expect("cascade run carries stats");
+    assert!(stats.escalated_completed > 0, "{stats:?}");
+    assert_eq!(counter_series(&out), golden_cascade_counters());
+}
+
+#[test]
+fn spot_preemption_and_loss_timeline_counters_match_the_golden() {
+    // Three warned spot reclaims that go clean, an unwarned reclaim of
+    // the whole spot pool that finds one survivor mid-pass, and a minute
+    // with every worker down, during which arrivals and rerouted jobs are
+    // lost.
+    let every: Vec<usize> = (0..12).collect();
+    let mut faults = preemption_events(&preemption_storm(23, 8, 4, 0.75, 3.0), 30.0);
+    faults.extend(preemption_events(&[(4.6, vec![8, 9, 10, 11])], 0.0));
+    faults.push(FaultEvent::WorkerFail {
+        at_minute: 6.0,
+        workers: every.clone(),
+    });
+    faults.push(FaultEvent::WorkerRecover {
+        at_minute: 7.0,
+        workers: every,
+    });
+    let out = cfg(23, 10)
+        .with_spot_pool(GpuArch::A10G, 4, 0.6)
+        .with_faults(faults)
+        .with_telemetry(TelemetryConfig::timeline_only())
+        .run();
+    assert_eq!(
+        (out.fleet.preemptions_ridden, out.fleet.preemptions_lost),
+        (3, 1)
+    );
+    assert!(out.totals.violations > out.totals.completed - out.totals.in_slo);
+    assert_eq!(counter_series(&out), golden_spot_loss_counters());
+}
+
+// The counter goldens, captured on the tree whose driver bumped each
+// counter at its event (release build).
+
+fn golden_cascade_counters() -> Vec<(&'static str, Vec<u64>)> {
+    vec![
+        (
+            "arrivals",
+            vec![61, 160, 243, 312, 475, 652, 820, 904, 962, 1004],
+        ),
+        (
+            "completions",
+            vec![53, 150, 235, 309, 415, 547, 687, 826, 961, 1000],
+        ),
+        ("violations", vec![0, 0, 0, 0, 33, 165, 305, 444, 545, 545]),
+        ("lost", vec![0; 10]),
+        ("resplits", vec![0; 10]),
+        ("spot_drains", vec![0; 10]),
+        ("model_loads", vec![10, 14, 15, 17, 21, 21, 21, 21, 21, 22]),
+        (
+            "escalations",
+            vec![22, 30, 78, 120, 155, 238, 317, 399, 447, 463],
+        ),
+    ]
+}
+
+fn golden_spot_loss_counters() -> Vec<(&'static str, Vec<u64>)> {
+    vec![
+        (
+            "arrivals",
+            vec![190, 370, 528, 613, 714, 768, 807, 853, 894, 952],
+        ),
+        (
+            "completions",
+            vec![178, 359, 520, 605, 706, 762, 762, 803, 847, 901],
+        ),
+        ("violations", vec![0; 10]),
+        ("lost", vec![0, 0, 0, 0, 0, 6, 45, 45, 45, 45]),
+        ("resplits", vec![0; 10]),
+        ("spot_drains", vec![0, 0, 0, 2, 4, 4, 4, 4, 4, 4]),
+        ("model_loads", vec![12, 12, 12, 12, 12, 12, 24, 24, 24, 24]),
+    ]
 }

@@ -4,12 +4,13 @@
 //! The driver keeps per-job state — prompt, arrival time, the cascade's
 //! escalation flag and first-pass ratio — only while a job is live or
 //! among the recent arrivals that retraining and the accuracy sample read,
-//! and the cache store answers a fetch from the levels it has stored
-//! rather than from a map of every blob. Each fingerprint below was
-//! captured on the tree that still materialised the whole trace up front
-//! and kept that map, so these runs pin that neither change moved a
-//! single outcome. Every configuration exercises a reader no older golden
-//! covers:
+//! and the cache store keeps no state at all: a fetch the network serves
+//! hits exactly at a capture step, rather than where a map of every blob
+//! (and later a record of the stored steps) had an entry. Each of the
+//! first six fingerprints below was captured on the tree that still
+//! materialised the whole trace up front and kept that map, so these runs
+//! pin that none of these changes moved a single outcome. Every
+//! configuration exercises a reader no older golden covers:
 //!
 //! * drift, drift-triggered retraining and a congested window on the
 //!   exact flat index (the recent-arrival pool, the retraining path and
@@ -22,7 +23,11 @@
 //! * a sharded 4×2 plane through a worker fail and recover, a spot
 //!   preemption storm and a network outage that switches AC→SM→AC
 //!   (rerouted jobs, store answers on a degraded plane);
-//! * NIRVANA on the shared LSH index (similarity-chosen levels).
+//! * NIRVANA on the shared LSH index (similarity-chosen levels);
+//! * a custom gate that reuses every neighbour at skip step 7, which no
+//!   completion captures: every fetch the network serves misses. Its
+//!   golden was captured on the tree whose store recorded the steps it
+//!   had stored.
 //!
 //! One golden has moved since: `golden_drift`. In that run the congested
 //! window switches AC→SM during job 1449's retrieval, and the switch's
@@ -39,10 +44,11 @@
 
 use argus::cachestore::NetworkRegime;
 use argus::core::{
-    preemption_events, CascadeConfig, FaultEvent, Policy, RunConfig, RunOutcome, SpanKind,
-    TelemetryConfig,
+    preemption_events, ArgusPolicy, CacheGate, CascadeConfig, Dispatcher, FaultEvent,
+    InitialPlacement, LevelPlanner, Policy, RouteCtx, RunConfig, RunOutcome, ServingPolicy,
+    SpanKind, StrategySwitcher, TelemetryConfig, TickAction, WorkerSelector,
 };
-use argus::models::{ApproxLevel, GpuArch};
+use argus::models::{AcLevel, ApproxLevel, GpuArch, Strategy};
 use argus::prompts::DriftSchedule;
 use argus::workload::{preemption_storm, steady, twitter_like, Trace};
 
@@ -312,6 +318,86 @@ fn nirvana_on_lsh_matches_the_golden() {
     assert_eq!(fingerprint(&out), golden_nirvana());
 }
 
+/// Argus with a cache gate that reuses every neighbour at skip step 7,
+/// which no completion captures: the one way a custom pipeline can make
+/// the network serve a fetch that finds no state.
+#[derive(Debug)]
+struct UncapturedStepGate;
+
+impl LevelPlanner for UncapturedStepGate {
+    fn active_ladder(&self, switcher: &StrategySwitcher) -> Vec<ApproxLevel> {
+        ArgusPolicy.active_ladder(switcher)
+    }
+
+    fn pick_target_level(&self, ctx: &mut RouteCtx<'_>, ladder: &[ApproxLevel]) -> usize {
+        ArgusPolicy.pick_target_level(ctx, ladder)
+    }
+
+    fn planning_strategy(&self, switcher: &StrategySwitcher) -> Strategy {
+        ArgusPolicy.planning_strategy(switcher)
+    }
+
+    fn plan_tick(&self, observed_qpm: f64, last_demand_qpm: f64) -> TickAction {
+        ArgusPolicy.plan_tick(observed_qpm, last_demand_qpm)
+    }
+
+    fn initial_placement(&self) -> InitialPlacement {
+        ArgusPolicy.initial_placement()
+    }
+}
+
+impl CacheGate for UncapturedStepGate {
+    fn cache_active(&self, switcher: &StrategySwitcher) -> bool {
+        ArgusPolicy.cache_active(switcher)
+    }
+
+    fn uses_cache_store(&self) -> bool {
+        true
+    }
+
+    fn ac_level_for_hit(&self, _assigned: AcLevel, _similarity: f64) -> AcLevel {
+        AcLevel(7)
+    }
+}
+
+impl WorkerSelector for UncapturedStepGate {}
+impl Dispatcher for UncapturedStepGate {}
+
+impl ServingPolicy for UncapturedStepGate {
+    fn name(&self) -> &'static str {
+        "Argus, reusing at an uncaptured step"
+    }
+
+    fn uses_classifier(&self) -> bool {
+        true
+    }
+
+    fn uses_oda(&self) -> bool {
+        true
+    }
+
+    fn switches_strategy(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn a_gate_reusing_an_uncaptured_step_misses_every_served_fetch() {
+    let out = cfg(Policy::Argus, twitter_like(19, 10), 19)
+        .with_policy_pipeline(Box::new(UncapturedStepGate))
+        .with_network_events(vec![
+            (4.0, NetworkRegime::Outage),
+            (6.0, NetworkRegime::Normal),
+        ])
+        .run();
+    // The network leg decides first: the outage's fetches fail, and every
+    // fetch the network serves finds no state at step 7.
+    let r = &out.retrieval;
+    assert_eq!(r.hits(), 0, "{r:?}");
+    assert!(r.misses() > 0 && r.failures() > 0, "{r:?}");
+    assert_eq!(fingerprint(&out), golden_uncaptured_step());
+}
+
 // The goldens, captured on the tree that materialised the trace and kept
 // the blob map (release build; the runs are bit-identical in debug).
 // `golden_drift` was re-captured after the reentrant-start fix (see the
@@ -465,6 +551,29 @@ fn golden_nirvana() -> Fingerprint {
         retrain_minutes: vec![],
         classifier_accuracy: 0xcbf29ce484222325,
         switches: (0, 0),
+        cascade: 0,
+    }
+}
+
+/// Captured on the tree whose cache store answered from the levels it
+/// had stored (release build).
+fn golden_uncaptured_step() -> Fingerprint {
+    Fingerprint {
+        counts: [874, 874, 173, 701, 18],
+        float_bits: [0x40cbc1c4ec6548c6, 0x4085290aeac036db, 0x4082dc2258d5842b],
+        cache: vec![
+            ((0, 0), [0, 272, 0]),
+            ((0, 5), [0, 237, 0]),
+            ((0, 10), [0, 15, 0]),
+            ((0, 15), [0, 57, 0]),
+            ((0, 25), [0, 0, 2]),
+        ],
+        retrieval: [583, 874, 0x3fa35db386d85678, 0x3fa4866a11ec918e],
+        level_completions: vec![((0, 0), 594), ((1, 0), 27), ((1, 4), 3), ((1, 5), 250)],
+        quality_samples: 0xc6f2ad710bc893b9,
+        retrain_minutes: vec![9],
+        classifier_accuracy: 0xcf8ce61dca17e276,
+        switches: (1, 1),
         cascade: 0,
     }
 }
