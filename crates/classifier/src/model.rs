@@ -5,16 +5,18 @@ use rand::{RngExt, SeedableRng};
 
 use crate::features::FeatureExtractor;
 
+/// Initial SGD step size; epoch `e` steps with `INITIAL_LR / (1 + e)`.
+const INITIAL_LR: f32 = 0.25;
+
+/// L2 regularization strength.
+const L2: f32 = 1e-5;
+
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainerConfig {
     /// Number of passes over the training set. The Fig. 19 sweep varies
     /// this to trade loss against routing quality.
     pub epochs: usize,
-    /// Initial learning rate (decays as `lr / (1 + epoch)`).
-    pub learning_rate: f32,
-    /// L2 regularization strength.
-    pub l2: f32,
     /// Shuffle seed.
     pub seed: u64,
 }
@@ -23,8 +25,6 @@ impl Default for TrainerConfig {
     fn default() -> Self {
         TrainerConfig {
             epochs: 8, // paper: "8 epochs per refresh" (§5.5)
-            learning_rate: 0.25,
-            l2: 1e-5,
             seed: 0,
         }
     }
@@ -127,25 +127,25 @@ impl Classifier {
     }
 
     /// One SGD step on features `x` with per-class errors `err`:
-    /// `w -= lr · (err · v + l2 · w)`, skipping each class whose error is
+    /// `w -= lr · (err · v + L2 · w)`, skipping each class whose error is
     /// below `1e-9`. Classes never share a weight and the features come
     /// in order, so every weight sees the updates of a class-by-class
     /// pass in the same order.
-    fn descend(&mut self, x: &[(usize, f32)], err: &[f32; LANES], lr: f32, l2: f32) {
+    fn descend(&mut self, x: &[(usize, f32)], err: &[f32; LANES], lr: f32) {
         let skips = |e: f32| e.abs() < 1e-9;
         let live = &err[..self.classes];
         if !live.iter().any(|&e| skips(e)) {
-            // Padding lanes: `0 − lr · (0 · v + l2 · 0)` is exactly 0.
+            // Padding lanes: `0 − lr · (0 · v + L2 · 0)` is exactly 0.
             for &(i, v) in x {
                 for (w, &e) in self.weights[i].iter_mut().zip(err) {
-                    *w -= lr * (e * v + l2 * *w);
+                    *w -= lr * (e * v + L2 * *w);
                 }
             }
         } else if !live.iter().all(|&e| skips(e)) {
             for &(i, v) in x {
                 for (w, &e) in self.weights[i].iter_mut().zip(live) {
                     if !skips(e) {
-                        *w -= lr * (e * v + l2 * *w);
+                        *w -= lr * (e * v + L2 * *w);
                     }
                 }
             }
@@ -224,7 +224,7 @@ pub fn train<S: AsRef<str>>(
             let j = rng.random_range(0..=i);
             order.swap(i, j);
         }
-        let lr = cfg.learning_rate / (1.0 + epoch as f32);
+        let lr = INITIAL_LR / (1.0 + epoch as f32);
         let mut loss_sum = 0.0f64;
         for &s in &order {
             let x = &feats[s];
@@ -237,7 +237,7 @@ pub fn train<S: AsRef<str>>(
             for (c, (e, &prob)) in err.iter_mut().zip(&probs[..classes]).enumerate() {
                 *e = (prob - if c == y { 1.0 } else { 0.0 }) as f32;
             }
-            clf.descend(x, &err, lr, cfg.l2);
+            clf.descend(x, &err, lr);
         }
         epoch_losses.push(loss_sum / samples.len() as f64);
     }
@@ -381,7 +381,7 @@ mod tests {
                 let j = rng.random_range(0..=i);
                 order.swap(i, j);
             }
-            let lr = cfg.learning_rate / (1.0 + epoch as f32);
+            let lr = INITIAL_LR / (1.0 + epoch as f32);
             let mut loss_sum = 0.0f64;
             for &s in &order {
                 let x = &feats[s];
@@ -397,7 +397,7 @@ mod tests {
                     }
                     let row = &mut clf.weights[c * dim..(c + 1) * dim];
                     for &(i, v) in x {
-                        row[i] -= lr * (err * v + cfg.l2 * row[i]);
+                        row[i] -= lr * (err * v + L2 * row[i]);
                     }
                 }
                 if skipped == classes {
@@ -505,11 +505,7 @@ mod tests {
                     .map(|p| (p.text.clone(), oracle.optimal_level(p, &ladder) % classes))
                     .collect();
                 for epochs in [0, 1, 8] {
-                    let cfg = TrainerConfig {
-                        epochs,
-                        seed,
-                        ..TrainerConfig::default()
-                    };
+                    let cfg = TrainerConfig { epochs, seed };
                     let skips = check_against_reference(&samples, classes, &cfg);
                     if classes == 1 {
                         // One class: every error is exactly zero.
@@ -535,7 +531,6 @@ mod tests {
         let cfg = TrainerConfig {
             epochs: 30,
             seed: 5,
-            ..TrainerConfig::default()
         };
         let skips = check_against_reference(&samples, 3, &cfg);
         assert!(skips.some > 0, "{skips:?}");

@@ -315,29 +315,24 @@ impl SystemSimulation {
         let pipeline = std::sync::Arc::clone(&self.pipeline);
         let ladder = pipeline.active_ladder(&self.switcher);
         // Escalated cascade jobs re-enter this same path — cache gate,
-        // selector, dispatcher — but are pinned to the escalation rung:
-        // the discriminator's verdict *is* their routing decision, so the
+        // selector, dispatcher — but are pinned to rung 0, SD-XL: the
+        // discriminator's verdict *is* their routing decision, so the
         // level planner (and its RNG) is not consulted again.
-        let escalate_to = self
-            .cascade
-            .as_ref()
-            .filter(|_| self.jobs.get(idx).first_ratio.is_some())
-            .map(|c| c.escalate_rung.min(ladder.len() - 1));
-        let target = match escalate_to {
-            Some(rung) => rung,
-            None => {
-                let mut ctx = RouteCtx {
-                    cluster: &self.cluster,
-                    switcher: &self.switcher,
-                    classifiers: &self.classifiers,
-                    predictors: &mut self.predictors,
-                    pasm: &self.pasm,
-                    omega_norm: &self.omega_norm,
-                    route_rng: &mut self.route_rng,
-                    prompt_text: &self.jobs.get(idx).prompt.text,
-                };
-                pipeline.pick_target_level(&mut ctx, &ladder)
-            }
+        let escalated = self.cascade.is_some() && self.jobs.get(idx).first_ratio.is_some();
+        let target = if escalated {
+            0
+        } else {
+            let mut ctx = RouteCtx {
+                cluster: &self.cluster,
+                switcher: &self.switcher,
+                classifiers: &self.classifiers,
+                predictors: &mut self.predictors,
+                pasm: &self.pasm,
+                omega_norm: &self.omega_norm,
+                route_rng: &mut self.route_rng,
+                prompt_text: &self.jobs.get(idx).prompt.text,
+            };
+            pipeline.pick_target_level(&mut ctx, &ladder)
         };
         // Per-level, per-architecture processing estimates for the
         // Worker-Selector (Eq. 3). On per-pool-strategy fleets the ladder
@@ -631,14 +626,10 @@ impl SystemSimulation {
                 // through to the normal terminal accounting.
                 self.metrics.cascade_outcome(first_ratio, score / base);
             } else {
-                // Two degenerate accepts: a cascade *configured* with its
-                // first pass at the escalation rung has nowhere to
-                // escalate to (top-level no-op — spill may still execute
-                // first passes elsewhere, but the config promises no
-                // second passes), and a pass already *executed* at the
-                // escalation rung would re-run the same level.
-                let escalated = c.first_level != c.escalate_level
-                    && exec.level != c.escalate_level
+                // A first pass that spill already *executed* at the
+                // escalation rung is accepted: a second pass would re-run
+                // the same level.
+                let escalated = exec.level != c.escalate_level
                     && c.discriminator.doubt(prompt, exec.level, similarity) >= c.threshold;
                 let level = exec.level;
                 self.metrics.cascade_judged(level, escalated);
@@ -735,7 +726,6 @@ impl SystemSimulation {
             &TrainerConfig {
                 epochs: self.cfg.classifier_epochs,
                 seed: self.cfg.seed ^ minute,
-                ..TrainerConfig::default()
             },
         );
         self.classifiers.insert(strategy, clf);
@@ -1077,7 +1067,7 @@ impl SystemSimulation {
     /// prices exactly as before.
     fn escalation_rate_for(&self, strategy: Strategy) -> Option<f64> {
         let c = self.cascade.as_ref()?;
-        if !c.price_escalations || strategy != Strategy::Sm || c.first_level == c.escalate_level {
+        if !c.price_escalations || strategy != Strategy::Sm {
             return None;
         }
         let rate = c.first_pass_rate;
@@ -1128,7 +1118,13 @@ impl SystemSimulation {
             .collect();
         let (saturated, plans) = self.planner.plan(specs, total_demand);
         if saturated {
-            self.saturated_minutes += 1;
+            // A minute counts once, however many solves it saw: set-up,
+            // its tick, or an AC↔SM switch's re-solve.
+            let minute = t.as_micros() / TICK.as_micros();
+            if self.last_saturated_minute != Some(minute) {
+                self.last_saturated_minute = Some(minute);
+                self.saturated_minutes += 1;
+            }
             self.tick_saturated = true;
         }
         for (plan, (_, ws)) in plans.iter().zip(&pools) {

@@ -24,7 +24,7 @@
 //!   neighbour, while *lookups* skip it, so queries whose probe set is
 //!   entirely dead serve misses. The observable outcome is a lower
 //!   hit-rate, never a crash — the retrieval-plane mirror of the compute
-//!   plane's ODA re-alignment after a fault (see [`crate::oda`]).
+//!   plane's ODA re-alignment after a fault (see [`mod@crate::oda`]).
 //!
 //! Every replica of a plane lives on a worker. The paper's *external*
 //! monolithic deployment — no worker hosts the index, every lookup is
@@ -76,7 +76,7 @@ impl CachePlane {
     /// cluster of `workers`. Shards start with an even `⌈C/N⌉` split of
     /// `total_capacity` (so the total matches the monolithic configuration
     /// it replaces) and thereafter rebalance their caps toward observed
-    /// routing load every [`REBALANCE_PERIOD`] inserts — a flat split
+    /// routing load every `REBALANCE_PERIOD` inserts — a flat split
     /// under routing skew makes the hot shards evict FIFO while cold
     /// shards sit half empty, wasting a quarter of the effective capacity
     /// at `N = 8`. `seed` seeds every replica's hyperplanes, as it does

@@ -95,15 +95,11 @@ impl Discriminator for OracleDiscriminator {
     }
 }
 
-/// Configuration of the cascade plane (`RunConfig::with_cascade`).
+/// Configuration of the cascade plane (`RunConfig::with_cascade`). The
+/// rungs are fixed: every job's first pass runs at the SM ladder's
+/// cheapest rung (Tiny-SD) and escalated jobs re-run at rung 0 (SD-XL).
 #[derive(Debug, Clone)]
 pub struct CascadeConfig {
-    /// Ladder rung every job's first pass runs at, as an index into the
-    /// SM ladder (clamped; `usize::MAX` — the default — means the
-    /// cheapest rung, Tiny-SD).
-    pub first_pass: usize,
-    /// Ladder rung escalated jobs re-run at (default `0`, SD-XL).
-    pub escalate_to: usize,
     /// Escalate when `doubt >= threshold`: `0.0` escalates everything,
     /// `1.0` never escalates.
     pub threshold: f64,
@@ -118,8 +114,6 @@ pub struct CascadeConfig {
 impl Default for CascadeConfig {
     fn default() -> Self {
         CascadeConfig {
-            first_pass: usize::MAX,
-            escalate_to: 0,
             threshold: 0.1,
             price_escalations: true,
             discriminator: None,
@@ -131,18 +125,6 @@ impl CascadeConfig {
     /// The default cascade: cheapest-first, escalate to SD-XL.
     pub fn new() -> Self {
         CascadeConfig::default()
-    }
-
-    /// Sets the first-pass rung (index into the SM ladder).
-    pub fn with_first_pass(mut self, rung: usize) -> Self {
-        self.first_pass = rung;
-        self
-    }
-
-    /// Sets the escalation rung (index into the SM ladder).
-    pub fn with_escalate_to(mut self, rung: usize) -> Self {
-        self.escalate_to = rung;
-        self
     }
 
     /// Sets the escalation threshold.
@@ -157,20 +139,9 @@ impl CascadeConfig {
         self
     }
 
-    /// Installs a custom discriminator.
-    pub fn with_discriminator(mut self, d: Arc<dyn Discriminator>) -> Self {
-        self.discriminator = Some(d);
-        self
-    }
-
-    /// The first-pass rung clamped to `ladder_len`.
+    /// The first-pass rung of a `ladder_len`-rung ladder: the cheapest.
     pub fn first_pass_rung(&self, ladder_len: usize) -> usize {
-        self.first_pass.min(ladder_len.saturating_sub(1))
-    }
-
-    /// The escalation rung clamped to `ladder_len`.
-    pub fn escalate_rung(&self, ladder_len: usize) -> usize {
-        self.escalate_to.min(ladder_len.saturating_sub(1))
+        ladder_len.saturating_sub(1)
     }
 }
 
@@ -347,13 +318,14 @@ mod tests {
     }
 
     #[test]
-    fn config_rungs_clamp_to_the_ladder() {
+    fn first_pass_runs_at_the_cheapest_rung() {
         let cfg = CascadeConfig::new();
         assert_eq!(cfg.first_pass_rung(6), 5);
-        assert_eq!(cfg.escalate_rung(6), 0);
-        let custom = CascadeConfig::new().with_first_pass(3).with_escalate_to(99);
-        assert_eq!(custom.first_pass_rung(6), 3);
-        assert_eq!(custom.escalate_rung(6), 5);
+        let ladder = ApproxLevel::ladder(Strategy::Sm);
+        assert_eq!(
+            ladder[cfg.first_pass_rung(ladder.len())],
+            ApproxLevel::Sm(argus_models::ModelVariant::TinySd)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! explicitly a *scale-out* signal with no machinery behind it. This
 //! module supplies the machinery, in three parts:
 //!
-//! * an [`AutoscalePolicy`] + [`AutoscaleController`] pair — a
+//! * an [`AutoscalePolicy`] + `AutoscaleController` pair — a
 //!   deterministic hysteresis controller that grows a pool after
 //!   sustained saturation/re-split/backlog pressure and shrinks it after
 //!   sustained idleness, with a cloud provisioning delay, a per-pool
@@ -61,6 +61,9 @@ pub struct SpotPool {
     pub discount: f64,
 }
 
+/// Cloud provisioning delay before a scaled-out worker serves.
+const PROVISIONING_DELAY: SimDuration = SimDuration::from_micros(90_000_000);
+
 /// Autoscale controller configuration
 /// ([`crate::system::RunConfig::with_autoscaler`]).
 ///
@@ -71,8 +74,9 @@ pub struct SpotPool {
 /// [`AutoscalePolicy::scale_in_after`] consecutive idle ticks (demand
 /// share and backlog drain rate both below
 /// [`AutoscalePolicy::idle_utilization`] of capacity). New instances
-/// come up after [`AutoscalePolicy::provisioning_delay_secs`]; any action
-/// starts a per-pool cooldown of [`AutoscalePolicy::cooldown_secs`].
+/// come up after a fixed 90 s provisioning delay (`PROVISIONING_DELAY`);
+/// any action starts a per-pool cooldown of
+/// [`AutoscalePolicy::cooldown_secs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoscalePolicy {
     /// Consecutive pressured ticks before a scale-out.
@@ -81,8 +85,6 @@ pub struct AutoscalePolicy {
     pub scale_in_after: u32,
     /// Workers added/removed per action.
     pub step: usize,
-    /// Cloud provisioning delay (seconds) before a new worker serves.
-    pub provisioning_delay_secs: f64,
     /// Minimum seconds between actions on the same pool.
     pub cooldown_secs: f64,
     /// Idle threshold: an unpressured pool is idle when its demand share
@@ -100,7 +102,6 @@ impl Default for AutoscalePolicy {
             scale_out_after: 2,
             scale_in_after: 5,
             step: 1,
-            provisioning_delay_secs: 90.0,
             cooldown_secs: 180.0,
             idle_utilization: 0.30,
             bounds: Vec::new(),
@@ -127,13 +128,6 @@ impl AutoscalePolicy {
     pub fn with_step(mut self, step: usize) -> Self {
         assert!(step >= 1, "autoscale step must be at least 1");
         self.step = step;
-        self
-    }
-
-    /// Sets the provisioning delay in seconds.
-    pub fn with_provisioning_delay(mut self, secs: f64) -> Self {
-        assert!(secs >= 0.0 && secs.is_finite(), "invalid delay");
-        self.provisioning_delay_secs = secs;
         self
     }
 
@@ -252,11 +246,10 @@ impl AutoscaleController {
             let present = s.alive + s.pending;
             if ctl.out_streak >= self.policy.scale_out_after && present < ctl.max {
                 let n = self.policy.step.min(ctl.max - present);
-                let delay = SimDuration::from_secs(self.policy.provisioning_delay_secs);
                 actions.push(ScaleAction::Out {
                     gpu: ctl.gpu,
                     n,
-                    delay,
+                    delay: PROVISIONING_DELAY,
                 });
                 ctl.out_streak = 0;
                 ctl.cooldown_until = t_secs + self.policy.cooldown_secs;
@@ -374,7 +367,7 @@ mod tests {
         }
     }
 
-    /// A scale-out of `n` A100 workers after the default 90 s delay.
+    /// A scale-out of `n` A100 workers after the 90 s provisioning delay.
     fn out(n: usize) -> ScaleAction {
         ScaleAction::Out {
             gpu: GpuArch::A100,

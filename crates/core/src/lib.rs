@@ -9,7 +9,7 @@
 //!   against each other);
 //! * [`predictor`] — the Workload Distribution Predictor: the look-back
 //!   window of classifier outputs yielding the affinity histogram `φ(v)`;
-//! * [`oda`] — the Optimized Distribution Aligner (Algorithm 1) producing
+//! * [`mod@oda`] — the Optimized Distribution Aligner (Algorithm 1) producing
 //!   the Probabilistic Approximation Shift Map (PASM);
 //! * [`capacity`] — the pluggable [`CapacityModel`] behind Eq. 1's
 //!   `peak(v)`: the batch-1 paper profile and the Obs. 5 batching-aware

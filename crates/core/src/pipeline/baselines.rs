@@ -12,7 +12,7 @@ use super::{
     ServingPolicy, TickAction, WorkerSelector,
 };
 
-/// Proteus [23]: SM-only accuracy scaling with a cluster-level solver,
+/// Proteus (ref. 23): SM-only accuracy scaling with a cluster-level solver,
 /// prompt-agnostic routing. Re-solves each window from the raw observation
 /// (no demand smoothing) and swaps the serving model in place (one HBM
 /// slot) — the behaviours §5.7 charges with constant model switching.
@@ -58,7 +58,7 @@ impl ServingPolicy for ProteusPolicy {
     }
 }
 
-/// Sommelier [38]: per-GPU model selection — each worker reacts to its own
+/// Sommelier (ref. 38): per-GPU model selection — each worker reacts to its own
 /// backlog, stepping one variant faster when overloaded and one slower when
 /// idle.
 #[derive(Debug, Clone, Copy, Default)]
@@ -124,7 +124,7 @@ impl ServingPolicy for SommelierPolicy {
     }
 }
 
-/// NIRVANA [20] extended to a cluster: SD-XL + approximate caching on every
+/// NIRVANA (ref. 20) extended to a cluster: SD-XL + approximate caching on every
 /// worker, per-prompt `K` from retrieval similarity, load-based spread, no
 /// load-adaptive reallocation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -240,7 +240,7 @@ impl ServingPolicy for ClipperPolicy {
 }
 
 /// NIRVANA's similarity-driven skip-step selection: closer cached
-/// neighbours allow more aggressive reuse [20].
+/// neighbours allow more aggressive reuse (ref. 20).
 pub fn nirvana_k(similarity: f64) -> AcLevel {
     match similarity {
         s if s >= 0.92 => AcLevel(25),

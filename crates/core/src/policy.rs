@@ -14,13 +14,13 @@ pub enum Policy {
     /// classifier and no ODA — prompts are redistributed proportionally to
     /// the load distribution, like Proteus.
     Pac,
-    /// Proteus [23]: SM-only accuracy scaling with a cluster-level solver,
+    /// Proteus (ref. 23): SM-only accuracy scaling with a cluster-level solver,
     /// prompt-agnostic routing.
     Proteus,
-    /// Sommelier [38]: per-GPU model selection — each worker reacts to its
+    /// Sommelier (ref. 38): per-GPU model selection — each worker reacts to its
     /// own backlog by stepping its model variant up or down.
     Sommelier,
-    /// NIRVANA [20] extended to a cluster: SD-XL + approximate caching on
+    /// NIRVANA (ref. 20) extended to a cluster: SD-XL + approximate caching on
     /// every worker, per-prompt K from retrieval similarity, uniform
     /// load spread, no load-adaptive reallocation.
     Nirvana,

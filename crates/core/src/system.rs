@@ -115,12 +115,11 @@ pub struct RunConfig {
     pub trace: Trace,
     /// Cluster size (paper testbed: 8).
     pub workers: usize,
-    /// GPU architecture (paper testbed: A100). For heterogeneous fleets
-    /// this is the reference architecture; see [`RunConfig::pools`].
-    pub gpu: GpuArch,
     /// Per-architecture worker pools. `None` means the homogeneous
-    /// `workers`×`gpu` testbed; `Some` fleets mix generations and the
-    /// allocator solves Eq. 1 per pool with that pool's latency tables.
+    /// `workers`×A100 testbed; `Some` fleets choose their architectures
+    /// (one pool for a homogeneous non-A100 fleet, several to mix
+    /// generations) and the allocator solves Eq. 1 per pool with that
+    /// pool's latency tables.
     pub pools: Option<Vec<(GpuArch, usize)>>,
     /// Route cache lookups through the shared LSH index instead of the
     /// exact flat scan (§4.7's shared-VDB deployment at scale).
@@ -201,7 +200,6 @@ impl RunConfig {
             policy,
             trace,
             workers: 8,
-            gpu: GpuArch::A100,
             pools: None,
             lsh_cache: false,
             sharded_cache: None,
@@ -233,23 +231,16 @@ impl RunConfig {
         self
     }
 
-    /// Sets the cluster size.
+    /// Sets the cluster size: a homogeneous A100 fleet of `workers`.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self.pools = None;
         self
     }
 
-    /// Sets the GPU architecture of the (homogeneous) cluster.
-    pub fn with_gpu(mut self, gpu: GpuArch) -> Self {
-        self.gpu = gpu;
-        self.pools = None;
-        self
-    }
-
-    /// Configures a heterogeneous fleet from per-architecture worker
-    /// counts. The total worker count and the reference architecture (the
-    /// largest pool, for reporting) are derived from the pools.
+    /// Configures the fleet from per-architecture worker counts; a single
+    /// pool is a homogeneous fleet of that architecture. The total worker
+    /// count is derived from the pools.
     ///
     /// # Panics
     /// Panics if the pools sum to zero workers.
@@ -257,9 +248,6 @@ impl RunConfig {
         let total: usize = pools.iter().map(|&(_, n)| n).sum();
         assert!(total > 0, "heterogeneous pools need at least one worker");
         self.workers = total;
-        if let Some(&(gpu, _)) = pools.iter().max_by_key(|&&(_, n)| n) {
-            self.gpu = gpu;
-        }
         self.pools = Some(pools);
         self
     }
@@ -292,7 +280,7 @@ impl RunConfig {
     pub fn effective_pools(&self) -> Vec<(GpuArch, usize)> {
         match &self.pools {
             Some(p) => p.clone(),
-            None => vec![(self.gpu, self.workers)],
+            None => vec![(GpuArch::A100, self.workers)],
         }
     }
 
@@ -630,22 +618,21 @@ pub(crate) struct Exec {
     pub(crate) similarity: Option<f64>,
 }
 
-/// Driver-side cascade state ([`RunConfig::with_cascade`]): the resolved
-/// rungs, the discriminator and the latest first-pass escalation rate read
-/// from the metrics stage. The per-job escalation state lives in each
-/// job's [`JobSlot`].
+/// Driver-side cascade state ([`RunConfig::with_cascade`]): the rungs'
+/// levels, the discriminator and the latest first-pass escalation rate
+/// read from the metrics stage. The per-job escalation state lives in
+/// each job's [`JobSlot`].
 pub(crate) struct CascadeState {
     /// Escalate when doubt ≥ threshold.
     pub(crate) threshold: f64,
     /// Whether the observed rate feeds Eq. 1 (s65 ablation knob).
     pub(crate) price_escalations: bool,
     pub(crate) discriminator: Arc<dyn Discriminator>,
-    /// The configured first-pass level (pricing anchor; spill may serve
-    /// first passes elsewhere).
+    /// The first-pass level, the SM ladder's cheapest rung (pricing
+    /// anchor; spill may serve first passes elsewhere).
     pub(crate) first_level: ApproxLevel,
-    /// The level escalated jobs re-run at, and its ladder index.
+    /// The level escalated jobs re-run at: SM rung 0, SD-XL.
     pub(crate) escalate_level: ApproxLevel,
-    pub(crate) escalate_rung: usize,
     /// The escalation-rate EWMA at `first_level`, as of the last
     /// allocator tick (read from the metrics stage each tick).
     pub(crate) first_pass_rate: f64,
@@ -793,11 +780,11 @@ pub(crate) enum Event {
 /// The discrete-event simulation of the full serving system.
 ///
 /// The struct is the **driver** of the staged control plane
-/// ([`crate::actors`]): it owns the event queue, the cluster, routing and
+/// (`crate::actors`): it owns the event queue, the cluster, routing and
 /// the strategy switcher, and owns the planner, cache-plane, metrics and
 /// fleet stages, whose methods it calls directly. Construction (this
 /// module) pre-warms the cache plane and builds the stages; the event
-/// pump and every handler live in [`crate::actors::driver`].
+/// pump and every handler live in `crate::actors::driver`.
 pub struct SystemSimulation {
     pub(crate) cfg: RunConfig,
     pub(crate) pipeline: Arc<dyn ServingPolicy>,
@@ -823,7 +810,10 @@ pub struct SystemSimulation {
     pub(crate) drift_detector: DriftDetector,
     pub(crate) retrain_minutes: Vec<u64>,
     pub(crate) horizon: SimTime,
+    /// Minutes (`t / TICK`) in which a solve reported saturation, and the
+    /// last of them: a minute's tick and its switch re-solves count once.
     pub(crate) saturated_minutes: u64,
+    pub(crate) last_saturated_minute: Option<u64>,
     pub(crate) retrieval_ewma: f64,
     pub(crate) last_demand: f64,
     /// Per-pool plan state from the last (re-)allocation: what each
@@ -935,7 +925,6 @@ impl SystemSimulation {
                     &TrainerConfig {
                         epochs: cfg.classifier_epochs,
                         seed: cfg.seed,
-                        ..TrainerConfig::default()
                     },
                 );
                 classifiers.insert(strategy, clf);
@@ -991,7 +980,7 @@ impl SystemSimulation {
 
         let horizon = SimTime::from_minutes(cfg.trace.len_minutes() as f64);
         // The SLO references the slowest architecture in the fleet (for the
-        // homogeneous testbed that is just `cfg.gpu`): a latency target no
+        // homogeneous testbed that is just the A100): a latency target no
         // pool can meet would make heterogeneity trivially lossy. Spot
         // pools are ordinary cluster members appended after the on-demand
         // fleet; the cache plane keeps striping over the on-demand workers
@@ -1012,7 +1001,7 @@ impl SystemSimulation {
                     ))
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
-            .unwrap_or(cfg.gpu);
+            .unwrap_or(GpuArch::A100);
         let base_latency = SimDuration::from_secs(latency::inference_secs(
             argus_models::ModelVariant::SdXl,
             slo_arch,
@@ -1078,21 +1067,20 @@ impl SystemSimulation {
             r
         });
 
-        // Cascade plane: resolve the configured rungs against the SM
-        // ladder and seed the built-in discriminator off the run seed.
+        // Cascade plane: the first pass on the SM ladder's cheapest rung,
+        // escalations on SD-XL, and the built-in discriminator seeded off
+        // the run seed.
         let cascade = cfg.cascade.clone().map(|cc| {
             let ladder = ApproxLevel::ladder(Strategy::Sm);
-            let first_rung = cc.first_pass_rung(ladder.len());
-            let escalate_rung = cc.escalate_rung(ladder.len());
+            let first_level = ladder[cc.first_pass_rung(ladder.len())];
             CascadeState {
                 threshold: cc.threshold,
                 price_escalations: cc.price_escalations,
                 discriminator: cc
                     .discriminator
                     .unwrap_or_else(|| Arc::new(OracleDiscriminator::new(cfg.seed))),
-                first_level: ladder[first_rung],
-                escalate_level: ladder[escalate_rung],
-                escalate_rung,
+                first_level,
+                escalate_level: ladder[0],
                 first_pass_rate: 0.0,
             }
         });
@@ -1120,6 +1108,7 @@ impl SystemSimulation {
             retrain_minutes: Vec::new(),
             horizon,
             saturated_minutes: 0,
+            last_saturated_minute: None,
             retrieval_ewma: 0.02,
             last_demand: cfg.trace.qpm_at(0),
             pool_plans: Vec::new(),
@@ -1530,14 +1519,22 @@ mod tests {
     #[test]
     fn older_gpus_saturate_earlier() {
         // The same demand that a 8×A100 fleet absorbs easily saturates a
-        // 8×V100 fleet — with_gpu must actually rewire the latency tables.
+        // 8×V100 fleet — a single V100 pool must actually rewire the
+        // latency tables.
         let a100 = quick(Policy::Argus, 150.0, 6);
         let v100 = RunConfig::new(Policy::Argus, steady(150.0, 6))
-            .with_gpu(GpuArch::V100)
+            .with_heterogeneous_pools(vec![(GpuArch::V100, 8)])
             .with_seed(7)
             .run();
         assert_eq!(a100.saturated_minutes, 0, "{a100:?}");
-        assert!(v100.saturated_minutes >= 3, "{}", v100.saturated_minutes);
+        // Set-up and all six ticks saturate; the totals pin the V100
+        // tables end to end.
+        assert_eq!(v100.saturated_minutes, 7);
+        let t = &v100.totals;
+        assert_eq!((t.offered, t.completed, t.in_slo), (896, 896, 73));
+        assert_eq!((t.violations, t.model_loads), (823, 8));
+        assert_eq!(t.quality_sum.to_bits(), 0x4094c38b89d201e7);
+        assert_eq!(t.relative_quality_sum.to_bits(), 0x404f74399bda7264);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! reloads weights — adjusting `K` is free — which is why Argus prefers AC
 //! by default (Obs. 4).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{latency, GpuArch, ModelVariant};
@@ -29,7 +28,7 @@ pub const AC_LEVELS: [AcLevel; 6] = [
 /// resuming from a cached intermediate state.
 ///
 /// `AcLevel(0)` is exact SD-XL generation (no cache reuse).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AcLevel(pub u32);
 
 impl AcLevel {

@@ -6,13 +6,12 @@
 //! provides the common currency: an [`ApproxLevel`] with a profiled latency,
 //! quality and peak throughput, and a [`Strategy`] tag.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{latency, AcLevel, GpuArch, ModelVariant, AC_LEVELS, SM_LADDER};
 
 /// Which approximation strategy a ladder of levels belongs to (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Approximate caching: one SD-XL model, variable skip step `K`.
     Ac,
@@ -34,7 +33,7 @@ impl fmt::Display for Strategy {
 /// The derived `Ord` (SM variants before AC levels, each in declaration
 /// order) exists so levels can key deterministic `BTreeMap` accounting;
 /// ladder and reporting order remain [`ApproxLevel::ordinal`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ApproxLevel {
     /// A smaller-model variant.
     Sm(ModelVariant),

@@ -1,13 +1,12 @@
 //! GPU architectures referenced by the paper's evaluation (Fig. 5, §4.7).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An NVIDIA data-center GPU architecture.
 ///
 /// Peak numbers are FP16 tensor-core throughput and HBM bandwidth from the
 /// public datasheets; the paper's testbed is 8× A100-80GiB (§4.7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GpuArch {
     /// Tesla V100 (16 GiB HBM2).
     V100,

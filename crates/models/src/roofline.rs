@@ -2,7 +2,7 @@
 //!
 //! Attainable performance at arithmetic intensity `I` on a GPU with peak
 //! compute `P` and bandwidth `B` is `min(P, I·B)` (Jouppi et al., the
-//! paper's [48]). Diffusion UNets land on the flat (compute-bound) roof;
+//! paper's ref. 48). Diffusion UNets land on the flat (compute-bound) roof;
 //! YOLO/ResNet/GPT-decode land on the slanted (bandwidth-bound) part.
 
 use crate::{GpuArch, ModelVariant};

@@ -4,7 +4,6 @@
 //! Small-SD, SD-1.4, SD-1.5, SD-2.0 and SD-XL from HuggingFace. Component
 //! profiles come from Table 3; sizes and loading times from Table 2.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::component::{component, ComponentSpec};
@@ -14,7 +13,7 @@ use crate::component::{component, ComponentSpec};
 /// Ordered from most approximate (fastest, lowest quality) to least
 /// approximate (slowest, highest quality); `ModelVariant::SdXl` is the
 /// paper's base model M1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ModelVariant {
     /// Tiny-SD: the fastest distilled variant (Clipper-HT's model).
     TinySd,

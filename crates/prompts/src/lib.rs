@@ -1,12 +1,12 @@
 //! # argus-prompts — synthetic DiffusionDB-like prompt stream
 //!
 //! The paper drives every experiment with 10 k real prompts from
-//! DiffusionDB [76], preserving arrival order. That dataset is not available
-//! offline, so this crate synthesizes an equivalent stream: compositional
-//! prompts ("{style} of {subject} {relation} {subject}, {modifiers}") drawn
-//! from a themed vocabulary, each carrying a latent *complexity* in `[0, 1]`
-//! derived from its structure (object count, spatial relations, attribute
-//! density).
+//! DiffusionDB (ref. 76), preserving arrival order. That dataset is not
+//! available offline, so this crate synthesizes an equivalent stream:
+//! compositional prompts ("{style} of {subject} {relation} {subject},
+//! {modifiers}") drawn from a themed vocabulary, each carrying a latent
+//! *complexity* in `[0, 1]` derived from its structure (object count,
+//! spatial relations, attribute density).
 //!
 //! Complexity is the property that matters downstream: the paper's
 //! Observation 1 is that *many prompts are approximation-tolerant* and that

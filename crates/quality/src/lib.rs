@@ -1,6 +1,6 @@
 //! # argus-quality — the synthetic PickScore oracle
 //!
-//! The paper measures image quality with PickScore [50], a learned
+//! The paper measures image quality with PickScore (ref. 50), a learned
 //! preference model over (prompt, image) pairs, and defines a prompt's
 //! **optimal model** as the fastest approximation level whose score is
 //! within `θ = 0.9` of the best achievable score (§3). Neither the images

@@ -6,7 +6,7 @@ use argus_prompts::{fnv1a, Prompt};
 use crate::depth::approximation_depth;
 
 /// The optimal-quality threshold `θ` (§3): a score within `θ · max` counts
-/// as optimal quality. The paper uses 0.9, consistent with NIRVANA [20].
+/// as optimal quality. The paper uses 0.9, consistent with NIRVANA (ref. 20).
 pub const OPTIMAL_QUALITY_THETA: f64 = 0.9;
 
 /// Nominal cache-neighbour similarity for AC when none is supplied: the

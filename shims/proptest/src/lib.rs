@@ -133,7 +133,7 @@ pub mod collection {
     use super::{StdRng, Strategy};
     use rand::RngExt;
 
-    /// Size specification for [`vec`]: a fixed length or a range of lengths.
+    /// Size specification for [`fn@vec`]: a fixed length or a range of lengths.
     pub trait SizeRange {
         /// Draws a concrete length.
         fn sample_len(&self, rng: &mut StdRng) -> usize;

@@ -5,9 +5,8 @@
 //!   `tests/observability.rs` / `tests/fleet.rs`;
 //! * cascade **on** surfaces [`CascadeStats`] whose counts balance the
 //!   run totals exactly;
-//! * degenerate configurations behave degenerately: a first pass at the
-//!   escalation rung never escalates, threshold `0.0` escalates every
-//!   first pass below the escalation rung, threshold `1.0` never
+//! * degenerate thresholds behave degenerately: `0.0` escalates every
+//!   first pass below the escalation rung (SD-XL), `1.0` never
 //!   escalates;
 //! * escalated jobs keep their **original arrival time**: SLO violation
 //!   accounting charges the full first-pass + queue + second-pass
@@ -55,7 +54,7 @@ fn cascade_stats_balance_the_run_totals() {
         "{stats:?}"
     );
     // The EWMA the planner prices with tracked the observed escalations
-    // at the configured first-pass rung (the cheapest, Tiny-SD).
+    // at the first-pass rung (the cheapest, Tiny-SD).
     let first_level = ApproxLevel::ladder(Strategy::Sm)[5];
     assert!(
         stats
@@ -73,23 +72,6 @@ fn cascade_stats_balance_the_run_totals() {
     let mut off = RunConfig::new(Policy::Argus, twitter_like(11, 8)).with_seed(11);
     off.classifier_train_size = 800;
     assert!(off.run().cascade.is_none());
-}
-
-#[test]
-fn first_pass_at_the_escalation_rung_is_a_no_op() {
-    // First pass and escalation target the same rung: there is nothing
-    // above the first pass to escalate to, so the discriminator verdict
-    // degenerates to accept for every job.
-    let cc = CascadeConfig::new()
-        .with_first_pass(0)
-        .with_escalate_to(0)
-        .with_threshold(0.0);
-    let out = cascade_cfg(7, 6, cc).run();
-    let stats = out.cascade.as_ref().unwrap();
-    assert_eq!(stats.escalated_total(), 0, "{stats:?}");
-    assert_eq!(stats.escalated_completed, 0, "{stats:?}");
-    assert_eq!(stats.quality_delta, 0.0, "{stats:?}");
-    assert_eq!(stats.accepted_total(), out.totals.completed);
 }
 
 #[test]

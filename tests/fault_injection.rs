@@ -111,6 +111,26 @@ fn outage_switches_to_sm_and_back() {
 }
 
 #[test]
+fn a_switch_re_solve_does_not_count_its_saturated_minute_twice() {
+    // Far beyond capacity, every solve saturates: set-up (minute 0), six
+    // ticks (minutes 1–6) and the re-solves of the AC→SM switch in
+    // minute 1 and the SM→AC switch in minute 3. Seven minutes saturated,
+    // not nine solves.
+    for qpm in [600.0, 900.0, 1200.0] {
+        let mut c = RunConfig::new(Policy::Argus, steady(qpm, 6)).with_seed(7);
+        c.classifier_train_size = 600;
+        let out = c
+            .with_network_events(vec![
+                (1.5, NetworkRegime::Outage),
+                (3.5, NetworkRegime::Normal),
+            ])
+            .run();
+        assert_eq!(out.switches, (1, 1), "{qpm} QPM");
+        assert_eq!(out.saturated_minutes, 7, "{qpm} QPM");
+    }
+}
+
+#[test]
 fn frozen_strategy_suffers_through_congestion() {
     // Fig. 20b's black line: with switching disabled, congested retrieval
     // inflates every AC request; the adaptive system does better.

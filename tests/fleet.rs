@@ -3,7 +3,8 @@
 //!
 //! * the default path (no autoscaler, no spot pools) is **bit-identical
 //!   to the pre-fleet tree**, pinned by the PR 7 golden fingerprint;
-//! * autoscaled and preemption-storm runs are bit-deterministic;
+//! * autoscaled and preemption-storm runs are bit-deterministic, and an
+//!   autoscaled run's membership timeline matches its golden;
 //! * scale-in never evicts a worker with in-flight jobs (the driver
 //!   asserts it; these runs exercise the assert);
 //! * the `CostReport` reconciles with the membership telemetry: the
@@ -103,6 +104,35 @@ fn autoscaled_runs_are_bit_deterministic_and_actually_scale() {
     // collapsed the run into something seed-independent).
     let c = autoscaled_cfg(18).run();
     assert_ne!(a.totals, c.totals);
+}
+
+#[test]
+fn autoscaled_run_matches_the_golden() {
+    // Each scale-out joins 90 s after the tick that ordered it (minutes
+    // 2, 5 and 8); each scale-in leaves at its tick (minutes 24 and 29).
+    let out = autoscaled_cfg(17).run();
+    let f = &out.fleet;
+    assert_eq!((f.scale_out_events, f.workers_added), (3, 3));
+    assert_eq!((f.scale_in_events, f.workers_retired), (2, 2));
+    assert_eq!(f.peak_workers, 11);
+    let membership: Vec<(f64, u32)> = f
+        .samples
+        .iter()
+        .map(|s| (s.t_secs, s.counts.iter().map(|c| c.2).sum()))
+        .collect();
+    assert_eq!(
+        membership,
+        [
+            (0.0, 8),
+            (210.0, 9),
+            (390.0, 10),
+            (570.0, 11),
+            (1440.0, 10),
+            (1740.0, 9)
+        ]
+    );
+    assert_eq!((out.totals.completed, out.totals.violations), (3212, 2781));
+    assert_eq!(out.cost.total_dollars.to_bits(), 0x4034bd3a06d3a06e);
 }
 
 #[test]
