@@ -27,12 +27,7 @@ fn main() {
     let ks = [0u32, 10, 15, 20, 25];
     let mut rows = Vec::new();
     for (i, &(text, complexity)) in examples.iter().enumerate() {
-        let p = Prompt {
-            id: PromptId(i as u64),
-            text: text.to_string(),
-            complexity,
-            theme: 0,
-        };
+        let p = Prompt::from_text(PromptId(i as u64), text, complexity, 0);
         let mut row = vec![text.to_string()];
         for &k in &ks {
             let lvl = ApproxLevel::Ac(AcLevel(k));

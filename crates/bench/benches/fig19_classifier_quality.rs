@@ -20,16 +20,12 @@ fn main() {
     // Offline view: loss and accuracy per epoch count.
     let ladder = ApproxLevel::ladder(Strategy::Ac);
     let oracle = QualityOracle::new(19);
-    let train_set = label_prompts(
-        &oracle,
-        &PromptGenerator::new(19).generate_batch(4000),
-        &ladder,
+    let (train_prompts, test_prompts) = (
+        PromptGenerator::new(19).generate_batch(4000),
+        PromptGenerator::new(191).generate_batch(1500),
     );
-    let test_set = label_prompts(
-        &oracle,
-        &PromptGenerator::new(191).generate_batch(1500),
-        &ladder,
-    );
+    let train_set = label_prompts(&oracle, &train_prompts, &ladder);
+    let test_set = label_prompts(&oracle, &test_prompts, &ladder);
 
     let mut rows = Vec::new();
     for epochs in [0usize, 1, 2, 4, 8, 16] {

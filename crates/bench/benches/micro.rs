@@ -1,13 +1,17 @@
 //! Criterion micro-benchmarks of the hot control-plane paths: the solver
 //! (the §5.7 <100 ms claim in bench form), ODA, PASM sampling,
-//! tokenizing, embeddings, vector search, classifier inference, oracle
-//! labelling, a drift retrain, the per-job prompt path (generation,
-//! completion scoring, a cascade judgement) and raw event throughput.
+//! tokenizing, embeddings, vector search, feature extraction, classifier
+//! inference, oracle labelling, a drift retrain, the per-job prompt path
+//! (generation, completion scoring, a cascade judgement) and raw event
+//! throughput. Each text-path case that a generated prompt can skip
+//! (embedding, features, prediction) is timed twice: from the text, which
+//! it tokenizes and hashes, and from the `Prompt`, which replays the
+//! pre-hashed tokens of the pieces it drew (the `_carried` cases).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use argus_classifier::{label_prompts, train, TrainerConfig};
+use argus_classifier::{label_prompts, train, FeatureExtractor, TrainerConfig};
 use argus_core::{oda, AllocationProblem, Discriminator, OracleDiscriminator};
 use argus_des::{EventQueue, SimTime};
 use argus_embed::embed;
@@ -69,6 +73,10 @@ fn bench_embedding_and_vdb(c: &mut Criterion) {
     c.bench_function("embed_prompt", |b| {
         b.iter(|| black_box(embed(&next().text)))
     });
+    let mut next = cycle(&prompts);
+    c.bench_function("embed_prompt_carried", |b| {
+        b.iter(|| black_box(embed(next())))
+    });
     // Twelve tokens a text, none repeated across the 480k, so every
     // token-direction lookup misses: the no-reuse cost of `embed`.
     let mut id = 0u64;
@@ -122,9 +130,22 @@ fn bench_classifier(c: &mut Criterion) {
     let pool = PromptGenerator::new(1).generate_batch(2000);
     let samples = label_prompts(&oracle, &pool, &ladder);
     let (clf, _) = train(&samples, ladder.len(), &TrainerConfig::default());
+    let extractor = FeatureExtractor::default();
+    let mut next = cycle(&pool);
+    c.bench_function("features_text", |b| {
+        b.iter(|| black_box(extractor.features(&next().text)))
+    });
+    let mut next = cycle(&pool);
+    c.bench_function("features_carried", |b| {
+        b.iter(|| black_box(extractor.features(next())))
+    });
     let mut next = cycle(&pool);
     c.bench_function("classifier_predict", |b| {
         b.iter(|| black_box(clf.predict(&next().text)))
+    });
+    let mut next = cycle(&pool);
+    c.bench_function("classifier_predict_carried", |b| {
+        b.iter(|| black_box(clf.predict(next())))
     });
     c.bench_function("oracle_score_ladder", |b| {
         b.iter(|| black_box(oracle.scores(&pool[7], &ladder)))

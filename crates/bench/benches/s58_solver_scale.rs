@@ -25,7 +25,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use argus_bench::{banner, f, print_table, BenchReport};
+use argus_bench::{banner, f, print_table, BenchReport, Spread};
 use argus_core::{Allocation, AllocationProblem, LevelProfile, SolveCache};
 use argus_models::{ApproxLevel, GpuArch, Strategy};
 use argus_workload::twitter_like;
@@ -53,38 +53,6 @@ const TICK_SLO_SECS: f64 = 12.6;
 const TICK_SHAPE_SEED: u64 = 42;
 const TICK_MINUTES: usize = 120;
 const TICK_DEMAND_SCALE: f64 = 10.0;
-
-/// Min, median and max of a sample.
-struct Spread {
-    min: f64,
-    median: f64,
-    max: f64,
-}
-
-impl Spread {
-    fn of(samples: &[f64]) -> Spread {
-        let mut s = samples.to_vec();
-        s.sort_by(f64::total_cmp);
-        Spread {
-            min: s[0],
-            median: s[s.len() / 2],
-            max: s[s.len() - 1],
-        }
-    }
-
-    /// The min, median and max as table cells.
-    fn cells(&self) -> Vec<String> {
-        vec![f(self.min, 3), f(self.median, 3), f(self.max, 3)]
-    }
-
-    /// Appends `{name}_min`, `{name}_median` and `{name}_max` to `report`.
-    fn add_to(&self, report: BenchReport, name: &str) -> BenchReport {
-        report
-            .float(&format!("{name}_min"), self.min, 3)
-            .float(&format!("{name}_median"), self.median, 3)
-            .float(&format!("{name}_max"), self.max, 3)
-    }
-}
 
 /// Mean milliseconds per call of `solve` over `SOLVES_PER_REP` calls.
 fn time_ms(solve: impl Fn() -> Allocation) -> f64 {

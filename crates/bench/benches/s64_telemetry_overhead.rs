@@ -12,11 +12,15 @@
 //! interleaved rounds.
 //!
 //! The measured overheads are recorded into `BENCH_obs.json` at the
-//! repo root so CI history tracks the numbers, not just the pass bits.
+//! repo root so CI history tracks the numbers, not just the pass bits:
+//! the best-of-rounds ratios the verdict reads, and, so that the noise
+//! they are judged against shows too, each variant's CPU and wall time in
+//! every round with the min, median and max of the per-round ratios
+//! (schema 3).
 
 use std::time::Instant;
 
-use argus_bench::{banner, f, print_table, BenchReport};
+use argus_bench::{banner, f, print_table, BenchReport, Spread};
 use argus_core::{Policy, RunConfig, RunOutcome, TelemetryConfig};
 use argus_workload::{twitter_like, Trace};
 
@@ -53,41 +57,62 @@ const ROUNDS: usize = 3;
 #[derive(Default)]
 struct Sample {
     out: Option<RunOutcome>,
-    wall: f64,
-    cpu: Option<f64>,
+    /// Wall seconds of each round.
+    walls: Vec<f64>,
+    /// CPU ticks of each round, `None` where the platform had none.
+    cpus: Vec<Option<f64>>,
 }
 
 impl Sample {
-    fn new() -> Self {
-        Sample {
-            wall: f64::INFINITY,
-            ..Sample::default()
-        }
-    }
-
-    /// Runs the configuration once, keeping the cheapest repeat of
-    /// each measure seen so far. On shared single-core runners a
-    /// co-tenant can inflate one variant's wall clock by 20%+, so the
-    /// overhead guard prefers process CPU time, which only counts our
-    /// own work; wall time is still reported for the JSON record.
+    /// Runs the configuration once, recording this round's wall and CPU
+    /// time. On shared single-core runners a co-tenant can inflate one
+    /// variant's wall clock by 20%+, so the overhead guard prefers
+    /// process CPU time, which only counts our own work; wall time is
+    /// still reported for the JSON record.
     fn measure(&mut self, make: impl Fn() -> RunConfig) {
         let ticks_before = cpu_ticks();
         let start = Instant::now();
         let out = make().run();
-        self.wall = self.wall.min(start.elapsed().as_secs_f64());
-        let cpu = cpu_ticks()
-            .zip(ticks_before)
-            .map(|(after, before)| after.saturating_sub(before) as f64);
-        self.cpu = match (self.cpu, cpu) {
-            (Some(best), Some(new)) => Some(best.min(new)),
-            (best, new) => best.or(new),
-        };
+        self.walls.push(start.elapsed().as_secs_f64());
+        self.cpus.push(
+            cpu_ticks()
+                .zip(ticks_before)
+                .map(|(after, before)| after.saturating_sub(before) as f64),
+        );
         self.out.get_or_insert(out);
+    }
+
+    /// The cheapest round's wall time.
+    fn wall(&self) -> f64 {
+        self.walls.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// The cheapest round's CPU time, `None` if no round had one.
+    fn cpu(&self) -> Option<f64> {
+        self.cpus.iter().flatten().copied().reduce(f64::min)
+    }
+
+    /// Each round's time in the guard's measure, `None` where missing.
+    fn rounds(&self, cpu_based: bool) -> Vec<Option<f64>> {
+        if cpu_based {
+            self.cpus.clone()
+        } else {
+            self.walls.iter().copied().map(Some).collect()
+        }
     }
 
     fn out(&self) -> &RunOutcome {
         self.out.as_ref().expect("measured at least once")
     }
+}
+
+/// The ratio of `variant` to `off` in each round both have a time for.
+fn round_ratios(variant: &[Option<f64>], off: &[Option<f64>]) -> Vec<f64> {
+    variant
+        .iter()
+        .zip(off)
+        .filter_map(|(v, o)| Some((*v)? / (*o)?))
+        .collect()
 }
 
 fn main() {
@@ -106,9 +131,9 @@ fn main() {
     // runs second.
     let _ = cfg(trace.clone()).run();
 
-    let mut off = Sample::new();
-    let mut sampled = Sample::new();
-    let mut full = Sample::new();
+    let mut off = Sample::default();
+    let mut sampled = Sample::default();
+    let mut full = Sample::default();
     for _ in 0..ROUNDS {
         off.measure(|| cfg(trace.clone()));
         sampled.measure(|| cfg(trace.clone()).with_telemetry(TelemetryConfig::sampled(64)));
@@ -116,10 +141,20 @@ fn main() {
     }
 
     // Guard on CPU time when the platform exposes it, wall otherwise.
-    let cpu_based = off.cpu.is_some() && sampled.cpu.is_some() && full.cpu.is_some();
-    let measure = |s: &Sample| if cpu_based { s.cpu.unwrap() } else { s.wall };
+    let cpu_based = off.cpu().is_some() && sampled.cpu().is_some() && full.cpu().is_some();
+    let measure = |s: &Sample| {
+        if cpu_based {
+            s.cpu().unwrap()
+        } else {
+            s.wall()
+        }
+    };
     let sampled_ratio = measure(&sampled) / measure(&off);
     let full_ratio = measure(&full) / measure(&off);
+    // The same ratios round by round: their spread is the noise the
+    // best-of-rounds verdict is read against.
+    let sampled_rounds = round_ratios(&sampled.rounds(cpu_based), &off.rounds(cpu_based));
+    let full_rounds = round_ratios(&full.rounds(cpu_based), &off.rounds(cpu_based));
     let mut rows = Vec::new();
     for (name, s, ratio) in [
         ("off", &off, 1.0),
@@ -129,7 +164,7 @@ fn main() {
         rows.push(vec![
             name.to_string(),
             s.out().totals.completed.to_string(),
-            f(s.wall, 2),
+            f(s.wall(), 2),
             format!("{:.3}x", ratio),
             s.out()
                 .spans
@@ -150,6 +185,18 @@ fn main() {
             "span events",
         ],
         &rows,
+    );
+    let (sampled_spread, full_spread) = (Spread::of(&sampled_rounds), Spread::of(&full_rounds));
+    println!(
+        "\nper-round ratios vs off ({} rounds):",
+        sampled_rounds.len()
+    );
+    print_table(
+        &["telemetry", "min", "median", "max"],
+        &[
+            [vec!["sampled 1/64".to_string()], sampled_spread.cells()].concat(),
+            [vec!["full".to_string()], full_spread.cells()].concat(),
+        ],
     );
 
     // The observer must not participate: identical results, bit for bit.
@@ -180,19 +227,35 @@ fn main() {
         ));
     }
 
-    BenchReport::new("s64_telemetry_overhead")
+    let mut report = BenchReport::new("s64_telemetry_overhead")
+        .schema_version(3)
         .uint("jobs", off.out().totals.completed)
         .str("measure", unit)
-        .float("off_wall_secs", off.wall, 3)
-        .float("sampled_wall_secs", sampled.wall, 3)
-        .float("full_wall_secs", full.wall, 3)
+        .float("off_wall_secs", off.wall(), 3)
+        .float("sampled_wall_secs", sampled.wall(), 3)
+        .float("full_wall_secs", full.wall(), 3)
         .float("sampled_overhead", sampled_ratio - 1.0, 4)
         .float("full_overhead", full_ratio - 1.0, 4)
         .uint("sampled_span_events", sampled_events as u64)
         .uint("full_span_events", full_events as u64)
         .float("budget_full_overhead", 0.10, 2)
         .float("budget_sampled_overhead", 0.02, 2)
-        .write("BENCH_obs.json");
+        .uint("rounds", ROUNDS as u64);
+    report = sampled_spread.add_to(report, "sampled_round_ratio");
+    report = full_spread.add_to(report, "full_round_ratio");
+    // Every round's times: CPU in clock ticks (absent off-Linux), wall in
+    // seconds.
+    for r in 0..ROUNDS {
+        let mut round = BenchReport::group();
+        for (name, s) in [("off", &off), ("sampled", &sampled), ("full", &full)] {
+            if let Some(cpu) = s.cpus[r] {
+                round = round.uint(&format!("{name}_cpu_ticks"), cpu as u64);
+            }
+            round = round.float(&format!("{name}_wall_secs"), s.walls[r], 3);
+        }
+        report = report.nested(&format!("round_{}", r + 1), round);
+    }
+    report.write("BENCH_obs.json");
 
     assert!(
         guard_failures.is_empty(),

@@ -97,6 +97,47 @@ pub fn f(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
 }
 
+/// Min, median and max of a sample of repeated measurements: the spread a
+/// timed `BENCH_*.json` row records next to the figure it judges.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Smallest sample.
+    pub min: f64,
+    /// Middle sample (the upper one of an even count).
+    pub median: f64,
+    /// Largest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty.
+    pub fn of(samples: &[f64]) -> Spread {
+        let mut s = samples.to_vec();
+        s.sort_by(f64::total_cmp);
+        Spread {
+            min: s[0],
+            median: s[s.len() / 2],
+            max: s[s.len() - 1],
+        }
+    }
+
+    /// The min, median and max as table cells.
+    pub fn cells(&self) -> Vec<String> {
+        vec![f(self.min, 3), f(self.median, 3), f(self.max, 3)]
+    }
+
+    /// Appends `{name}_min`, `{name}_median` and `{name}_max` to `report`.
+    pub fn add_to(&self, report: BenchReport, name: &str) -> BenchReport {
+        report
+            .float(&format!("{name}_min"), self.min, 3)
+            .float(&format!("{name}_median"), self.median, 3)
+            .float(&format!("{name}_max"), self.max, 3)
+    }
+}
+
 /// Ordered builder for the `BENCH_*.json` artifacts the s-series guard
 /// benches leave at the repo root for CI to diff.
 ///
@@ -127,6 +168,13 @@ impl BenchReport {
                 ),
             ],
         }
+    }
+
+    /// Restamps the report's schema version: for a report whose own layout
+    /// moved past the shared version.
+    pub fn schema_version(mut self, version: u32) -> Self {
+        self.fields[1].1 = version.to_string();
+        self
     }
 
     /// An unstamped group, for nesting via [`BenchReport::nested`].
@@ -206,6 +254,13 @@ mod tests {
     }
 
     #[test]
+    fn spread_is_min_median_max() {
+        let s = Spread::of(&[3.0, 1.0, 2.0]);
+        assert_eq!((s.min, s.median, s.max), (1.0, 2.0, 3.0));
+        assert_eq!(Spread::of(&[5.0]).median, 5.0);
+    }
+
+    #[test]
     fn format_helper() {
         assert_eq!(f(1.23456, 2), "1.23");
     }
@@ -230,5 +285,13 @@ mod tests {
             "\"schema_version\": {}",
             argus_obs::JSONL_SCHEMA_VERSION
         )));
+        let restamped = BenchReport::new("s99_example")
+            .schema_version(7)
+            .uint("jobs", 1)
+            .to_json();
+        assert_eq!(
+            restamped,
+            "{\n  \"bench\": \"s99_example\",\n  \"schema_version\": 7,\n  \"jobs\": 1\n}\n"
+        );
     }
 }

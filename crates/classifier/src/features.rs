@@ -1,6 +1,6 @@
 //! Hashed text features for the approximation-level predictor.
 
-use argus_prompts::{fnv1a, fnv1a_extend, for_each_token};
+use argus_prompts::{fnv1a_extend, TokenSource};
 
 /// Default feature dimensionality (hash buckets).
 pub const DEFAULT_DIM: usize = 2048;
@@ -42,19 +42,20 @@ impl FeatureExtractor {
         self.dim
     }
 
-    /// Extracts sparse `(index, value)` features from prompt text.
-    /// Indices may repeat (hash collisions accumulate downstream).
-    pub fn features(&self, text: &str) -> Vec<(usize, f32)> {
+    /// Extracts sparse `(index, value)` features from a prompt or its
+    /// text: a generated prompt's carried tokens and their text's tokens
+    /// give the same features, bit for bit. Indices may repeat (hash
+    /// collisions accumulate downstream).
+    pub fn features<S: TokenSource + ?Sized>(&self, source: &S) -> Vec<(usize, f32)> {
         // The last 8 buckets are reserved for structural features.
         let hash_span = self.dim - 8;
         // Per-token `(unigram bucket, bucket of the bigram ending here)`;
         // tokens are non-empty and separated, so a text of n bytes has at
         // most n / 2 + 1 of them.
-        let mut buckets = Vec::with_capacity(text.len() / 2 + 1);
+        let mut buckets = Vec::with_capacity(source.text().len() / 2 + 1);
         let (mut relations, mut ofs) = (0usize, 0usize);
         let mut prev: Option<u64> = None;
-        for_each_token(text, |t| {
-            let h = fnv1a(t.as_bytes());
+        source.for_each_hashed_token(|h, t| {
             // FNV-1a has no finalisation, so continuing the left
             // token's hash over " " and this token hashes the bigram
             // text "left right".
@@ -129,11 +130,8 @@ mod tests {
 
     #[test]
     fn features_are_bit_identical_to_the_format_bigram_reference() {
-        let mut texts: Vec<String> = PromptGenerator::new(21)
-            .generate_batch(500)
-            .into_iter()
-            .map(|p| p.text)
-            .collect();
+        let prompts = PromptGenerator::new(21).generate_batch(500);
+        let mut texts: Vec<String> = prompts.iter().map(|p| p.text.clone()).collect();
         texts.extend(
             [
                 "",
@@ -151,6 +149,15 @@ mod tests {
                     bits(&fx.features(text)),
                     bits(&reference_features(dim, text)),
                     "dim {dim}: {text:?}"
+                );
+            }
+            // A generated prompt's carried tokens give its text's features.
+            for p in &prompts {
+                assert_eq!(
+                    bits(&fx.features(p)),
+                    bits(&reference_features(dim, &p.text)),
+                    "dim {dim}: {:?}",
+                    p.text
                 );
             }
         }

@@ -35,7 +35,7 @@
 //! let samples = label_prompts(&oracle, &prompts, &ladder);
 //! let (clf, report) = train(&samples, ladder.len(), &TrainerConfig::default());
 //! assert!(report.final_loss() < 1.8);
-//! assert!(clf.predict(&prompts[0].text) < ladder.len());
+//! assert!(clf.predict(&prompts[0]) < ladder.len());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,17 +53,18 @@ use argus_models::ApproxLevel;
 use argus_prompts::Prompt;
 use argus_quality::QualityOracle;
 
-/// Labels prompts with their oracle-optimal level index — the supervision
-/// the paper obtains by generating images at every level and scoring them
-/// with PickScore (§4.1).
-pub fn label_prompts(
+/// Labels prompts, in order, with their oracle-optimal level index — the
+/// supervision the paper obtains by generating images at every level and
+/// scoring them with PickScore (§4.1). The samples borrow the prompts, so
+/// [`train`] and [`evaluate`] read each one's carried tokens.
+pub fn label_prompts<'a>(
     oracle: &QualityOracle,
-    prompts: &[Prompt],
+    prompts: impl IntoIterator<Item = &'a Prompt>,
     ladder: &[ApproxLevel],
-) -> Vec<(String, usize)> {
+) -> Vec<(&'a Prompt, usize)> {
     prompts
-        .iter()
-        .map(|p| (p.text.clone(), oracle.optimal_level(p, ladder)))
+        .into_iter()
+        .map(|p| (p, oracle.optimal_level(p, ladder)))
         .collect()
 }
 
@@ -78,8 +79,10 @@ mod tests {
         let ladder = ApproxLevel::ladder(Strategy::Sm);
         let oracle = QualityOracle::new(1);
         let prompts = PromptGenerator::new(1).generate_batch(200);
-        for (text, label) in label_prompts(&oracle, &prompts, &ladder) {
-            assert!(!text.is_empty());
+        let samples = label_prompts(&oracle, &prompts, &ladder);
+        assert_eq!(samples.len(), prompts.len());
+        for ((p, label), prompt) in samples.into_iter().zip(&prompts) {
+            assert!(std::ptr::eq(p, prompt));
             assert!(label < ladder.len());
         }
     }

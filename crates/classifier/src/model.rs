@@ -1,5 +1,6 @@
 //! Multinomial logistic regression trained by SGD.
 
+use argus_prompts::TokenSource;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -91,9 +92,9 @@ impl Classifier {
         out
     }
 
-    /// Class probabilities (softmax over logits).
-    pub fn predict_proba(&self, text: &str) -> Vec<f64> {
-        let logits = self.logits(&self.extractor.features(text));
+    /// Class probabilities (softmax over logits) for a prompt or its text.
+    pub fn predict_proba<S: TokenSource + ?Sized>(&self, source: &S) -> Vec<f64> {
+        let logits = self.logits(&self.extractor.features(source));
         softmax(&logits[..self.classes])[..self.classes].to_vec()
     }
 
@@ -104,10 +105,10 @@ impl Classifier {
     ///
     /// # Panics
     /// Panics if `label` is out of range or `lr` is not positive/finite.
-    pub fn update(&mut self, text: &str, label: usize, lr: f32) {
+    pub fn update<S: TokenSource + ?Sized>(&mut self, source: &S, label: usize, lr: f32) {
         assert!(label < self.classes, "label {label} out of range");
         assert!(lr.is_finite() && lr > 0.0, "invalid learning rate {lr}");
-        let x = self.extractor.features(text);
+        let x = self.extractor.features(source);
         let probs = softmax(&self.logits(&x)[..self.classes]);
         for (c, &prob) in probs[..self.classes].iter().enumerate() {
             let err = (prob - if c == label { 1.0 } else { 0.0 }) as f32;
@@ -120,10 +121,10 @@ impl Classifier {
         }
     }
 
-    /// The predicted optimal level index (argmax; ties to the lower
-    /// index, i.e. the less approximate level).
-    pub fn predict(&self, text: &str) -> usize {
-        first_argmax(&self.logits(&self.extractor.features(text))[..self.classes])
+    /// The predicted optimal level index for a prompt or its text (argmax;
+    /// ties to the lower index, i.e. the less approximate level).
+    pub fn predict<S: TokenSource + ?Sized>(&self, source: &S) -> usize {
+        first_argmax(&self.logits(&self.extractor.features(source))[..self.classes])
     }
 
     /// One SGD step on features `x` with per-class errors `err`:
@@ -179,13 +180,13 @@ fn softmax(logits: &[f32]) -> [f64; LANES] {
     out
 }
 
-/// Trains a classifier on `(text, label)` samples with `classes` output
-/// classes.
+/// Trains a classifier on `(prompt or text, label)` samples with `classes`
+/// output classes.
 ///
 /// # Panics
 /// Panics if `samples` is empty, `classes == 0`, `classes > 8`, or a
 /// label is out of range.
-pub fn train<S: AsRef<str>>(
+pub fn train<S: TokenSource>(
     samples: &[(S, usize)],
     classes: usize,
     cfg: &TrainerConfig,
@@ -209,10 +210,8 @@ pub fn train<S: AsRef<str>>(
     };
 
     // Pre-extract features once.
-    let feats: Vec<Vec<(usize, f32)>> = samples
-        .iter()
-        .map(|(t, _)| extractor.features(t.as_ref()))
-        .collect();
+    let feats: Vec<Vec<(usize, f32)>> =
+        samples.iter().map(|(s, _)| extractor.features(s)).collect();
 
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0074_7261_696e);
@@ -245,17 +244,17 @@ pub fn train<S: AsRef<str>>(
     (clf, TrainingReport { epoch_losses })
 }
 
-/// Evaluates a classifier on labelled samples.
+/// Evaluates a classifier on `(prompt or text, label)` samples.
 ///
 /// # Panics
 /// Panics if `samples` is empty.
-pub fn evaluate(clf: &Classifier, samples: &[(String, usize)]) -> EvalReport {
+pub fn evaluate<S: TokenSource>(clf: &Classifier, samples: &[(S, usize)]) -> EvalReport {
     assert!(!samples.is_empty(), "no evaluation samples");
     let mut exact = 0usize;
     let mut near = 0usize;
     let mut loss = 0.0f64;
-    for (text, y) in samples {
-        let logits = clf.logits(&clf.extractor.features(text));
+    for (source, y) in samples {
+        let logits = clf.logits(&clf.extractor.features(source));
         let logits = &logits[..clf.classes];
         loss += -(softmax(logits)[..clf.classes][*y].max(1e-12)).ln();
         let pred = first_argmax(logits);
@@ -277,18 +276,23 @@ pub fn evaluate(clf: &Classifier, samples: &[(String, usize)]) -> EvalReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label_prompts;
     use argus_models::{ApproxLevel, Strategy};
-    use argus_prompts::PromptGenerator;
+    use argus_prompts::{DriftSchedule, Prompt, PromptGenerator, PromptId};
     use argus_quality::QualityOracle;
 
-    fn training_data(n: usize, seed: u64) -> (Vec<(String, usize)>, usize) {
+    fn training_data(n: usize, seed: u64) -> (Vec<(Prompt, usize)>, usize) {
         let ladder = ApproxLevel::ladder(Strategy::Ac);
         let oracle = QualityOracle::new(seed);
-        let prompts = PromptGenerator::new(seed).generate_batch(n);
-        (
-            crate::label_prompts(&oracle, &prompts, &ladder),
-            ladder.len(),
-        )
+        let samples = PromptGenerator::new(seed)
+            .generate_batch(n)
+            .into_iter()
+            .map(|p| {
+                let label = oracle.optimal_level(&p, &ladder);
+                (p, label)
+            })
+            .collect();
+        (samples, ladder.len())
     }
 
     /// The trainer before feature-major weights: a row-major
@@ -516,6 +520,145 @@ mod tests {
         }
     }
 
+    /// The carried-token equivalence prompts: 10,000 from each of seeds 1,
+    /// 77 and 2024, with no drift, a step and a ramp.
+    fn streams() -> impl Iterator<Item = Vec<Prompt>> {
+        let step = DriftSchedule {
+            start_at: 3_000,
+            ramp: 0,
+            max_fraction: 0.6,
+        };
+        let ramp = DriftSchedule {
+            start_at: 1_000,
+            ramp: 6_000,
+            max_fraction: 0.65,
+        };
+        [1, 77, 2024].into_iter().flat_map(move |seed| {
+            [None, Some(step), Some(ramp)]
+                .into_iter()
+                .map(move |drift| {
+                    let mut g = PromptGenerator::new(seed);
+                    if let Some(d) = drift {
+                        g = g.with_drift(d);
+                    }
+                    g.generate_batch(10_000)
+                })
+        })
+    }
+
+    fn feature_bits(features: &[(usize, f32)]) -> Vec<(usize, u32)> {
+        features.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    fn weight_bits(clf: &Classifier) -> Vec<[u32; LANES]> {
+        clf.weights
+            .iter()
+            .map(|row| row.map(f32::to_bits))
+            .collect()
+    }
+
+    fn proba_bits(p: &[f64]) -> Vec<u64> {
+        p.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Trains on `samples` and on `texts` (the same samples as text), then
+    /// checks that the two classifiers and their reads of each prompt in
+    /// `probe` and of its text are bit-identical, through a stream of
+    /// online updates too.
+    fn check_prompt_against_text(samples: &[(&Prompt, usize)], probe: &[Prompt], case: &str) {
+        let texts: Vec<(&str, usize)> =
+            samples.iter().map(|&(p, y)| (p.text.as_str(), y)).collect();
+        let classes = 6;
+        let cfg = TrainerConfig { epochs: 2, seed: 9 };
+        let (mut by_prompt, prompt_report) = train(samples, classes, &cfg);
+        let (mut by_text, text_report) = train(&texts, classes, &cfg);
+        assert_eq!(
+            proba_bits(&prompt_report.epoch_losses),
+            proba_bits(&text_report.epoch_losses),
+            "{case}"
+        );
+        assert_eq!(weight_bits(&by_prompt), weight_bits(&by_text), "{case}");
+        let (a, b) = (evaluate(&by_prompt, samples), evaluate(&by_text, &texts));
+        assert_eq!(
+            [a.accuracy, a.within_one, a.loss].map(f64::to_bits),
+            [b.accuracy, b.within_one, b.loss].map(f64::to_bits),
+            "{case}"
+        );
+        for p in probe {
+            assert_eq!(
+                by_prompt.predict(p),
+                by_text.predict(p.text.as_str()),
+                "{}",
+                p.text
+            );
+            assert_eq!(
+                proba_bits(&by_prompt.predict_proba(p)),
+                proba_bits(&by_text.predict_proba(p.text.as_str())),
+                "{}",
+                p.text
+            );
+        }
+        for (k, p) in probe.iter().enumerate().take(1_000) {
+            let lr = if k % 2 == 0 { 0.02 } else { 0.5 };
+            by_prompt.update(p, k % classes, lr);
+            by_text.update(p.text.as_str(), k % classes, lr);
+        }
+        assert_eq!(
+            weight_bits(&by_prompt),
+            weight_bits(&by_text),
+            "{case}, after updates"
+        );
+    }
+
+    #[test]
+    fn a_prompt_and_its_text_classify_bit_identically() {
+        let fx = FeatureExtractor::default();
+        let ladder = ApproxLevel::ladder(Strategy::Ac);
+        let oracle = QualityOracle::new(31);
+        for (i, stream) in streams().enumerate() {
+            for p in &stream {
+                assert_eq!(
+                    feature_bits(&fx.features(p)),
+                    feature_bits(&fx.features(p.text.as_str())),
+                    "{}",
+                    p.text
+                );
+            }
+            // A drift retrain's window: the stream's last 3,000 prompts.
+            let window = &stream[stream.len() - 3_000..];
+            let samples = label_prompts(&oracle, window, &ladder);
+            check_prompt_against_text(&samples, &stream, &format!("stream {i}"));
+        }
+    }
+
+    #[test]
+    fn free_text_prompts_classify_like_their_text() {
+        let free: Vec<Prompt> = [
+            "",
+            "...",
+            "Photo OF a dog NEXT to a cat, beside a bear",
+            "ΣΑΣ of Straße with İstanbul",
+            "café ÉCLAIR, naïve 漢字 🙂 4K!",
+            "of of of of of",
+            "a red apple lying on a table",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, text)| Prompt::from_text(PromptId(i as u64), *text, 0.5, 0))
+        .collect();
+        let fx = FeatureExtractor::new(257);
+        for p in &free {
+            assert_eq!(
+                feature_bits(&fx.features(p)),
+                feature_bits(&fx.features(p.text.as_str())),
+                "{:?}",
+                p.text
+            );
+        }
+        let samples: Vec<(&Prompt, usize)> = free.iter().map(|p| (p, p.text.len() % 6)).collect();
+        check_prompt_against_text(&samples, &free, "free text");
+    }
+
     #[test]
     fn partly_skipped_steps_match_the_reference() {
         // Long "of" runs give large feature values, so class 2, which no
@@ -540,8 +683,8 @@ mod tests {
     fn predict_is_the_first_argmax_of_the_logits() {
         let (samples, classes) = training_data(800, 5);
         let (clf, _) = train(&samples, classes, &TrainerConfig::default());
-        for (text, _) in &samples {
-            let logits = clf.logits(&clf.extractor.features(text));
+        for (p, _) in &samples {
+            let logits = clf.logits(&clf.extractor.features(p));
             let logits = &logits[..clf.classes];
             let mut best = 0;
             for (i, &l) in logits.iter().enumerate() {
@@ -549,7 +692,7 @@ mod tests {
                     best = i;
                 }
             }
-            assert_eq!(clf.predict(text), best, "{text}");
+            assert_eq!(clf.predict(p), best, "{}", p.text);
         }
     }
 

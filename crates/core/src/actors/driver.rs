@@ -19,7 +19,7 @@
 //! them.
 
 use argus_cachestore::FetchStatus;
-use argus_classifier::{train, TrainerConfig};
+use argus_classifier::{label_prompts, train, TrainerConfig};
 use argus_cluster::{SwitchOutcome, WorkerId};
 use argus_des::rng::log_normal;
 use argus_des::{SimDuration, SimTime};
@@ -330,7 +330,7 @@ impl SystemSimulation {
                 pasm: &self.pasm,
                 omega_norm: &self.omega_norm,
                 route_rng: &mut self.route_rng,
-                prompt_text: &self.jobs.get(idx).prompt.text,
+                prompt: &self.jobs.get(idx).prompt,
             };
             pipeline.pick_target_level(&mut ctx, &ladder)
         };
@@ -506,7 +506,7 @@ impl SystemSimulation {
         // holds with the cache disabled (mid-switch fallback, §4.6).
         let mut retrieval = SimDuration::ZERO;
         if self.cache_active() && self.pipeline.ac_level_for_hit(k, 1.0).skipped_steps() > 0 {
-            let query = embed(&self.jobs.get(job).prompt.text);
+            let query = embed(&self.jobs.get(job).prompt);
             let r = self
                 .cache
                 .retrieve(w.0, k, &query, t, self.pipeline.as_ref());
@@ -685,7 +685,7 @@ impl SystemSimulation {
                     let prompt = &self.jobs.get(job).prompt;
                     let label = self.oracle.optimal_level(prompt, &ladder);
                     if let Some(clf) = self.classifiers.get_mut(&strategy) {
-                        clf.update(&prompt.text, label, 0.02);
+                        clf.update(prompt, label, 0.02);
                     }
                 }
                 ClassifierUpdates::Frozen => {}
@@ -699,7 +699,7 @@ impl SystemSimulation {
         // path, §4.7, so no latency accrues).
         if self.pipeline.uses_cache_store() {
             self.cache
-                .insert(w.0, embed(&self.jobs.get(job).prompt.text), job as u64);
+                .insert(w.0, embed(&self.jobs.get(job).prompt), job as u64);
         }
         self.jobs.retire(job);
     }
@@ -713,13 +713,7 @@ impl SystemSimulation {
         if self.jobs.recent().len() < 200 {
             return;
         }
-        // Labelled in window order, as `label_prompts` would, without
-        // cloning the window's prompts or texts.
-        let samples: Vec<(&str, usize)> = self
-            .jobs
-            .recent()
-            .map(|p| (p.text.as_str(), self.oracle.optimal_level(p, &ladder)))
-            .collect();
+        let samples = label_prompts(&self.oracle, self.jobs.recent(), &ladder);
         let (clf, _) = train(
             &samples,
             ladder.len(),

@@ -253,7 +253,7 @@ impl MetricsStage {
         let (mut probed, mut correct) = (0usize, 0usize);
         for p in sample {
             probed += 1;
-            if classifier.predict(&p.text) == oracle.optimal_level(p, ladder) {
+            if classifier.predict(p) == oracle.optimal_level(p, ladder) {
                 correct += 1;
             }
         }

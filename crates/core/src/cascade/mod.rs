@@ -286,6 +286,43 @@ mod tests {
     }
 
     #[test]
+    fn doubt_of_a_prompt_equals_doubt_of_its_free_text_twin() {
+        use argus_prompts::DriftSchedule;
+        let step = DriftSchedule {
+            start_at: 3_000,
+            ramp: 0,
+            max_fraction: 0.6,
+        };
+        let ramp = DriftSchedule {
+            start_at: 1_000,
+            ramp: 6_000,
+            max_fraction: 0.65,
+        };
+        let d = OracleDiscriminator::new(24);
+        let ladder = ApproxLevel::ladder(Strategy::Sm);
+        for seed in [1, 77, 2024] {
+            for drift in [None, Some(step), Some(ramp)] {
+                let mut g = PromptGenerator::new(seed);
+                if let Some(schedule) = drift {
+                    g = g.with_drift(schedule);
+                }
+                for (i, p) in g.generate_batch(10_000).into_iter().enumerate() {
+                    let twin = Prompt::from_text(p.id, p.text.clone(), p.complexity, p.theme);
+                    // The cascade's first-pass rung, and one more rung in turn.
+                    for level in [ladder[5], ladder[i % 5]] {
+                        assert_eq!(
+                            d.doubt(&p, level, 0.75).to_bits(),
+                            d.doubt(&twin, level, 0.75).to_bits(),
+                            "{level}: {}",
+                            p.text
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn discriminator_doubts_deep_approximation_more() {
         // Averaged over prompts, the cheapest rung draws more doubt than
         // full SD-XL — the judge tracks real quality loss directionally.

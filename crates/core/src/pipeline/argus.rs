@@ -30,7 +30,7 @@ impl LevelPlanner for ArgusPolicy {
             .classifiers
             .get(&strategy)
             .expect("classifier trained at init");
-        let predicted = clf.predict(ctx.prompt_text).min(ladder.len() - 1);
+        let predicted = clf.predict(ctx.prompt).min(ladder.len() - 1);
         if let Some(p) = ctx.predictors.get_mut(&strategy) {
             p.record(predicted);
         }

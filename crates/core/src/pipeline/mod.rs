@@ -30,6 +30,7 @@ use std::sync::Arc;
 use argus_classifier::Classifier;
 use argus_cluster::{Cluster, WorkerId, MAX_RESIDENT_MODELS};
 use argus_models::{AcLevel, ApproxLevel, GpuArch, Strategy};
+use argus_prompts::Prompt;
 use rand::rngs::StdRng;
 
 use crate::oda::Pasm;
@@ -91,8 +92,8 @@ pub struct RouteCtx<'a> {
     pub omega_norm: &'a [f64],
     /// The deterministic routing RNG stream.
     pub route_rng: &'a mut StdRng,
-    /// The prompt being routed.
-    pub prompt_text: &'a str,
+    /// The prompt being routed (the classifier reads its carried tokens).
+    pub prompt: &'a Prompt,
 }
 
 /// Read-only context for [`WorkerSelector`] and [`Dispatcher`] decisions.

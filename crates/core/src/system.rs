@@ -970,7 +970,7 @@ impl SystemSimulation {
         // the run.
         const OFFLINE_BASE: u64 = 1 << 40;
         for (i, p) in offline.iter().enumerate() {
-            vdb.insert(None, embed(&p.text), OFFLINE_BASE + i as u64);
+            vdb.insert(None, embed(p), OFFLINE_BASE + i as u64);
         }
 
         let predictors = [Strategy::Ac, Strategy::Sm]

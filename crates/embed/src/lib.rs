@@ -12,6 +12,12 @@
 //! vocabulary land close in cosine space, unrelated prompts are near
 //! orthogonal — while remaining dependency-free and bit-reproducible.
 //!
+//! [`embed`] reads any [`TokenSource`]: text, which it tokenizes and
+//! hashes, or a generated [`argus_prompts::Prompt`], which replays the
+//! pre-hashed tokens of the vocabulary pieces it drew without tokenizing.
+//! Either way it adds the token directions one token at a time, in text
+//! order, so a prompt and its text embed bit-identically.
+//!
 //! Like a real text encoder reading a fixed token table, [`embed`] looks
 //! token directions up rather than rebuilding them: each thread keeps a
 //! direct-mapped cache of 4096 directions keyed by the token hash (about
@@ -35,7 +41,7 @@
 
 use std::cell::RefCell;
 
-use argus_prompts::{fnv1a, for_each_token};
+use argus_prompts::TokenSource;
 
 /// Embedding dimensionality. 64 dimensions keeps k-NN fast while making
 /// unrelated-token collisions negligible for cache-retrieval purposes.
@@ -158,18 +164,21 @@ thread_local! {
     static DIRECTIONS: RefCell<DirectionCache> = const { RefCell::new(DirectionCache::new()) };
 }
 
-/// Embeds prompt text into a unit-norm vector (zero vector for empty text).
-pub fn embed(text: &str) -> Embedding {
-    DIRECTIONS.with_borrow_mut(|cache| embed_with(cache, text))
+/// Embeds a prompt or its text into a unit-norm vector (zero vector for
+/// text with no token).
+pub fn embed<S: TokenSource + ?Sized>(source: &S) -> Embedding {
+    DIRECTIONS.with_borrow_mut(|cache| embed_with(cache, source))
 }
 
 /// [`embed`], reading token directions through `cache`.
-fn embed_with(cache: &mut DirectionCache, text: &str) -> Embedding {
+fn embed_with<S: TokenSource + ?Sized>(cache: &mut DirectionCache, source: &S) -> Embedding {
     let mut v = [0.0f32; DIM];
     let mut tokens = 0usize;
-    for_each_token(text, |t| {
+    // One token's direction at a time, in text order: adding the summed
+    // directions of a piece instead would re-associate the `f32` adds.
+    source.for_each_hashed_token(|h, _| {
         tokens += 1;
-        for (a, b) in v.iter_mut().zip(cache.direction(fnv1a(t.as_bytes()))) {
+        for (a, b) in v.iter_mut().zip(cache.direction(h)) {
             *a += b;
         }
     });
@@ -287,7 +296,7 @@ pub fn for_each_cosine<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use argus_prompts::{tokenize, PromptGenerator};
+    use argus_prompts::{fnv1a, tokenize, DriftSchedule, Prompt, PromptGenerator, PromptId};
     use proptest::prelude::*;
 
     /// `embed` before the token-direction cache: tokenize into owned
@@ -380,6 +389,55 @@ mod tests {
         }
     }
 
+    /// The carried-token equivalence prompts: 10,000 from each of seeds 1,
+    /// 77 and 2024, with no drift, a step and a ramp.
+    fn streams() -> impl Iterator<Item = Prompt> {
+        let step = DriftSchedule {
+            start_at: 3_000,
+            ramp: 0,
+            max_fraction: 0.6,
+        };
+        let ramp = DriftSchedule {
+            start_at: 1_000,
+            ramp: 6_000,
+            max_fraction: 0.65,
+        };
+        [1, 77, 2024].into_iter().flat_map(move |seed| {
+            [None, Some(step), Some(ramp)]
+                .into_iter()
+                .flat_map(move |drift| {
+                    let mut g = PromptGenerator::new(seed);
+                    if let Some(d) = drift {
+                        g = g.with_drift(d);
+                    }
+                    (0..10_000).map(move |_| g.generate())
+                })
+        })
+    }
+
+    #[test]
+    fn a_prompt_embeds_bit_identically_to_its_text() {
+        for p in streams() {
+            assert_eq!(
+                bits(&embed(&p)),
+                bits(&embed(p.text.as_str())),
+                "{:?}",
+                p.text
+            );
+        }
+        // Free text takes the text path, and matches the reference.
+        for text in [
+            "",
+            "...",
+            "Red APPLE, red apple",
+            "ΣΑΣ Straße İstanbul",
+            "漢字 🙂 4K!",
+        ] {
+            let p = Prompt::from_text(PromptId(0), text, 0.5, 0);
+            assert_eq!(bits(&embed(&p)), bits(&reference_embed(text)), "{text:?}");
+        }
+    }
+
     #[test]
     fn cache_returns_the_direction_of_raw_hashes() {
         let mut cache = DirectionCache::new();
@@ -467,7 +525,7 @@ mod tests {
 
     #[test]
     fn for_each_cosine_matches_cosine_including_zero_embeddings() {
-        let mut corpus: Vec<Embedding> = texts().iter().map(|t| embed(t)).collect();
+        let mut corpus: Vec<Embedding> = texts().iter().map(embed).collect();
         // Zero embeddings in several lanes of different blocks.
         for at in [0, 5, 9, 17, 18] {
             corpus.insert(at, Embedding::zero());

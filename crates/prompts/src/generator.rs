@@ -3,8 +3,9 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::tokens::{Drawn, Draws};
 use crate::vocab::{BASE_THEMES, RELATIONS, THEMES};
-use crate::{Prompt, PromptId};
+use crate::{fnv1a, Prompt, PromptId};
 
 /// Controls how drift-only themes enter the stream over time.
 ///
@@ -102,10 +103,11 @@ impl PromptGenerator {
 
         // Every piece is drawn first, in the stream's RNG order (each
         // subject, then its relation), and the text is then written into
-        // one allocation of its exact length.
-        let style = theme.styles[self.rng.random_range(0..theme.styles.len())];
-        let mut subjects = [""; 3];
-        let mut relations = [""; 2];
+        // one allocation of its exact length. The indices drawn are kept
+        // as the prompt's record, from which its tokens are replayed.
+        let style_idx = self.rng.random_range(0..theme.styles.len());
+        let mut subject_idx = [0usize; 3];
+        let mut relation_idx = [0usize; 2];
         let mut prev: Option<usize> = None;
         for i in 0..n_subjects {
             let mut s_idx = self.rng.random_range(0..theme.subjects.len());
@@ -113,18 +115,23 @@ impl PromptGenerator {
                 s_idx = (s_idx + 1) % theme.subjects.len();
             }
             prev = Some(s_idx);
-            subjects[i] = theme.subjects[s_idx];
+            subject_idx[i] = s_idx;
             if i > 0 {
-                relations[i - 1] = RELATIONS[self.rng.random_range(0..RELATIONS.len())];
+                relation_idx[i - 1] = self.rng.random_range(0..RELATIONS.len());
             }
         }
-        let setting =
-            with_setting.then(|| theme.settings[self.rng.random_range(0..theme.settings.len())]);
-        let mut modifiers = [""; 3];
-        for m in &mut modifiers[..n_modifiers] {
-            *m = theme.modifiers[self.rng.random_range(0..theme.modifiers.len())];
+        let setting_idx = with_setting.then(|| self.rng.random_range(0..theme.settings.len()));
+        let mut modifier_idx = [0usize; 3];
+        for m in &mut modifier_idx[..n_modifiers] {
+            *m = self.rng.random_range(0..theme.modifiers.len());
         }
-
+        let style = theme.styles[style_idx];
+        let (subjects, relations, modifiers) = (
+            subject_idx.map(|i| theme.subjects[i]),
+            relation_idx.map(|i| RELATIONS[i]),
+            modifier_idx.map(|i| theme.modifiers[i]),
+        );
+        let setting = setting_idx.map(|i| theme.settings[i]);
         let (subjects, relations, modifiers) = (
             &subjects[..n_subjects],
             &relations[..n_subjects - 1],
@@ -155,6 +162,17 @@ impl PromptGenerator {
             text.push_str(m);
         }
         debug_assert_eq!(text.len(), len);
+        let drawn = Drawn {
+            draws: Draws::new(
+                theme_idx,
+                style_idx,
+                &subject_idx[..n_subjects],
+                &relation_idx[..n_subjects - 1],
+                setting_idx,
+                &modifier_idx[..n_modifiers],
+            ),
+            hash: fnv1a(text.as_bytes()),
+        };
 
         // Structural complexity: subjects and relations dominate; settings
         // and modifiers add detail pressure. Jitter models everything the
@@ -175,6 +193,7 @@ impl PromptGenerator {
             text,
             complexity,
             theme: theme_idx,
+            drawn: Some(drawn),
         }
     }
 
@@ -246,12 +265,7 @@ mod tests {
             + 0.04 * n_modifiers as f64
             + 0.06 * g.rng.random::<f64>())
         .clamp(0.0, 1.0);
-        Prompt {
-            id,
-            text,
-            complexity,
-            theme: theme_idx,
-        }
+        Prompt::from_text(id, text, complexity, theme_idx)
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //! Temporal drift (new themes entering the stream) is a first-class knob so
 //! that Fig. 18's drift-triggered retraining is reproducible.
 //!
+//! The crate also owns the text path every prompt reader shares:
+//! tokenizing ([`tokenize`], [`for_each_token`]), the FNV-1a hash
+//! ([`fnv1a`], [`fnv1a_extend`]) and [`TokenSource`], the one read of a
+//! prompt's hashed tokens and whole-text hash that the classifier
+//! features, the embedding and the quality oracle make. A generated
+//! [`Prompt`] carries a record of the vocabulary pieces it drew and the
+//! hash of its text, and replays its tokens from a table that tokenizes
+//! and hashes every piece once per process; text tokenizes as it reads.
+//!
 //! # Example
 //!
 //! ```
@@ -32,9 +41,13 @@
 #![warn(missing_docs)]
 
 mod generator;
+mod tokens;
 pub mod vocab;
 
 pub use generator::{DriftSchedule, PromptGenerator};
+pub use tokens::TokenSource;
+
+use tokens::Drawn;
 
 use std::fmt;
 
@@ -49,7 +62,17 @@ impl fmt::Display for PromptId {
 }
 
 /// A synthetic text-to-image prompt.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A prompt from [`PromptGenerator`] carries a record of what the
+/// generator drew: its vocabulary pieces (4 bits each) and the FNV-1a hash
+/// of its text, 16 bytes inline. Its [`TokenSource`] reads replay the
+/// pieces' pre-hashed tokens instead of tokenizing `text`. Like
+/// `complexity`, the record is never recomputed from `text`, so `text` must
+/// not be edited after generation. A prompt of free text is built with
+/// [`Prompt::from_text`]; it has no record, and its reads tokenize and hash
+/// `text`. Equality compares the public fields only: the record is what
+/// the text holds, not more of the prompt.
+#[derive(Debug, Clone)]
 pub struct Prompt {
     /// Arrival-order identifier.
     pub id: PromptId,
@@ -61,6 +84,39 @@ pub struct Prompt {
     pub complexity: f64,
     /// The vocabulary theme the prompt was drawn from (drives drift).
     pub theme: usize,
+    /// What the generator drew; `None` for free text.
+    drawn: Option<Drawn>,
+}
+
+impl PartialEq for Prompt {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.text == other.text
+            && self.complexity == other.complexity
+            && self.theme == other.theme
+    }
+}
+
+impl Prompt {
+    /// A prompt of free `text`, not drawn by the generator: its
+    /// [`TokenSource`] reads tokenize and hash `text`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use argus_prompts::{fnv1a, Prompt, PromptId, TokenSource};
+    /// let p = Prompt::from_text(PromptId(0), "photo of a bear", 0.2, 0);
+    /// assert_eq!(p.text_hash(), fnv1a(b"photo of a bear"));
+    /// ```
+    pub fn from_text(id: PromptId, text: impl Into<String>, complexity: f64, theme: usize) -> Self {
+        Prompt {
+            id,
+            text: text.into(),
+            complexity,
+            theme,
+            drawn: None,
+        }
+    }
 }
 
 /// Lower-cases and splits prompt text into word tokens, stripping

@@ -1,7 +1,7 @@
 //! The deterministic PickScore oracle.
 
 use argus_models::{ApproxLevel, Strategy};
-use argus_prompts::{fnv1a, Prompt};
+use argus_prompts::{Prompt, TokenSource};
 
 use crate::depth::approximation_depth;
 
@@ -106,12 +106,13 @@ impl QualityOracle {
         QualityOracle { seed }
     }
 
-    /// The per-prompt hash every draw derives from. It hashes the whole
-    /// text, so each public entry point computes it once, and a caller
+    /// The per-prompt hash every draw derives from. It reads the whole
+    /// text's hash, which a generated prompt carries and free text
+    /// computes, so each public entry point reads it once, and a caller
     /// that reads several quantities of a prompt does so through
     /// [`Self::terms`].
     fn prompt_hash(&self, p: &Prompt) -> u64 {
-        mix(mix(self.seed, fnv1a(p.text.as_bytes())), p.id.0)
+        mix(mix(self.seed, p.text_hash()), p.id.0)
     }
 
     /// The terms every quantity this oracle reports for `p` derives from:
@@ -368,6 +369,56 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `(hash, base quality, severity)` of `t`, as bits.
+    fn term_bits(t: &PromptTerms) -> [u64; 3] {
+        [t.h, t.base_quality.to_bits(), t.severity.to_bits()]
+    }
+
+    #[test]
+    fn a_prompt_and_its_free_text_twin_have_bit_identical_terms() {
+        use argus_prompts::{DriftSchedule, PromptId};
+        let step = DriftSchedule {
+            start_at: 3_000,
+            ramp: 0,
+            max_fraction: 0.6,
+        };
+        let ramp = DriftSchedule {
+            start_at: 1_000,
+            ramp: 6_000,
+            max_fraction: 0.65,
+        };
+        let o = QualityOracle::new(27);
+        let reference = Reference(27);
+        for seed in [1, 77, 2024] {
+            for drift in [None, Some(step), Some(ramp)] {
+                let mut g = PromptGenerator::new(seed);
+                if let Some(d) = drift {
+                    g = g.with_drift(d);
+                }
+                for p in g.generate_batch(10_000) {
+                    let twin = Prompt::from_text(p.id, p.text.clone(), p.complexity, p.theme);
+                    let terms = term_bits(&o.terms(&p));
+                    assert_eq!(terms, term_bits(&o.terms(&twin)), "{}", p.text);
+                    assert_eq!(terms[0], reference.prompt_hash(&p), "{}", p.text);
+                }
+            }
+        }
+        // Free text hashes its text, as the reference does.
+        for text in ["", "...", "Photo OF a Dog!", "ΣΑΣ Straße", "漢字 🙂 4K"] {
+            let p = Prompt::from_text(PromptId(5), text, 0.4, 0);
+            assert_eq!(
+                term_bits(&o.terms(&p))[0],
+                reference.prompt_hash(&p),
+                "{text:?}"
+            );
+            let level = ApproxLevel::ladder(Strategy::Ac)[3];
+            assert_eq!(
+                o.terms(&p).score(level, 0.5).to_bits(),
+                reference.score(&p, level, 0.5).to_bits()
+            );
         }
     }
 
