@@ -33,11 +33,11 @@ fn main() {
     let oracle = QualityOracle::new(99);
     let ladder = ApproxLevel::ladder(Strategy::Ac);
     let prompts = PromptGenerator::new(99).generate_batch(8000);
-    let profile = DegradationProfile::profile(&oracle, &prompts, &ladder);
-    let phi = oracle.optimal_choice_histogram(&prompts, &ladder);
+    let profile = DegradationProfile::profile(&oracle, &prompts, ladder);
+    let phi = oracle.optimal_choice_histogram(&prompts, ladder);
     let mut rows = Vec::new();
     for demand in [140.0, 175.0, 205.0] {
-        let omega = AllocationProblem::from_ladder(&ladder, GpuArch::A100, 0.02, 8, demand)
+        let omega = AllocationProblem::from_ladder(ladder, GpuArch::A100, 0.02, 8, demand)
             .solve_exact()
             .omega_normalized();
         let oda_cost = oda(&phi, &omega)
@@ -198,8 +198,11 @@ fn main() {
     // --- 6. mixed-mode ladder ----------------------------------------------
     println!("\n[6] mixed-mode AC+SM ladder: classifier accuracy vs data budget:");
     use argus_classifier::{evaluate, label_prompts, train, TrainerConfig};
-    let mut combined = ApproxLevel::ladder(Strategy::Ac);
-    combined.extend(ApproxLevel::ladder(Strategy::Sm));
+    let mut combined = [
+        ApproxLevel::ladder(Strategy::Ac),
+        ApproxLevel::ladder(Strategy::Sm),
+    ]
+    .concat();
     // Order the combined ladder by peak throughput (slowest first), as a
     // real mixed scheduler would.
     combined.sort_by(|a, b| {
@@ -214,10 +217,10 @@ fn main() {
         let mut cells = vec![train_n.to_string()];
         for (name, ladder) in [
             ("AC", ApproxLevel::ladder(Strategy::Ac)),
-            ("mixed", combined.clone()),
+            ("mixed", &combined),
         ] {
-            let tr = label_prompts(&oracle, &pool, &ladder);
-            let te = label_prompts(&oracle, &test, &ladder);
+            let tr = label_prompts(&oracle, &pool, ladder);
+            let te = label_prompts(&oracle, &test, ladder);
             let (clf, _) = train(&tr, ladder.len(), &TrainerConfig::default());
             let acc = evaluate(&clf, &te).accuracy;
             // Quality achievable when routing by this classifier's pick.

@@ -21,7 +21,7 @@ fn main() {
         let ladder = ApproxLevel::ladder(strategy);
         let optimal_idx: Vec<usize> = prompts
             .iter()
-            .map(|p| oracle.optimal_level(p, &ladder))
+            .map(|p| oracle.optimal_level(p, ladder))
             .collect();
         let rows: Vec<Vec<String>> = ladder
             .iter()

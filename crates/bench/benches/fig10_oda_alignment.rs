@@ -22,8 +22,8 @@ fn main() {
 
     // φ: true affinity; ω: what a loaded 8-worker cluster must serve
     // (demand beyond exact-serving capacity forces deeper levels).
-    let phi = oracle.optimal_choice_histogram(&prompts, &ladder);
-    let problem = AllocationProblem::from_ladder(&ladder, GpuArch::A100, 0.02, 8, 185.0);
+    let phi = oracle.optimal_choice_histogram(&prompts, ladder);
+    let problem = AllocationProblem::from_ladder(ladder, GpuArch::A100, 0.02, 8, 185.0);
     let allocation = problem.solve_exact();
     let omega = allocation.omega_normalized();
 
@@ -42,7 +42,7 @@ fn main() {
     let mut eval = |plan: Option<&Pasm>| -> f64 {
         let mut total = 0.0;
         for p in &prompts {
-            let opt = oracle.optimal_level(p, &ladder);
+            let opt = oracle.optimal_level(p, ladder);
             let serve = match plan {
                 Some(map) => map.sample(opt, &mut rng),
                 None => opt, // the infeasible ideal

@@ -24,8 +24,8 @@ fn main() {
         PromptGenerator::new(19).generate_batch(4000),
         PromptGenerator::new(191).generate_batch(1500),
     );
-    let train_set = label_prompts(&oracle, &train_prompts, &ladder);
-    let test_set = label_prompts(&oracle, &test_prompts, &ladder);
+    let train_set = label_prompts(&oracle, &train_prompts, ladder);
+    let test_set = label_prompts(&oracle, &test_prompts, ladder);
 
     let mut rows = Vec::new();
     for epochs in [0usize, 1, 2, 4, 8, 16] {

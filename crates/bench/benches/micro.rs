@@ -26,7 +26,7 @@ fn bench_solver(c: &mut Criterion) {
     let ladder = ApproxLevel::ladder(Strategy::Ac);
     for workers in [8usize, 32] {
         let problem = AllocationProblem::from_ladder(
-            &ladder,
+            ladder,
             GpuArch::A100,
             0.02,
             workers,
@@ -36,7 +36,7 @@ fn bench_solver(c: &mut Criterion) {
             b.iter(|| black_box(problem.solve_exact()))
         });
     }
-    let problem = AllocationProblem::from_ladder(&ladder, GpuArch::A100, 0.02, 8, 170.0);
+    let problem = AllocationProblem::from_ladder(ladder, GpuArch::A100, 0.02, 8, 170.0);
     c.bench_function("solver_milp_8w", |b| {
         b.iter(|| black_box(problem.solve_milp().unwrap()))
     });
@@ -128,7 +128,7 @@ fn bench_classifier(c: &mut Criterion) {
     let ladder = ApproxLevel::ladder(Strategy::Ac);
     let oracle = QualityOracle::new(1);
     let pool = PromptGenerator::new(1).generate_batch(2000);
-    let samples = label_prompts(&oracle, &pool, &ladder);
+    let samples = label_prompts(&oracle, &pool, ladder);
     let (clf, _) = train(&samples, ladder.len(), &TrainerConfig::default());
     let extractor = FeatureExtractor::default();
     let mut next = cycle(&pool);
@@ -148,11 +148,11 @@ fn bench_classifier(c: &mut Criterion) {
         b.iter(|| black_box(clf.predict(next())))
     });
     c.bench_function("oracle_score_ladder", |b| {
-        b.iter(|| black_box(oracle.scores(&pool[7], &ladder)))
+        b.iter(|| black_box(oracle.scores(&pool[7], ladder)))
     });
     let mut next = cycle(&pool);
     c.bench_function("oracle_optimal_level", |b| {
-        b.iter(|| black_box(oracle.optimal_level(next(), &ladder)))
+        b.iter(|| black_box(oracle.optimal_level(next(), ladder)))
     });
     // A drift retrain's shape: the last 3,000 arrivals of a drifted
     // stream, labelled by the oracle and trained at the default 8 epochs.
@@ -165,7 +165,7 @@ fn bench_classifier(c: &mut Criterion) {
         .generate_batch(3000);
     c.bench_function("classifier_retrain_3000", |b| {
         b.iter(|| {
-            let samples = label_prompts(&oracle, &drifted, &ladder);
+            let samples = label_prompts(&oracle, &drifted, ladder);
             black_box(train(&samples, ladder.len(), &TrainerConfig::default()))
         })
     });

@@ -23,7 +23,7 @@ fn main() {
     let mut rows = Vec::new();
     for workers in [8usize, 16, 24, 32, 48, 64] {
         let problem = AllocationProblem::from_ladder(
-            &ladder,
+            ladder,
             GpuArch::A100,
             0.02,
             workers,
@@ -52,12 +52,12 @@ fn main() {
     println!("\npredictor L2 error vs look-back window:");
     let oracle = QualityOracle::new(59);
     let mut generator = PromptGenerator::new(59);
-    let reference = oracle.optimal_choice_histogram(&generator.generate_batch(20_000), &ladder);
+    let reference = oracle.optimal_choice_histogram(&generator.generate_batch(20_000), ladder);
     let mut rows = Vec::new();
     for window in [100usize, 300, 1000, 3000] {
         let mut p = WorkloadDistributionPredictor::new(ladder.len(), window);
         for prompt in generator.generate_batch(window) {
-            p.record(oracle.optimal_level(&prompt, &ladder));
+            p.record(oracle.optimal_level(&prompt, ladder));
         }
         rows.push(vec![window.to_string(), f(p.l2_error(&reference), 4)]);
     }

@@ -84,7 +84,7 @@ fn three_level(workers: usize, demand: f64) -> AllocationProblem {
 /// The derated A100 AC ladder at `workers`.
 fn derated_ac(workers: usize) -> AllocationProblem {
     AllocationProblem::from_ladder(
-        &ApproxLevel::ladder(Strategy::Ac),
+        ApproxLevel::ladder(Strategy::Ac),
         GpuArch::A100,
         0.02,
         workers,

@@ -165,7 +165,7 @@ fn main() {
             .collect();
         let problem = AllocationProblem::from_capacity_model(
             &BatchedModel,
-            &ladder,
+            ladder,
             GpuArch::A100,
             &ctx,
             128,
@@ -182,7 +182,7 @@ fn main() {
         // Sanity: the batching-aware problem must dominate batch-1.
         let b1 = AllocationProblem::from_capacity_model(
             &Batch1Model,
-            &ladder,
+            ladder,
             GpuArch::A100,
             &ctx,
             128,

@@ -79,7 +79,7 @@ mod tests {
         let ladder = ApproxLevel::ladder(Strategy::Sm);
         let oracle = QualityOracle::new(1);
         let prompts = PromptGenerator::new(1).generate_batch(200);
-        let samples = label_prompts(&oracle, &prompts, &ladder);
+        let samples = label_prompts(&oracle, &prompts, ladder);
         assert_eq!(samples.len(), prompts.len());
         for ((p, label), prompt) in samples.into_iter().zip(&prompts) {
             assert!(std::ptr::eq(p, prompt));

@@ -288,7 +288,7 @@ mod tests {
             .generate_batch(n)
             .into_iter()
             .map(|p| {
-                let label = oracle.optimal_level(&p, &ladder);
+                let label = oracle.optimal_level(&p, ladder);
                 (p, label)
             })
             .collect();
@@ -506,7 +506,7 @@ mod tests {
                 // Eight classes leave rungs 6 and 7 without a sample.
                 let samples: Vec<(String, usize)> = prompts
                     .iter()
-                    .map(|p| (p.text.clone(), oracle.optimal_level(p, &ladder) % classes))
+                    .map(|p| (p.text.clone(), oracle.optimal_level(p, ladder) % classes))
                     .collect();
                 for epochs in [0, 1, 8] {
                     let cfg = TrainerConfig { epochs, seed };
@@ -626,7 +626,7 @@ mod tests {
             }
             // A drift retrain's window: the stream's last 3,000 prompts.
             let window = &stream[stream.len() - 3_000..];
-            let samples = label_prompts(&oracle, window, &ladder);
+            let samples = label_prompts(&oracle, window, ladder);
             check_prompt_against_text(&samples, &stream, &format!("stream {i}"));
         }
     }

@@ -25,16 +25,16 @@ use argus_des::rng::log_normal;
 use argus_des::{SimDuration, SimTime};
 use argus_embed::embed;
 use argus_models::batching::unet_pass_profile;
-use argus_models::{latency, AcLevel, ApproxLevel, GpuArch, Strategy};
+use argus_models::{latency, AcLevel, ApproxLevel, GpuArch, Strategy, RUNGS};
 use argus_obs::{SpanEvent, SpanKind, StageProfile};
 use argus_prompts::Prompt;
 
 use super::planner::PoolSpec;
+use crate::cascade::{ESCALATION_LEVEL, FIRST_PASS_LEVEL};
 use crate::fleet::{hourly_rate, CostReport, PoolSignal, ScaleAction};
 use crate::metrics::PoolStats;
 use crate::oda::{oda, Pasm};
 use crate::pipeline::{RouteCtx, SelectCtx, TickAction};
-use crate::scheduler::PoolView;
 use crate::switcher::{SwitchCommand, SwitcherState};
 use crate::system::{
     alloc_gauge_name, provisioning_target, ClassifierUpdates, Event, Exec, FaultEvent, RunOutcome,
@@ -153,12 +153,6 @@ impl SystemSimulation {
         rec.registry.gauge_set("draining", draining);
         rec.registry.gauge_set("dollars_per_hour", dollars_per_hour);
         rec.registry.sample(t.as_minutes() as u32, t.as_micros());
-    }
-
-    /// The ladder the system currently plans and routes with (pipeline
-    /// stage: [`crate::pipeline::LevelPlanner`]).
-    fn active_ladder(&self) -> Vec<ApproxLevel> {
-        self.pipeline.active_ladder(&self.switcher)
     }
 
     /// Whether cache retrieval is attempted for new jobs right now
@@ -342,12 +336,9 @@ impl SystemSimulation {
         } else {
             0.0
         };
-        let view = self.pool_view.as_ref();
+        let pinned = &self.pinned;
         let proc = |l: usize, gpu: GpuArch| {
-            let lvl = match view {
-                Some(v) => v.level_of(gpu, l).unwrap_or(ladder[l]),
-                None => ladder[l],
-            };
+            let lvl = pinned.ladder(gpu, &ladder)[l];
             lvl.compute_secs(gpu)
                 + if lvl.strategy() == Strategy::Ac {
                     overhead
@@ -359,7 +350,7 @@ impl SystemSimulation {
             cluster: &self.cluster,
             slo_secs: self.slo.as_secs(),
             max_batch: self.cfg.max_batch,
-            pool_view: view,
+            pinned,
         };
         let choice = { pipeline.select_worker(&ctx, &ladder, target, &proc) };
         match choice {
@@ -368,10 +359,7 @@ impl SystemSimulation {
                     // The assigned rung, resolved to the chosen pool's
                     // own ladder on per-pool-strategy fleets.
                     let gpu = self.cluster.worker(w).gpu();
-                    let lvl = match self.pool_view.as_ref() {
-                        Some(v) => v.level_of(gpu, target).unwrap_or(ladder[target]),
-                        None => ladder[target],
-                    };
+                    let lvl = self.pinned.ladder(gpu, &ladder)[target];
                     self.obs_span(
                         SpanEvent::new(t, idx as u32, SpanKind::Assign)
                             .with_level(lvl)
@@ -410,7 +398,7 @@ impl SystemSimulation {
                 cluster: &self.cluster,
                 slo_secs: self.slo.as_secs(),
                 max_batch: self.cfg.max_batch,
-                pool_view: None,
+                pinned: &self.pinned,
             };
             self.pipeline.batch_size(&ctx, w, level)
         };
@@ -629,7 +617,7 @@ impl SystemSimulation {
                 // A first pass that spill already *executed* at the
                 // escalation rung is accepted: a second pass would re-run
                 // the same level.
-                let escalated = exec.level != c.escalate_level
+                let escalated = exec.level != ESCALATION_LEVEL
                     && c.discriminator.doubt(prompt, exec.level, similarity) >= c.threshold;
                 let level = exec.level;
                 self.metrics.cascade_judged(level, escalated);
@@ -683,7 +671,7 @@ impl SystemSimulation {
                     let strategy = self.switcher.planning_strategy();
                     let ladder = ApproxLevel::ladder(strategy);
                     let prompt = &self.jobs.get(job).prompt;
-                    let label = self.oracle.optimal_level(prompt, &ladder);
+                    let label = self.oracle.optimal_level(prompt, ladder);
                     if let Some(clf) = self.classifiers.get_mut(&strategy) {
                         clf.update(prompt, label, 0.02);
                     }
@@ -713,7 +701,7 @@ impl SystemSimulation {
         if self.jobs.recent().len() < 200 {
             return;
         }
-        let samples = label_prompts(&self.oracle, self.jobs.recent(), &ladder);
+        let samples = label_prompts(&self.oracle, self.jobs.recent(), ladder);
         let (clf, _) = train(
             &samples,
             ladder.len(),
@@ -745,7 +733,7 @@ impl SystemSimulation {
         // verdict already recorded.
         if let Some(c) = self.cascade.as_mut() {
             let rates = self.metrics.escalation_rates();
-            let rate = rates.get(&c.first_level).copied().unwrap_or(0.0);
+            let rate = rates.get(&FIRST_PASS_LEVEL).copied().unwrap_or(0.0);
             c.first_pass_rate = rate;
             self.obs_gauge_set("escalation_rate", rate);
         }
@@ -765,7 +753,7 @@ impl SystemSimulation {
             }
             TickAction::AdaptPerWorker => {
                 self.last_demand = observed;
-                let ladder = self.active_ladder();
+                let ladder = self.pipeline.active_ladder(&self.switcher);
                 let changes = self.pipeline.adapt_worker_levels(&self.cluster, &ladder);
                 for (w, level) in changes {
                     self.assign_and_schedule(w, level, t);
@@ -786,7 +774,7 @@ impl SystemSimulation {
             self.metrics.accuracy(
                 t.as_minutes() as u64,
                 self.jobs.recent().rev().take(200),
-                &ladder,
+                ladder,
                 &self.classifiers[&strategy],
                 &self.oracle,
             );
@@ -1075,15 +1063,16 @@ impl SystemSimulation {
     /// allocation absorbs the transition.
     ///
     /// On heterogeneous fleets the problem decomposes by architecture:
-    /// each pool gets its own latency/peak-QPM tables (and, under
-    /// [`crate::system::RunConfig::with_pool_strategy`], its own strategy
-    /// ladder) and a demand share proportional to its maximum capacity,
-    /// and the planner stage solves the per-pool allocations in pool
-    /// order. Load distributions merge index-wise into one
-    /// cluster-wide `ω` (every ladder is six rungs, slowest first, so the
-    /// rung is the common currency).
+    /// each pool gets its own latency/peak-QPM tables (and, when the
+    /// pinned-ladder table pins it, its own strategy's ladder) and a
+    /// demand share proportional to its maximum capacity, and the planner
+    /// stage solves the per-pool allocations in pool order. Load
+    /// distributions merge index-wise into one cluster-wide `ω` (every
+    /// ladder has [`RUNGS`] rungs, slowest first, so the rung is the
+    /// common currency).
     pub(crate) fn reallocate(&mut self, t: SimTime, demand_qpm: f64) {
         let global = self.pipeline.planning_strategy(&self.switcher);
+        let active = ApproxLevel::ladder(global);
         // Alive workers grouped by architecture, in pool order.
         let pools: Vec<(GpuArch, Vec<WorkerId>)> = self
             .cluster
@@ -1099,11 +1088,11 @@ impl SystemSimulation {
         let specs: Vec<PoolSpec> = pools
             .iter()
             .map(|(gpu, ws)| {
-                let strategy = self.cfg.pool_strategy_for(*gpu).unwrap_or(global);
+                let ladder = self.pinned.ladder(*gpu, active);
+                let strategy = ladder[0].strategy();
                 PoolSpec {
                     gpu: *gpu,
-                    strategy,
-                    ladder: ApproxLevel::ladder(strategy),
+                    ladder,
                     workers: ws.len(),
                     overhead: self.pool_overhead(strategy),
                     escalation: self.escalation_rate_for(strategy),
@@ -1122,10 +1111,9 @@ impl SystemSimulation {
             self.tick_saturated = true;
         }
         for (plan, (_, ws)) in plans.iter().zip(&pools) {
-            self.apply_allocation(&plan.spec.ladder, &plan.workers_per_level, ws, t);
+            self.apply_allocation(plan.spec.ladder, &plan.workers_per_level, ws, t);
         }
         self.pool_plans = plans;
-        self.pool_view = self.build_pool_view(&ApproxLevel::ladder(global));
         self.refresh_distribution(global);
         self.check_transition_complete(t);
     }
@@ -1151,36 +1139,11 @@ impl SystemSimulation {
         // PASM for Argus; proportional for the prompt-agnostic systems.
         if self.pipeline.uses_oda() {
             let phi = self.predictors[&strategy].phi();
-            self.pasm = oda(&phi, &self.omega_norm).unwrap_or_else(|_| Pasm::identity(6));
+            self.pasm = oda(&phi, &self.omega_norm).unwrap_or_else(|_| Pasm::identity(RUNGS));
         } else {
-            self.pasm = Pasm::proportional(&self.omega_norm).unwrap_or_else(|_| Pasm::identity(6));
+            self.pasm =
+                Pasm::proportional(&self.omega_norm).unwrap_or_else(|_| Pasm::identity(RUNGS));
         }
-    }
-
-    /// Builds the per-architecture ladder view for per-pool-strategy runs
-    /// (`None` otherwise — single-strategy runs route exactly as before).
-    /// Cached on the simulation and rebuilt only by
-    /// [`SystemSimulation::reallocate`]: the view changes exactly when the
-    /// planning strategy does, and only solver policies ever reallocate —
-    /// per-worker and static policies keep `None`, so for them
-    /// `with_pool_strategy` is inert and routing is untouched.
-    fn build_pool_view(&self, global_ladder: &[ApproxLevel]) -> Option<PoolView> {
-        if self.cfg.pool_strategies.is_empty() {
-            return None;
-        }
-        let ladders = self
-            .cluster
-            .arches()
-            .into_iter()
-            .map(|gpu| {
-                let ladder = match self.cfg.pool_strategy_for(gpu) {
-                    Some(s) => ApproxLevel::ladder(s),
-                    None => global_ladder.to_vec(),
-                };
-                (gpu, ladder)
-            })
-            .collect();
-        Some(PoolView::new(ladders))
     }
 
     /// Mid-minute demand re-splitting (`RunConfig::with_demand_resplit`):
@@ -1243,7 +1206,7 @@ impl SystemSimulation {
             let backlog_qpm = jobs as f64 * 60.0 / remaining_secs;
             let mut cap = plan.current_cap_qpm(alive);
             let spiked = cache_active
-                && plan.spec.strategy == Strategy::Ac
+                && plan.spec.strategy() == Strategy::Ac
                 && self.retrieval_ewma > SPIKE_FACTOR * plan.spec.overhead
                 && self.retrieval_ewma - plan.spec.overhead > SPIKE_FLOOR_SECS;
             if spiked {
@@ -1254,7 +1217,7 @@ impl SystemSimulation {
                     // where escalation pricing is `None` by
                     // definition (cascades run the SM ladder).
                     escalation: None,
-                    ..plan.spec.clone()
+                    ..plan.spec
                 };
                 cap = cap.min(self.planner.capacity(&spec));
             }
@@ -1287,15 +1250,15 @@ impl SystemSimulation {
             if ws.is_empty() {
                 continue;
             }
-            let strategy = plan.spec.strategy;
+            let strategy = plan.spec.strategy();
             let spec = PoolSpec {
                 workers: ws.len(),
                 overhead: self.pool_overhead(strategy),
                 escalation: self.escalation_rate_for(strategy),
-                ..plan.spec.clone()
+                ..plan.spec
             };
             let resolved = self.planner.solve(spec, plan.share_qpm + extra);
-            self.apply_allocation(&resolved.spec.ladder, &resolved.workers_per_level, &ws, t);
+            self.apply_allocation(resolved.spec.ladder, &resolved.workers_per_level, &ws, t);
             // The stored spec and capacity keep their plan-time values:
             // the spike trigger and `current_cap_qpm` read them.
             let plan = &mut self.pool_plans[i];
@@ -1429,10 +1392,8 @@ impl SystemSimulation {
         let done = self.cluster.alive().iter().all(|&w| {
             let worker = self.cluster.worker(w);
             // Pools pinned by `with_pool_strategy` never transition.
-            if self.cfg.pool_strategy_for(worker.gpu()).is_some() {
-                return true;
-            }
-            worker.level().is_some_and(|l| l.strategy() == target)
+            self.pinned.strategy(worker.gpu()).is_some()
+                || worker.level().is_some_and(|l| l.strategy() == target)
         });
         if done {
             self.switcher.on_transition_complete(t);

@@ -26,11 +26,11 @@ use std::sync::Arc;
 /// One pool's solve inputs, as the driver sees them: the retrieval
 /// overhead is resolved driver-side (the EWMA for AC strategies, zero for
 /// SM) so the stage never reads mutable driver state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PoolSpec {
     pub gpu: GpuArch,
-    pub strategy: Strategy,
-    pub ladder: Vec<ApproxLevel>,
+    /// The ladder the pool serves: its strategy's.
+    pub ladder: &'static [ApproxLevel],
     pub workers: usize,
     pub overhead: f64,
     /// Observed cascade escalation rate to price into Eq. 1 (`None` for
@@ -59,6 +59,13 @@ pub(crate) struct PoolPlan {
     pub omega_qpm: Vec<f64>,
     /// Solved per-level worker counts.
     pub workers_per_level: Vec<usize>,
+}
+
+impl PoolSpec {
+    /// The strategy whose ladder the pool serves.
+    pub(crate) fn strategy(&self) -> Strategy {
+        self.ladder[0].strategy()
+    }
 }
 
 impl PoolPlan {
@@ -159,7 +166,7 @@ impl PlannerStage {
     /// Solves one fully specified pool problem through the pool's solve
     /// cache.
     fn solve_problem(&mut self, spec: PoolSpec, problem: &AllocationProblem) -> PoolPlan {
-        let allocation = problem.solve_cached(self.cache_for(spec.gpu, spec.strategy));
+        let allocation = problem.solve_cached(self.cache_for(spec.gpu, spec.strategy()));
         PoolPlan {
             spec,
             cap_qpm: problem.max_capacity_qpm(),
@@ -173,7 +180,7 @@ impl PlannerStage {
     /// [`CapacityModel`] answers the raw per-level peaks (under the batch
     /// bound and SLO), then SLO-aware queueing derating applies on top.
     fn pool_problem(&self, pool: &PoolSpec, demand_qpm: f64) -> AllocationProblem {
-        let (ladder, strategy, gpu) = (&pool.ladder[..], pool.strategy, pool.gpu);
+        let (ladder, strategy, gpu) = (pool.ladder, pool.strategy(), pool.gpu);
         let ctx = CapacityCtx {
             max_batch: self.max_batch,
             slo_secs: self.slo_secs,
@@ -238,7 +245,6 @@ mod tests {
         let mut planner = PlannerStage::new(Arc::new(Batch1Model), 12.6, 1, false);
         let spec = PoolSpec {
             gpu: GpuArch::A100,
-            strategy: Strategy::Ac,
             ladder: ApproxLevel::ladder(Strategy::Ac),
             workers: 8,
             overhead: 0.02,
@@ -252,7 +258,7 @@ mod tests {
             .collect();
         assert!(!demands.is_empty(), "every demand survived d × cap / cap");
         for d in demands {
-            let (_, plans) = planner.plan(vec![spec.clone()], d);
+            let (_, plans) = planner.plan(vec![spec], d);
             assert_eq!(plans[0].share_qpm.to_bits(), d.to_bits(), "demand {d}");
         }
     }

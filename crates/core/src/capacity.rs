@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn batch1_model_matches_the_legacy_formula() {
         for strategy in [Strategy::Ac, Strategy::Sm] {
-            for level in ApproxLevel::ladder(strategy) {
+            for &level in ApproxLevel::ladder(strategy) {
                 for gpu in [GpuArch::A100, GpuArch::A10G, GpuArch::V100] {
                     let mut secs = level.compute_secs(gpu);
                     if level.strategy() == Strategy::Ac {
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn batched_model_at_bound_one_is_batch1() {
         for strategy in [Strategy::Ac, Strategy::Sm] {
-            for level in ApproxLevel::ladder(strategy) {
+            for &level in ApproxLevel::ladder(strategy) {
                 let a = Batch1Model.peak_qpm(level, GpuArch::A100, &ctx(1));
                 let b = BatchedModel.peak_qpm(level, GpuArch::A100, &ctx(1));
                 assert_eq!(a.to_bits(), b.to_bits(), "{level}");
@@ -321,7 +321,7 @@ mod tests {
     fn ac_ladder_plans_batch_one_under_the_default_slo() {
         // §4.5: any AC member can miss into a full SD-XL generation, whose
         // inflation eats the 3× SLO tail budget immediately.
-        for level in ApproxLevel::ladder(Strategy::Ac) {
+        for &level in ApproxLevel::ladder(Strategy::Ac) {
             assert_eq!(
                 BatchedModel.planned_batch(level, GpuArch::A100, &ctx(8)),
                 1,
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn capacity_is_monotone_in_the_batch_bound() {
         for strategy in [Strategy::Ac, Strategy::Sm] {
-            for level in ApproxLevel::ladder(strategy) {
+            for &level in ApproxLevel::ladder(strategy) {
                 for gpu in [GpuArch::A100, GpuArch::A10G, GpuArch::V100] {
                     let mut last = 0.0f64;
                     for b in 1..=16u32 {
@@ -403,7 +403,7 @@ mod tests {
         // trade between rungs is untouched, the whole fleet just plans
         // as if demand were `(1 + rate) × λ`.
         let tax = 1.2;
-        for level in ApproxLevel::ladder(Strategy::Sm) {
+        for &level in ApproxLevel::ladder(Strategy::Sm) {
             let cold = Batch1Model.peak_qpm(level, GpuArch::A100, &base);
             let warm = Batch1Model.peak_qpm(level, GpuArch::A100, &priced);
             // Same factor on every rung (up to rounding in 60/(s·tax)).

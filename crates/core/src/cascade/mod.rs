@@ -21,7 +21,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use argus_models::{ApproxLevel, Strategy};
+use argus_models::{ApproxLevel, Strategy, RUNGS, SM_LADDER};
 use argus_prompts::Prompt;
 use argus_quality::QualityOracle;
 use std::collections::BTreeMap;
@@ -41,6 +41,14 @@ const DEMAND_DECAY: f64 = 0.85;
 /// never be reached, so it degenerates to "never escalate", while `0.0`
 /// (doubt is non-negative) degenerates to "escalate everything".
 pub const MAX_DOUBT: f64 = 0.99;
+
+/// The level every first pass targets: the SM ladder's cheapest rung,
+/// Tiny-SD. Spill may serve a first pass elsewhere; Eq. 1 prices
+/// escalations at the rate observed here.
+pub(crate) const FIRST_PASS_LEVEL: ApproxLevel = ApproxLevel::Sm(SM_LADDER[RUNGS - 1]);
+
+/// The level escalated jobs re-run at: the SM ladder's rung 0, SD-XL.
+pub(crate) const ESCALATION_LEVEL: ApproxLevel = ApproxLevel::Sm(SM_LADDER[0]);
 
 /// Seed salt separating the built-in discriminator's scoring stream
 /// from the ground-truth quality oracle: the discriminator is an
@@ -167,7 +175,7 @@ impl CascadePolicy {
 
 impl LevelPlanner for CascadePolicy {
     fn active_ladder(&self, _switcher: &StrategySwitcher) -> Vec<ApproxLevel> {
-        ApproxLevel::ladder(Strategy::Sm)
+        ApproxLevel::ladder(Strategy::Sm).to_vec()
     }
 
     fn pick_target_level(&self, _ctx: &mut RouteCtx<'_>, ladder: &[ApproxLevel]) -> usize {
@@ -244,12 +252,25 @@ mod tests {
     use argus_prompts::PromptGenerator;
 
     #[test]
+    fn the_rungs_are_tiny_sd_then_sd_xl() {
+        use argus_models::ModelVariant;
+        let ladder = ApproxLevel::ladder(Strategy::Sm);
+        assert_eq!(FIRST_PASS_LEVEL, ApproxLevel::Sm(ModelVariant::TinySd));
+        assert_eq!(ESCALATION_LEVEL, ApproxLevel::Sm(ModelVariant::SdXl));
+        assert_eq!(
+            ladder[CascadeConfig::new().first_pass_rung(RUNGS)],
+            FIRST_PASS_LEVEL
+        );
+        assert_eq!(ladder[0], ESCALATION_LEVEL);
+    }
+
+    #[test]
     fn discriminator_is_deterministic_and_bounded() {
         let prompts = PromptGenerator::new(7).generate_batch(64);
         let d = OracleDiscriminator::new(42);
         let ladder = ApproxLevel::ladder(Strategy::Sm);
         for p in &prompts {
-            for &level in &ladder {
+            for &level in ladder {
                 let a = d.doubt(p, level, 0.75);
                 let b = d.doubt(p, level, 0.75);
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -270,7 +291,7 @@ mod tests {
         let prompts = PromptGenerator::new(11).generate_batch(500);
         let d = OracleDiscriminator::new(24);
         for strategy in [Strategy::Sm, Strategy::Ac] {
-            for level in ApproxLevel::ladder(strategy) {
+            for &level in ApproxLevel::ladder(strategy) {
                 for p in &prompts {
                     for similarity in [0.0, 0.3, 0.75, 1.0, 1.7] {
                         assert_eq!(

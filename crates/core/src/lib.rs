@@ -93,7 +93,7 @@ pub use pipeline::{
 };
 pub use policy::Policy;
 pub use predictor::WorkloadDistributionPredictor;
-pub use scheduler::PoolView;
+pub use scheduler::PinnedLadders;
 pub use solver::{Allocation, AllocationProblem, LevelProfile, SolveCache};
 pub use switcher::{StrategySwitcher, SwitcherState};
 pub use system::{ClassifierUpdates, FaultEvent, RunConfig, RunOutcome, SystemSimulation};

@@ -21,7 +21,7 @@ pub struct ArgusPolicy;
 
 impl LevelPlanner for ArgusPolicy {
     fn active_ladder(&self, switcher: &StrategySwitcher) -> Vec<ApproxLevel> {
-        ApproxLevel::ladder(switcher.planning_strategy())
+        ApproxLevel::ladder(switcher.planning_strategy()).to_vec()
     }
 
     fn pick_target_level(&self, ctx: &mut RouteCtx<'_>, ladder: &[ApproxLevel]) -> usize {
@@ -91,7 +91,7 @@ pub struct PacPolicy;
 
 impl LevelPlanner for PacPolicy {
     fn active_ladder(&self, switcher: &StrategySwitcher) -> Vec<ApproxLevel> {
-        ApproxLevel::ladder(switcher.planning_strategy())
+        ApproxLevel::ladder(switcher.planning_strategy()).to_vec()
     }
 
     fn pick_target_level(&self, ctx: &mut RouteCtx<'_>, _ladder: &[ApproxLevel]) -> usize {

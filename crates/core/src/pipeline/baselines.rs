@@ -21,7 +21,7 @@ pub struct ProteusPolicy;
 
 impl LevelPlanner for ProteusPolicy {
     fn active_ladder(&self, _switcher: &StrategySwitcher) -> Vec<ApproxLevel> {
-        ApproxLevel::ladder(Strategy::Sm)
+        ApproxLevel::ladder(Strategy::Sm).to_vec()
     }
 
     fn pick_target_level(&self, ctx: &mut RouteCtx<'_>, _ladder: &[ApproxLevel]) -> usize {
@@ -66,7 +66,7 @@ pub struct SommelierPolicy;
 
 impl LevelPlanner for SommelierPolicy {
     fn active_ladder(&self, _switcher: &StrategySwitcher) -> Vec<ApproxLevel> {
-        ApproxLevel::ladder(Strategy::Sm)
+        ApproxLevel::ladder(Strategy::Sm).to_vec()
     }
 
     fn pick_target_level(&self, ctx: &mut RouteCtx<'_>, ladder: &[ApproxLevel]) -> usize {
@@ -132,7 +132,7 @@ pub struct NirvanaPolicy;
 
 impl LevelPlanner for NirvanaPolicy {
     fn active_ladder(&self, _switcher: &StrategySwitcher) -> Vec<ApproxLevel> {
-        ApproxLevel::ladder(Strategy::Ac)
+        ApproxLevel::ladder(Strategy::Ac).to_vec()
     }
 
     fn pick_target_level(&self, ctx: &mut RouteCtx<'_>, ladder: &[ApproxLevel]) -> usize {
@@ -204,7 +204,7 @@ impl ClipperPolicy {
 
 impl LevelPlanner for ClipperPolicy {
     fn active_ladder(&self, _switcher: &StrategySwitcher) -> Vec<ApproxLevel> {
-        ApproxLevel::ladder(Strategy::Sm)
+        ApproxLevel::ladder(Strategy::Sm).to_vec()
     }
 
     fn pick_target_level(&self, ctx: &mut RouteCtx<'_>, ladder: &[ApproxLevel]) -> usize {

@@ -12,7 +12,9 @@
 //! * [`CacheGate`] — whether approximate-cache retrieval is attempted and
 //!   how a retrieval hit maps to an effective skip level;
 //! * [`WorkerSelector`] — the Eq. 3 `argmin_w queue_w × t_proc` choice,
-//!   including the §4.7 tail-latency spill;
+//!   including the §4.7 tail-latency spill; on per-pool-strategy fleets
+//!   a rung resolves to each architecture's own level through the
+//!   [`SelectCtx::pinned`] table;
 //! * [`Dispatcher`] — how many queued same-level jobs a worker drains per
 //!   start, using the Obs. 5 batching latency model.
 //!
@@ -36,6 +38,7 @@ use rand::rngs::StdRng;
 use crate::oda::Pasm;
 use crate::policy::Policy;
 use crate::predictor::WorkloadDistributionPredictor;
+use crate::scheduler::{eq3_worker, PinnedLadders};
 use crate::switcher::StrategySwitcher;
 
 mod argus;
@@ -105,10 +108,11 @@ pub struct SelectCtx<'a> {
     /// Upper bound on jobs drained per worker start
     /// ([`crate::system::RunConfig::with_batching`]).
     pub max_batch: u32,
-    /// Per-architecture ladder view for per-pool-strategy fleets
-    /// ([`crate::system::RunConfig::with_pool_strategy`]); `None` on
-    /// single-strategy runs, which route exactly as before.
-    pub pool_view: Option<&'a crate::scheduler::PoolView>,
+    /// The ladder each architecture pool serves
+    /// ([`crate::system::RunConfig::with_pool_strategy`]); empty, so that
+    /// every pool serves the active ladder, on runs without pins and for
+    /// pipelines that do not solve Eq. 1 at set-up.
+    pub pinned: &'a PinnedLadders,
 }
 
 /// Stage 1-2: ladder choice, per-prompt level assignment, tick planning.
@@ -278,14 +282,12 @@ pub fn default_select_worker(
     proc_secs: &dyn Fn(usize, GpuArch) -> f64,
 ) -> Option<(WorkerId, usize)> {
     let cluster = ctx.cluster;
-    let mut choice =
-        crate::scheduler::select_worker_in_view(cluster, ladder, target, proc_secs, ctx.pool_view);
+    let mut choice = eq3_worker(cluster, ctx.pinned, ladder, target, proc_secs);
     if let Some((w, lvl)) = choice {
         let sojourn =
             (cluster.worker(w).backlog() as f64 + 1.0) * proc_secs(lvl, cluster.worker(w).gpu());
         if sojourn > TAIL_BUDGET_FRACTION * ctx.slo_secs {
-            if let Some((w2, lvl2, cost2)) = spill_worker(cluster, ladder, ctx.pool_view, proc_secs)
-            {
+            if let Some((w2, lvl2, cost2)) = spill_worker(cluster, ctx.pinned, ladder, proc_secs) {
                 if cost2 + 1e-9 < sojourn {
                     choice = Some((w2, lvl2));
                 }
@@ -296,25 +298,26 @@ pub fn default_select_worker(
 }
 
 /// The §4.7 spill candidate: among dispatchable workers keyed by
-/// `level().or(pending_level())` at a level on the ladder (or in the
-/// view), the least expected sojourn `(backlog + 1) × t_proc`, ties to the
-/// lowest id. Returns the worker, its ladder index and that sojourn.
+/// `level().or(pending_level())` at a level on their pool's ladder
+/// (`pinned.ladder(gpu, ladder)`), the least expected sojourn
+/// `(backlog + 1) × t_proc`, ties to the lowest id. Returns the worker,
+/// its ladder index and that sojourn.
 ///
 /// Within one (level, architecture) serving group the sojourn rises with
 /// the backlog, so only each group's head can win.
 pub(crate) fn spill_worker(
     cluster: &Cluster,
+    pinned: &PinnedLadders,
     ladder: &[ApproxLevel],
-    view: Option<&crate::scheduler::PoolView>,
     proc_secs: &dyn Fn(usize, GpuArch) -> f64,
 ) -> Option<(WorkerId, usize, f64)> {
     cluster
         .serving_heads()
         .filter_map(|(level, gpu, backlog, id)| {
-            let i = match view {
-                Some(v) => v.index_of(gpu, level)?,
-                None => ladder.iter().position(|&x| x == level)?,
-            };
+            let i = pinned
+                .ladder(gpu, ladder)
+                .iter()
+                .position(|&x| x == level)?;
             let cost = (backlog as f64 + 1.0) * proc_secs(i, gpu);
             Some((id, i, cost))
         })
@@ -477,7 +480,7 @@ mod tests {
             cluster: &cluster,
             slo_secs: 12.6,
             max_batch: 1,
-            pool_view: None,
+            pinned: &PinnedLadders::default(),
         };
         assert_eq!(default_batch_size(&ctx, WorkerId(0), lvl), 1);
     }
@@ -494,7 +497,7 @@ mod tests {
             cluster: &cluster,
             slo_secs: 12.6,
             max_batch: 8,
-            pool_view: None,
+            pinned: &PinnedLadders::default(),
         };
         // Tiny-SD at a short queue: the queue is the binding constraint.
         assert_eq!(default_batch_size(&ctx, WorkerId(0), lvl), 3);
@@ -515,7 +518,7 @@ mod tests {
             cluster: &cluster,
             slo_secs: 12.6,
             max_batch: 16,
-            pool_view: None,
+            pinned: &PinnedLadders::default(),
         };
         let b_slow = default_batch_size(&ctx, WorkerId(0), slow);
         assert!(b_slow <= 2, "SD-XL batch {b_slow} exceeds the SLO budget");
@@ -525,7 +528,7 @@ mod tests {
             cluster: &cluster,
             slo_secs: 12.6,
             max_batch: 16,
-            pool_view: None,
+            pinned: &PinnedLadders::default(),
         };
         let b_fast = default_batch_size(&ctx, WorkerId(0), fast);
         assert!(b_fast > b_slow, "fast {b_fast} vs slow {b_slow}");
@@ -546,7 +549,7 @@ mod tests {
             cluster: &cluster,
             slo_secs: 12.6,
             max_batch: 8,
-            pool_view: None,
+            pinned: &PinnedLadders::default(),
         };
         assert_eq!(default_batch_size(&ctx, WorkerId(0), lvl), 1);
         // With a loose SLO the same level batches again.
@@ -554,7 +557,7 @@ mod tests {
             cluster: &cluster,
             slo_secs: 60.0,
             max_batch: 8,
-            pool_view: None,
+            pinned: &PinnedLadders::default(),
         };
         assert!(default_batch_size(&loose, WorkerId(0), lvl) > 1);
     }

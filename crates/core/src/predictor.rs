@@ -131,11 +131,11 @@ mod tests {
         let mut generator = PromptGenerator::new(31);
         // Reference distribution from a large sample.
         let big = generator.generate_batch(20_000);
-        let reference = oracle.optimal_choice_histogram(&big, &ladder);
+        let reference = oracle.optimal_choice_histogram(&big, ladder);
         // Predictor fed the next 1000 true optimal levels.
         let mut p = WorkloadDistributionPredictor::new(ladder.len(), 1000);
         for prompt in generator.generate_batch(1000) {
-            p.record(oracle.optimal_level(&prompt, &ladder));
+            p.record(oracle.optimal_level(&prompt, ladder));
         }
         let err = p.l2_error(&reference);
         assert!(err < 0.06, "L2 error {err}");

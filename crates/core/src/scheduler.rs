@@ -10,84 +10,63 @@
 //! On heterogeneous fleets `t_proc` depends on the worker's GPU
 //! architecture as well as the level, so the estimate is evaluated per
 //! candidate — a V100 with an empty queue can still lose to a busier A100.
+//! Which level a rung means on each architecture comes from the run's
+//! [`PinnedLadders`], the one place the per-pool ladder rule lives: the
+//! selector, the §4.7 spill, the driver's `t_proc` estimate and
+//! telemetry, each solve's pool spec and the strategy-transition check
+//! all read it.
 
 use argus_cluster::{Cluster, WorkerId};
-use argus_models::{ApproxLevel, GpuArch};
+use argus_models::{ApproxLevel, GpuArch, Strategy};
 
-/// Per-architecture view of the routing ladder for runs with per-pool
-/// strategies (`RunConfig::with_pool_strategy`): ladder index `i` means a
-/// *position*, and each architecture pool serves its own strategy's level
-/// at that position. Every ladder is slowest-first with the same length
-/// (both AC and SM ladders have six rungs), so the index — not the
-/// concrete level — is the common currency the classifier, PASM, ω and
-/// Eq. 3 route by, and an SM-pinned V100 pool can absorb traffic the
-/// AC-planned A100 pool would have served at the same rung.
-#[derive(Debug, Clone)]
-pub struct PoolView {
-    ladders: Vec<(GpuArch, Vec<ApproxLevel>)>,
-}
-
-impl PoolView {
-    /// Builds a view from per-architecture ladders.
-    ///
-    /// # Panics
-    /// Panics if `ladders` is empty or the ladders disagree on length.
-    pub fn new(ladders: Vec<(GpuArch, Vec<ApproxLevel>)>) -> Self {
-        assert!(!ladders.is_empty(), "pool view needs at least one pool");
-        let n = ladders[0].1.len();
-        assert!(
-            ladders.iter().all(|(_, l)| l.len() == n),
-            "pool ladders must agree on rung count"
-        );
-        PoolView { ladders }
-    }
-
-    /// Rungs per ladder.
-    pub fn levels(&self) -> usize {
-        self.ladders[0].1.len()
-    }
-
-    /// The level ladder index `idx` means on `gpu`'s pool.
-    pub fn level_of(&self, gpu: GpuArch, idx: usize) -> Option<ApproxLevel> {
-        self.ladders
-            .iter()
-            .find(|&&(g, _)| g == gpu)
-            .and_then(|(_, l)| l.get(idx))
-            .copied()
-    }
-
-    /// The ladder index `level` sits at on `gpu`'s pool.
-    pub fn index_of(&self, gpu: GpuArch, level: ApproxLevel) -> Option<usize> {
-        self.ladders
-            .iter()
-            .find(|&&(g, _)| g == gpu)
-            .and_then(|(_, l)| l.iter().position(|&x| x == level))
-    }
-}
-
-/// Picks the worker for a prompt assigned to `ladder[target]`.
+/// The ladder each architecture pool serves: a pool pinned by
+/// `RunConfig::with_pool_strategy` serves its strategy's ladder, every
+/// other pool the active ladder. Ladder index `i` means a *position*:
+/// both ladders have [`argus_models::RUNGS`] rungs, slowest first, so the
+/// index — not the concrete level — is the common currency the
+/// classifier, PASM, ω and Eq. 3 route by, and an SM-pinned V100 pool can
+/// absorb traffic the AC-planned A100 pool would have served at the same
+/// rung.
 ///
-/// `proc_secs(level_idx, gpu)` estimates per-image processing time at a
-/// level on an architecture (compute + retrieval overhead); it must be a
-/// pure function of its arguments. Returns the chosen worker and the
-/// ladder index it is counted under, or `None` if no alive worker serves
-/// any level (e.g. total failure).
-///
-/// # Panics
-/// Panics if `target >= ladder.len()`.
-pub fn select_worker(
-    cluster: &Cluster,
-    ladder: &[ApproxLevel],
-    target: usize,
-    proc_secs: &dyn Fn(usize, GpuArch) -> f64,
-) -> Option<(WorkerId, usize)> {
-    select_worker_in_view(cluster, ladder, target, proc_secs, None)
+/// `SystemSimulation::new` resolves the run's pins once. The table is
+/// empty (the default) on runs without pins and for pipelines that do
+/// not solve Eq. 1 at set-up, so for per-worker and static policies a pin
+/// is inert.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PinnedLadders {
+    pins: [Option<Strategy>; GpuArch::ALL.len()],
 }
 
-/// [`select_worker`] under an optional [`PoolView`]: with a view, a
-/// worker is a candidate at ladder index `i` when it serves *its own
-/// pool's* level at that index, so per-pool-strategy fleets route across
-/// strategies by rung. Without a view this is exactly [`select_worker`].
+impl PinnedLadders {
+    /// Pins each architecture to the strategy `pin` names for it.
+    pub fn new(pin: impl FnMut(GpuArch) -> Option<Strategy>) -> Self {
+        PinnedLadders {
+            pins: GpuArch::ALL.map(pin),
+        }
+    }
+
+    /// The strategy `gpu`'s pool is pinned to, if any.
+    pub fn strategy(&self, gpu: GpuArch) -> Option<Strategy> {
+        self.pins[gpu as usize]
+    }
+
+    /// The ladder `gpu`'s pool serves while `active` is the active
+    /// ladder.
+    pub fn ladder<'a>(&self, gpu: GpuArch, active: &'a [ApproxLevel]) -> &'a [ApproxLevel] {
+        match self.strategy(gpu) {
+            Some(strategy) => ApproxLevel::ladder(strategy),
+            None => active,
+        }
+    }
+}
+
+/// The Eq. 3 argmin for a prompt assigned to rung `target`: a worker is a
+/// candidate at rung `i` when it serves its pool's level at that rung
+/// (`pinned.ladder(gpu, ladder)[i]`). `proc_secs(rung, gpu)` estimates
+/// per-image processing time at a rung on an architecture (compute +
+/// retrieval overhead); it must be a pure function of its arguments.
+/// Returns the chosen worker and the rung it is counted under, or `None`
+/// if no alive worker serves any rung (e.g. total failure).
 ///
 /// The candidates come from the cluster's dispatch index
 /// ([`Cluster::dispatch_head`]): within one architecture `t_proc` is a
@@ -99,12 +78,12 @@ pub fn select_worker(
 ///
 /// # Panics
 /// Panics if `target >= ladder.len()`.
-pub fn select_worker_in_view(
+pub fn eq3_worker(
     cluster: &Cluster,
+    pinned: &PinnedLadders,
     ladder: &[ApproxLevel],
     target: usize,
     proc_secs: &dyn Fn(usize, GpuArch) -> f64,
-    view: Option<&PoolView>,
 ) -> Option<(WorkerId, usize)> {
     assert!(target < ladder.len(), "target level out of range");
     // Candidate levels in preference order: exact, then ±1, ±2 … with the
@@ -121,9 +100,7 @@ pub fn select_worker_in_view(
         // alive for their in-flight pass but not in the index.
         let mut best: Option<(f64, WorkerId)> = None;
         for gpu in GpuArch::ALL {
-            let Some(level) = view.map_or(Some(ladder[lvl]), |v| v.level_of(gpu, lvl)) else {
-                continue;
-            };
+            let level = pinned.ladder(gpu, ladder)[lvl];
             let Some((backlog, id)) = cluster.dispatch_head(level, gpu) else {
                 continue;
             };
@@ -145,9 +122,9 @@ pub fn select_worker_in_view(
 mod tests {
     use super::*;
     use argus_des::SimTime;
-    use argus_models::{AcLevel, GpuArch, Strategy};
+    use argus_models::AcLevel;
 
-    fn ladder() -> Vec<ApproxLevel> {
+    fn ladder() -> &'static [ApproxLevel] {
         ApproxLevel::ladder(Strategy::Ac)
     }
 
@@ -172,12 +149,25 @@ mod tests {
     }
 
     #[test]
+    fn a_pinned_pool_serves_its_strategy_and_the_rest_the_active_ladder() {
+        let pinned = PinnedLadders::new(|gpu| (gpu == GpuArch::V100).then_some(Strategy::Sm));
+        let active = ApproxLevel::ladder(Strategy::Ac);
+        assert_eq!(pinned.strategy(GpuArch::V100), Some(Strategy::Sm));
+        assert_eq!(pinned.strategy(GpuArch::A100), None);
+        assert_eq!(
+            pinned.ladder(GpuArch::V100, active),
+            ApproxLevel::ladder(Strategy::Sm)
+        );
+        assert_eq!(pinned.ladder(GpuArch::A100, active), active);
+    }
+
+    #[test]
     fn picks_least_loaded_worker_at_target_level() {
         let mut cluster = cluster_with_levels(&[(2, 3)]);
         cluster.enqueue(WorkerId(0), 1);
         cluster.enqueue(WorkerId(0), 2);
         cluster.enqueue(WorkerId(1), 3);
-        let (w, lvl) = select_worker(&cluster, &ladder(), 2, &proc).unwrap();
+        let (w, lvl) = eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 2, &proc).unwrap();
         assert_eq!(w, WorkerId(2)); // empty queue
         assert_eq!(lvl, 2);
     }
@@ -185,7 +175,7 @@ mod tests {
     #[test]
     fn tie_breaks_to_lowest_id() {
         let cluster = cluster_with_levels(&[(1, 4)]);
-        let (w, _) = select_worker(&cluster, &ladder(), 1, &proc).unwrap();
+        let (w, _) = eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 1, &proc).unwrap();
         assert_eq!(w, WorkerId(0));
     }
 
@@ -194,7 +184,7 @@ mod tests {
         // Target level 3 unpopulated; levels 2 (slower) and 4 (faster)
         // both exist — prefer 2.
         let cluster = cluster_with_levels(&[(2, 1), (4, 1)]);
-        let (w, lvl) = select_worker(&cluster, &ladder(), 3, &proc).unwrap();
+        let (w, lvl) = eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 3, &proc).unwrap();
         assert_eq!(lvl, 2);
         assert_eq!(w, WorkerId(0));
     }
@@ -202,7 +192,7 @@ mod tests {
     #[test]
     fn falls_back_to_faster_when_no_slower_exists() {
         let cluster = cluster_with_levels(&[(5, 2)]);
-        let (_, lvl) = select_worker(&cluster, &ladder(), 1, &proc).unwrap();
+        let (_, lvl) = eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 1, &proc).unwrap();
         assert_eq!(lvl, 5);
     }
 
@@ -210,7 +200,7 @@ mod tests {
     fn skips_failed_workers() {
         let mut cluster = cluster_with_levels(&[(0, 2)]);
         cluster.fail(WorkerId(0), SimTime::ZERO);
-        let (w, _) = select_worker(&cluster, &ladder(), 0, &proc).unwrap();
+        let (w, _) = eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 0, &proc).unwrap();
         assert_eq!(w, WorkerId(1));
     }
 
@@ -219,7 +209,7 @@ mod tests {
         let mut cluster = cluster_with_levels(&[(0, 2)]);
         cluster.fail(WorkerId(0), SimTime::ZERO);
         cluster.fail(WorkerId(1), SimTime::ZERO);
-        assert!(select_worker(&cluster, &ladder(), 0, &proc).is_none());
+        assert!(eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 0, &proc).is_none());
     }
 
     #[test]
@@ -228,7 +218,7 @@ mod tests {
         // Worker 0: one in-flight job; worker 1: idle.
         cluster.enqueue(WorkerId(0), 1);
         cluster.try_start_batch(WorkerId(0), SimTime::ZERO, 1);
-        let (w, _) = select_worker(&cluster, &ladder(), 0, &proc).unwrap();
+        let (w, _) = eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 0, &proc).unwrap();
         assert_eq!(w, WorkerId(1));
     }
 
@@ -238,7 +228,7 @@ mod tests {
         let lvl = ApproxLevel::Ac(AcLevel(10));
         cluster.assign_level(WorkerId(0), lvl, SimTime::ZERO);
         // Still loading, but routable (jobs queue behind the load).
-        let (w, idx) = select_worker(&cluster, &ladder(), 2, &proc).unwrap();
+        let (w, idx) = eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 2, &proc).unwrap();
         assert_eq!(w, WorkerId(0));
         assert_eq!(idx, 2);
     }
@@ -247,7 +237,7 @@ mod tests {
     #[should_panic(expected = "target level out of range")]
     fn target_bounds_checked() {
         let cluster = cluster_with_levels(&[(0, 1)]);
-        let _ = select_worker(&cluster, &ladder(), 9, &proc);
+        let _ = eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 9, &proc);
     }
 
     #[test]
@@ -267,12 +257,14 @@ mod tests {
             _ => 9.0,
         };
         // Cost: A100 = 1×4 = 4 < V100 = 0×9 = 0 — idle wins here…
-        let (w, _) = select_worker(&cluster, &ladder(), 0, &arch_proc).unwrap();
+        let (w, _) =
+            eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 0, &arch_proc).unwrap();
         assert_eq!(w, WorkerId(1));
         // …but once the V100 queue grows, the A100 wins on cost even with
         // equal backlog.
         cluster.enqueue(WorkerId(1), 2);
-        let (w, _) = select_worker(&cluster, &ladder(), 0, &arch_proc).unwrap();
+        let (w, _) =
+            eq3_worker(&cluster, &PinnedLadders::default(), ladder(), 0, &arch_proc).unwrap();
         assert_eq!(w, WorkerId(0));
     }
 }

@@ -8,11 +8,15 @@
 //! `solve_exact` plays for Eq. 1: slow, plainly right, and the answer the
 //! index must reproduce bit for bit. The cross-check drives seeded random
 //! mutation sequences through the [`Cluster`] API and compares both
-//! sides after every step.
+//! sides after every step, under random pinned-ladder tables.
+//!
+//! The reference never reads a [`PinnedLadders`]: it takes each
+//! architecture's ladder resolved explicitly, a [`PoolLadders`] indexed
+//! by architecture.
 
 use argus_cluster::{Cluster, SwitchOutcome, WorkerId};
 use argus_des::SimTime;
-use argus_models::{AcLevel, ApproxLevel, GpuArch, Strategy};
+use argus_models::{AcLevel, ApproxLevel, GpuArch, Strategy, AC_LEVELS, SM_LADDER};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -20,20 +24,22 @@ use crate::pipeline::{
     default_select_worker, least_backlogged_level, least_backlogged_worker, spill_worker,
     SelectCtx, TAIL_BUDGET_FRACTION,
 };
-use crate::scheduler::{select_worker_in_view, PoolView};
+use crate::scheduler::{eq3_worker, PinnedLadders};
+
+/// The ladder each architecture's pool serves, indexed by `gpu as usize`.
+type PoolLadders<'a> = [&'a [ApproxLevel]; GpuArch::ALL.len()];
 
 /// Eq. 3 by scanning every worker once per candidate rung.
-fn reference_select_worker_in_view(
+fn reference_eq3_worker(
     cluster: &Cluster,
-    ladder: &[ApproxLevel],
+    pools: &PoolLadders<'_>,
     target: usize,
     proc_secs: &dyn Fn(usize, GpuArch) -> f64,
-    view: Option<&PoolView>,
 ) -> Option<(WorkerId, usize)> {
-    assert!(target < ladder.len(), "target level out of range");
+    let n = pools[0].len();
+    assert!(target < n, "target level out of range");
     // Candidate levels in preference order: exact, then ±1, ±2 … with the
     // slower (lower-index) side first — shifting left never hurts quality.
-    let n = ladder.len();
     let mut level_order = Vec::with_capacity(n);
     level_order.push(target);
     for d in 1..n {
@@ -59,16 +65,8 @@ fn reference_select_worker_in_view(
             if worker.is_failed() || worker.is_draining() {
                 continue;
             }
-            let serves = match view {
-                None => {
-                    worker.level() == Some(ladder[lvl])
-                        || worker.pending_level() == Some(ladder[lvl])
-                }
-                Some(v) => v.level_of(worker.gpu(), lvl).is_some_and(|pool_level| {
-                    worker.level() == Some(pool_level) || worker.pending_level() == Some(pool_level)
-                }),
-            };
-            if !serves {
+            let pool_level = pools[worker.gpu() as usize][lvl];
+            if worker.level() != Some(pool_level) && worker.pending_level() != Some(pool_level) {
                 continue;
             }
             let proc = *proc_memo[worker.gpu() as usize]
@@ -88,8 +86,7 @@ fn reference_select_worker_in_view(
 /// The §4.7 spill candidate by scanning every alive worker.
 fn reference_spill_worker(
     cluster: &Cluster,
-    ladder: &[ApproxLevel],
-    view: Option<&PoolView>,
+    pools: &PoolLadders<'_>,
     proc_secs: &dyn Fn(usize, GpuArch) -> f64,
 ) -> Option<(WorkerId, usize, f64)> {
     cluster
@@ -98,10 +95,7 @@ fn reference_spill_worker(
         .filter_map(|cand| {
             let worker = cluster.worker(cand);
             let l = worker.level().or(worker.pending_level())?;
-            let i = match view {
-                Some(v) => v.index_of(worker.gpu(), l)?,
-                None => ladder.iter().position(|&x| x == l)?,
-            };
+            let i = pools[worker.gpu() as usize].iter().position(|&x| x == l)?;
             let cost = (worker.backlog() as f64 + 1.0) * proc_secs(i, worker.gpu());
             Some((cand, i, cost))
         })
@@ -124,20 +118,20 @@ fn reference_least_backlogged_worker(cluster: &Cluster) -> Option<WorkerId> {
 }
 
 /// The shared selection — Eq. 3, the spill, the fallback — on the scans.
+/// Reads `ctx`'s cluster and SLO, never its pinned table.
 fn reference_default_select_worker(
     ctx: &SelectCtx<'_>,
-    ladder: &[ApproxLevel],
+    pools: &PoolLadders<'_>,
     target: usize,
     proc_secs: &dyn Fn(usize, GpuArch) -> f64,
 ) -> Option<(WorkerId, usize)> {
     let cluster = ctx.cluster;
-    let mut choice =
-        reference_select_worker_in_view(cluster, ladder, target, proc_secs, ctx.pool_view);
+    let mut choice = reference_eq3_worker(cluster, pools, target, proc_secs);
     if let Some((w, lvl)) = choice {
         let sojourn =
             (cluster.worker(w).backlog() as f64 + 1.0) * proc_secs(lvl, cluster.worker(w).gpu());
         if sojourn > TAIL_BUDGET_FRACTION * ctx.slo_secs {
-            let spill = reference_spill_worker(cluster, ladder, ctx.pool_view, proc_secs);
+            let spill = reference_spill_worker(cluster, pools, proc_secs);
             if let Some((w2, lvl2, cost2)) = spill {
                 if cost2 + 1e-9 < sojourn {
                     choice = Some((w2, lvl2));
@@ -212,30 +206,12 @@ fn mutate(cluster: &mut Cluster, rng: &mut StdRng, levels: &[ApproxLevel], now: 
     }
 }
 
-/// A view over a random non-empty subset of the architectures, each on a
-/// random strategy's ladder.
-fn random_view(rng: &mut StdRng) -> PoolView {
-    loop {
-        let mut ladders = Vec::new();
-        for gpu in GpuArch::ALL {
-            if rng.random_bool(0.8) {
-                let strategy = [Strategy::Ac, Strategy::Sm][rng.random_range(0..2usize)];
-                ladders.push((gpu, ApproxLevel::ladder(strategy)));
-            }
-        }
-        if !ladders.is_empty() {
-            return PoolView::new(ladders);
-        }
-    }
-}
-
 /// Whether the reference's Eq. 3 answer at its rung tied on cost with a
 /// candidate on another architecture.
 fn cross_arch_tie(
     cluster: &Cluster,
-    ladder: &[ApproxLevel],
+    pools: &PoolLadders<'_>,
     proc_secs: &dyn Fn(usize, GpuArch) -> f64,
-    view: Option<&PoolView>,
     (w, lvl): (WorkerId, usize),
 ) -> bool {
     let cost_of = |worker: &argus_cluster::Worker| {
@@ -243,14 +219,11 @@ fn cross_arch_tie(
     };
     let chosen = cluster.worker(w);
     cluster.iter().any(|worker| {
-        let level = match view {
-            None => Some(ladder[lvl]),
-            Some(v) => v.level_of(worker.gpu(), lvl),
-        };
+        let level = Some(pools[worker.gpu() as usize][lvl]);
         !worker.is_failed()
             && !worker.is_draining()
             && worker.gpu() != chosen.gpu()
-            && level.is_some_and(|l| worker.level() == Some(l) || worker.pending_level() == Some(l))
+            && (worker.level() == level || worker.pending_level() == level)
             && cost_of(worker) == cost_of(chosen)
     })
 }
@@ -266,13 +239,15 @@ struct Coverage {
 }
 
 /// Drives `steps` seeded mutations of a cluster of `pools`, comparing the
-/// index with the reference after every step.
-fn cross_check(pools: &[(GpuArch, usize)], with_view: bool, steps: usize, seed: u64) -> Coverage {
+/// index with the reference after every step. With `pinning`, each check
+/// draws a random pinned table: every architecture unpinned, AC or SM.
+fn cross_check(pools: &[(GpuArch, usize)], pinning: bool, steps: usize, seed: u64) -> Coverage {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cluster = Cluster::heterogeneous(pools);
-    let ladders = [
-        ApproxLevel::ladder(Strategy::Ac),
-        ApproxLevel::ladder(Strategy::Sm),
+    // The ladders, collected from the level tables.
+    let ladders: [Vec<ApproxLevel>; 2] = [
+        AC_LEVELS.map(ApproxLevel::Ac).to_vec(),
+        SM_LADDER.map(ApproxLevel::Sm).to_vec(),
     ];
     // Both ladders, plus a level on neither (a mid-transition leftover).
     let mut levels: Vec<ApproxLevel> = ladders.concat();
@@ -313,10 +288,23 @@ fn cross_check(pools: &[(GpuArch, usize)], with_view: bool, steps: usize, seed: 
             );
         }
         for _ in 0..3 {
-            let ladder = &ladders[rng.random_range(0..ladders.len())];
+            let ladder = &ladders[rng.random_range(0..ladders.len())][..];
             let target = rng.random_range(0..ladder.len());
-            let view = with_view.then(|| random_view(&mut rng));
-            let view = view.as_ref();
+            // Per architecture: 0 unpinned, 1 pinned to AC, 2 to SM.
+            let pins: [usize; GpuArch::ALL.len()] =
+                std::array::from_fn(|_| if pinning { rng.random_range(0..3) } else { 0 });
+            let pinned = PinnedLadders::new(|gpu| match pins[gpu as usize] {
+                0 => None,
+                1 => Some(Strategy::Ac),
+                _ => Some(Strategy::Sm),
+            });
+            let pool_ladders: PoolLadders<'_> = pins.map(|pin| {
+                if pin == 0 {
+                    ladder
+                } else {
+                    &ladders[pin - 1][..]
+                }
+            });
             let table: Vec<[f64; 3]> = (0..ladder.len())
                 .map(|_| {
                     std::array::from_fn(|_| PROC_VALUES[rng.random_range(0..PROC_VALUES.len())])
@@ -327,15 +315,15 @@ fn cross_check(pools: &[(GpuArch, usize)], with_view: bool, steps: usize, seed: 
                 cluster: &cluster,
                 slo_secs,
                 max_batch: 1,
-                pool_view: view,
+                pinned: &pinned,
             };
-            let at = format!("step {step}, target {target}, ladder {ladder:?}, view {view:?}");
+            let at = format!("step {step}, target {target}, ladder {ladder:?}, pins {pins:?}");
 
-            let eq3 = select_worker_in_view(&cluster, ladder, target, &proc, view);
-            let eq3_ref = reference_select_worker_in_view(&cluster, ladder, target, &proc, view);
+            let eq3 = eq3_worker(&cluster, &pinned, ladder, target, &proc);
+            let eq3_ref = reference_eq3_worker(&cluster, &pool_ladders, target, &proc);
             assert_eq!(eq3, eq3_ref, "Eq. 3 at {at}");
-            let spill = spill_worker(&cluster, ladder, view, &proc);
-            let spill_ref = reference_spill_worker(&cluster, ladder, view, &proc);
+            let spill = spill_worker(&cluster, &pinned, ladder, &proc);
+            let spill_ref = reference_spill_worker(&cluster, &pool_ladders, &proc);
             assert_eq!(
                 spill.map(|(w, i, c)| (w, i, c.to_bits())),
                 spill_ref.map(|(w, i, c)| (w, i, c.to_bits())),
@@ -355,7 +343,7 @@ fn cross_check(pools: &[(GpuArch, usize)], with_view: bool, steps: usize, seed: 
             for slo_secs in [f64::INFINITY, 6.0, 0.0] {
                 let chosen = default_select_worker(&ctx(slo_secs), ladder, target, &proc);
                 let chosen_ref =
-                    reference_default_select_worker(&ctx(slo_secs), ladder, target, &proc);
+                    reference_default_select_worker(&ctx(slo_secs), &pool_ladders, target, &proc);
                 assert_eq!(chosen, chosen_ref, "selection at {at}, SLO {slo_secs}");
                 if slo_secs == 0.0 && chosen.is_some() && chosen != eq3 {
                     coverage.spilled += 1;
@@ -366,7 +354,7 @@ fn cross_check(pools: &[(GpuArch, usize)], with_view: bool, steps: usize, seed: 
             match eq3_ref {
                 Some(answer) => {
                     coverage.eq3_found += 1;
-                    if cross_arch_tie(&cluster, ladder, &proc, view, answer) {
+                    if cross_arch_tie(&cluster, &pool_ladders, &proc, answer) {
                         coverage.cross_arch_ties += 1;
                     }
                 }
@@ -394,11 +382,11 @@ fn shapes(n: usize) -> [Vec<(GpuArch, usize)>; 2] {
     ]
 }
 
-fn check_sizes(sizes: &[(usize, usize)], with_view: bool) {
+fn check_sizes(sizes: &[(usize, usize)], pinning: bool) {
     for &(n, steps) in sizes {
         for (shape, pools) in shapes(n).iter().enumerate() {
-            let seed = 0xE93 ^ ((n as u64) << 8) ^ ((shape as u64) << 4) ^ u64::from(with_view);
-            let coverage = cross_check(pools, with_view, steps, seed);
+            let seed = 0xE93 ^ ((n as u64) << 8) ^ ((shape as u64) << 4) ^ u64::from(pinning);
+            let coverage = cross_check(pools, pinning, steps, seed);
             assert!(coverage.eq3_found > 0, "{n} workers: {coverage:?}");
             if n >= 8 {
                 assert!(coverage.spilled > 0, "{n} workers: {coverage:?}");
@@ -413,12 +401,12 @@ fn check_sizes(sizes: &[(usize, usize)], with_view: bool) {
 const SIZES: [(usize, usize); 5] = [(1, 400), (2, 600), (8, 1_500), (80, 800), (257, 300)];
 
 #[test]
-fn index_matches_the_linear_reference_without_a_view() {
+fn index_matches_the_linear_reference_without_pins() {
     check_sizes(&SIZES, false);
 }
 
 #[test]
-fn index_matches_the_linear_reference_under_a_pool_view() {
+fn index_matches_the_linear_reference_under_random_pinned_tables() {
     check_sizes(&SIZES, true);
 }
 
@@ -439,14 +427,14 @@ fn the_fallback_is_exercised() {
         cluster: &cluster,
         slo_secs: 0.0,
         max_batch: 1,
-        pool_view: None,
+        pinned: &PinnedLadders::default(),
     };
     for target in 0..ladder.len() {
-        let chosen = default_select_worker(&ctx, &ladder, target, &proc);
+        let chosen = default_select_worker(&ctx, ladder, target, &proc);
         assert_eq!(chosen, Some((WorkerId(2), target)));
         assert_eq!(
             chosen,
-            reference_default_select_worker(&ctx, &ladder, target, &proc)
+            reference_default_select_worker(&ctx, &[ladder; 3], target, &proc)
         );
     }
 }

@@ -823,7 +823,7 @@ mod tests {
 
     fn ac_problem(workers: usize, demand: f64) -> AllocationProblem {
         AllocationProblem::from_ladder(
-            &ApproxLevel::ladder(Strategy::Ac),
+            ApproxLevel::ladder(Strategy::Ac),
             GpuArch::A100,
             0.02,
             workers,
@@ -910,7 +910,7 @@ mod tests {
     #[test]
     fn sm_ladder_also_solves() {
         let p = AllocationProblem::from_ladder(
-            &ApproxLevel::ladder(Strategy::Sm),
+            ApproxLevel::ladder(Strategy::Sm),
             GpuArch::A100,
             0.0,
             8,
@@ -925,7 +925,7 @@ mod tests {
     fn retrieval_overhead_lowers_ac_capacity() {
         let healthy = ac_problem(8, 100.0);
         let congested = AllocationProblem::from_ladder(
-            &ApproxLevel::ladder(Strategy::Ac),
+            ApproxLevel::ladder(Strategy::Ac),
             GpuArch::A100,
             1.5,
             8,
@@ -999,7 +999,7 @@ mod tests {
     fn fast_matches_exact_on_sm_ladder() {
         for demand in [30.0, 90.0, 160.0, 240.0] {
             let p = AllocationProblem::from_ladder(
-                &ApproxLevel::ladder(Strategy::Sm),
+                ApproxLevel::ladder(Strategy::Sm),
                 GpuArch::A100,
                 0.0,
                 10,

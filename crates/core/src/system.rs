@@ -18,7 +18,7 @@ use argus_des::rng::RngFactory;
 use argus_des::stats::WindowedRate;
 use argus_des::{EventQueue, SimDuration, SimTime};
 use argus_embed::embed;
-use argus_models::{latency, ApproxLevel, GpuArch, Strategy};
+use argus_models::{latency, ApproxLevel, GpuArch, Strategy, RUNGS};
 use argus_obs::{Recorder, SpanLog, StageProfile, TelemetryConfig, Timeline};
 use argus_prompts::{DriftSchedule, Prompt, PromptGenerator};
 use argus_quality::QualityOracle;
@@ -41,7 +41,7 @@ use crate::oda::Pasm;
 use crate::pipeline::{pipeline_for, InitialPlacement, ServingPolicy};
 use crate::policy::Policy;
 use crate::predictor::WorkloadDistributionPredictor;
-use crate::scheduler::PoolView;
+use crate::scheduler::PinnedLadders;
 use crate::switcher::StrategySwitcher;
 
 /// Allocator cadence (§4.7: "ILP-based load assignment is solved every
@@ -393,9 +393,10 @@ impl RunConfig {
     /// AC-everywhere pays SLO violations at diurnal peaks). Pinned pools
     /// plan, serve and heal their own strategy's ladder; routing treats
     /// the ladder *index* as the common currency across pools (both
-    /// ladders are six rungs, slowest first), and pinned pools are exempt
-    /// from AC↔SM transitions. Meaningful for solver policies
-    /// (Argus/PAC/Proteus); per-worker and static policies ignore it.
+    /// ladders have [`argus_models::RUNGS`] rungs, slowest first), and
+    /// pinned pools are exempt from AC↔SM transitions. Read only by
+    /// pipelines that solve Eq. 1 at set-up (Argus/PAC/Proteus and the
+    /// cascade); per-worker and static policies ignore it.
     pub fn with_pool_strategy(mut self, gpu: GpuArch, strategy: Strategy) -> Self {
         self.pool_strategies.retain(|&(g, _)| g != gpu);
         self.pool_strategies.push((gpu, strategy));
@@ -618,9 +619,10 @@ pub(crate) struct Exec {
     pub(crate) similarity: Option<f64>,
 }
 
-/// Driver-side cascade state ([`RunConfig::with_cascade`]): the rungs'
-/// levels, the discriminator and the latest first-pass escalation rate
-/// read from the metrics stage. The per-job escalation state lives in
+/// Driver-side cascade state ([`RunConfig::with_cascade`]): the
+/// discriminator and the latest first-pass escalation rate read from the
+/// metrics stage. The rungs are constants (`cascade::FIRST_PASS_LEVEL`,
+/// `cascade::ESCALATION_LEVEL`); the per-job escalation state lives in
 /// each job's [`JobSlot`].
 pub(crate) struct CascadeState {
     /// Escalate when doubt ≥ threshold.
@@ -628,12 +630,7 @@ pub(crate) struct CascadeState {
     /// Whether the observed rate feeds Eq. 1 (s65 ablation knob).
     pub(crate) price_escalations: bool,
     pub(crate) discriminator: Arc<dyn Discriminator>,
-    /// The first-pass level, the SM ladder's cheapest rung (pricing
-    /// anchor; spill may serve first passes elsewhere).
-    pub(crate) first_level: ApproxLevel,
-    /// The level escalated jobs re-run at: SM rung 0, SD-XL.
-    pub(crate) escalate_level: ApproxLevel,
-    /// The escalation-rate EWMA at `first_level`, as of the last
+    /// The escalation-rate EWMA at the first-pass level, as of the last
     /// allocator tick (read from the metrics stage each tick).
     pub(crate) first_pass_rate: f64,
 }
@@ -820,10 +817,10 @@ pub struct SystemSimulation {
     /// architecture pool was solved with, for ω re-merging and mid-minute
     /// re-splitting.
     pub(crate) pool_plans: Vec<PoolPlan>,
-    /// Cached per-architecture ladder view for per-pool-strategy runs;
-    /// `None` on single-strategy runs and for policies that never
-    /// reallocate.
-    pub(crate) pool_view: Option<PoolView>,
+    /// The ladder each architecture pool serves, resolved once from
+    /// [`RunConfig::pool_strategies`]; empty unless the pipeline solves
+    /// Eq. 1 at set-up.
+    pub(crate) pinned: PinnedLadders,
     /// Whether the re-split already fired in the current allocator tick
     /// (at most one per tick).
     pub(crate) resplit_done: bool,
@@ -891,11 +888,16 @@ impl SystemSimulation {
     pub fn new(cfg: RunConfig) -> Self {
         let pipeline: Arc<dyn ServingPolicy> = match (&cfg.custom_pipeline, &cfg.cascade) {
             (Some(p), _) => Arc::clone(p),
-            (None, Some(cc)) => {
-                let rungs = ApproxLevel::ladder(Strategy::Sm).len();
-                Arc::new(CascadePolicy::new(cc.first_pass_rung(rungs)))
-            }
+            (None, Some(cc)) => Arc::new(CascadePolicy::new(cc.first_pass_rung(RUNGS))),
             (None, None) => pipeline_for(cfg.policy),
+        };
+        // Pool pins resolve once, for pipelines that solve Eq. 1 at
+        // set-up; per-worker and static policies plan no pool, and a pin
+        // leaves their routing as it is.
+        let pinned = if pipeline.initial_placement() == InitialPlacement::Solve {
+            PinnedLadders::new(|gpu| cfg.pool_strategy_for(gpu))
+        } else {
+            PinnedLadders::default()
         };
         let factory = RngFactory::new(cfg.seed);
 
@@ -918,7 +920,7 @@ impl SystemSimulation {
         if pipeline.uses_classifier() {
             for strategy in [Strategy::Ac, Strategy::Sm] {
                 let ladder = ApproxLevel::ladder(strategy);
-                let samples = label_prompts(&oracle, &offline, &ladder);
+                let samples = label_prompts(&oracle, &offline, ladder);
                 let (clf, _) = train(
                     &samples,
                     ladder.len(),
@@ -975,7 +977,7 @@ impl SystemSimulation {
 
         let predictors = [Strategy::Ac, Strategy::Sm]
             .into_iter()
-            .map(|s| (s, WorkloadDistributionPredictor::new(6, 1000)))
+            .map(|s| (s, WorkloadDistributionPredictor::new(RUNGS, 1000)))
             .collect();
 
         let horizon = SimTime::from_minutes(cfg.trace.len_minutes() as f64);
@@ -1067,22 +1069,15 @@ impl SystemSimulation {
             r
         });
 
-        // Cascade plane: the first pass on the SM ladder's cheapest rung,
-        // escalations on SD-XL, and the built-in discriminator seeded off
-        // the run seed.
-        let cascade = cfg.cascade.clone().map(|cc| {
-            let ladder = ApproxLevel::ladder(Strategy::Sm);
-            let first_level = ladder[cc.first_pass_rung(ladder.len())];
-            CascadeState {
-                threshold: cc.threshold,
-                price_escalations: cc.price_escalations,
-                discriminator: cc
-                    .discriminator
-                    .unwrap_or_else(|| Arc::new(OracleDiscriminator::new(cfg.seed))),
-                first_level,
-                escalate_level: ladder[0],
-                first_pass_rate: 0.0,
-            }
+        // Cascade plane: the built-in discriminator seeded off the run
+        // seed judges first passes on the fixed rungs.
+        let cascade = cfg.cascade.clone().map(|cc| CascadeState {
+            threshold: cc.threshold,
+            price_escalations: cc.price_escalations,
+            discriminator: cc
+                .discriminator
+                .unwrap_or_else(|| Arc::new(OracleDiscriminator::new(cfg.seed))),
+            first_pass_rate: 0.0,
         });
 
         let mut sim = SystemSimulation {
@@ -1094,9 +1089,9 @@ impl SystemSimulation {
             switcher: StrategySwitcher::new(),
             classifiers,
             predictors,
-            pasm: Pasm::identity(6),
+            pasm: Pasm::identity(RUNGS),
             omega_norm: {
-                let mut v = vec![0.0; 6];
+                let mut v = vec![0.0; RUNGS];
                 v[0] = 1.0;
                 v
             },
@@ -1112,7 +1107,7 @@ impl SystemSimulation {
             retrieval_ewma: 0.02,
             last_demand: cfg.trace.qpm_at(0),
             pool_plans: Vec::new(),
-            pool_view: None,
+            pinned,
             resplit_done: false,
             demand_resplits: 0,
             planner,

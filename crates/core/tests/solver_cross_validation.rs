@@ -89,7 +89,7 @@ fn randomized_calibrated_ladders_agree_with_milp() {
         let workers = rng.random_range(1..=6usize);
         let demand = 40.0 * workers as f64 * rng.random::<f64>();
         let mut p = AllocationProblem::from_ladder(
-            &ApproxLevel::ladder(strategy),
+            ApproxLevel::ladder(strategy),
             GpuArch::A100,
             overhead,
             workers,
@@ -189,7 +189,7 @@ fn fast_solver_invariants_on_large_calibrated_fleets() {
                 0.0
             };
             let mut p = AllocationProblem::from_ladder(
-                &ApproxLevel::ladder(strategy),
+                ApproxLevel::ladder(strategy),
                 GpuArch::A100,
                 overhead,
                 workers,

@@ -125,11 +125,6 @@ impl<E> EventQueue<E> {
         self.schedule(base + delay, event);
     }
 
-    /// Schedules `event` to fire as the next event at the current time.
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule(self.now, event);
-    }
-
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -218,14 +213,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_now_and_after() {
+    fn schedule_after_offsets_its_base() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1.0), 0u8);
         q.pop();
-        q.schedule_now(1);
         q.schedule_after(q.now(), SimDuration::from_secs(2.0), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
-        assert_eq!(q.pop().unwrap(), (SimTime::from_secs(1.0), 1));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(3.0)));
         assert_eq!(q.pop().unwrap(), (SimTime::from_secs(3.0), 2));
     }
 

@@ -140,14 +140,6 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     }
 }
 
-/// Draws from a Pareto distribution with scale `x_min > 0` and shape
-/// `alpha > 0` (heavy-tailed; used for spike magnitudes).
-pub fn pareto<R: Rng + ?Sized>(rng: &mut R, x_min: f64, alpha: f64) -> f64 {
-    debug_assert!(x_min > 0.0 && alpha > 0.0, "invalid pareto params");
-    let u: f64 = 1.0 - rng.random::<f64>();
-    x_min / u.powf(1.0 / alpha)
-}
-
 /// Samples an index from a discrete probability distribution given as a
 /// slice of non-negative weights (not necessarily normalised).
 ///
@@ -239,14 +231,6 @@ mod tests {
             );
         }
         assert_eq!(poisson(&mut r, 0.0), 0);
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(pareto(&mut r, 2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl SimTime {
         self.as_secs() / 60.0
     }
 
-    /// The duration elapsed since `earlier`, saturating to zero if `earlier`
-    /// is in the future.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// The later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -284,8 +278,6 @@ mod tests {
         let early = SimTime::from_secs(1.0);
         let late = SimTime::from_secs(5.0);
         assert_eq!(early - late, SimDuration::ZERO);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early), SimDuration::from_secs(4.0));
         assert_eq!(
             SimDuration::from_secs(1.0).saturating_sub(SimDuration::from_secs(2.0)),
             SimDuration::ZERO

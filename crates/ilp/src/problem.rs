@@ -163,16 +163,6 @@ impl ProblemBuilder {
 }
 
 impl Problem {
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Whether any variable is integer-constrained.
     pub fn has_integers(&self) -> bool {
         self.vars.iter().any(|v| v.kind == VarKind::Integer)
@@ -263,7 +253,6 @@ mod tests {
         assert_eq!(x, VarId(0));
         assert_eq!(y, VarId(1));
         let p = b.build();
-        assert_eq!(p.num_vars(), 2);
         assert!(p.has_integers());
     }
 

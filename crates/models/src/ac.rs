@@ -8,14 +8,14 @@
 
 use std::fmt;
 
-use crate::{latency, GpuArch, ModelVariant};
+use crate::{latency, GpuArch, ModelVariant, RUNGS};
 
 /// Total denoising steps of the base SD-XL pipeline (`N`, §5.1).
 pub const TOTAL_DENOISE_STEPS: u32 = 50;
 
 /// The AC approximation ladder used in the evaluation (§5.1), least
 /// approximate first.
-pub const AC_LEVELS: [AcLevel; 6] = [
+pub const AC_LEVELS: [AcLevel; RUNGS] = [
     AcLevel(0),
     AcLevel(5),
     AcLevel(10),

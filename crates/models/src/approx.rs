@@ -10,6 +10,33 @@ use std::fmt;
 
 use crate::{latency, AcLevel, GpuArch, ModelVariant, AC_LEVELS, SM_LADDER};
 
+/// Rungs per approximation ladder. Both strategies' ladders have this
+/// many, slowest first, so a rung index means the same position on
+/// either: the allocator, ODA/PASM and Eq. 3 plan and route by it.
+pub const RUNGS: usize = 6;
+
+/// [`AC_LEVELS`] as levels: the AC ladder [`ApproxLevel::ladder`] lends.
+const AC_LADDER: [ApproxLevel; RUNGS] = {
+    let mut ladder = [ApproxLevel::Ac(AC_LEVELS[0]); RUNGS];
+    let mut i = 1;
+    while i < RUNGS {
+        ladder[i] = ApproxLevel::Ac(AC_LEVELS[i]);
+        i += 1;
+    }
+    ladder
+};
+
+/// [`SM_LADDER`] as levels: the SM ladder [`ApproxLevel::ladder`] lends.
+const SM_LEVELS: [ApproxLevel; RUNGS] = {
+    let mut ladder = [ApproxLevel::Sm(SM_LADDER[0]); RUNGS];
+    let mut i = 1;
+    while i < RUNGS {
+        ladder[i] = ApproxLevel::Sm(SM_LADDER[i]);
+        i += 1;
+    }
+    ladder
+};
+
 /// Which approximation strategy a ladder of levels belongs to (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
@@ -44,10 +71,11 @@ pub enum ApproxLevel {
 impl ApproxLevel {
     /// The standard ladder for a strategy, least approximate (slowest,
     /// highest quality) first — the ordering ODA iterates over (§4.3).
-    pub fn ladder(strategy: Strategy) -> Vec<ApproxLevel> {
+    /// Both ladders are constant tables of [`RUNGS`] levels.
+    pub fn ladder(strategy: Strategy) -> &'static [ApproxLevel] {
         match strategy {
-            Strategy::Ac => AC_LEVELS.iter().copied().map(ApproxLevel::Ac).collect(),
-            Strategy::Sm => SM_LADDER.iter().copied().map(ApproxLevel::Sm).collect(),
+            Strategy::Ac => &AC_LADDER,
+            Strategy::Sm => &SM_LEVELS,
         }
     }
 
@@ -133,10 +161,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn ladders_are_the_level_tables_in_order() {
+        // The reference: each ladder collected from its level table.
+        let ac: Vec<ApproxLevel> = AC_LEVELS.iter().copied().map(ApproxLevel::Ac).collect();
+        let sm: Vec<ApproxLevel> = SM_LADDER.iter().copied().map(ApproxLevel::Sm).collect();
+        assert_eq!(ApproxLevel::ladder(Strategy::Ac), ac.as_slice());
+        assert_eq!(ApproxLevel::ladder(Strategy::Sm), sm.as_slice());
+    }
+
+    #[test]
     fn ladders_are_slowest_first() {
         for strategy in [Strategy::Ac, Strategy::Sm] {
             let ladder = ApproxLevel::ladder(strategy);
-            assert_eq!(ladder.len(), 6);
+            assert_eq!(ladder.len(), RUNGS);
             let peaks: Vec<f64> = ladder
                 .iter()
                 .map(|l| l.peak_throughput_per_min(GpuArch::A100))
@@ -156,8 +193,8 @@ mod tests {
     #[test]
     fn ac_never_switches_models() {
         let ladder = ApproxLevel::ladder(Strategy::Ac);
-        for a in &ladder {
-            for b in &ladder {
+        for a in ladder {
+            for b in ladder {
                 assert!(!a.requires_model_switch(*b));
             }
             assert_eq!(a.resident_model(), ModelVariant::SdXl);

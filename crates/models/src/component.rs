@@ -22,12 +22,6 @@ impl ComponentSpec {
     pub fn bytes_per_invocation(&self) -> f64 {
         self.gflops * 1e9 / self.arithmetic_intensity
     }
-
-    /// Whether this component is compute-bound on the given ridge point
-    /// (arithmetic intensity above the ridge).
-    pub fn is_compute_bound_at(&self, ridge_point: f64) -> bool {
-        self.arithmetic_intensity > ridge_point
-    }
 }
 
 /// Builds a [`ComponentSpec`]; internal helper for the static catalogs.
@@ -57,12 +51,5 @@ mod tests {
         let bytes = c.bytes_per_invocation();
         // flops / bytes must reproduce the stated arithmetic intensity.
         assert!((c.gflops * 1e9 / bytes - c.arithmetic_intensity).abs() < 1e-6);
-    }
-
-    #[test]
-    fn compute_boundedness_threshold() {
-        let c = component("UNet", 0.323, 0.602, 409.334, 632.890);
-        assert!(c.is_compute_bound_at(153.0));
-        assert!(!c.is_compute_bound_at(1000.0));
     }
 }

@@ -38,16 +38,6 @@ impl GpuArch {
         }
     }
 
-    /// On-device memory in GiB. Determines how many model variants can be
-    /// resident simultaneously during strategy switches (§4.6).
-    pub fn hbm_gib(self) -> f64 {
-        match self {
-            GpuArch::V100 => 16.0,
-            GpuArch::A10G => 24.0,
-            GpuArch::A100 => 80.0,
-        }
-    }
-
     /// The roofline ridge point in FLOP/byte: arithmetic intensities above
     /// this are compute-bound, below are memory-bound (Fig. 15).
     pub fn ridge_point(self) -> f64 {
@@ -79,13 +69,6 @@ mod tests {
         assert!(GpuArch::A100.peak_tflops() > GpuArch::A10G.peak_tflops());
         assert!(GpuArch::A100.peak_tflops() > GpuArch::V100.peak_tflops());
         assert!(GpuArch::A100.mem_bw_gbps() > GpuArch::V100.mem_bw_gbps());
-    }
-
-    #[test]
-    fn a100_holds_two_sdxl_class_models() {
-        // §4.6: 80 GB HBM can hold SD-XL (~15 GB serving footprint incl.
-        // activations) plus a smaller variant during switches.
-        assert!(GpuArch::A100.hbm_gib() >= 2.0 * 15.0);
     }
 
     #[test]

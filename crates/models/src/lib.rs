@@ -48,7 +48,7 @@ pub mod roofline;
 mod variant;
 
 pub use ac::{AcLevel, AC_LEVELS, TOTAL_DENOISE_STEPS};
-pub use approx::{ApproxLevel, Strategy};
+pub use approx::{ApproxLevel, Strategy, RUNGS};
 pub use component::ComponentSpec;
 pub use gpu::GpuArch;
 pub use variant::{ModelSpec, ModelVariant, SM_LADDER};

@@ -7,6 +7,7 @@
 use std::fmt;
 
 use crate::component::{component, ComponentSpec};
+use crate::RUNGS;
 
 /// A diffusion model variant deployable on a worker.
 ///
@@ -31,7 +32,7 @@ pub enum ModelVariant {
 
 /// The SM approximation ladder, slowest/highest-quality first
 /// (SD-XL → … → Tiny-SD). This is the ordering ODA iterates over.
-pub const SM_LADDER: [ModelVariant; 6] = [
+pub const SM_LADDER: [ModelVariant; RUNGS] = [
     ModelVariant::SdXl,
     ModelVariant::Sd20,
     ModelVariant::Sd15,

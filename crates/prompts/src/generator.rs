@@ -73,11 +73,6 @@ impl PromptGenerator {
         self
     }
 
-    /// Number of prompts generated so far.
-    pub fn generated(&self) -> u64 {
-        self.next_id
-    }
-
     /// Generates the next prompt in the stream.
     pub fn generate(&mut self) -> Prompt {
         let id = PromptId(self.next_id);
@@ -320,7 +315,6 @@ mod tests {
         for i in 0..20 {
             assert_eq!(g.generate().id, PromptId(i));
         }
-        assert_eq!(g.generated(), 20);
     }
 
     #[test]

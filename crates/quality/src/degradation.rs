@@ -123,7 +123,7 @@ mod tests {
     fn profile(strategy: Strategy) -> DegradationProfile {
         let oracle = QualityOracle::new(21);
         let prompts = PromptGenerator::new(22).generate_batch(8000);
-        DegradationProfile::profile(&oracle, &prompts, &ApproxLevel::ladder(strategy))
+        DegradationProfile::profile(&oracle, &prompts, ApproxLevel::ladder(strategy))
     }
 
     #[test]

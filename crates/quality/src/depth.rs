@@ -55,7 +55,7 @@ mod tests {
         );
         assert_eq!(approximation_depth(ApproxLevel::Ac(AcLevel(0))), 0.0);
         for s in [Strategy::Ac, Strategy::Sm] {
-            for l in ApproxLevel::ladder(s) {
+            for &l in ApproxLevel::ladder(s) {
                 let d = approximation_depth(l);
                 assert!((0.0..=1.0).contains(&d), "{l}: depth {d}");
             }

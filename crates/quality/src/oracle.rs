@@ -358,10 +358,10 @@ mod tests {
             for strategy in [Strategy::Sm, Strategy::Ac] {
                 let ladder = ApproxLevel::ladder(strategy);
                 assert_eq!(
-                    terms.optimal_level(&ladder),
-                    reference.optimal_level(&p, &ladder)
+                    terms.optimal_level(ladder),
+                    reference.optimal_level(&p, ladder)
                 );
-                for &l in &ladder {
+                for &l in ladder {
                     for sim in [0.0, 0.3, DEFAULT_AC_SIMILARITY, 1.0, 1.7] {
                         let expected = reference.score(&p, l, sim).to_bits();
                         assert_eq!(terms.score(l, sim).to_bits(), expected, "{l} at {sim}");
@@ -431,10 +431,10 @@ mod tests {
         );
         // Both ladders, plus orders that move the best score around.
         let ladders = [
-            sm.clone(),
-            ac.clone(),
+            sm.to_vec(),
+            ac.to_vec(),
             ac.iter().rev().copied().collect(),
-            [&ac[3..], &sm[..], &ac[..3]].concat(),
+            [&ac[3..], sm, &ac[..3]].concat(),
         ];
         for p in prompts(1000) {
             for ladder in &ladders {
@@ -467,7 +467,7 @@ mod tests {
         let o1 = QualityOracle::new(9);
         let o2 = QualityOracle::new(9);
         let p = prompts(1).remove(0);
-        for l in ApproxLevel::ladder(Strategy::Sm) {
+        for &l in ApproxLevel::ladder(Strategy::Sm) {
             assert_eq!(o1.score(&p, l), o2.score(&p, l));
         }
         let o3 = QualityOracle::new(10);
@@ -490,7 +490,7 @@ mod tests {
         let o = QualityOracle::new(2);
         let ps = prompts(20_000);
         for strategy in [Strategy::Sm, Strategy::Ac] {
-            for l in ApproxLevel::ladder(strategy) {
+            for &l in ApproxLevel::ladder(strategy) {
                 let scores: Vec<f64> = ps.iter().map(|p| o.score(p, l)).collect();
                 let m = mean(scores.iter());
                 let target = l.profiled_quality();
@@ -518,7 +518,7 @@ mod tests {
         );
         let optimal: Vec<f64> = ps
             .iter()
-            .filter(|p| o.optimal_level(p, &ladder) == small_idx)
+            .filter(|p| o.optimal_level(p, ladder) == small_idx)
             .map(|p| o.score(p, small))
             .collect();
         assert!(!optimal.is_empty());
@@ -539,7 +539,7 @@ mod tests {
         let ps = prompts(10_000);
         for strategy in [Strategy::Sm, Strategy::Ac] {
             let ladder = ApproxLevel::ladder(strategy);
-            let hist = o.optimal_choice_histogram(&ps, &ladder);
+            let hist = o.optimal_choice_histogram(&ps, ladder);
             assert!((hist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             let base_share = hist[0];
             let strict_share = hist[0] + hist[1]; // two least-approximate levels
@@ -580,7 +580,7 @@ mod tests {
             let inversions = ps
                 .iter()
                 .filter(|p| {
-                    let s = o.scores(p, &ladder);
+                    let s = o.scores(p, ladder);
                     s.windows(2).any(|w| w[1] > w[0])
                 })
                 .count();
@@ -589,7 +589,7 @@ mod tests {
             let big = ps
                 .iter()
                 .filter(|p| {
-                    let s = o.scores(p, &ladder);
+                    let s = o.scores(p, ladder);
                     (0..s.len() - 2).any(|i| s[i] + 3.0 < s[i + 2])
                 })
                 .count();
@@ -639,8 +639,8 @@ mod tests {
         let o = QualityOracle::new(8);
         let ladder = ApproxLevel::ladder(Strategy::Ac);
         for p in prompts(2000) {
-            let idx = o.optimal_level(&p, &ladder);
-            let scores = o.scores(&p, &ladder);
+            let idx = o.optimal_level(&p, ladder);
+            let scores = o.scores(&p, ladder);
             let best = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             assert!(scores[idx] >= OPTIMAL_QUALITY_THETA * best);
             // No faster level also meets the bar.
@@ -654,7 +654,7 @@ mod tests {
     fn scores_stay_in_clamp_range() {
         let o = QualityOracle::new(11);
         for p in prompts(3000) {
-            for l in ApproxLevel::ladder(Strategy::Sm) {
+            for &l in ApproxLevel::ladder(Strategy::Sm) {
                 let s = o.score(&p, l);
                 assert!((SCORE_FLOOR..=SCORE_CEIL).contains(&s));
             }

@@ -14,6 +14,7 @@
 //! * the satellite telemetry (per-pool stats, replica-write hop counters)
 //!   is internally consistent.
 
+use argus::cachestore::NetworkRegime;
 use argus::core::{
     AllocationProblem, Batch1Model, BatchedModel, CapacityCtx, CapacityModel, FaultEvent,
     LevelProfile, Policy, RunConfig, RunOutcome,
@@ -240,13 +241,13 @@ fn batch1_profiles_and_solves_match_the_legacy_solver_at_scale() {
             for workers in [8usize, 64, 128] {
                 for demand in [0.0, 120.0, 900.0, 2600.0] {
                     let legacy = AllocationProblem {
-                        levels: legacy_profiles(&ladder, gpu, overhead),
+                        levels: legacy_profiles(ladder, gpu, overhead),
                         workers,
                         demand_qpm: demand,
                     };
                     let modelled = AllocationProblem::from_capacity_model(
                         &Batch1Model,
-                        &ladder,
+                        ladder,
                         gpu,
                         &CapacityCtx::batch1(overhead),
                         workers,
@@ -295,6 +296,87 @@ fn per_pool_strategy_runs_are_bit_deterministic() {
     assert_eq!(a.level_completions, b.level_completions);
     assert_eq!(a.quality_samples, b.quality_samples);
     assert_eq!(a.pools, b.pools);
+}
+
+/// What a pinned-pool run routed: the totals (floats as bits), the
+/// completions per level, each pool's tallies and the switch counts. The
+/// two goldens below were captured while routing still rebuilt a
+/// per-architecture ladder view at every solve; the pinned-ladder table
+/// that replaced it routes the same.
+fn routing_fingerprint(out: &RunOutcome) -> String {
+    let t = &out.totals;
+    let mut s = format!(
+        "totals {} {} {} {} {} {:#x} {:#x}\nswitches {:?}\n",
+        t.offered,
+        t.completed,
+        t.violations,
+        t.in_slo,
+        t.model_loads,
+        t.quality_sum.to_bits(),
+        t.relative_quality_sum.to_bits(),
+        out.switches
+    );
+    for (level, n) in &out.level_completions {
+        s += &format!("{level} {n}\n");
+    }
+    for p in &out.pools {
+        s += &format!(
+            "{} {} {} {} {:#x}\n",
+            p.gpu,
+            p.workers,
+            p.completions,
+            p.violations,
+            p.mean_allocated_workers.to_bits()
+        );
+    }
+    s
+}
+
+#[test]
+fn per_pool_strategy_run_matches_its_routing_golden() {
+    let out = per_pool_cfg(7).run();
+    assert_eq!(
+        routing_fingerprint(&out),
+        "totals 3470 3470 282 3188 29 0x40ed12e827e90257 0x40a628dab3abec0e\n\
+         switches (0, 0)\n\
+         AC/K=0 261\nAC/K=5 111\nAC/K=10 212\nAC/K=15 332\nAC/K=20 68\nAC/K=25 1325\n\
+         SM/SD-XL 41\nSM/SD-2.0 37\nSM/SD-1.5 25\nSM/Small-SD 167\nSM/Tiny-SD 891\n\
+         A100 4 2309 187 0x4010000000000000\n\
+         A10G 2 633 51 0x4000000000000000\n\
+         V100 2 528 44 0x4000000000000000\n"
+    );
+}
+
+/// A mixed fleet with only V100 pinned to SM, whose network outage
+/// switches the unpinned pools AC→SM at minute 8 and back after 18.
+fn pinned_switch_cfg() -> RunConfig {
+    cfg(Policy::Argus, steady(100.0, 26), 13)
+        .with_heterogeneous_pools(mixed_fleet())
+        .with_pool_strategy(GpuArch::V100, Strategy::Sm)
+        .with_network_events(vec![
+            (8.0, NetworkRegime::Outage),
+            (18.0, NetworkRegime::Normal),
+        ])
+}
+
+#[test]
+fn a_pinned_pool_rides_through_a_strategy_switch_on_its_routing_golden() {
+    let out = pinned_switch_cfg().run();
+    assert!(
+        out.switches.0 > 0 && out.switches.1 > 0,
+        "{:?}",
+        out.switches
+    );
+    assert_eq!(
+        routing_fingerprint(&out),
+        "totals 2643 2643 0 2643 36 0x40e88e37d93b341b 0x40a2b250808ed889\n\
+         switches (1, 1)\n\
+         AC/K=0 12\nAC/K=5 40\nAC/K=10 266\nAC/K=15 548\nAC/K=20 54\nAC/K=25 359\n\
+         SM/SD-XL 216\nSM/SD-2.0 19\nSM/SD-1.5 13\nSM/Small-SD 266\nSM/Tiny-SD 850\n\
+         A100 4 1830 0 0x4010000000000000\n\
+         A10G 2 396 0 0x4000000000000000\n\
+         V100 2 417 0 0x4000000000000000\n"
+    );
 }
 
 #[test]
@@ -390,7 +472,7 @@ fn demand_resplit_recovers_mid_minute_fault_violations() {
 #[test]
 fn pool_strategy_override_is_inert_for_non_solver_policies() {
     // Per-worker and static policies never reallocate, so a pool pin
-    // must not perturb routing (no PoolView is ever built for them).
+    // must not perturb routing (their pinned-ladder table is empty).
     for policy in [Policy::ClipperHa, Policy::Nirvana, Policy::Sommelier] {
         let base = cfg(policy, steady(90.0, 6), 4)
             .with_heterogeneous_pools(vec![(GpuArch::A100, 4), (GpuArch::V100, 2)])
@@ -507,9 +589,9 @@ proptest! {
         let ladder = ApproxLevel::ladder(Strategy::Sm);
         let ctx = CapacityCtx { max_batch, slo_secs: slo, retrieval_overhead_secs: 0.0, escalation: None };
         let b1 = AllocationProblem::from_capacity_model(
-            &Batch1Model, &ladder, GpuArch::A100, &ctx, workers, demand);
+            &Batch1Model, ladder, GpuArch::A100, &ctx, workers, demand);
         let batched = AllocationProblem::from_capacity_model(
-            &BatchedModel, &ladder, GpuArch::A100, &ctx, workers, demand);
+            &BatchedModel, ladder, GpuArch::A100, &ctx, workers, demand);
         prop_assert!(batched.max_capacity_qpm() + 1e-9 >= b1.max_capacity_qpm());
         let served_b1 = b1.solve().served_qpm;
         let served_batched = batched.solve().served_qpm;

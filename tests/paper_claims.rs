@@ -28,11 +28,11 @@ fn fig10_oda_recovers_most_of_the_random_redistribution_loss() {
     let oracle = QualityOracle::new(22);
     let ladder = ApproxLevel::ladder(Strategy::Ac);
     let prompts = PromptGenerator::new(22).generate_batch(6000);
-    let phi = oracle.optimal_choice_histogram(&prompts, &ladder);
-    let omega = AllocationProblem::from_ladder(&ladder, GpuArch::A100, 0.02, 8, 185.0)
+    let phi = oracle.optimal_choice_histogram(&prompts, ladder);
+    let omega = AllocationProblem::from_ladder(ladder, GpuArch::A100, 0.02, 8, 185.0)
         .solve_exact()
         .omega_normalized();
-    let profile = DegradationProfile::profile(&oracle, &prompts, &ladder);
+    let profile = DegradationProfile::profile(&oracle, &prompts, ladder);
     let oda_cost = oda(&phi, &omega)
         .unwrap()
         .expected_degradation(&phi, &profile);
@@ -95,7 +95,7 @@ fn s57_utilization_beats_peak_provisioning() {
 #[test]
 fn s57_solver_under_100ms_at_tens_of_workers() {
     let ladder = ApproxLevel::ladder(Strategy::Ac);
-    let problem = AllocationProblem::from_ladder(&ladder, GpuArch::A100, 0.02, 32, 500.0);
+    let problem = AllocationProblem::from_ladder(ladder, GpuArch::A100, 0.02, 32, 500.0);
     // lint: allow(wall-clock) — the §5.7 solver-overhead claim is a
     // wall-clock budget; nothing simulated depends on this read.
     let start = std::time::Instant::now();

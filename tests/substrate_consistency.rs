@@ -11,8 +11,8 @@ use argus::vdb::FlatIndex;
 fn solver_profiles_match_model_catalog() {
     use argus::core::AllocationProblem;
     let ladder = ApproxLevel::ladder(Strategy::Ac);
-    let p = AllocationProblem::from_ladder(&ladder, GpuArch::A100, 0.0, 8, 100.0);
-    for (lp, lvl) in p.levels.iter().zip(&ladder) {
+    let p = AllocationProblem::from_ladder(ladder, GpuArch::A100, 0.0, 8, 100.0);
+    for (lp, lvl) in p.levels.iter().zip(ladder) {
         assert_eq!(lp.quality, lvl.profiled_quality());
         assert!((lp.peak_qpm - lvl.peak_throughput_per_min(GpuArch::A100)).abs() < 1e-9);
     }
@@ -25,7 +25,7 @@ fn oracle_population_means_track_solver_qualities() {
     let oracle = QualityOracle::new(31);
     let prompts = PromptGenerator::new(31).generate_batch(8000);
     for strategy in [Strategy::Ac, Strategy::Sm] {
-        for lvl in ApproxLevel::ladder(strategy) {
+        for &lvl in ApproxLevel::ladder(strategy) {
             let mean: f64 =
                 prompts.iter().map(|p| oracle.score(p, lvl)).sum::<f64>() / prompts.len() as f64;
             assert!(
@@ -71,8 +71,8 @@ fn theta_rule_matches_paper_definition() {
     let oracle = QualityOracle::new(34);
     let ladder = ApproxLevel::ladder(Strategy::Sm);
     for p in PromptGenerator::new(34).generate_batch(300) {
-        let idx = oracle.optimal_level(&p, &ladder);
-        let scores = oracle.scores(&p, &ladder);
+        let idx = oracle.optimal_level(&p, ladder);
+        let scores = oracle.scores(&p, ladder);
         let best = scores.iter().cloned().fold(f64::MIN, f64::max);
         assert!(scores[idx] >= 0.9 * best);
     }
