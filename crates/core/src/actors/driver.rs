@@ -494,10 +494,13 @@ impl SystemSimulation {
         // holds with the cache disabled (mid-switch fallback, §4.6).
         let mut retrieval = SimDuration::ZERO;
         if self.cache_active() && self.pipeline.ac_level_for_hit(k, 1.0).skipped_steps() > 0 {
-            let query = embed(&self.jobs.get(job).prompt);
+            let slot = self.jobs.get_mut(job);
+            let query = slot
+                .embedding
+                .get_or_insert_with(|| Box::new(embed(&slot.prompt)));
             let r = self
                 .cache
-                .retrieve(w.0, k, &query, t, self.pipeline.as_ref());
+                .retrieve(w.0, k, query, t, self.pipeline.as_ref());
             if let Some(outcome) = r.fetch {
                 self.metrics.retrieval(t, outcome.latency);
                 self.obs_hist(
@@ -686,8 +689,12 @@ impl SystemSimulation {
         // cache-plane stage (writes are asynchronous and off the critical
         // path, §4.7, so no latency accrues).
         if self.pipeline.uses_cache_store() {
-            self.cache
-                .insert(w.0, embed(&self.jobs.get(job).prompt), job as u64);
+            let slot = self.jobs.get_mut(job);
+            let embedding = slot
+                .embedding
+                .take()
+                .map_or_else(|| embed(&slot.prompt), |e| *e);
+            self.cache.insert(w.0, embedding, job as u64);
         }
         self.jobs.retire(job);
     }

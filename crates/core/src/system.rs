@@ -17,7 +17,7 @@ use argus_cluster::{Cluster, JobId, WorkerId};
 use argus_des::rng::RngFactory;
 use argus_des::stats::WindowedRate;
 use argus_des::{EventQueue, SimDuration, SimTime};
-use argus_embed::embed;
+use argus_embed::{embed, Embedding};
 use argus_models::{latency, ApproxLevel, GpuArch, Strategy, RUNGS};
 use argus_obs::{Recorder, SpanLog, StageProfile, TelemetryConfig, Timeline};
 use argus_prompts::{DriftSchedule, Prompt, PromptGenerator};
@@ -689,6 +689,11 @@ pub(crate) struct JobSlot {
     /// pass starts, read when it finishes. A later start (a reroute after
     /// a failure, or a cascade escalation) overwrites it.
     pub(crate) exec: Option<Exec>,
+    /// The prompt's embedding, kept from the job's first cache lookup:
+    /// a later lookup reads it and the cache insert moves it out, so a
+    /// prompt is embedded at most once. Boxed, so a slot that never
+    /// looks up grows by one pointer only.
+    pub(crate) embedding: Option<Box<Embedding>>,
     retired: bool,
 }
 
@@ -719,6 +724,7 @@ impl JobWindow {
             arrival,
             first_ratio: None,
             exec: None,
+            embedding: None,
             retired: false,
         });
         self.free();
@@ -738,6 +744,7 @@ impl JobWindow {
         let slot = self.get_mut(job);
         debug_assert!(!slot.retired, "job {job} retired twice");
         slot.retired = true;
+        slot.embedding = None;
         self.free();
     }
 

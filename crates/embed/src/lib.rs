@@ -18,6 +18,12 @@
 //! Either way it adds the token directions one token at a time, in text
 //! order, so a prompt and its text embed bit-identically.
 //!
+//! Two kernels score stored rows against a query, each bit-identical to
+//! the sequential sums it replaces: [`EmbeddingBlocks`] keeps embeddings
+//! block-major for the exact retrieval scan, which scores 32 rows a pass
+//! with the similarity [`cosine`] returns, and [`for_each_dot`] scores
+//! row-major hyperplanes eight a pass for the LSH and shard-routing keys.
+//!
 //! Like a real text encoder reading a fixed token table, [`embed`] looks
 //! token directions up rather than rebuilding them: each thread keeps a
 //! direct-mapped cache of 4096 directions keyed by the token hash (about
@@ -201,15 +207,19 @@ pub fn cosine(a: &Embedding, b: &Embedding) -> f32 {
 }
 
 /// The cosine of two vectors with dot product `dot` and norms `na`, `nb`.
+/// The quotient is taken even when a norm is 0 and then discarded, so a
+/// pass of these compiles to vector divides and selects, not branches.
 fn cosine_of_dot(dot: f32, na: f32, nb: f32) -> f32 {
+    let c = (dot / (na * nb)).clamp(-1.0, 1.0);
     if na == 0.0 || nb == 0.0 {
         0.0
     } else {
-        (dot / (na * nb)).clamp(-1.0, 1.0)
+        c
     }
 }
 
-/// Rows one pass of [`dot_lanes`] scores.
+/// Rows one pass of [`dot_lanes`] scores, and rows a block of an
+/// [`EmbeddingBlocks`] store holds.
 const LANES: usize = 8;
 
 /// The dot products of `x` with [`LANES`] rows in one pass, one row per
@@ -232,19 +242,28 @@ fn dot_lanes(x: &[f32; DIM], rows: [&[f32; DIM]; LANES]) -> [f32; LANES] {
     acc
 }
 
-/// Feeds `items` to `pass` in blocks of [`LANES`], with each block's
-/// first index and its number of real items. A short last block keeps
-/// `pad` (or the previous block's items) in its spare lanes, whose
-/// results the caller ignores.
-fn in_blocks<T: Copy>(
-    items: impl IntoIterator<Item = T>,
-    pad: T,
-    mut pass: impl FnMut(usize, usize, [T; LANES]),
+/// Calls `f(i, x · row_i)` for each row in order. Rows are scored eight
+/// to a pass, one per lane, each lane summing `x[d] * row[d]` in `d`
+/// order from `-0.0` (where `f32`'s `Sum` starts), so every dot product
+/// is bit-identical to `x.iter().zip(row).map(|(a, b)| a * b).sum()`.
+/// The hyperplane keys of the LSH index and the shard router are scored
+/// through it.
+pub fn for_each_dot<'a>(
+    x: &[f32; DIM],
+    rows: impl IntoIterator<Item = &'a [f32; DIM]>,
+    mut f: impl FnMut(usize, f32),
 ) {
-    let mut block = [pad; LANES];
+    // A short last block keeps zero rows (or the previous block's rows)
+    // in its spare lanes, whose results are never reported.
+    let mut block = [&[0.0; DIM]; LANES];
     let (mut base, mut n) = (0, 0);
-    for item in items {
-        block[n] = item;
+    let mut pass = |base: usize, n: usize, block: [&[f32; DIM]; LANES]| {
+        for (l, &dot) in dot_lanes(x, block)[..n].iter().enumerate() {
+            f(base + l, dot);
+        }
+    };
+    for row in rows {
+        block[n] = row;
         n += 1;
         if n == LANES {
             pass(base, n, block);
@@ -257,40 +276,145 @@ fn in_blocks<T: Copy>(
     }
 }
 
-/// Calls `f(i, x · row_i)` for each row in order. Rows are scored eight
-/// to a pass, one per lane, each lane summing `x[d] * row[d]` in `d`
-/// order from `-0.0` (where `f32`'s `Sum` starts), so every dot product
-/// is bit-identical to `x.iter().zip(row).map(|(a, b)| a * b).sum()`.
-pub fn for_each_dot<'a>(
-    x: &[f32; DIM],
-    rows: impl IntoIterator<Item = &'a [f32; DIM]>,
-    mut f: impl FnMut(usize, f32),
-) {
-    in_blocks(rows, &[0.0; DIM], |base, n, block| {
-        for (l, &dot) in dot_lanes(x, block)[..n].iter().enumerate() {
-            f(base + l, dot);
-        }
-    });
+/// Blocks one pass of [`EmbeddingBlocks::cosines`] scores: 32
+/// rows, so 32 independent chains of adds, whose accumulators fill eight
+/// of the sixteen SSE2 registers.
+const PASS_BLOCKS: usize = 4;
+
+/// Eight embeddings laid out `[d][lane]`, with each one's cached norm.
+#[derive(Debug, Clone)]
+struct Block {
+    v: [[f32; LANES]; DIM],
+    norm: [f32; LANES],
 }
 
-/// Calls `f(i, cosine(query, e_i))` for each embedding in order, scoring
-/// eight embeddings a pass like [`for_each_dot`]. Bit-identical to calling
-/// [`cosine`] on each.
-pub fn for_each_cosine<'a>(
-    query: &Embedding,
-    rows: impl IntoIterator<Item = &'a Embedding>,
-    mut f: impl FnMut(usize, f32),
-) {
-    const PAD: Embedding = Embedding {
-        v: [0.0; DIM],
-        norm: 0.0,
+impl Block {
+    /// Eight zero embeddings: the blocks that pad a scan's last pass.
+    const ZERO: Block = Block {
+        v: [[0.0; LANES]; DIM],
+        norm: [0.0; LANES],
     };
-    in_blocks(rows, &PAD, |base, n, block| {
-        let dots = dot_lanes(&query.v, block.map(|e| &e.v));
-        for (l, (&dot, e)) in dots.iter().zip(block).take(n).enumerate() {
-            f(base + l, cosine_of_dot(dot, query.norm, e.norm));
+}
+
+/// Embeddings stored for exact scans: block-major, eight rows a block,
+/// each block laid out `[d][lane]` with each row's cached norm, so a
+/// scan reads every coordinate `d` of eight rows with one unit-stride
+/// load. A row keeps the bytes of an [`Embedding`]: 64 coordinates and
+/// the norm. Rows are numbered from 0 in push order.
+#[derive(Debug, Clone, Default)]
+pub struct EmbeddingBlocks {
+    blocks: Vec<Block>,
+    len: usize,
+}
+
+impl EmbeddingBlocks {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty store with room for `rows` rows before it reallocates.
+    pub fn with_capacity(rows: usize) -> Self {
+        EmbeddingBlocks {
+            blocks: Vec::with_capacity(rows.div_ceil(LANES)),
+            len: 0,
         }
-    });
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the store holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends `e` as row `len()`. The store grows by whole blocks.
+    pub fn push(&mut self, e: &Embedding) {
+        if self.len.is_multiple_of(LANES) {
+            self.blocks.push(Block::ZERO);
+        }
+        self.len += 1;
+        self.set(self.len - 1, e);
+    }
+
+    /// Overwrites row `row` with `e`.
+    ///
+    /// # Panics
+    /// Panics if `row >= len()`.
+    pub fn set(&mut self, row: usize, e: &Embedding) {
+        assert!(row < self.len, "row {row} out of {}", self.len);
+        let (block, lane) = (&mut self.blocks[row / LANES], row % LANES);
+        for (d, &x) in block.v.iter_mut().zip(&e.v) {
+            d[lane] = x;
+        }
+        block.norm[lane] = e.norm;
+    }
+
+    /// Row `row`, bit-identical to the embedding stored there:
+    /// coordinates and cached norm.
+    ///
+    /// # Panics
+    /// Panics if `row >= len()`.
+    pub fn get(&self, row: usize) -> Embedding {
+        assert!(row < self.len, "row {row} out of {}", self.len);
+        let (block, lane) = (&self.blocks[row / LANES], row % LANES);
+        Embedding {
+            v: std::array::from_fn(|d| block.v[d][lane]),
+            norm: block.norm[lane],
+        }
+    }
+
+    /// Calls `f(row, cosine(query, e_row))` for each row in order, scoring
+    /// four blocks (32 rows) a pass. Each row's accumulator adds the
+    /// products `query[d] * row[d]` for `d` in order from `-0.0`, as
+    /// [`cosine`]'s `f32` sum does, and then takes the same cosine of the
+    /// dot product, so every similarity is bit-identical to [`cosine`]'s.
+    /// The spare lanes of a short last pass are never reported.
+    pub fn cosines(&self, query: &Embedding, mut f: impl FnMut(usize, f32)) {
+        let mut row = 0;
+        for pass in self.blocks.chunks(PASS_BLOCKS) {
+            let blocks = std::array::from_fn(|b| pass.get(b).unwrap_or(&Block::ZERO));
+            for &sim in cosine_pass(query, blocks).as_flattened() {
+                if row == self.len {
+                    return;
+                }
+                f(row, sim);
+                row += 1;
+            }
+        }
+    }
+}
+
+/// The cosines of `query` with the rows of [`PASS_BLOCKS`] blocks, each
+/// bit-identical to [`cosine`]'s.
+fn cosine_pass(query: &Embedding, blocks: [&Block; PASS_BLOCKS]) -> [[f32; LANES]; PASS_BLOCKS] {
+    let mut sims = dot_blocks(&query.v, blocks);
+    for (sims, block) in sims.iter_mut().zip(blocks) {
+        for (sim, &norm) in sims.iter_mut().zip(&block.norm) {
+            *sim = cosine_of_dot(*sim, query.norm, norm);
+        }
+    }
+    sims
+}
+
+/// The dot products of `x` with the [`LANES`] rows of each of
+/// [`PASS_BLOCKS`] blocks, one accumulator per row. Each accumulator adds
+/// `x[d] * row[d]` for `d = 0..DIM` in order, starting from `-0.0`, so it
+/// equals the sequential sum bit for bit; the 32 chains are independent,
+/// and every load reads eight rows' coordinate `d` at unit stride.
+fn dot_blocks(x: &[f32; DIM], blocks: [&Block; PASS_BLOCKS]) -> [[f32; LANES]; PASS_BLOCKS] {
+    let mut acc = [[-0.0f32; LANES]; PASS_BLOCKS];
+    for (d, &xd) in x.iter().enumerate() {
+        for (acc, block) in acc.iter_mut().zip(&blocks) {
+            for (a, &r) in acc.iter_mut().zip(&block.v[d]) {
+                *a += xd * r;
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -523,29 +647,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn for_each_cosine_matches_cosine_including_zero_embeddings() {
+    /// Text embeddings with zero rows in several lanes of different
+    /// blocks and passes, raw token directions (not unit norm) and
+    /// negated embeddings, which score below 0 against their originals.
+    fn block_corpus() -> Vec<Embedding> {
         let mut corpus: Vec<Embedding> = texts().iter().map(embed).collect();
-        // Zero embeddings in several lanes of different blocks.
-        for at in [0, 5, 9, 17, 18] {
+        for at in [0, 5, 9, 17, 18, 31, 32, 40] {
             corpus.insert(at, Embedding::zero());
         }
+        for (i, h) in (0..24u64).enumerate() {
+            corpus.insert(3 * i + 1, Embedding::from_array(direction_of_hash(h)));
+        }
+        for i in 0..24 {
+            let negated = corpus[100 + i].v.map(|x| -x);
+            corpus.insert(50 + 2 * i, Embedding::from_array(negated));
+        }
+        corpus
+    }
+
+    #[test]
+    fn block_scan_matches_cosine_row_by_row_for_every_length() {
+        let corpus = block_corpus();
         let queries = [
             embed("a painting of a castle by a river"),
             embed(""),
-            corpus[40].clone(),
+            Embedding::from_array([-0.0; DIM]),
+            corpus[60].clone(),
+            Embedding::from_array(direction_of_hash(99)),
         ];
-        for q in &queries {
-            // Every corpus length, so each short last block is covered.
-            for len in [0, 1, 7, 8, 9, 15, 16, 17, corpus.len()] {
+        // Every length through three passes and a partial fourth covers
+        // each short last block and each short last pass; then the whole
+        // corpus.
+        let lengths = (0..=4 * PASS_BLOCKS * LANES + 9).chain([corpus.len()]);
+        for len in lengths {
+            let mut store = EmbeddingBlocks::new();
+            for e in &corpus[..len] {
+                store.push(e);
+            }
+            assert_eq!(store.len(), len);
+            assert_eq!(store.blocks.len(), len.div_ceil(LANES), "whole blocks");
+            for q in &queries {
                 let mut seen = 0;
-                for_each_cosine(q, &corpus[..len], |i, sim| {
+                store.cosines(q, |i, sim| {
                     assert_eq!(i, seen);
-                    assert_eq!(sim.to_bits(), cosine(q, &corpus[i]).to_bits(), "entry {i}");
+                    assert_eq!(
+                        sim.to_bits(),
+                        cosine(q, &corpus[i]).to_bits(),
+                        "len {len}, row {i}"
+                    );
                     seen += 1;
                 });
-                assert_eq!(seen, len);
+                assert_eq!(seen, len, "every row once, no padding lane");
             }
+        }
+    }
+
+    #[test]
+    fn block_rows_round_trip_bit_for_bit() {
+        let corpus = block_corpus();
+        let mut store = EmbeddingBlocks::with_capacity(20);
+        for e in &corpus[..20] {
+            store.push(e);
+        }
+        // Overwrite rows across blocks with later embeddings.
+        let mut want: Vec<Embedding> = corpus[..20].to_vec();
+        for (row, e) in [(0, 55), (7, 56), (8, 57), (19, 1)] {
+            store.set(row, &corpus[e]);
+            want[row] = corpus[e].clone();
+        }
+        for (row, e) in want.iter().enumerate() {
+            assert_eq!(bits(&store.get(row)), bits(e), "row {row}");
         }
     }
 

@@ -6,10 +6,12 @@
 //! state to reuse. This crate is that database:
 //!
 //! * [`FlatIndex`] — exact brute-force cosine k-NN with an optional FIFO
-//!   capacity limit (the cache does not grow without bound); top-k uses
-//!   partial selection, so a query costs one scan plus `O(n)` selection
-//!   rather than a full sort, and the single best match is a running
-//!   maximum over the scan;
+//!   capacity limit (the cache does not grow without bound); its
+//!   embeddings live block-major in an [`EmbeddingBlocks`] ring, scanned
+//!   32 rows a pass with every similarity bit-identical to
+//!   [`argus_embed::cosine`]; top-k uses partial selection, so a query
+//!   costs one scan plus `O(n)` selection rather than a full sort, and
+//!   the single best match is a running maximum over the scan;
 //! * [`LshIndex`] — hyperplane locality-sensitive hashing with multi-probe
 //!   search and the same optional FIFO capacity limit, trading a little
 //!   recall for sub-linear scan cost;
@@ -37,7 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use argus_embed::{cosine, for_each_cosine, for_each_dot, Embedding, DIM};
+use argus_embed::{cosine, for_each_dot, Embedding, EmbeddingBlocks, DIM};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 pub mod shard;
@@ -128,10 +130,10 @@ pub(crate) fn sign_key(planes: &[[f32; DIM]], e: &Embedding, mut on_dot: impl Fn
     key
 }
 
-/// Orders scored candidates best-first: similarity descending, then older
-/// (lower insertion rank) first — the deterministic tie-break every index
-/// guarantees.
-fn by_rank(a: &(f32, usize), b: &(f32, usize)) -> std::cmp::Ordering {
+/// Orders scored `(similarity, age, slot)` candidates best-first:
+/// similarity descending, then older (lower age) first — the
+/// deterministic tie-break every index guarantees.
+fn by_age(a: &(f32, u64, usize), b: &(f32, u64, usize)) -> std::cmp::Ordering {
     b.0.partial_cmp(&a.0)
         .unwrap_or(std::cmp::Ordering::Equal)
         .then(a.1.cmp(&b.1))
@@ -157,9 +159,21 @@ fn top_k_by<T>(
 ///
 /// With a capacity limit set, the oldest entries are evicted FIFO once the
 /// limit is reached — modelling bounded cache storage.
+///
+/// Entries live in slots: their embeddings in an [`EmbeddingBlocks`]
+/// store, which the scan reads 32 rows a pass, and their insertion ages
+/// and payloads alongside. Slots `0..len` are all live. A full index is a
+/// ring: an insert takes the oldest entry's slot, so once the ring wraps,
+/// slot order is not age order, and ties between equal similarities are
+/// broken by age.
 #[derive(Debug, Clone)]
 pub struct FlatIndex<P> {
-    entries: std::collections::VecDeque<(Embedding, P)>,
+    rows: EmbeddingBlocks,
+    /// Each slot's insertion age (lower is older) and payload.
+    slots: Vec<(u64, P)>,
+    /// The slot of the oldest entry. It is 0 unless the index is full.
+    head: usize,
+    next_age: u64,
     capacity: Option<usize>,
 }
 
@@ -173,7 +187,10 @@ impl<P> FlatIndex<P> {
     /// Creates an unbounded index.
     pub fn new() -> Self {
         FlatIndex {
-            entries: std::collections::VecDeque::new(),
+            rows: EmbeddingBlocks::new(),
+            slots: Vec::new(),
+            head: 0,
+            next_age: 0,
             capacity: None,
         }
     }
@@ -185,30 +202,61 @@ impl<P> FlatIndex<P> {
     pub fn with_capacity_limit(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity limit must be positive");
         FlatIndex {
-            entries: std::collections::VecDeque::with_capacity(capacity),
+            rows: EmbeddingBlocks::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            head: 0,
+            next_age: 0,
             capacity: Some(capacity),
         }
     }
 
     /// Number of stored embeddings.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Inserts an embedding with its payload, evicting the oldest entry if
     /// at capacity. Returns the evicted payload, if any.
     pub fn insert(&mut self, embedding: Embedding, payload: P) -> Option<P> {
-        let evicted = match self.capacity {
-            Some(cap) if self.entries.len() >= cap => self.entries.pop_front().map(|(_, p)| p),
-            _ => None,
-        };
-        self.entries.push_back((embedding, payload));
-        evicted
+        let age = self.next_age;
+        self.next_age += 1;
+        match self.capacity {
+            Some(cap) if self.slots.len() >= cap => {
+                let slot = self.head;
+                self.head = (slot + 1) % self.slots.len();
+                self.rows.set(slot, &embedding);
+                Some(std::mem::replace(&mut self.slots[slot], (age, payload)).1)
+            }
+            _ => {
+                self.push(&embedding, age, payload);
+                None
+            }
+        }
+    }
+
+    /// Appends an entry in the next slot.
+    fn push(&mut self, embedding: &Embedding, age: u64, payload: P) {
+        self.rows.push(embedding);
+        self.slots.push((age, payload));
+    }
+
+    /// Takes every entry out, oldest first, as `(embedding, age,
+    /// payload)`, leaving the index empty with its capacity limit.
+    fn take_in_age_order(&mut self) -> impl Iterator<Item = (Embedding, u64, P)> {
+        let head = std::mem::take(&mut self.head);
+        let rows = std::mem::take(&mut self.rows);
+        let mut slots = std::mem::take(&mut self.slots);
+        let n = slots.len();
+        slots.rotate_left(head);
+        slots
+            .into_iter()
+            .enumerate()
+            .map(move |(i, (age, p))| (rows.get((head + i) % n), age, p))
     }
 
     /// Returns up to `k` nearest entries by cosine similarity, best first.
@@ -218,36 +266,38 @@ impl<P> FlatIndex<P> {
     where
         P: Clone,
     {
-        let mut scored: Vec<(f32, usize)> = Vec::with_capacity(self.entries.len());
-        for_each_cosine(query, self.entries.iter().map(|(e, _)| e), |i, sim| {
-            scored.push((sim, i));
+        let mut scored: Vec<(f32, u64, usize)> = Vec::with_capacity(self.len());
+        self.rows.cosines(query, |slot, sim| {
+            scored.push((sim, self.slots[slot].0, slot));
         });
-        top_k_by(&mut scored, k, by_rank)
+        top_k_by(&mut scored, k, by_age)
             .iter()
-            .map(|&(similarity, i)| SearchHit {
+            .map(|&(similarity, _, slot)| SearchHit {
                 similarity,
-                payload: self.entries[i].1.clone(),
+                payload: self.slots[slot].1.clone(),
             })
             .collect()
     }
 
     /// The single best match, if the index is non-empty: `search(query,
-    /// 1)` without allocating. The same scan keeps a running maximum in
-    /// age order, and its strict `>` leaves a tie with the older entry,
-    /// as `search` orders it.
+    /// 1)` without allocating. The same scan keeps a running maximum, and
+    /// a tie goes to the older entry, as `search` orders it.
     pub fn nearest(&self, query: &Embedding) -> Option<SearchHit<P>>
     where
         P: Clone,
     {
-        let mut best: Option<(f32, usize)> = None;
-        for_each_cosine(query, self.entries.iter().map(|(e, _)| e), |i, sim| {
-            if best.is_none_or(|(best_sim, _)| sim > best_sim) {
-                best = Some((sim, i));
+        let mut best: Option<(f32, u64, usize)> = None;
+        self.rows.cosines(query, |slot, sim| {
+            let better = best.is_none_or(|(best_sim, best_age, _)| {
+                sim > best_sim || (sim == best_sim && self.slots[slot].0 < best_age)
+            });
+            if better {
+                best = Some((sim, self.slots[slot].0, slot));
             }
         });
-        best.map(|(similarity, i)| SearchHit {
+        best.map(|(similarity, _, slot)| SearchHit {
             similarity,
-            payload: self.entries[i].1.clone(),
+            payload: self.slots[slot].1.clone(),
         })
     }
 
@@ -258,15 +308,13 @@ impl<P> FlatIndex<P> {
         mut pred: impl FnMut(&Embedding, &P) -> bool,
     ) -> Vec<(Embedding, P)> {
         let mut out = Vec::new();
-        let mut kept = std::collections::VecDeque::with_capacity(self.entries.len());
-        for (e, p) in self.entries.drain(..) {
+        for (e, age, p) in self.take_in_age_order() {
             if pred(&e, &p) {
                 out.push((e, p));
             } else {
-                kept.push_back((e, p));
+                self.push(&e, age, p);
             }
         }
-        self.entries = kept;
         out
     }
 
@@ -277,9 +325,18 @@ impl<P> FlatIndex<P> {
     /// Panics if `capacity == 0`.
     pub fn set_capacity(&mut self, capacity: usize) -> Vec<P> {
         assert!(capacity > 0, "capacity limit must be positive");
-        let mut evicted = Vec::new();
-        while self.entries.len() > capacity {
-            evicted.push(self.entries.pop_front().expect("len checked").1);
+        let excess = self.len().saturating_sub(capacity);
+        let mut evicted = Vec::with_capacity(excess);
+        // The survivors move back to slots in age order, so the ring
+        // starts unwrapped under the new cap.
+        if excess > 0 || self.head != 0 {
+            for (i, (e, age, p)) in self.take_in_age_order().enumerate() {
+                if i < excess {
+                    evicted.push(p);
+                } else {
+                    self.push(&e, age, p);
+                }
+            }
         }
         self.capacity = Some(capacity);
         evicted
@@ -461,12 +518,7 @@ impl<P> LshIndex<P> {
                 (cosine(query, &e.embedding), e.seq, i)
             })
             .collect();
-        let cmp = |a: &(f32, u64, usize), b: &(f32, u64, usize)| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        };
-        top_k_by(&mut scored, k, cmp)
+        top_k_by(&mut scored, k, by_age)
             .iter()
             .map(|&(similarity, _, i)| SearchHit {
                 similarity,
