@@ -8,7 +8,7 @@
 //! telemetry is an observer, never a participant. On Linux the cost is
 //! process CPU time (co-tenants on shared runners inflate wall clock by
 //! 20%+ between runs, drowning a 2% budget); elsewhere it falls back to
-//! wall clock. Either way each variant takes its best of three
+//! wall clock. Either way each variant takes its best of seven
 //! interleaved rounds.
 //!
 //! The measured overheads are recorded into `BENCH_obs.json` at the
@@ -52,7 +52,7 @@ fn cpu_ticks() -> Option<u64> {
 /// scheduler/allocator/co-tenant noise: interleaving spreads noise
 /// bursts across all three variants and the per-variant minimum is the
 /// estimator least polluted by them.
-const ROUNDS: usize = 3;
+const ROUNDS: usize = 7;
 
 #[derive(Default)]
 struct Sample {

@@ -675,9 +675,7 @@ impl SystemSimulation {
                     let ladder = ApproxLevel::ladder(strategy);
                     let prompt = &self.jobs.get(job).prompt;
                     let label = self.oracle.optimal_level(prompt, ladder);
-                    if let Some(clf) = self.classifiers.get_mut(&strategy) {
-                        clf.update(prompt, label, 0.02);
-                    }
+                    self.classifiers[strategy as usize].update(prompt, label, 0.02);
                 }
                 ClassifierUpdates::Frozen => {}
             }
@@ -717,7 +715,7 @@ impl SystemSimulation {
                 seed: self.cfg.seed ^ minute,
             },
         );
-        self.classifiers.insert(strategy, clf);
+        self.classifiers[strategy as usize] = clf;
     }
 
     fn on_load_done(&mut self, w: WorkerId, t: SimTime) {
@@ -782,7 +780,7 @@ impl SystemSimulation {
                 t.as_minutes() as u64,
                 self.jobs.recent().rev().take(200),
                 ladder,
-                &self.classifiers[&strategy],
+                &self.classifiers[strategy as usize],
                 &self.oracle,
             );
         }
@@ -1145,7 +1143,7 @@ impl SystemSimulation {
 
         // PASM for Argus; proportional for the prompt-agnostic systems.
         if self.pipeline.uses_oda() {
-            let phi = self.predictors[&strategy].phi();
+            let phi = self.predictors[strategy as usize].phi();
             self.pasm = oda(&phi, &self.omega_norm).unwrap_or_else(|_| Pasm::identity(RUNGS));
         } else {
             self.pasm =

@@ -321,7 +321,7 @@ mod tests {
     fn insert_receipts_charge_cross_worker_hops() {
         let mut plane = CachePlane::new(4, 2, 8, 3, 512);
         let prompts = PromptGenerator::new(9).generate_batch(40);
-        let mut hop_counts = std::collections::HashMap::new();
+        let mut hop_counts = std::collections::BTreeMap::new();
         for (i, p) in prompts.iter().enumerate() {
             // Off-cluster origin: both replica copies cross the network.
             let off = plane.insert(None, embed(&p.text), i as u64);

@@ -25,15 +25,11 @@ impl LevelPlanner for ArgusPolicy {
     }
 
     fn pick_target_level(&self, ctx: &mut RouteCtx<'_>, ladder: &[ApproxLevel]) -> usize {
-        let strategy = ctx.switcher.planning_strategy();
-        let clf = ctx
-            .classifiers
-            .get(&strategy)
-            .expect("classifier trained at init");
-        let predicted = clf.predict(ctx.prompt).min(ladder.len() - 1);
-        if let Some(p) = ctx.predictors.get_mut(&strategy) {
-            p.record(predicted);
-        }
+        let table = ctx.switcher.planning_strategy() as usize;
+        let predicted = ctx.classifiers[table]
+            .predict(ctx.prompt)
+            .min(ladder.len() - 1);
+        ctx.predictors[table].record(predicted);
         ctx.pasm.sample(predicted, ctx.route_rng)
     }
 

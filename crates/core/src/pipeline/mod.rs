@@ -25,7 +25,6 @@
 //! batch bound of 1 every stage reproduces the pre-pipeline behaviour
 //! bit-for-bit (pinned by `tests/batch_parity.rs`).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -84,11 +83,13 @@ pub struct RouteCtx<'a> {
     pub cluster: &'a Cluster,
     /// The AC↔SM switcher (read-only; selects the planning strategy).
     pub switcher: &'a StrategySwitcher,
-    /// Per-strategy classifiers (empty unless the policy trains them).
-    pub classifiers: &'a HashMap<Strategy, Classifier>,
+    /// Per-strategy classifiers, indexed by `Strategy as usize` (AC, then
+    /// SM); empty unless the policy trains them.
+    pub classifiers: &'a [Classifier],
     /// Per-strategy workload-distribution predictors (classifier output
-    /// histogram, §4.2); mutable so the planner can record predictions.
-    pub predictors: &'a mut HashMap<Strategy, WorkloadDistributionPredictor>,
+    /// histogram, §4.2), indexed like `classifiers`; mutable so the
+    /// planner can record predictions.
+    pub predictors: &'a mut [WorkloadDistributionPredictor],
     /// The current PASM (Argus) or proportional map (baselines).
     pub pasm: &'a Pasm,
     /// The normalized load distribution `ω` from the last allocation.

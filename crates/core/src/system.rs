@@ -7,7 +7,7 @@
 //! evaluation (Figs. 16, 17, 18, 20, §5.4–§5.7) is a run of this
 //! simulation under a different configuration.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::iter::Peekable;
 use std::sync::Arc;
 
@@ -800,8 +800,12 @@ pub struct SystemSimulation {
     /// Per-job state of live and recent jobs.
     pub(crate) jobs: JobWindow,
     pub(crate) switcher: StrategySwitcher,
-    pub(crate) classifiers: HashMap<Strategy, Classifier>,
-    pub(crate) predictors: HashMap<Strategy, WorkloadDistributionPredictor>,
+    /// Per-strategy classifiers, indexed by `Strategy as usize` (AC,
+    /// then SM); empty unless the pipeline trains them.
+    pub(crate) classifiers: Vec<Classifier>,
+    /// Per-strategy workload-distribution predictors, indexed like
+    /// `classifiers`.
+    pub(crate) predictors: [WorkloadDistributionPredictor; 2],
     pub(crate) pasm: Pasm,
     pub(crate) omega_norm: Vec<f64>,
     /// The run's SLO, [`SLO_MULTIPLIER`] × the slowest pool's SD-XL
@@ -922,8 +926,10 @@ impl SystemSimulation {
         let offline =
             PromptGenerator::new(cfg.seed ^ 0x0FF11E).generate_batch(cfg.classifier_train_size);
 
-        // Classifiers per strategy (Argus needs both for switching).
-        let mut classifiers = HashMap::new();
+        // Classifiers per strategy (Argus needs both for switching), built
+        // in AC, SM order so `Strategy as usize` indexes them.
+        const _: () = assert!(Strategy::Ac as usize == 0 && Strategy::Sm as usize == 1);
+        let mut classifiers = Vec::new();
         if pipeline.uses_classifier() {
             for strategy in [Strategy::Ac, Strategy::Sm] {
                 let ladder = ApproxLevel::ladder(strategy);
@@ -936,7 +942,7 @@ impl SystemSimulation {
                         seed: cfg.seed,
                     },
                 );
-                classifiers.insert(strategy, clf);
+                classifiers.push(clf);
             }
         }
 
@@ -982,10 +988,8 @@ impl SystemSimulation {
             vdb.insert(None, embed(p), OFFLINE_BASE + i as u64);
         }
 
-        let predictors = [Strategy::Ac, Strategy::Sm]
-            .into_iter()
-            .map(|s| (s, WorkloadDistributionPredictor::new(RUNGS, 1000)))
-            .collect();
+        let predictors =
+            [Strategy::Ac, Strategy::Sm].map(|_| WorkloadDistributionPredictor::new(RUNGS, 1000));
 
         let horizon = SimTime::from_minutes(cfg.trace.len_minutes() as f64);
         // The SLO references the slowest architecture in the fleet (for the

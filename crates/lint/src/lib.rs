@@ -6,8 +6,10 @@
 //!
 //! - **D1 `wall-clock`** — no `Instant::now` / `SystemTime` outside the
 //!   bench crate or an annotated site.
-//! - **D2 `unordered-iter`** — no iteration over `HashMap`/`HashSet`;
-//!   use `BTreeMap` or sort explicitly.
+//! - **D2 `unordered-iter`** — no `HashMap`/`HashSet` at all: every
+//!   identifier naming one is a deny, so nothing can iterate one, through
+//!   an alias or from another file; use `BTreeMap`/`BTreeSet` or a table
+//!   indexed by a dense key.
 //! - **D4 `stray-thread`** — no `thread::spawn`/`scope`/`Builder`
 //!   anywhere: the simulation runs on one thread.
 //! - **D5 `unseeded-rng`** — no `thread_rng`/OS entropy.
@@ -66,88 +68,93 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
     let mut rep = Report::default();
 
     for rel in &files {
-        let abs = cfg.root.join(rel);
-        let src = std::fs::read_to_string(&abs)?;
+        let src = std::fs::read_to_string(cfg.root.join(rel))?;
         rep.files_scanned += 1;
         rep.lines_scanned += src.lines().count();
-        let lexed = lexer::lex(&src);
-        let mut file_findings: Vec<Finding> = Vec::new();
-
-        if !has_prefix(rel, &cfg.wall_clock_allow) {
-            file_findings.extend(rules::wall_clock(rel, &lexed));
-        }
-        file_findings.extend(rules::unordered_iter(rel, &lexed));
-        file_findings.extend(rules::stray_thread(rel, &lexed));
-        file_findings.extend(rules::unseeded_rng(rel, &lexed));
-
-        // Apply escape hatches: an allow for the right slug on the
-        // finding's own line, or whose next token line is the finding's.
-        let mut used = vec![false; lexed.allows.len()];
-        for f in &mut file_findings {
-            for (ai, a) in lexed.allows.iter().enumerate() {
-                if a.rule != f.slug {
-                    continue;
-                }
-                let covers = a.line == f.line || lexed.next_token_line(a.line) == Some(f.line);
-                if covers {
-                    used[ai] = true;
-                    if a.has_reason {
-                        f.allowed = true;
-                    } else {
-                        // The annotation matched but lacks a reason:
-                        // keep the deny and add an annotation finding.
-                    }
-                }
-            }
-        }
-        // Annotation-grammar findings: unknown slug, missing reason, or
-        // an allow that suppresses nothing (stale).
-        for (ai, a) in lexed.allows.iter().enumerate() {
-            if rules::rule_by_slug(&a.rule).is_none() {
-                file_findings.push(Finding {
-                    rule_id: "LA".into(),
-                    slug: "lint-annotation".into(),
-                    severity: Severity::Deny,
-                    file: rel.clone(),
-                    line: a.line,
-                    message: format!("allow names unknown rule `{}`", a.rule),
-                    in_test: lexed.in_test(a.line),
-                    allowed: false,
-                });
-            } else if !a.has_reason {
-                file_findings.push(Finding {
-                    rule_id: "LA".into(),
-                    slug: "lint-annotation".into(),
-                    severity: Severity::Deny,
-                    file: rel.clone(),
-                    line: a.line,
-                    message: format!(
-                        "allow({}) without a reason — write `// lint: allow({}) — <why>`",
-                        a.rule, a.rule
-                    ),
-                    in_test: lexed.in_test(a.line),
-                    allowed: false,
-                });
-            } else if !used[ai] {
-                file_findings.push(Finding {
-                    rule_id: "LA".into(),
-                    slug: "lint-annotation".into(),
-                    severity: Severity::Deny,
-                    file: rel.clone(),
-                    line: a.line,
-                    message: format!("stale allow({}) — it suppresses nothing", a.rule),
-                    in_test: lexed.in_test(a.line),
-                    allowed: false,
-                });
-            }
-        }
-
-        rep.findings.append(&mut file_findings);
+        let wall_clock = !has_prefix(rel, &cfg.wall_clock_allow);
+        rep.findings.extend(lint_source(rel, &src, wall_clock));
     }
 
     rep.findings
         .sort_by(|a, b| (&a.file, a.line, &a.rule_id).cmp(&(&b.file, b.line, &b.rule_id)));
     Ok(rep)
+}
+
+/// Lints one file's source, reported as `rel`: every rule (D1 only when
+/// `wall_clock` is set), then the escape hatches and their grammar.
+pub(crate) fn lint_source(rel: &str, src: &str, wall_clock: bool) -> Vec<Finding> {
+    let lexed = lexer::lex(src);
+    let mut file_findings: Vec<Finding> = Vec::new();
+
+    if wall_clock {
+        file_findings.extend(rules::wall_clock(rel, &lexed));
+    }
+    file_findings.extend(rules::unordered_iter(rel, &lexed));
+    file_findings.extend(rules::stray_thread(rel, &lexed));
+    file_findings.extend(rules::unseeded_rng(rel, &lexed));
+
+    // Apply escape hatches: an allow for the right slug on the
+    // finding's own line, or whose next token line is the finding's.
+    let mut used = vec![false; lexed.allows.len()];
+    for f in &mut file_findings {
+        for (ai, a) in lexed.allows.iter().enumerate() {
+            if a.rule != f.slug {
+                continue;
+            }
+            let covers = a.line == f.line || lexed.next_token_line(a.line) == Some(f.line);
+            if covers {
+                used[ai] = true;
+                if a.has_reason {
+                    f.allowed = true;
+                } else {
+                    // The annotation matched but lacks a reason:
+                    // keep the deny and add an annotation finding.
+                }
+            }
+        }
+    }
+    // Annotation-grammar findings: unknown slug, missing reason, or
+    // an allow that suppresses nothing (stale).
+    for (ai, a) in lexed.allows.iter().enumerate() {
+        if rules::rule_by_slug(&a.rule).is_none() {
+            file_findings.push(Finding {
+                rule_id: "LA".into(),
+                slug: "lint-annotation".into(),
+                severity: Severity::Deny,
+                file: rel.to_string(),
+                line: a.line,
+                message: format!("allow names unknown rule `{}`", a.rule),
+                in_test: lexed.in_test(a.line),
+                allowed: false,
+            });
+        } else if !a.has_reason {
+            file_findings.push(Finding {
+                rule_id: "LA".into(),
+                slug: "lint-annotation".into(),
+                severity: Severity::Deny,
+                file: rel.to_string(),
+                line: a.line,
+                message: format!(
+                    "allow({}) without a reason — write `// lint: allow({}) — <why>`",
+                    a.rule, a.rule
+                ),
+                in_test: lexed.in_test(a.line),
+                allowed: false,
+            });
+        } else if !used[ai] {
+            file_findings.push(Finding {
+                rule_id: "LA".into(),
+                slug: "lint-annotation".into(),
+                severity: Severity::Deny,
+                file: rel.to_string(),
+                line: a.line,
+                message: format!("stale allow({}) — it suppresses nothing", a.rule),
+                in_test: lexed.in_test(a.line),
+                allowed: false,
+            });
+        }
+    }
+    file_findings
 }
 
 fn has_prefix(rel: &str, prefixes: &[String]) -> bool {

@@ -26,7 +26,7 @@ pub const RULES: [RuleInfo; 5] = [
     RuleInfo {
         id: "D2",
         slug: "unordered-iter",
-        title: "no iteration over HashMap/HashSet — use BTreeMap or an explicit sort",
+        title: "no HashMap/HashSet — use a BTreeMap/BTreeSet or an indexed table",
     },
     RuleInfo {
         id: "D4",
@@ -49,21 +49,6 @@ pub const RULES: [RuleInfo; 5] = [
 pub fn rule_by_slug(slug: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.slug == slug)
 }
-
-/// Methods whose receiver order leaks into results when the receiver is
-/// an unordered map/set.
-const ITER_METHODS: [&str; 10] = [
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "into_keys",
-    "into_values",
-    "drain",
-    "retain",
-];
 
 /// Entropy-sourced RNG constructors (D5).
 const ENTROPY_IDENTS: [&str; 4] = ["thread_rng", "from_entropy", "OsRng", "from_os_rng"];
@@ -105,135 +90,26 @@ pub fn wall_clock(rel: &str, lexed: &Lexed) -> Vec<Finding> {
     out
 }
 
-/// D2 — iteration over `HashMap`/`HashSet`.
-///
-/// Pass 1 records the names of bindings, fields and parameters declared
-/// with a `HashMap`/`HashSet` type (or initialized from a `HashMap::…`
-/// constructor) in this file; pass 2 flags order-leaking method calls and
-/// `for … in` loops over those names. The tracking is per-file by
-/// design: a cross-file false positive (a `Vec` elsewhere sharing a
-/// field name) would be worse than asking the declaring file to convert
-/// or annotate.
+/// D2 — hash containers. Every `HashMap`/`HashSet` identifier (a `use`,
+/// an alias, a field, a path) is flagged, so a tree that passes holds no
+/// hash container whose randomized order could leak into results: not
+/// through an alias, and not from another file.
 pub fn unordered_iter(rel: &str, lexed: &Lexed) -> Vec<Finding> {
     let rule = &RULES[1];
-    let toks = &lexed.toks;
-    let mut names: Vec<String> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.text != "HashMap" && t.text != "HashSet" {
-            continue;
-        }
-        if let Some(name) = declared_name(toks, i) {
-            if !names.contains(&name) {
-                names.push(name);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        // `name.iter()` -style order-leaking method calls.
-        if t.kind == TokKind::Ident
-            && names.iter().any(|n| n == &t.text)
-            && is_seq(toks, i + 1, &["."])
-            && toks
-                .get(i + 2)
-                .is_some_and(|m| ITER_METHODS.contains(&m.text.as_str()))
-            && toks.get(i + 3).is_some_and(|p| p.text == "(")
-        {
-            out.push(finding(
+    lexed
+        .toks
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident && matches!(t.text.as_str(), "HashMap" | "HashSet"))
+        .map(|t| {
+            finding(
                 rule,
                 rel,
                 t,
-                format!(
-                    "iteration over unordered `{}` via `.{}()`",
-                    t.text,
-                    toks[i + 2].text
-                ),
+                format!("hash container `{}`", t.text),
                 lexed.in_test(t.line),
-            ));
-        }
-        // `for … in [&[mut]] [path.]name {` loops.
-        if t.text == "for" {
-            if let Some(f) = for_loop_over(toks, i, &names) {
-                out.push(finding(
-                    rule,
-                    rel,
-                    f,
-                    format!("`for` loop over unordered `{}`", f.text),
-                    lexed.in_test(f.line),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// The declared name a `HashMap`/`HashSet` token at `i` binds to, if the
-/// surrounding tokens are a declaration site.
-fn declared_name(toks: &[Tok], i: usize) -> Option<String> {
-    // Walk back over a path prefix (`std :: collections ::`).
-    let mut k = i;
-    while k >= 2 && toks[k - 1].text == "::" && toks[k - 2].kind == TokKind::Ident {
-        k -= 2;
-    }
-    // Walk back over reference/lifetime/mut decoration (`&'a mut`).
-    let mut p = k.checked_sub(1)?;
-    while toks[p].text == "&"
-        || toks[p].text == "mut"
-        || toks[p].kind == TokKind::Lifetime
-        || toks[p].text == "'"
-    {
-        p = p.checked_sub(1)?;
-    }
-    match toks[p].text.as_str() {
-        // `name: HashMap<…>` — field, param or typed let.
-        ":" => {
-            let cand = toks.get(p.checked_sub(1)?)?;
-            (cand.kind == TokKind::Ident).then(|| cand.text.clone())
-        }
-        // `… = HashMap::new()` — let binding or reassignment.
-        "=" => {
-            let before = toks.get(p.checked_sub(1)?)?;
-            if before.kind == TokKind::Ident && before.text != "let" {
-                // `name = …` or `let name = …` (the ident right before `=`).
-                Some(before.text.clone())
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
-}
-
-/// If the `for` loop starting at `i` iterates one of `names`, the
-/// offending token.
-fn for_loop_over<'t>(toks: &'t [Tok], i: usize, names: &[String]) -> Option<&'t Tok> {
-    // Find `in` within a short window (patterns are simple in practice).
-    let window = &toks[i..toks.len().min(i + 24)];
-    let in_off = window.iter().position(|t| t.text == "in")?;
-    let mut j = i + in_off + 1;
-    // Skip `&`, `mut`.
-    while toks
-        .get(j)
-        .is_some_and(|t| t.text == "&" || t.text == "mut")
-    {
-        j += 1;
-    }
-    // Accept `a.b.c` chains; the final ident before `{` is the operand.
-    let mut last: Option<&Tok> = None;
-    while let Some(t) = toks.get(j) {
-        if t.kind == TokKind::Ident {
-            last = Some(t);
-            j += 1;
-            if toks.get(j).is_some_and(|n| n.text == ".") {
-                j += 1;
-                continue;
-            }
-        }
-        break;
-    }
-    let last = last?;
-    (toks.get(j).is_some_and(|t| t.text == "{") && names.iter().any(|n| n == &last.text))
-        .then_some(last)
+            )
+        })
+        .collect()
 }
 
 /// D4 — thread spawning anywhere: the simulation runs on one thread, so
@@ -305,24 +181,62 @@ mod tests {
         assert!(wall_clock("x.rs", &lexed).is_empty());
     }
 
-    #[test]
-    fn d2_tracks_declarations_and_flags_iteration() {
-        let src = "struct S { m: HashMap<u32, u32> }\n\
-                   fn f(s: &S) -> u32 { s.m.values().sum() }\n\
-                   fn g(s: &S) { for (k, v) in &s.m { let _ = (k, v); } }\n";
-        let lexed = lex(src);
-        let f = unordered_iter("x.rs", &lexed);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert_eq!(f[0].line, 2);
-        assert_eq!(f[1].line, 3);
+    /// The lines of D2's findings in `src`.
+    fn d2_lines(src: &str) -> Vec<u32> {
+        unordered_iter("x.rs", &lex(src))
+            .iter()
+            .map(|f| f.line)
+            .collect()
     }
 
     #[test]
-    fn d2_ignores_point_lookups_and_vecs() {
-        let src = "let mut m = HashMap::new();\nm.insert(1, 2);\nlet _ = m.get(&1);\n\
-                   let v: Vec<u32> = vec![];\nfor x in &v { let _ = x; }\nlet _ = v.iter();";
-        let lexed = lex(src);
-        assert!(unordered_iter("x.rs", &lexed).is_empty());
+    fn d2_flags_an_aliased_use_but_not_the_alias() {
+        let src = "use std::collections::HashMap as Map;\n\
+                   struct S { m: Map<u32, u32> }\n\
+                   fn f(s: &S) -> u32 { s.m.values().sum() }\n";
+        assert_eq!(d2_lines(src), [1]);
+    }
+
+    #[test]
+    fn d2_flags_a_type_alias() {
+        assert_eq!(
+            d2_lines("type T = HashSet<u64>;\nlet t: T = T::new();"),
+            [1]
+        );
+    }
+
+    #[test]
+    fn d2_flags_a_fully_qualified_path() {
+        let src = "let m = std::collections::HashMap::<u8, u8>::new();\n\
+                   let s: std::collections::HashSet<u8> = Default::default();";
+        assert_eq!(d2_lines(src), [1, 2]);
+    }
+
+    #[test]
+    fn d2_ignores_strings_comments_and_ordered_containers() {
+        let src = "// a HashMap would leak its order here\n\
+                   /* HashSet */ let why = \"HashMap\";\n\
+                   let m: BTreeMap<u8, u8> = BTreeMap::new();\n\
+                   for (k, v) in &m { let _ = (k, v, why); }";
+        assert!(d2_lines(src).is_empty());
+    }
+
+    #[test]
+    fn d2_escape_hatch_suppresses_and_is_counted() {
+        let src = "fn f() {\n\
+                   // lint: allow(unordered-iter) — point lookups only; nothing iterates it.\n\
+                   let m = HashMap::<u8, u8>::new();\n\
+                   let _ = m.get(&1);\n}";
+        let rep = crate::report::Report {
+            findings: crate::lint_source("x.rs", src, true),
+            ..Default::default()
+        };
+        assert_eq!(rep.deny_count(), 0, "{:?}", rep.findings);
+        let allowed: Vec<_> = rep
+            .allowed()
+            .map(|f| (f.rule_id.as_str(), f.line))
+            .collect();
+        assert_eq!(allowed, [("D2", 3)]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 // Fixture: contract-conforming code — the lint must report nothing.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 struct State {
     ordered: BTreeMap<u32, u64>,
-    index: HashMap<u64, usize>,
+    index: BTreeMap<u64, usize>,
 }
 
 fn run(state: &mut State, seed: u64) -> u64 {
@@ -15,7 +15,8 @@ fn run(state: &mut State, seed: u64) -> u64 {
     for (_, v) in &state.ordered {
         total += v;
     }
-    // Point lookups on a HashMap are fine; only iteration leaks order.
+    // Point lookups go to an ordered map too: a hash container is a deny
+    // even when nothing iterates it.
     if let Some(&slot) = state.index.get(&total) {
         total += slot as u64;
     }

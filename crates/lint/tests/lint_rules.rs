@@ -106,8 +106,18 @@ fn d2_unordered_iter_fixture() {
     let rep = run("bad/d2_unordered_iter.rs");
     let d = denies(&rep);
     assert_eq!(d.len(), 2, "{d:?}");
-    assert_eq!(d[0], ("D2".into(), "bad/d2_unordered_iter.rs".into(), 11));
-    assert_eq!(d[1], ("D2".into(), "bad/d2_unordered_iter.rs".into(), 15));
+    assert_eq!(d[0], ("D2".into(), "bad/d2_unordered_iter.rs".into(), 3));
+    assert_eq!(d[1], ("D2".into(), "bad/d2_unordered_iter.rs".into(), 6));
+}
+
+#[test]
+fn d2_reports_an_aliased_map_iterated_across_files() {
+    // `tally.rs` names the map once, as an alias, and iterates it;
+    // `flush.rs` drains it. Only the aliased `use` names a hash container.
+    let rep = run("bad/d2_alias");
+    assert_eq!(rep.files_scanned, 2);
+    let d = denies(&rep);
+    assert_eq!(d, [("D2".into(), "bad/d2_alias/tally.rs".into(), 5)]);
 }
 
 #[test]

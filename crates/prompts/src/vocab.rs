@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn drift_themes_use_disjoint_subject_vocabulary() {
         // Drift only works if new themes actually introduce unseen tokens.
-        let base: std::collections::HashSet<&str> = THEMES[..BASE_THEMES]
+        let base: std::collections::BTreeSet<&str> = THEMES[..BASE_THEMES]
             .iter()
             .flat_map(|t| t.subjects.iter().copied())
             .collect();

@@ -381,10 +381,14 @@ struct LshEntry<P> {
     embedding: Embedding,
     payload: P,
     /// The bucket the entry hashed to (kept so eviction need not re-hash).
-    bucket: u64,
+    bucket: usize,
     /// Monotone insertion sequence — the deterministic age tie-break.
     seq: u64,
 }
+
+/// The most hyperplanes an [`LshIndex`] takes: its bucket table holds
+/// `1 << bits` buckets of 24 bytes, 1.5 MiB at 16 bits.
+const MAX_LSH_BITS: usize = 16;
 
 /// Hyperplane-LSH index with multi-probe search.
 ///
@@ -396,7 +400,9 @@ struct LshEntry<P> {
 #[derive(Debug, Clone)]
 pub struct LshIndex<P> {
     planes: Vec<[f32; DIM]>,
-    buckets: std::collections::HashMap<u64, Vec<usize>>,
+    /// Live slots per bucket, oldest first, indexed by sign pattern: a
+    /// dense table of `1 << bits` buckets (6 KiB at 8 bits).
+    buckets: Vec<Vec<usize>>,
     entries: Vec<Option<LshEntry<P>>>,
     /// Live slots in insertion order (front = oldest).
     fifo: std::collections::VecDeque<usize>,
@@ -407,16 +413,19 @@ pub struct LshIndex<P> {
 }
 
 impl<P> LshIndex<P> {
-    /// Creates an unbounded index with `bits` hyperplanes (4–20 is
-    /// sensible).
+    /// Creates an unbounded index with `bits` hyperplanes (6–10 is
+    /// sensible; the serving path uses 8).
     ///
     /// # Panics
-    /// Panics unless `1 <= bits <= 24`.
+    /// Panics unless `1 <= bits <= 16`.
     pub fn new(bits: usize, seed: u64) -> Self {
-        assert!((1..=24).contains(&bits), "bits must be in 1..=24");
+        assert!(
+            (1..=MAX_LSH_BITS).contains(&bits),
+            "bits must be in 1..={MAX_LSH_BITS}"
+        );
         LshIndex {
             planes: seeded_planes(bits, seed ^ 0x006c_7368_5f76_6462), // "lsh_vdb"
-            buckets: std::collections::HashMap::new(),
+            buckets: vec![Vec::new(); 1 << bits],
             entries: Vec::new(),
             fifo: std::collections::VecDeque::new(),
             free: Vec::new(),
@@ -429,7 +438,7 @@ impl<P> LshIndex<P> {
     /// evicting FIFO like [`FlatIndex::with_capacity_limit`].
     ///
     /// # Panics
-    /// Panics unless `1 <= bits <= 24` and `capacity > 0`.
+    /// Panics unless `1 <= bits <= 16` and `capacity > 0`.
     pub fn with_capacity_limit(bits: usize, seed: u64, capacity: usize) -> Self {
         assert!(capacity > 0, "capacity limit must be positive");
         let mut idx = Self::new(bits, seed);
@@ -437,8 +446,17 @@ impl<P> LshIndex<P> {
         idx
     }
 
-    fn bucket_of(&self, e: &Embedding) -> u64 {
-        sign_key(&self.planes, e, |_| {})
+    fn bucket_of(&self, e: &Embedding) -> usize {
+        sign_key(&self.planes, e, |_| {}) as usize
+    }
+
+    /// The buckets a multi-probe search visits for `query`: its own,
+    /// then each Hamming-1 neighbour in bit order.
+    fn probes(&self, query: &Embedding) -> impl Iterator<Item = &[usize]> + Clone {
+        let key = self.bucket_of(query);
+        std::iter::once(key)
+            .chain((0..self.planes.len()).map(move |bit| key ^ (1 << bit)))
+            .map(|b| self.buckets[b].as_slice())
     }
 
     /// Number of stored embeddings.
@@ -456,9 +474,7 @@ impl<P> LshIndex<P> {
     fn evict_oldest(&mut self) -> Option<P> {
         let slot = self.fifo.pop_front()?;
         let entry = self.entries[slot].take().expect("fifo slots are live");
-        if let Some(b) = self.buckets.get_mut(&entry.bucket) {
-            b.retain(|&i| i != slot);
-        }
+        self.buckets[entry.bucket].retain(|&i| i != slot);
         self.free.push(slot);
         Some(entry.payload)
     }
@@ -489,7 +505,7 @@ impl<P> LshIndex<P> {
                 self.entries.len() - 1
             }
         };
-        self.buckets.entry(bucket).or_default().push(slot);
+        self.buckets[bucket].push(slot);
         self.fifo.push_back(slot);
         evicted
     }
@@ -501,23 +517,13 @@ impl<P> LshIndex<P> {
     where
         P: Clone,
     {
-        let key = self.bucket_of(query);
-        let mut candidates: Vec<usize> = Vec::new();
-        if let Some(b) = self.buckets.get(&key) {
-            candidates.extend_from_slice(b);
-        }
-        for bit in 0..self.planes.len() {
-            if let Some(b) = self.buckets.get(&(key ^ (1 << bit))) {
-                candidates.extend_from_slice(b);
-            }
-        }
-        let mut scored: Vec<(f32, u64, usize)> = candidates
-            .into_iter()
-            .map(|i| {
-                let e = self.entries[i].as_ref().expect("buckets hold live slots");
-                (cosine(query, &e.embedding), e.seq, i)
-            })
-            .collect();
+        let probes = self.probes(query);
+        let mut scored: Vec<(f32, u64, usize)> =
+            Vec::with_capacity(probes.clone().map(<[usize]>::len).sum());
+        scored.extend(probes.flatten().map(|&i| {
+            let e = self.entries[i].as_ref().expect("buckets hold live slots");
+            (cosine(query, &e.embedding), e.seq, i)
+        }));
         top_k_by(&mut scored, k, by_age)
             .iter()
             .map(|&(similarity, _, i)| SearchHit {
@@ -540,9 +546,8 @@ impl<P> LshIndex<P> {
     where
         P: Clone,
     {
-        let key = self.bucket_of(query);
         let mut best: Option<(f32, u64, usize)> = None;
-        let mut consider = |slot: usize| {
+        self.probes(query).flatten().for_each(|&slot| {
             let e = self.entries[slot]
                 .as_ref()
                 .expect("buckets hold live slots");
@@ -556,15 +561,7 @@ impl<P> LshIndex<P> {
             if better {
                 best = Some((sim, e.seq, slot));
             }
-        };
-        if let Some(b) = self.buckets.get(&key) {
-            b.iter().copied().for_each(&mut consider);
-        }
-        for bit in 0..self.planes.len() {
-            if let Some(b) = self.buckets.get(&(key ^ (1 << bit))) {
-                b.iter().copied().for_each(&mut consider);
-            }
-        }
+        });
         best.map(|(similarity, _, slot)| SearchHit {
             similarity,
             payload: self.entries[slot]
@@ -590,9 +587,7 @@ impl<P> LshIndex<P> {
             };
             if matches {
                 let entry = self.entries[slot].take().expect("fifo slots are live");
-                if let Some(b) = self.buckets.get_mut(&entry.bucket) {
-                    b.retain(|&i| i != slot);
-                }
+                self.buckets[entry.bucket].retain(|&i| i != slot);
                 self.free.push(slot);
                 out.push((entry.embedding, entry.payload));
             } else {
@@ -836,6 +831,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "bits must be in")]
     fn lsh_rejects_excessive_bits() {
+        // The widest index builds its whole bucket table; one bit more is
+        // refused at construction, as is anything wider.
+        assert_eq!(LshIndex::<u8>::new(16, 0).buckets.len(), 1 << 16);
+        let refused = std::panic::catch_unwind(|| LshIndex::<u8>::new(17, 0))
+            .expect_err("17 bits must be refused");
+        assert_eq!(
+            refused.downcast_ref::<String>().map(String::as_str),
+            Some("bits must be in 1..=16")
+        );
         let _ = LshIndex::<u8>::new(32, 0);
     }
 
@@ -1017,13 +1021,15 @@ mod tests {
         }
         let mut queries = embeddings(47, 300);
         queries.push(embed(""));
-        // Plane counts below, at and across whole kernel passes.
+        // Plane counts below, at and across whole kernel passes, hashed
+        // through `sign_key` as `bucket_of` does: the widest two are wider
+        // than an `LshIndex` takes.
         for bits in [1, 6, 8, 9, 17, 24] {
-            let idx = LshIndex::<u8>::new(bits, 5);
+            let planes = seeded_planes(bits, 5);
             for q in &queries {
                 assert_eq!(
-                    idx.bucket_of(q),
-                    reference_bucket(&idx.planes, q),
+                    sign_key(&planes, q, |_| {}),
+                    reference_bucket(&planes, q),
                     "bits {bits}"
                 );
             }
